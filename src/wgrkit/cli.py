@@ -24,12 +24,13 @@ import importlib.resources
 import json
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, czdecomp, theorems
-from .balls import Ball, build_family, five_r_cover, verify_cover
+from .balls import Ball, BallFamily, build_family, five_r_cover, verify_cover
 from .errors import LockError, SchemaError, WgrError
 from .examples import InstanceSpec, build_instance, list_instances
 from .space import FiniteMetricMeasureSpace, validate_metric
@@ -86,18 +87,46 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
 def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
     sel = geometry.get("base_ball", {})
     center = sel.get("center", "central")
+    ecc = None
     if center == "central":
         # minimize the eccentricity, ties by index
         ecc = [space.dist_row(i).max() for i in range(space.n_points)]
         center = int(np.argmin(ecc))
+    elif not center < space.n_points:
+        raise SchemaError(
+            f"geometry/base_ball/center {center} is not a point id of the "
+            f"{space.n_points}-point instance (0..{space.n_points - 1})"
+        )
     radius = sel.get("radius", "auto")
     if radius == "auto":
-        reach = float(space.dist_row(center).max())
+        reach = float(space.dist_row(center).max() if ecc is None else ecc[center])
         if reach <= 0.0:
             radius = 1.0
         else:
             radius = reach / ((1.0 + geometry["eta"]) * max(geometry["sigma"], 1.0))
     return Ball(int(center), float(radius))
+
+
+class RunContext:
+    """Geometry shared by every check of one invocation.
+
+    The base ball is resolved on construction. The family and the decay
+    ball system are built on first use and then shared; a build that
+    raises is not kept, so each check needing it reports the same error.
+    """
+
+    def __init__(self, space: FiniteMetricMeasureSpace, geometry: dict):
+        self.space = space
+        self.sigma, self.eta = geometry["sigma"], geometry["eta"]
+        self.base = resolve_base_ball(space, geometry)
+
+    @cached_property
+    def family(self) -> BallFamily:
+        return build_family(self.space, self.base, self.eta, self.sigma)
+
+    @cached_property
+    def system(self) -> theorems.BallSystem:
+        return theorems.build_ball_system(self.space, self.base, self.sigma, self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -116,55 +145,38 @@ def _functional_report(name: str, report) -> CheckReport:
     )
 
 
-def run_check(name: str, space, w, geometry: dict, params: dict, threads: int):
-    """Dispatch one named check; returns (CheckReport, extra CSV tables)."""
-    sigma, eta = geometry["sigma"], geometry["eta"]
-    base = resolve_base_ball(space, geometry)
+#: The six functionals: name -> f(space, w, family, params, threads).
+_FUNCTIONALS = {
+    "wgr": lambda s, w, fam, prm, t: wgr_epsilon(s, w, fam, threads=t),
+    "wgr_minus": lambda s, w, fam, prm, t: wgr_minus_epsilon(s, w, fam, threads=t),
+    "gr": lambda s, w, fam, prm, t: gr_epsilon(s, w, fam, threads=t),
+    "weak_ainfty": lambda s, w, fam, prm, t: weak_ainfty_beta(
+        s, w, fam, prm.get("alpha", 0.5), threads=t
+    ),
+    "sublevel": lambda s, w, fam, prm, t: sublevel_alpha(
+        s, w, fam, prm.get("beta", 0.5), threads=t
+    ),
+    "rhi": lambda s, w, fam, prm, t: rhi_constant(
+        s, w, fam, prm.get("p", 2.0), rhs_ball=prm.get("rhs_ball", "sigma_dilate"), threads=t
+    ),
+}
+
+
+def run_check(
+    name: str, space, w, geometry: dict, params: dict, threads: int,
+    ctx: RunContext | None = None,
+):
+    """Dispatch one named check; returns (CheckReport, extra CSV tables).
+
+    Checks of one invocation share ``ctx``; without one, a fresh context
+    is built for this check alone.
+    """
+    ctx = ctx or RunContext(space, geometry)
+    sigma, eta, base = ctx.sigma, ctx.eta, ctx.base
     tables: dict[str, tuple[list[str], list[tuple]]] = {}
 
-    def family():
-        return build_family(space, base, eta, sigma)
-
-    if name == "wgr":
-        rep = wgr_epsilon(space, w, family(), threads=threads)
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-    if name == "wgr_minus":
-        rep = wgr_minus_epsilon(space, w, family(), threads=threads)
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-    if name == "gr":
-        rep = gr_epsilon(space, w, family(), threads=threads)
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-    if name == "weak_ainfty":
-        rep = weak_ainfty_beta(space, w, family(), params.get("alpha", 0.5), threads=threads)
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-    if name == "sublevel":
-        rep = sublevel_alpha(space, w, family(), params.get("beta", 0.5), threads=threads)
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-    if name == "rhi":
-        rep = rhi_constant(
-            space, w, family(), params.get("p", 2.0),
-            rhs_ball=params.get("rhs_ball", "sigma_dilate"), threads=threads,
-        )
+    if name in _FUNCTIONALS:
+        rep = _FUNCTIONALS[name](space, w, ctx.family, params, threads)
         tables["per_ball"] = (
             ["ball_center", "ball_radius", "ratio", "skipped_flag"],
             rep.csv_rows(),
@@ -174,33 +186,33 @@ def run_check(name: str, space, w, geometry: dict, params: dict, threads: int):
     if name == "superlevel_bound":
         return (
             theorems.check_superlevel_bound(
-                space, w, family(), params["lambda"], eps=params.get("eps")
+                space, w, ctx.family, params["lambda"], eps=params.get("eps")
             ),
             tables,
         )
     if name == "osc_from_superlevel":
         return (
             theorems.check_osc_from_superlevel(
-                space, w, family(), params.get("alpha", 0.5), beta=params.get("beta")
+                space, w, ctx.family, params.get("alpha", 0.5), beta=params.get("beta")
             ),
             tables,
         )
     if name == "sublevel_bound":
         return (
             theorems.check_sublevel_bound(
-                space, w, family(), params["lambda"], eps=params.get("eps")
+                space, w, ctx.family, params["lambda"], eps=params.get("eps")
             ),
             tables,
         )
     if name == "neg_osc_from_sublevel":
         return (
             theorems.check_neg_osc_from_sublevel(
-                space, w, family(), params.get("beta", 0.5), alpha_m=params.get("alpha")
+                space, w, ctx.family, params.get("beta", 0.5), alpha_m=params.get("alpha")
             ),
             tables,
         )
     if name == "jn_decay":
-        system = theorems.build_ball_system(space, base, sigma, eta)
+        system = ctx.system
         grid = params.get("lambda_grid")
         if grid is None:
             count = int(params.get("count", 20))
@@ -224,28 +236,31 @@ def run_check(name: str, space, w, geometry: dict, params: dict, threads: int):
     if name == "osc_power_bound":
         return (
             theorems.check_osc_power_bound(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps")
+                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
+                system=ctx.system,
             ),
             tables,
         )
     if name == "weak_rhi":
         return (
             theorems.check_weak_rhi(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps")
+                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
+                system=ctx.system,
             ),
             tables,
         )
     if name == "cover_rhi":
         return (
             theorems.check_cover_rhi(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps")
+                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
+                system=ctx.system,
             ),
             tables,
         )
     if name == "rhi_equivalence_observed":
         return (
             theorems.check_rhi_equivalence_observed(
-                space, w, family(),
+                space, w, ctx.family,
                 params.get("alpha", 0.5), params.get("beta", 0.1),
                 params.get("p_grid", [1.5, 2.0, 4.0]),
             ),
@@ -292,17 +307,20 @@ def _config_digest(cfg: dict) -> str:
 
 
 def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
+    spec = InstanceSpec.from_json_obj(cfg["instance"])
+    space, w = build_instance(spec)
+    ctx = RunContext(space, cfg["geometry"])
     out_dir.mkdir(parents=True, exist_ok=True)
     formats = cfg["output"].get("formats", ["json", "csv"])
     with _OutputLock(out_dir):
-        spec = InstanceSpec.from_json_obj(cfg["instance"])
-        space, w = build_instance(spec)
         failed: list[str] = []
         outputs: list[Path] = []
         for entry in cfg["checks"]:
             name, params = entry["name"], entry.get("params", {})
             try:
-                report, extra_tables = run_check(name, space, w, cfg["geometry"], params, threads)
+                report, extra_tables = run_check(
+                    name, space, w, cfg["geometry"], params, threads, ctx
+                )
             except WgrError as exc:
                 report = CheckReport(
                     name=name, passed=False, margin=float("-inf"),

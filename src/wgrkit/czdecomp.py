@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .weights import as_values, average
+from .weights import _average, as_values
 from .util import weighted_sum
 
 
@@ -102,15 +103,7 @@ def maximal_function(
     Points in no member ball get 0; in particular the result vanishes
     outside ``(1+eta) B0``.
     """
-    values = np.abs(as_values(f))
-    mf = np.zeros(space.n_points)
-    for ball in family.members:
-        members = space.ball_members(ball.center, ball.radius)
-        if members.size == 0:
-            continue
-        avg = weighted_sum(values[members], space.mass[members]) / space.set_measure(members)
-        np.maximum.at(mf, members, avg)
-    return mf
+    return _FamilyAverages(space, f, family).maximal
 
 
 def level_set(mf: np.ndarray, lam: float, region: np.ndarray) -> np.ndarray:
@@ -182,7 +175,7 @@ class CZDecomposition:
 
 
 class _FamilyAverages:
-    """Per (center, grid radius) averages of |f| with cached members."""
+    """Per member ball: its points and, when nonempty, the average of |f|."""
 
     def __init__(self, space, f, family: BallFamily):
         self.space = space
@@ -192,15 +185,22 @@ class _FamilyAverages:
         self.centers = sorted({b.center for b in family.members})
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], np.ndarray] = {}
-        for c in self.centers:
-            row = space.dist_row(c)
-            for r in self.grid:
-                members = np.flatnonzero(row < r)
-                self.members[(c, r)] = members
-                if members.size:
-                    self.avg[(c, r)] = weighted_sum(
-                        self.values[members], space.mass[members]
-                    ) / space.set_measure(members)
+        for ball in family.members:
+            key = (ball.center, ball.radius)
+            members = space.ball_members(ball.center, ball.radius)
+            self.members[key] = members
+            if members.size:
+                self.avg[key] = weighted_sum(
+                    self.values[members], space.mass[members]
+                ) / space.set_measure(members)
+
+    @cached_property
+    def maximal(self) -> np.ndarray:
+        """The maximal function of |f| over the family (see :func:`maximal_function`)."""
+        mf = np.zeros(self.space.n_points)
+        for key, avg in self.avg.items():
+            np.maximum.at(mf, self.members[key], avg)
+        return mf
 
 
 def _candidates(table: _FamilyAverages, lam: float, cap: float):
@@ -288,7 +288,7 @@ def cz_decompose(
     profile: DoublingProfile,
     *,
     _table: _FamilyAverages | None = None,
-    _restrict_to: list[Ball] | None = None,
+    _restrict_to: list[np.ndarray] | None = None,
 ) -> CZDecomposition:
     """Stopping balls at level ``lam`` satisfying the four properties.
 
@@ -296,42 +296,41 @@ def cz_decompose(
     ``lam >= alpha * avg(f over (1+eta) B0)``. Postconditions are verified
     before returning; a failure raises :class:`CZConstructionError` with
     the violated property and a witness.
+
+    ``_restrict_to`` holds point masks of coarse 5-dilates: only candidates
+    inside one of them stay usable.
     """
     table = _table or _FamilyAverages(space, f, family)
     hat_members = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
-    f_hat = average(space, table.values, hat_members)
+    f_hat = _average(space, table.values, hat_members)
     alpha = jn_constants(profile, family.sigma, family.eta, 1.0).alpha
     if lam < alpha * f_hat:
         raise CZPreconditionError(
             f"level {lam} below admissible threshold alpha*f_hat = {alpha * f_hat}"
         )
-    mf = maximal_function(space, table.values, family)
+    mf = table.maximal
     e_members = level_set(mf, lam, hat_members)
     if e_members.size == 0:
         raise CZPreconditionError("superlevel region is empty at this level")
 
     cap = family.eta * family.base_ball.radius / (5.0 * family.sigma)
     usable, oversized = _candidates(table, lam, cap)
+    dropped = False
     if _restrict_to is not None:
-        keep = []
-        for ball in usable:
-            members = set(table.members[(ball.center, ball.radius)].tolist())
-            if any(
-                members <= set(space.ball_members(b.center, 5.0 * b.radius).tolist())
-                for b in _restrict_to
-            ):
-                keep.append(ball)
-        dropped = [b for b in usable if b not in keep]
+        keep = [
+            ball
+            for ball in usable
+            if any(m[table.members[(ball.center, ball.radius)]].all() for m in _restrict_to)
+        ]
+        dropped = len(keep) < len(usable)
         usable = keep
-    else:
-        dropped = []
 
     covered = np.zeros(space.n_points, dtype=bool)
     for ball in usable:
         covered[table.members[(ball.center, ball.radius)]] = True
     missing = [x for x in e_members.tolist() if not covered[x]]
     if missing:
-        if _restrict_to is not None and dropped:
+        if dropped:
             raise NestingError(
                 "no admissible candidate inside a coarse 5-dilate covers a superlevel point",
                 witness=missing[0],
@@ -373,16 +372,14 @@ def cz_nested(
         raise CZPreconditionError("need lam_lo <= lam_hi")
     table = _FamilyAverages(space, f, family)
     dec_lo = cz_decompose(space, f, lam_lo, family, profile, _table=table)
+    five_masks = [space.ball_mask(b.center, 5.0 * b.radius) for b in dec_lo.balls]
     dec_hi = cz_decompose(
-        space, f, lam_hi, family, profile, _table=table, _restrict_to=dec_lo.balls
+        space, f, lam_hi, family, profile, _table=table, _restrict_to=five_masks
     )
-    five_sets = [
-        set(space.ball_members(b.center, 5.0 * b.radius).tolist()) for b in dec_lo.balls
-    ]
     mapping: list[int] = []
     for ball in dec_hi.balls:
-        members = set(table.members[(ball.center, ball.radius)].tolist())
-        j = next((k for k, s in enumerate(five_sets) if members <= s), None)
+        members = table.members[(ball.center, ball.radius)]
+        j = next((k for k, m in enumerate(five_masks) if m[members].all()), None)
         if j is None:
             raise NestingError("fine ball escaped every coarse 5-dilate", witness=ball)
         mapping.append(j)

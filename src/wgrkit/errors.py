@@ -50,10 +50,6 @@ class DegenerateWeightError(WgrError):
     """Weight vanishes on a reference ball where a positive average is needed."""
 
 
-class HypothesisError(WgrError):
-    """A checker's measured hypothesis fails on some ball."""
-
-
 class CZPreconditionError(WgrError):
     """Stopping-time decomposition requested outside its admissible range."""
 

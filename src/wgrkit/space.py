@@ -11,6 +11,13 @@ Balls are open: ``B(x, r) = {y : d(x, y) < r}``. In particular a radius
 equal to an existing pairwise distance excludes the points at exactly that
 distance, and ``r = 0`` gives the empty set.
 
+Ball queries read distance rows through a one-slot cache holding the row
+of the most recently queried center, so a layer that walks its balls
+center by center (every family, measuring set and closure set is listed
+center-ascending) computes each row once per pass. The slot costs O(n)
+memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
+uncached.
+
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
 runs over finitely many balls it is a *lower* bound for the doubling
@@ -110,6 +117,9 @@ class FiniteMetricMeasureSpace:
             self._dist = dist
             self._dist.setflags(write=False)
             self.metric_kind = "table"
+        # (center, row) of the last ball query; replaced as one tuple, so a
+        # concurrent reader never pairs one center with another's row
+        self._row_slot: tuple[int, np.ndarray] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -125,10 +135,6 @@ class FiniteMetricMeasureSpace:
     def coords(self):
         return self._coords
 
-    @property
-    def total_mass(self) -> float:
-        return fsum(self._mass)
-
     def dist_row(self, center: int) -> np.ndarray:
         """Distances from ``center`` to every point."""
         if self._dist is not None:
@@ -143,10 +149,18 @@ class FiniteMetricMeasureSpace:
 
     # -- balls and measures ------------------------------------------------
 
+    def _cached_row(self, center: int) -> np.ndarray:
+        slot = self._row_slot
+        if slot is not None and slot[0] == center:
+            return slot[1]
+        row = self.dist_row(center)
+        self._row_slot = (center, row)
+        return row
+
     def ball_mask(self, center: int, r: float) -> np.ndarray:
         if r < 0:
             raise WgrError("ball radius must be >= 0")
-        return self.dist_row(center) < r
+        return self._cached_row(center) < r
 
     def ball_members(self, center: int, r: float) -> np.ndarray:
         """Point ids strictly inside B(center, r), ascending."""

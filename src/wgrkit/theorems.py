@@ -32,12 +32,13 @@ from .errors import (
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
 from .util import fsum, weighted_sum
 from .weights import (
+    _average,
+    _induced,
+    _neg_osc_avg,
+    _pos_osc,
     as_values,
     average,
     family_balls,
-    induced_measure,
-    neg_oscillation_avg,
-    pos_oscillation,
     rhi_constant,
     sublevel_alpha,
     weak_ainfty_beta,
@@ -151,8 +152,7 @@ class _MarginTracker:
 
 
 def _sigma_average(space, values, ball: Ball, sigma: float) -> float:
-    ref = space.ball_members(ball.center, sigma * ball.radius)
-    return average(space, values, ref)
+    return _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,8 @@ def check_superlevel_bound(
         c = _sigma_average(space, values, ball, sigma)
         members = space.ball_members(ball.center, ball.radius)
         level = members[factor * values[members] >= c]
-        lhs = induced_measure(space, values, level)
-        rhs = lam * induced_measure(
-            space, values, space.ball_members(ball.center, sigma * ball.radius)
-        )
+        lhs = _induced(space, values, level)
+        rhs = lam * _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
         tracker.add(lhs, rhs, ball, vacuous=level.size == 0)
     return tracker.report()
 
@@ -232,10 +230,8 @@ def check_osc_from_superlevel(
     )
     coeff = 1.0 - alpha * (1.0 - beta)
     for ball in balls:
-        lhs = pos_oscillation(space, values, ball, sigma)
-        rhs = coeff * induced_measure(
-            space, values, space.ball_members(ball.center, sigma * ball.radius)
-        )
+        lhs = _pos_osc(space, values, ball, sigma)
+        rhs = coeff * _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
         tracker.add(lhs, rhs, ball, vacuous=lhs == 0.0)
     return tracker.report()
 
@@ -309,7 +305,7 @@ def check_neg_osc_from_sublevel(
     )
     coeff = 1.0 - (1.0 - alpha_m) * beta
     for ball in balls:
-        lhs = neg_oscillation_avg(space, values, ball, sigma)
+        lhs = _neg_osc_avg(space, values, ball, sigma)
         rhs = coeff * _sigma_average(space, values, ball, sigma)
         tracker.add(lhs, rhs, ball, vacuous=lhs == 0.0)
     return tracker.report()
@@ -381,9 +377,8 @@ def build_ball_system(
     )
 
 
-def _decay_inputs(system: BallSystem, w, eps: float | None):
-    values = as_values(w)
-    c = average(system.space, values, system.sigma_hat_members)
+def _decay_inputs(system: BallSystem, values: np.ndarray, eps: float | None):
+    c = _average(system.space, values, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
@@ -417,7 +412,7 @@ def check_jn_decay(
     table; a lambda whose superlevel set is empty is flagged vacuous.
     """
     system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values, c, eps, measured, excess = _decay_inputs(system, w, eps)
+    values, c, eps, measured, excess = _decay_inputs(system, as_values(w), eps)
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -505,7 +500,7 @@ def check_osc_power_bound(
     with the exact-beta constant of :func:`_power_bound_constant`.
     """
     system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values, c, eps, measured, excess = _decay_inputs(system, w, eps)
+    values, c, eps, measured, excess = _decay_inputs(system, as_values(w), eps)
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -551,7 +546,11 @@ def check_weak_rhi(
         (avg_B0 w^p)^(1/p) <= (C eps + 1) * avg over sigma*(1+eta)*B0 of w
     """
     system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values, c, eps, measured, _ = _decay_inputs(system, w, eps)
+    return _weak_rhi(space, as_values(w), sigma, eta, base_ball, p, eps, system)
+
+
+def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system) -> CheckReport:
+    values, c, eps, measured, _ = _decay_inputs(system, values, eps)
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -593,6 +592,7 @@ def check_cover_rhi(
     p: float,
     eps: float | None = None,
     profile: DoublingProfile | None = None,
+    system: BallSystem | None = None,
 ) -> CheckReport:
     """Reverse Holder bound with the smaller sigma*B0 reference ball.
 
@@ -607,10 +607,12 @@ def check_cover_rhi(
 
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
+    A supplied ``system`` stands in for the base ball system, as in the
+    other decay checkers.
     """
     if not sigma > 1.0:
         raise InvalidParameterError(f"cover bound needs sigma > 1, got {sigma}")
-    system = build_ball_system(space, base_ball, sigma, eta, profile)
+    system = system or build_ball_system(space, base_ball, sigma, eta, profile)
     values = as_values(w)
     cover = five_r_cover(space, base_ball, sigma, eta)
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
@@ -657,9 +659,7 @@ def check_cover_rhi(
     _require_osc_range(consts, eps, p)
     # every piece must satisfy the weak bound at the shared eps
     for sub in sub_systems:
-        piece = check_weak_rhi(
-            space, values, sigma, eta, sub.base_ball, p, eps=eps, system=sub
-        )
+        piece = _weak_rhi(space, values, sigma, eta, sub.base_ball, p, eps, sub)
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")

@@ -61,43 +61,61 @@ def as_values(w) -> np.ndarray:
     return Weight(np.asarray(w, dtype=float)).values
 
 
-def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
-    """w(A) = sum over A of w * mass."""
-    members = np.asarray(members)
+# Per-ball helpers. They take values already validated by ``as_values`` and
+# member arrays from ``ball_members``; public entry points validate once and
+# hand the array down, so no weight is re-validated per ball.
+
+
+def _induced(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
     if members.size == 0:
         return 0.0
-    values = as_values(w)
     return weighted_sum(values[members], space.mass[members])
+
+
+def _average(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
+    mu = space.set_measure(members)
+    if mu <= 0.0:
+        raise EmptyAverageError("average over a set of zero measure")
+    return _induced(space, values, members) / mu
+
+
+def _pos_osc(
+    space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Ball, sigma: float
+) -> float:
+    c = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
+    members = space.ball_members(ball.center, ball.radius)
+    return weighted_sum(np.maximum(values[members] - c, 0.0), space.mass[members])
+
+
+def _neg_osc_avg(
+    space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Ball, sigma: float
+) -> float:
+    c = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
+    members = space.ball_members(ball.center, ball.radius)
+    mu = space.set_measure(members)
+    if mu <= 0.0:
+        raise EmptyAverageError("negative oscillation over an empty ball")
+    return weighted_sum(np.maximum(c - values[members], 0.0), space.mass[members]) / mu
+
+
+def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
+    """w(A) = sum over A of w * mass."""
+    return _induced(space, as_values(w), np.asarray(members))
 
 
 def average(space: FiniteMetricMeasureSpace, w, members) -> float:
     """Integral average of w over a set of positive measure."""
-    members = np.asarray(members)
-    mu = space.set_measure(members)
-    if mu <= 0.0:
-        raise EmptyAverageError("average over a set of zero measure")
-    return induced_measure(space, w, members) / mu
+    return _average(space, as_values(w), np.asarray(members))
 
 
 def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """int_B (w - w_S)_+ dmu with S = sigma B."""
-    ref = space.ball_members(ball.center, sigma * ball.radius)
-    c = average(space, w, ref)
-    members = space.ball_members(ball.center, ball.radius)
-    values = as_values(w)[members]
-    return weighted_sum(np.maximum(values - c, 0.0), space.mass[members])
+    return _pos_osc(space, as_values(w), ball, sigma)
 
 
 def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """avg_B (w - w_S)_- with S = sigma B."""
-    ref = space.ball_members(ball.center, sigma * ball.radius)
-    c = average(space, w, ref)
-    members = space.ball_members(ball.center, ball.radius)
-    values = as_values(w)[members]
-    mu = space.set_measure(members)
-    if mu <= 0.0:
-        raise EmptyAverageError("negative oscillation over an empty ball")
-    return weighted_sum(np.maximum(c - values, 0.0), space.mass[members]) / mu
+    return _neg_osc_avg(space, as_values(w), ball, sigma)
 
 
 @dataclass
@@ -182,11 +200,10 @@ def wgr_epsilon(
     values = as_values(w)
 
     def one(ball: Ball) -> tuple[float, bool]:
-        ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom = induced_measure(space, values, ref)
+        denom = _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
         if denom <= 0.0:
             return 0.0, True
-        return pos_oscillation(space, values, ball, sigma) / denom, False
+        return _pos_osc(space, values, ball, sigma) / denom, False
 
     return _sup_report(balls, parallel_map(one, balls, threads))
 
@@ -200,11 +217,10 @@ def wgr_minus_epsilon(
     values = as_values(w)
 
     def one(ball: Ball) -> tuple[float, bool]:
-        ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom = average(space, values, ref)
+        denom = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
         if denom <= 0.0:
             return 0.0, True
-        return neg_oscillation_avg(space, values, ball, sigma) / denom, False
+        return _neg_osc_avg(space, values, ball, sigma) / denom, False
 
     return _sup_report(balls, parallel_map(one, balls, threads))
 
@@ -216,7 +232,7 @@ def gr_epsilon(space: FiniteMetricMeasureSpace, w, ball_set, threads: int = 1) -
 
     def one(ball: Ball) -> tuple[float, bool]:
         members = space.ball_members(ball.center, ball.radius)
-        denom = induced_measure(space, values, members)
+        denom = _induced(space, values, members)
         if denom <= 0.0:
             return 0.0, True
         c = denom / space.set_measure(members)
@@ -243,13 +259,13 @@ def weak_ainfty_beta(
 
     def one(ball: Ball) -> tuple[float, bool]:
         ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom = induced_measure(space, values, ref)
+        denom = _induced(space, values, ref)
         if denom <= 0.0:
             return 0.0, True
         c = denom / space.set_measure(ref)
         members = space.ball_members(ball.center, ball.radius)
         level = members[alpha * values[members] >= c]
-        return induced_measure(space, values, level) / denom, False
+        return _induced(space, values, level) / denom, False
 
     return _sup_report(balls, parallel_map(one, balls, threads))
 
@@ -271,7 +287,7 @@ def sublevel_alpha(
 
     def one(ball: Ball) -> tuple[float, bool]:
         ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom_w = induced_measure(space, values, ref)
+        denom_w = _induced(space, values, ref)
         if denom_w <= 0.0:
             return 0.0, True
         c = denom_w / space.set_measure(ref)
@@ -316,7 +332,7 @@ def rhi_constant(
 
     def one(ball: Ball) -> tuple[float, bool]:
         ref = space.ball_members(ball.center, factor * ball.radius)
-        denom_w = induced_measure(space, values, ref)
+        denom_w = _induced(space, values, ref)
         if denom_w <= 0.0:
             return 0.0, True
         rhs = denom_w / space.set_measure(ref)

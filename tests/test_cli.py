@@ -278,3 +278,19 @@ def test_shipped_smoke_config_runs(tmp_path):
     cfg = Path(__file__).parent.parent / "configs" / "smoke.json"
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "smoke")]) == 0
     assert (tmp_path / "smoke" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["cz", "nested"], ["cz", "decompose"], ["cover"]]
+)
+def test_base_ball_center_out_of_range_exits_two(tmp_path, command):
+    cfg = json.loads((Path(__file__).parent.parent / "configs" / "smoke.json").read_text())
+    cfg["geometry"]["base_ball"]["center"] = 500  # schema-valid; the instance has 96 points
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(dumps_canonical(cfg))
+    out = tmp_path / "out"
+    proc = run_cli(*command, "--config", str(cfg_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "500" in proc.stderr and "96" in proc.stderr
+    assert not out.exists()  # no manifest, and no half-written output directory

@@ -234,3 +234,50 @@ def test_set_measure_additivity_property(masses, data):
     assert sp.set_measure(a) + sp.set_measure(b) == pytest.approx(
         sp.set_measure(subset), rel=1e-12, abs=1e-300
     )
+
+
+@st.composite
+def _space_and_queries(draw):
+    """A small space with repeated distances, and ball queries over few centers.
+
+    Integer coordinates make distances exact and frequently tied; every other
+    radius is an exact pairwise distance, which the open ball must exclude.
+    """
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    n = draw(st.integers(min_value=1, max_value=9))
+    coords = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    mass = np.ones(n)
+    if kind == "table":
+        pts = np.asarray(coords, dtype=float)
+        table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        space = FiniteMetricMeasureSpace(mass, distance_matrix=table)
+    else:
+        space = FiniteMetricMeasureSpace(mass, coords=coords, metric_kind=kind)
+    pool = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        center = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            r = oracles.distance(space, center, draw(st.integers(min_value=0, max_value=n - 1)))
+        else:
+            r = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 4.5, 10.0]))
+        queries.append((center, r))
+    return space, queries
+
+
+@settings(max_examples=80, deadline=None)
+@given(_space_and_queries())
+def test_ball_queries_interleaved_match_oracle(case):
+    # alternating and repeated centers would expose a stale distance row
+    space, queries = case
+    for center, r in queries:
+        expected = oracles.ball(space, center, r)
+        assert space.ball_members(center, r).tolist() == expected
+        mask = space.ball_mask(center, r)
+        assert np.flatnonzero(mask).tolist() == expected

@@ -10,8 +10,12 @@ from wgrkit import (
     DoublingProfile,
     average,
     build_family,
+    gr_epsilon,
     grid_1d,
     jn_constants,
+    rhi_constant,
+    sublevel_alpha,
+    weak_ainfty_beta,
     wgr_epsilon,
     wgr_minus_epsilon,
 )
@@ -21,6 +25,7 @@ from wgrkit.errors import (
     InvalidExponentError,
     InvalidParameterError,
     ThresholdError,
+    WgrError,
 )
 from wgrkit.examples import sawyer_strip
 from wgrkit.util import philox_generator
@@ -406,3 +411,56 @@ def test_rhi_equivalence_small_variance_holds():
     assert rep.params["superlevel_holds_at_beta"]
     for v in rep.params["rhi_values"].values():
         assert isinstance(v, float) and v < 2.0
+
+
+# -- weight validation at the entry of every functional and checker -------------
+
+#: name -> call(space, family, w); checkers get their constants supplied, so no
+#: inner functional sees the weight before the checker itself does.
+ENTRY_POINTS = {
+    "wgr_epsilon": lambda sp, fam, w: wgr_epsilon(sp, w, fam),
+    "wgr_minus_epsilon": lambda sp, fam, w: wgr_minus_epsilon(sp, w, fam),
+    "gr_epsilon": lambda sp, fam, w: gr_epsilon(sp, w, fam),
+    "weak_ainfty_beta": lambda sp, fam, w: weak_ainfty_beta(sp, w, fam, 0.5),
+    "sublevel_alpha": lambda sp, fam, w: sublevel_alpha(sp, w, fam, 0.5),
+    "rhi_constant": lambda sp, fam, w: rhi_constant(sp, w, fam, 2.0),
+    "superlevel_bound": lambda sp, fam, w: theorems.check_superlevel_bound(
+        sp, w, fam, 0.9, eps=0.1
+    ),
+    "osc_from_superlevel": lambda sp, fam, w: theorems.check_osc_from_superlevel(
+        sp, w, fam, 0.5, beta=0.5
+    ),
+    "sublevel_bound": lambda sp, fam, w: theorems.check_sublevel_bound(
+        sp, w, fam, 0.9, eps=0.1
+    ),
+    "neg_osc_from_sublevel": lambda sp, fam, w: theorems.check_neg_osc_from_sublevel(
+        sp, w, fam, 0.5, alpha_m=0.5
+    ),
+    "jn_decay": lambda sp, fam, w: theorems.check_jn_decay(
+        sp, w, fam.sigma, fam.eta, fam.base_ball, [1e6], eps=1e-4
+    ),
+    "osc_power_bound": lambda sp, fam, w: theorems.check_osc_power_bound(
+        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+    ),
+    "weak_rhi": lambda sp, fam, w: theorems.check_weak_rhi(
+        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+    ),
+    "cover_rhi": lambda sp, fam, w: theorems.check_cover_rhi(
+        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+    ),
+    "rhi_equivalence_observed": lambda sp, fam, w: theorems.check_rhi_equivalence_observed(
+        sp, w, fam, 0.5, 0.1, [2.0]
+    ),
+    "cavalieri": lambda sp, fam, w: theorems.cavalieri_check(sp, w, 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bare_array_with_bad_entry_rejected(name, bad):
+    space = grid_1d(0.0, 32.0, 32)
+    family = build_family(space, Ball(16, 8.0), eta=1.0, sigma=1.5)
+    w = np.ones(32)
+    w[16] = bad
+    with pytest.raises(WgrError, match="finite and nonnegative"):
+        ENTRY_POINTS[name](space, family, w)
