@@ -37,6 +37,7 @@ from .space import FiniteMetricMeasureSpace, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
 from .weights import (
+    as_values,
     average,
     gr_epsilon,
     rhi_constant,
@@ -219,7 +220,7 @@ def run_check(
             factor = float(params.get("factor", 4.0))
             eps = params.get("eps")
             if eps is None:
-                eps = wgr_epsilon(space, w, system.measuring, sigma=sigma, threads=threads).value
+                eps = system.osc_constant(as_values(w))
             if eps == 0.0:
                 grid = []
             else:
@@ -306,11 +307,18 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise SchemaError(f"output path {out_dir} is not a directory: {exc}") from exc
+
+
 def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
     spec = InstanceSpec.from_json_obj(cfg["instance"])
     space, w = build_instance(spec)
     ctx = RunContext(space, cfg["geometry"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     formats = cfg["output"].get("formats", ["json", "csv"])
     with _OutputLock(out_dir):
         failed: list[str] = []
@@ -398,7 +406,9 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
     hat = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
     f_hat = average(space, w, hat)
     alpha = czdecomp.jn_constants(profile, geometry["sigma"], geometry["eta"], 1.0).alpha
-    mf_max = float(czdecomp.maximal_function(space, w, family).max())
+    # one averages table feeds the maximal function and every level
+    table = czdecomp._FamilyAverages(space, w, family)
+    mf_max = float(czdecomp.maximal_function(space, w, family, _table=table).max())
 
     def level(key_abs, key_frac, default_frac):
         if key_abs in cz_cfg:
@@ -410,7 +420,7 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
         lo = level("level", "level_fraction", 0.1)
         hi = level("level_hi", "level_fraction_hi", 0.6)
         dec_lo, dec_hi, mapping = czdecomp.cz_nested(
-            space, w, lo, hi, family, profile
+            space, w, lo, hi, family, profile, _table=table
         )
         write_json(
             out,
@@ -422,7 +432,7 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
         )
     else:
         lam = level("level", "level_fraction", 0.3)
-        dec = czdecomp.cz_decompose(space, w, lam, family, profile)
+        dec = czdecomp.cz_decompose(space, w, lam, family, profile, _table=table)
         write_json(out, dec.to_json_obj(_cz_properties(space, w, family, dec)))
     return EXIT_OK
 
@@ -502,7 +512,7 @@ def cmd_check(cfg: dict, name: str, out_dir: Path, threads: int) -> int:
         (e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == name), {}
     )
     report, tables = run_check(name, space, w, cfg["geometry"], params, threads)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     write_json(out_dir / f"check_{name}.json", report.to_json_obj())
     for table_name, (header, rows) in tables.items():
         write_csv(out_dir / f"check_{name}_{table_name}.csv", header, rows)

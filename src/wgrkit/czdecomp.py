@@ -96,14 +96,19 @@ def phi_sequence(a_const: float, eps: float, lambda0: float, m: int) -> list[flo
 
 
 def maximal_function(
-    space: FiniteMetricMeasureSpace, f, family: BallFamily
+    space: FiniteMetricMeasureSpace,
+    f,
+    family: BallFamily,
+    *,
+    _table: _FamilyAverages | None = None,
 ) -> np.ndarray:
     """Per point, the max of avg_B |f| over member balls containing it.
 
     Points in no member ball get 0; in particular the result vanishes
-    outside ``(1+eta) B0``.
+    outside ``(1+eta) B0``. ``_table`` is an averages table already built
+    for ``f`` over ``family``.
     """
-    return _FamilyAverages(space, f, family).maximal
+    return (_table or _FamilyAverages(space, f, family)).maximal
 
 
 def level_set(mf: np.ndarray, lam: float, region: np.ndarray) -> np.ndarray:
@@ -120,18 +125,17 @@ def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> lis
     admissibility constant ``alpha`` effective on discrete data.
     """
     top = 2.0 * (1.0 + family.eta) * family.base_ball.radius
+    # the chains do not depend on the center: build their radii once
+    radii: set[float] = set()
+    for r in family.radius_grid:
+        rho = r
+        while True:
+            radii.add(rho)
+            if rho >= top:
+                break
+            rho *= 2.0
     centers = sorted({b.center for b in family.members})
-    balls: list[Ball] = []
-    for c in centers:
-        for r in family.radius_grid:
-            rho = r
-            while True:
-                balls.append(Ball(c, rho))
-                if rho >= top:
-                    break
-                rho *= 2.0
-    # dedupe, canonical order
-    return sorted(set(balls), key=lambda b: (b.center, b.radius))
+    return [Ball(c, rho) for c in centers for rho in sorted(radii)]
 
 
 def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
@@ -360,6 +364,8 @@ def cz_nested(
     lam_hi: float,
     family: BallFamily,
     profile: DoublingProfile,
+    *,
+    _table: _FamilyAverages | None = None,
 ) -> tuple[CZDecomposition, CZDecomposition, list[int]]:
     """Decompositions at two levels with each fine ball in a coarse 5-dilate.
 
@@ -367,10 +373,11 @@ def cz_nested(
     contained in some coarse 5-dilate, and returns the containment map
     (index into the low-level balls, parallel to the high-level balls).
     Impossibility raises :class:`NestingError` with a witness point.
+    Both levels share one averages table, ``_table`` when given.
     """
     if not lam_lo <= lam_hi:
         raise CZPreconditionError("need lam_lo <= lam_hi")
-    table = _FamilyAverages(space, f, family)
+    table = _table or _FamilyAverages(space, f, family)
     dec_lo = cz_decompose(space, f, lam_lo, family, profile, _table=table)
     five_masks = [space.ball_mask(b.center, 5.0 * b.radius) for b in dec_lo.balls]
     dec_hi = cz_decompose(

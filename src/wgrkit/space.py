@@ -307,14 +307,23 @@ def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfi
     The profile is relative to the ball set: a richer set can only increase
     it. Every ball must be nonempty.
     """
+    # each (center, radius) is measured once: on a ratio-2 chain the double
+    # of one ball is the next ball
+    measures: dict[tuple[int, float], float] = {}
+
+    def measure(center: int, r: float) -> float:
+        m = measures.get((center, r))
+        if m is None:
+            m = measures[(center, r)] = space.set_measure(space.ball_members(center, r))
+        return m
+
     c_mu = 1.0
     for ball in ball_set:
-        members = space.ball_members(ball.center, ball.radius)
-        if members.size == 0:
+        m1 = measure(ball.center, ball.radius)
+        if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0
             raise EmptyBallError(
                 f"ball (center={ball.center}, radius={ball.radius}) is empty"
             )
-        m1 = space.set_measure(members)
-        m2 = space.set_measure(space.ball_members(ball.center, 2.0 * ball.radius))
+        m2 = measure(ball.center, 2.0 * ball.radius)
         c_mu = max(c_mu, m2 / m1)
     return DoublingProfile.from_c_mu(c_mu)

@@ -81,7 +81,7 @@ class CheckReport:
             "vacuous": self.vacuous,
             "boundary": self.boundary,
             "margin": _finite_or_str(self.margin),
-            "margin_rel": None if math.isinf(self.margin_rel) else self.margin_rel,
+            "margin_rel": None if self.margin_rel == math.inf else _finite_or_str(self.margin_rel),
             "witness": witness,
             "params": _finite_or_str(self.params),
             "notes": self.notes,
@@ -117,8 +117,11 @@ class _MarginTracker:
         if vacuous:
             self.n_vacuous += 1
         gap = rhs - lhs
-        scale = max(abs(rhs), abs(lhs), 1e-300)
-        rel = gap / scale
+        if math.isfinite(lhs) and math.isfinite(rhs):
+            rel = gap / max(abs(rhs), abs(lhs), 1e-300)
+        else:
+            # an infinite or NaN side is no evidence, so it can never pass
+            rel = -math.inf
         if rel < self.margin_rel:
             self.margin_rel = rel
             self.margin = gap
@@ -338,6 +341,24 @@ class BallSystem:
     base_members: np.ndarray
     hat_members: np.ndarray
     sigma_hat_members: np.ndarray
+    # (weight bytes, eps) of the last osc_constant call; replaced as one tuple
+    _eps_slot: tuple[bytes, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def osc_constant(self, values: np.ndarray) -> float:
+        """The oscillation constant eps: :func:`wgr_epsilon` over ``measuring``.
+
+        Remembers the last weight (by a copy of its bytes) and its eps, so
+        the checks of one run that share this system measure eps once.
+        """
+        key = np.asarray(values, dtype=float).tobytes()
+        slot = self._eps_slot
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        eps = wgr_epsilon(self.space, values, self.measuring, sigma=self.sigma).value
+        self._eps_slot = (key, eps)
+        return eps
 
 
 def build_ball_system(
@@ -383,7 +404,7 @@ def _decay_inputs(system: BallSystem, values: np.ndarray, eps: float | None):
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
     if measured:
-        eps = wgr_epsilon(system.space, values, system.measuring, sigma=system.sigma).value
+        eps = system.osc_constant(values)
     excess = np.maximum(values - c, 0.0)
     return values, c, float(eps), measured, excess
 
@@ -622,7 +643,7 @@ def check_cover_rhi(
     ]
     measured = eps is None
     if measured:
-        eps = wgr_epsilon(space, values, system.measuring, sigma=sigma).value
+        eps = system.osc_constant(values)
         for sub in sub_systems:
             eps = max(
                 eps, wgr_epsilon(space, values, sub.measuring, sigma=sigma).value

@@ -45,7 +45,8 @@ class Weight:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # freeze a private copy: the caller's array stays writeable
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1:
             raise WgrError("weight values must be a 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
@@ -58,7 +59,7 @@ def as_values(w) -> np.ndarray:
     """Accept a Weight or a bare array."""
     if isinstance(w, Weight):
         return w.values
-    return Weight(np.asarray(w, dtype=float)).values
+    return Weight(w).values
 
 
 # Per-ball helpers. They take values already validated by ``as_values`` and

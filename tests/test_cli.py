@@ -294,3 +294,15 @@ def test_base_ball_center_out_of_range_exits_two(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert "500" in proc.stderr and "96" in proc.stderr
     assert not out.exists()  # no manifest, and no half-written output directory
+
+
+@pytest.mark.parametrize("command", [["run"], ["check", "wgr"]])
+def test_out_path_that_is_a_file_exits_two(tmp_path, command):
+    cfg = smoke_config(tmp_path)
+    out = tmp_path / "existing.txt"
+    out.write_text("keep me\n")
+    proc = run_cli(*command, "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not a directory" in proc.stderr
+    assert out.read_text() == "keep me\n"

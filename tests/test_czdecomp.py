@@ -12,13 +12,14 @@ from wgrkit import (
     cz_decompose,
     cz_nested,
     grid_1d,
+    grid_nd,
     jn_constants,
     level_set,
     maximal_function,
     phi_sequence,
     wgr_epsilon,
 )
-from wgrkit.czdecomp import closure_profile
+from wgrkit.czdecomp import closure_ball_set, closure_profile
 from wgrkit.errors import CZPreconditionError
 from wgrkit.util import philox_generator
 from wgrkit.weights import average
@@ -326,3 +327,33 @@ def test_phi_sequence_closed_form_property(a_const, eps, lam0, m):
     assert len(seq) == m + 1
     for k, lam in enumerate(seq):
         assert lam == pytest.approx((1.0 + lam0) * (1.0 + a_eps) ** k - 1.0, rel=1e-12)
+
+
+def _closure_reference(family):
+    """The per-center construction: every chain per center, deduplicated and sorted."""
+    top = 2.0 * (1.0 + family.eta) * family.base_ball.radius
+    balls = []
+    for c in sorted({b.center for b in family.members}):
+        for r in family.radius_grid:
+            rho = r
+            while True:
+                balls.append(Ball(c, rho))
+                if rho >= top:
+                    break
+                rho *= 2.0
+    return sorted(set(balls), key=lambda b: (b.center, b.radius))
+
+
+@pytest.mark.parametrize(
+    "space,base,eta,sigma",
+    [
+        (grid_1d(0.0, 64.0, 64), Ball(32, 8.0), 1.0, 1.5),
+        (grid_1d(0.0, 512.0, 512), Ball(256, 51.2), 4.0, 1.0),
+        (grid_1d(0.0, 3.0, 40), Ball(7, 0.3), 0.7, 1.25),
+        (grid_nd(2, 9, 1.0, "chebyshev"), Ball(40, 2.5), 1.0, 2.0),
+        (grid_nd(2, 7, 0.5, "euclidean"), Ball(24, 1.1), 2.5, 1.0),
+    ],
+)
+def test_closure_ball_set_matches_per_center_construction(space, base, eta, sigma):
+    family = build_family(space, base, eta=eta, sigma=sigma)
+    assert closure_ball_set(space, family) == _closure_reference(family)

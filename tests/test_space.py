@@ -281,3 +281,61 @@ def test_ball_queries_interleaved_match_oracle(case):
         assert space.ball_members(center, r).tolist() == expected
         mask = space.ball_mask(center, r)
         assert np.flatnonzero(mask).tolist() == expected
+
+
+@st.composite
+def _space_and_balls(draw):
+    """A small space and a ball list with ratio-2 chains and exact-distance radii.
+
+    Chains make the double of one ball another listed ball. Table spaces
+    may raise some diagonal entries (the space does not require a metric),
+    so a ball around such a center can be empty.
+    """
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    coords = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    mass = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n))
+    if kind == "table":
+        pts = np.asarray(coords, dtype=float)
+        table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        raised = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+        table[raised, raised] = 2.5
+        space = FiniteMetricMeasureSpace(mass, distance_matrix=table)
+    else:
+        space = FiniteMetricMeasureSpace(mass, coords=coords, metric_kind=kind)
+    balls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        center = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.booleans()):
+            r = oracles.distance(space, center, draw(st.integers(min_value=0, max_value=n - 1)))
+        else:
+            r = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+        if r <= 0.0:
+            r = 0.5
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            balls.append(Ball(center, r))
+            r *= 2.0
+    return space, balls
+
+
+@settings(max_examples=80, deadline=None)
+@given(_space_and_balls())
+def test_doubling_profile_matches_brute_force(case):
+    space, balls = case
+    ratios = []
+    for b in balls:
+        m1 = oracles.measure(space, oracles.ball(space, b.center, b.radius))
+        if m1 == 0.0:
+            # the first empty ball in list order is the one reported
+            with pytest.raises(EmptyBallError) as err:
+                doubling_profile(space, balls)
+            assert str(err.value) == f"ball (center={b.center}, radius={b.radius}) is empty"
+            return
+        ratios.append(oracles.measure(space, oracles.ball(space, b.center, 2.0 * b.radius)) / m1)
+    assert doubling_profile(space, balls).c_mu == max([1.0, *ratios])

@@ -12,6 +12,7 @@ from wgrkit import (
     build_family,
     gr_epsilon,
     grid_1d,
+    grid_nd,
     jn_constants,
     rhi_constant,
     sublevel_alpha,
@@ -464,3 +465,51 @@ def test_bare_array_with_bad_entry_rejected(name, bad):
     w[16] = bad
     with pytest.raises(WgrError, match="finite and nonnegative"):
         ENTRY_POINTS[name](space, family, w)
+
+
+# -- non-finite sides and the shared oscillation constant ---------------------
+
+
+@pytest.mark.parametrize("lhs,rhs", [(1.0, np.inf), (np.nan, 1.0), (np.inf, np.inf)])
+def test_non_finite_side_never_passes(lhs, rhs):
+    tracker = theorems._MarginTracker("t", {})
+    tracker.add(0.5, 1.0, "finite")
+    tracker.add(lhs, rhs, "non-finite")
+    tracker.add(0.25, 1.0, "later")
+    rep = tracker.report()
+    assert rep.passed is False and rep.boundary is False
+    assert rep.margin_rel == -np.inf
+    assert rep.witness == "non-finite"
+    assert rep.to_json_obj()["margin_rel"] == "-inf"
+
+
+def test_jn_decay_with_infinite_constant_is_no_evidence():
+    from wgrkit.examples import random_weight
+
+    space = grid_nd(2, 16, 1.0, "chebyshev")
+    w = random_weight(space, "two_level", {"low": 1.0, "high": 10.0, "fraction": 0.3}, 5)
+    base = Ball(136, 3.5)
+    system = theorems.build_ball_system(space, base, 1.5, 1.0)
+    eps = wgr_epsilon(space, w, system.measuring, sigma=1.5).value
+    consts = jn_constants(system.profile, 1.5, 1.0, eps)
+    assert system.profile.c_mu >= 9.0 and consts.c_final == np.inf  # the saturated constant
+    grid = (consts.lambda0 * np.geomspace(1.0, 4.0, 5)).tolist()
+    rep = theorems.check_jn_decay(space, w, 1.5, 1.0, base, grid, system=system)
+    assert rep.passed is False  # a bound of inf proves nothing, vacuous or not
+    assert rep.margin_rel == -np.inf
+
+
+def test_osc_constant_recomputes_for_a_different_weight():
+    space, base, w, system = sin_system()
+    values = np.array(w)
+    first = system.osc_constant(values)
+    assert first == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
+    assert system.osc_constant(values.copy()) == first  # equal values: same constant
+    values[base.center] *= 3.0  # the caller changes its own array in place
+    changed = system.osc_constant(values)
+    assert changed == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
+    assert changed != first
+    other = 2.0 + np.cos(2 * np.pi * space.coords[:, 0] / space.n_points)
+    assert system.osc_constant(other) == wgr_epsilon(
+        space, other, system.measuring, sigma=1.25
+    ).value

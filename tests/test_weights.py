@@ -311,3 +311,24 @@ def test_wgr_dominated_by_one_property(values, sigma):
     assert rep.value <= 1.0
     for ball, ratio in rep.per_ball:
         assert 0.0 <= ratio <= 1.0
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        wgr_epsilon,
+        wgr_minus_epsilon,
+        gr_epsilon,
+        lambda sp, w, fam: weak_ainfty_beta(sp, w, fam, 0.5),
+        lambda sp, w, fam: sublevel_alpha(sp, w, fam, 0.5),
+        lambda sp, w, fam: rhi_constant(sp, w, fam, 2.0),
+    ],
+)
+def test_functional_leaves_the_callers_array_writeable(functional):
+    space = grid_1d(0.0, 32.0, 32)
+    family = build_family(space, Ball(16, 8.0), eta=1.0, sigma=1.5)
+    arr = 1.0 + np.arange(32.0) % 5
+    functional(space, arr, family)
+    assert arr.flags.writeable
+    arr[0] = 5.0
+    assert arr[0] == 5.0

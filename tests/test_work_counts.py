@@ -1,16 +1,20 @@
-"""Work counters: distance rows and run geometry are computed once, not per ball or per check.
+"""Work counters: repeated work is done once, not per ball, per check or per level.
 
-The counts are exact and deterministic, so these tests guard the
-shared-membership and run-context design against regressions.
+Distance rows, run geometry, the CZ family table, closure-ball measures
+and the oscillation constant of a ball system are each computed once. The
+counts are exact and deterministic, so these tests guard the design
+against regressions.
 """
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from wgrkit import Ball, build_family, cli
+from wgrkit import Ball, build_family, cli, czdecomp, theorems
 from wgrkit.examples import random_weight
-from wgrkit.space import FiniteMetricMeasureSpace, grid_nd
+from wgrkit.space import FiniteMetricMeasureSpace, doubling_profile, grid_1d, grid_nd
+from wgrkit.util import philox_generator
 from wgrkit.weights import (
     gr_epsilon,
     rhi_constant,
@@ -76,3 +80,88 @@ def test_run_resolves_base_ball_once_and_never_repeats_a_row(row_calls, monkeypa
     # a row means it was computed per ball instead of once per center
     repeats = [c for prev, c in zip(row_calls, row_calls[1:]) if c == prev]
     assert repeats == []
+
+
+def _counting(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that appends its arguments to ``calls``."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def _cz_config(tmp_path) -> dict:
+    """A schema-valid config: a 1-d spike instance with an admissible CZ level window."""
+    space = grid_1d(0.0, 256.0, 256)
+    f = 0.001 * (1.0 + philox_generator(3).random(256))
+    f[128] = 60.0
+    cfg = {
+        "instance": {"kind": "custom", "params": {"space": space.to_json_obj(), "weight": f.tolist()}},
+        "geometry": {"sigma": 1.0, "eta": 4.0, "base_ball": {"center": 128, "radius": 25.5}},
+        "checks": [],
+        "output": {"directory": str(tmp_path / "out")},
+        "cz": {"level_fraction": 0.1, "level_fraction_hi": 0.6},
+    }
+    cli.validate_config(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("nested", [True, False])
+def test_cz_builds_one_family_table_and_one_maximal_function(nested, monkeypatch, tmp_path):
+    cfg = _cz_config(tmp_path)
+    tables, maximal = [], []
+    _counting(monkeypatch, czdecomp._FamilyAverages, "__init__", tables)
+    _counting(monkeypatch, czdecomp, "maximal_function", maximal)
+    assert cli.cmd_cz(cfg, tmp_path / "cz_out.json", nested=nested) == 0
+    assert len(tables) == 1
+    assert len(maximal) == 1
+
+
+def test_doubling_profile_measures_each_ball_once(monkeypatch):
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.5)
+    balls = czdecomp.closure_ball_set(space, family)
+    queries: list[tuple] = []
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
+    doubling_profile(space, balls)
+    keys = Counter((int(c), float(r)) for _, c, r in queries)
+    assert max(keys.values()) == 1
+    expected = {(b.center, b.radius) for b in balls} | {(b.center, 2.0 * b.radius) for b in balls}
+    assert set(keys) == expected
+
+
+def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
+    cfg = {
+        "instance": {
+            "kind": "lognormal",
+            "interval": [0, 64, 64],
+            "params": {"mu": 0.0, "sigma": 0.001},
+            "seed": 1,
+        },
+        "geometry": {"sigma": 1.25, "eta": 1.0, "base_ball": {"center": "central", "radius": "auto"}},
+        "checks": [
+            {"name": "jn_decay", "params": {"count": 5}},
+            {"name": "osc_power_bound", "params": {"p": 1.5}},
+            {"name": "weak_rhi", "params": {"p": 1.5}},
+            {"name": "cover_rhi", "params": {"p": 1.5}},
+        ],
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cli.validate_config(cfg)
+    space, _ = cli._instance_from_cfg(cfg)
+    geometry = cfg["geometry"]
+    base = cli.resolve_base_ball(space, geometry)
+    measuring = theorems.build_ball_system(
+        space, base, geometry["sigma"], geometry["eta"]
+    ).measuring
+    passes: list[tuple] = []
+    _counting(monkeypatch, theorems, "wgr_epsilon", passes)
+    _counting(monkeypatch, cli, "wgr_epsilon", passes)
+    assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    assert sum(list(args[2]) == measuring for args in passes) == 1
+    for entry in cfg["checks"]:
+        report = json.loads((tmp_path / "out" / f"check_{entry['name']}.json").read_text())
+        assert report["params"]["eps_measured"] is True
