@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import numbers
 import os
+import platform
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -59,16 +61,98 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def validate_config(cfg: dict) -> None:
-    import jsonschema
+#: JSON type name -> membership test, as in jsonschema's Draft 2020-12
+#: checker: a bool is neither integer nor number, and 1.0 is an integer.
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
 
-    schema = load_schema()
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+
+def _json_equal(a, b) -> bool:
+    """Equality of a value and a scalar enum/const entry: a bool equals only
+    a bool, and 1 == 1.0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(schema: dict, inst, path: tuple = ()) -> list[tuple[tuple, str]]:
+    """``(path, message)`` for each violation of ``schema`` by ``inst``.
+
+    Interprets the keywords ``config.schema.json`` uses with jsonschema's
+    Draft 2020-12 semantics: each keyword applies on its own, and object,
+    array and numeric keywords skip values of other types. Any other
+    keyword raises, so the schema cannot outgrow the validator unnoticed.
+    """
+    errors: list[tuple[tuple, str]] = []
+    is_obj, is_arr = isinstance(inst, dict), isinstance(inst, list)
+    is_num = _JSON_TYPES["number"](inst)
+    for kw, arg in schema.items():
+        bad = None
+        if kw in ("$schema", "title"):
+            pass
+        elif kw == "type":
+            if not _JSON_TYPES[arg](inst):
+                bad = f"{inst!r} is not of type {arg!r}"
+        elif kw == "properties":
+            for key, sub in arg.items() if is_obj else ():
+                if key in inst:
+                    errors += _schema_errors(sub, inst[key], path + (key,))
+        elif kw == "required":
+            errors += [
+                (path, f"{key!r} is a required property")
+                for key in arg if is_obj and key not in inst
+            ]
+        elif kw == "additionalProperties" and arg is False:
+            extras = [k for k in inst if k not in schema.get("properties", {})] if is_obj else []
+            if extras:
+                bad = f"additional properties {sorted(extras)!r} are not allowed"
+        elif kw == "enum":
+            if not any(_json_equal(each, inst) for each in arg):
+                bad = f"{inst!r} is not one of {arg!r}"
+        elif kw == "const":
+            if not _json_equal(inst, arg):
+                bad = f"{inst!r} is not {arg!r}"
+        elif kw == "anyOf":
+            if all(_schema_errors(sub, inst, path) for sub in arg):
+                bad = f"{inst!r} is not valid under any of the given schemas"
+        elif kw == "items":
+            for i, item in enumerate(inst if is_arr else ()):
+                errors += _schema_errors(arg, item, path + (i,))
+        elif kw == "minItems":
+            if is_arr and len(inst) < arg:
+                bad = f"{inst!r} has fewer than {arg} items"
+        elif kw == "maxItems":
+            if is_arr and len(inst) > arg:
+                bad = f"{inst!r} has more than {arg} items"
+        elif kw == "minimum":
+            if is_num and inst < arg:
+                bad = f"{inst!r} is less than the minimum of {arg!r}"
+        elif kw == "maximum":
+            if is_num and inst > arg:
+                bad = f"{inst!r} is greater than the maximum of {arg!r}"
+        elif kw == "exclusiveMinimum":
+            if is_num and inst <= arg:
+                bad = f"{inst!r} is less than or equal to the minimum of {arg!r}"
+        else:
+            raise NotImplementedError(
+                f"config schema keyword {kw!r} is not supported by wgrkit's validator"
+            )
+        if bad is not None:
+            errors.append((path, bad))
+    return errors
+
+
+def validate_config(cfg: dict) -> None:
+    """Raise SchemaError listing every violation of the shipped schema, by path."""
+    errors = sorted(_schema_errors(load_schema(), cfg), key=lambda e: e[0])
     if errors:
         lines = [
-            f"  at {'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-            for err in errors
+            f"  at {'/'.join(str(p) for p in path) or '<root>'}: {message}"
+            for path, message in errors
         ]
         raise SchemaError("config violates schema:\n" + "\n".join(lines))
 
@@ -284,6 +368,8 @@ def run_check(
 
 
 class _OutputLock:
+    """Exclusive lock file naming its owner, so a stale lock can be traced."""
+
     def __init__(self, directory: Path):
         self.path = directory / LOCK_NAME
         self.fd = None
@@ -292,7 +378,15 @@ class _OutputLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise LockError(f"output directory is locked by another run: {self.path}")
+            try:
+                owner = self.path.read_text(encoding="utf-8").strip() or "owner unknown"
+            except OSError:
+                owner = "owner unknown"
+            raise LockError(
+                f"output directory is locked by another run ({owner}): {self.path}; "
+                "if that run is gone, delete the lock file"
+            )
+        os.write(self.fd, f"pid {os.getpid()} on {platform.node()}\n".encode())
         return self
 
     def __exit__(self, *exc):
@@ -307,6 +401,12 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
+def _reject_file_out(out_dir: Path) -> None:
+    """Fail fast, before any work, when the output path names a file."""
+    if out_dir.exists() and not out_dir.is_dir():
+        raise SchemaError(f"output path {out_dir} is not a directory")
+
+
 def _make_out_dir(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,6 +415,7 @@ def _make_out_dir(out_dir: Path) -> None:
 
 
 def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
+    _reject_file_out(out_dir)
     spec = InstanceSpec.from_json_obj(cfg["instance"])
     space, w = build_instance(spec)
     ctx = RunContext(space, cfg["geometry"])
@@ -507,6 +608,7 @@ def cmd_sweep(cfg: dict, kind: str, out: Path, threads: int) -> int:
 
 
 def cmd_check(cfg: dict, name: str, out_dir: Path, threads: int) -> int:
+    _reject_file_out(out_dir)
     space, w = _instance_from_cfg(cfg)
     params = next(
         (e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == name), {}

@@ -121,7 +121,7 @@ class _MarginTracker:
             rel = gap / max(abs(rhs), abs(lhs), 1e-300)
         else:
             # an infinite or NaN side is no evidence, so it can never pass
-            rel = -math.inf
+            gap = rel = -math.inf
         if rel < self.margin_rel:
             self.margin_rel = rel
             self.margin = gap

@@ -86,15 +86,20 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _csv_cell(v):
+    if isinstance(v, (float, np.floating)):
+        # non-finite reals as "inf", "-inf", "nan", the JSON reports' encoding
+        return format_real(v) if math.isfinite(v) else str(float(v))
+    return v
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """RFC 4180 CSV with a header row; reals at 17 significant digits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [format_real(v) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
+            writer.writerow([_csv_cell(v) for v in row])
 
 
 def sha256_file(path) -> str:

@@ -1,6 +1,8 @@
 """CLI: exit codes, artifacts, schema validation, determinism."""
 import csv
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgrkit import grid_1d
+from wgrkit import cli, grid_1d
 from wgrkit.cli import main
 from wgrkit.util import dumps_canonical, philox_generator, sha256_file
 
@@ -260,6 +262,21 @@ def test_lock_file_blocks_second_run(tmp_path):
     proc = run_cli("run", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 1
     assert "locked" in proc.stderr
+    assert "owner unknown" in proc.stderr
+
+    (out / ".wgrkit.lock").write_text("pid 424242 on build-host\n")
+    proc = run_cli("run", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "pid 424242 on build-host" in proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
+def test_lock_file_names_its_owner(tmp_path):
+    with cli._OutputLock(tmp_path):
+        owner = (tmp_path / ".wgrkit.lock").read_text()
+    assert owner == f"pid {os.getpid()} on {platform.node()}\n"
+    assert not (tmp_path / ".wgrkit.lock").exists()
 
 
 def test_examples_list_json():
@@ -306,3 +323,41 @@ def test_out_path_that_is_a_file_exits_two(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert "not a directory" in proc.stderr
     assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["check", "wgr"]])
+def test_out_path_that_is_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, command):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_instance", forbidden)
+    monkeypatch.setattr(cli, "run_check", forbidden)
+    out = tmp_path / "existing.txt"
+    out.write_text("keep me\n")
+    assert main([*command, "--config", str(smoke_config(tmp_path)), "--out", str(out)]) == 2
+    assert out.read_text() == "keep me\n"
+
+
+def test_run_writes_non_finite_csv_values(tmp_path):
+    cfg = json.loads(smoke_config(tmp_path).read_text())
+    cfg["instance"] = {
+        "kind": "two_level", "dimension": 2, "side": 12, "cell": 1.0, "metric": "chebyshev",
+        "params": {"geometry": "grid_nd", "low": 1.0, "high": 10.0, "fraction": 0.5},
+        "seed": 1,
+    }
+    cfg["checks"] = [{"name": "jn_decay", "params": {"count": 5}}]
+    cfg_path = tmp_path / "inf.json"
+    cfg_path.write_text(dumps_canonical(cfg))
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(cfg_path), "--out", str(out))
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"check_jn_decay.json", "check_jn_decay_decay.csv"}
+    for name, digest in manifest["outputs"].items():
+        assert sha256_file(out / name) == digest
+    with open(out / "check_jn_decay_decay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert {row["rhs_bound"] for row in rows} == {"inf"}  # C saturates on a 2-d grid
+    assert all(np.isfinite(float(row["lambda"])) for row in rows)

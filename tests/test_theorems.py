@@ -478,9 +478,10 @@ def test_non_finite_side_never_passes(lhs, rhs):
     tracker.add(0.25, 1.0, "later")
     rep = tracker.report()
     assert rep.passed is False and rep.boundary is False
-    assert rep.margin_rel == -np.inf
+    assert rep.margin_rel == -np.inf and rep.margin == -np.inf
     assert rep.witness == "non-finite"
     assert rep.to_json_obj()["margin_rel"] == "-inf"
+    assert rep.to_json_obj()["margin"] == "-inf"  # never a large positive margin
 
 
 def test_jn_decay_with_infinite_constant_is_no_evidence():
@@ -496,7 +497,7 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
     grid = (consts.lambda0 * np.geomspace(1.0, 4.0, 5)).tolist()
     rep = theorems.check_jn_decay(space, w, 1.5, 1.0, base, grid, system=system)
     assert rep.passed is False  # a bound of inf proves nothing, vacuous or not
-    assert rep.margin_rel == -np.inf
+    assert rep.margin_rel == -np.inf and rep.margin == -np.inf
 
 
 def test_osc_constant_recomputes_for_a_different_weight():
