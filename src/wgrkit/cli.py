@@ -39,6 +39,7 @@ from .space import FiniteMetricMeasureSpace, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
 from .weights import (
+    _BallSums,
     as_values,
     average,
     gr_epsilon,
@@ -158,9 +159,15 @@ def validate_config(cfg: dict) -> None:
 
 
 def load_config(path: str, seed_override: int | None = None) -> dict:
+    def reject_constant(name: str):
+        # json.load would otherwise accept NaN and +-Infinity, which pass numeric bounds
+        raise SchemaError(
+            f"config violates schema: {path} holds {name}, which is not a JSON number"
+        )
+
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
@@ -198,12 +205,23 @@ class RunContext:
     The base ball is resolved on construction. The family and the decay
     ball system are built on first use and then shared; a build that
     raises is not kept, so each check needing it reports the same error.
+    The weight's ball sums and measured suprema are kept in one table, so
+    each family ball's w(B), mu(B), w(S) and mu(S) is summed once per run.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace, geometry: dict):
         self.space = space
         self.sigma, self.eta = geometry["sigma"], geometry["eta"]
         self.base = resolve_base_ball(space, geometry)
+        self._sums_slot: tuple[np.ndarray, _BallSums] | None = None
+
+    def sums(self, w) -> _BallSums:
+        """The ball-sum table of weight ``w``; a new weight gets a new table."""
+        values = as_values(w)
+        slot = self._sums_slot
+        if slot is None or slot[0] is not values:
+            slot = self._sums_slot = (values, _BallSums())
+        return slot[1]
 
     @cached_property
     def family(self) -> BallFamily:
@@ -230,21 +248,39 @@ def _functional_report(name: str, report) -> CheckReport:
     )
 
 
-#: The six functionals: name -> f(space, w, family, params, threads).
+# name -> f(space, w, family, params, **kw); kw carries the run's ``_sums``
+# table, and ``threads`` for the functionals.
 _FUNCTIONALS = {
-    "wgr": lambda s, w, fam, prm, t: wgr_epsilon(s, w, fam, threads=t),
-    "wgr_minus": lambda s, w, fam, prm, t: wgr_minus_epsilon(s, w, fam, threads=t),
-    "gr": lambda s, w, fam, prm, t: gr_epsilon(s, w, fam, threads=t),
-    "weak_ainfty": lambda s, w, fam, prm, t: weak_ainfty_beta(
-        s, w, fam, prm.get("alpha", 0.5), threads=t
+    "wgr": lambda s, w, fam, prm, **kw: wgr_epsilon(s, w, fam, **kw),
+    "wgr_minus": lambda s, w, fam, prm, **kw: wgr_minus_epsilon(s, w, fam, **kw),
+    "gr": lambda s, w, fam, prm, **kw: gr_epsilon(s, w, fam, **kw),
+    "weak_ainfty": lambda s, w, fam, prm, **kw: weak_ainfty_beta(
+        s, w, fam, prm.get("alpha", 0.5), **kw
     ),
-    "sublevel": lambda s, w, fam, prm, t: sublevel_alpha(
-        s, w, fam, prm.get("beta", 0.5), threads=t
+    "sublevel": lambda s, w, fam, prm, **kw: sublevel_alpha(
+        s, w, fam, prm.get("beta", 0.5), **kw
     ),
-    "rhi": lambda s, w, fam, prm, t: rhi_constant(
-        s, w, fam, prm.get("p", 2.0), rhs_ball=prm.get("rhs_ball", "sigma_dilate"), threads=t
+    "rhi": lambda s, w, fam, prm, **kw: rhi_constant(
+        s, w, fam, prm.get("p", 2.0), rhs_ball=prm.get("rhs_ball", "sigma_dilate"), **kw
     ),
 }
+_IMPLICATIONS = {
+    "superlevel_bound": lambda s, w, fam, prm, **kw: theorems.check_superlevel_bound(
+        s, w, fam, prm["lambda"], eps=prm.get("eps"), **kw
+    ),
+    "osc_from_superlevel": lambda s, w, fam, prm, **kw: theorems.check_osc_from_superlevel(
+        s, w, fam, prm.get("alpha", 0.5), beta=prm.get("beta"), **kw
+    ),
+    "sublevel_bound": lambda s, w, fam, prm, **kw: theorems.check_sublevel_bound(
+        s, w, fam, prm["lambda"], eps=prm.get("eps"), **kw
+    ),
+    "neg_osc_from_sublevel": lambda s, w, fam, prm, **kw: theorems.check_neg_osc_from_sublevel(
+        s, w, fam, prm.get("beta", 0.5), alpha_m=prm.get("alpha"), **kw
+    ),
+}
+
+#: Decay checkers on the base ball system taking an exponent ``p``.
+_POWER_BOUNDS = ("osc_power_bound", "weak_rhi", "cover_rhi")
 
 
 def run_check(
@@ -261,41 +297,15 @@ def run_check(
     tables: dict[str, tuple[list[str], list[tuple]]] = {}
 
     if name in _FUNCTIONALS:
-        rep = _FUNCTIONALS[name](space, w, ctx.family, params, threads)
+        rep = _FUNCTIONALS[name](space, w, ctx.family, params, threads=threads, _sums=ctx.sums(w))
         tables["per_ball"] = (
             ["ball_center", "ball_radius", "ratio", "skipped_flag"],
             rep.csv_rows(),
         )
         return _functional_report(name, rep), tables
 
-    if name == "superlevel_bound":
-        return (
-            theorems.check_superlevel_bound(
-                space, w, ctx.family, params["lambda"], eps=params.get("eps")
-            ),
-            tables,
-        )
-    if name == "osc_from_superlevel":
-        return (
-            theorems.check_osc_from_superlevel(
-                space, w, ctx.family, params.get("alpha", 0.5), beta=params.get("beta")
-            ),
-            tables,
-        )
-    if name == "sublevel_bound":
-        return (
-            theorems.check_sublevel_bound(
-                space, w, ctx.family, params["lambda"], eps=params.get("eps")
-            ),
-            tables,
-        )
-    if name == "neg_osc_from_sublevel":
-        return (
-            theorems.check_neg_osc_from_sublevel(
-                space, w, ctx.family, params.get("beta", 0.5), alpha_m=params.get("alpha")
-            ),
-            tables,
-        )
+    if name in _IMPLICATIONS:
+        return _IMPLICATIONS[name](space, w, ctx.family, params, _sums=ctx.sums(w)), tables
     if name == "jn_decay":
         system = ctx.system
         grid = params.get("lambda_grid")
@@ -318,30 +328,12 @@ def run_check(
             rep.table,
         )
         return rep, tables
-    if name == "osc_power_bound":
-        return (
-            theorems.check_osc_power_bound(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
-                system=ctx.system,
-            ),
-            tables,
-        )
-    if name == "weak_rhi":
-        return (
-            theorems.check_weak_rhi(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
-                system=ctx.system,
-            ),
-            tables,
-        )
-    if name == "cover_rhi":
-        return (
-            theorems.check_cover_rhi(
-                space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
-                system=ctx.system,
-            ),
-            tables,
-        )
+    if name in _POWER_BOUNDS:
+        check = getattr(theorems, f"check_{name}")  # looked up per call, so it can be wrapped
+        return check(
+            space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
+            system=ctx.system,
+        ), tables
     if name == "rhi_equivalence_observed":
         return (
             theorems.check_rhi_equivalence_observed(
@@ -414,6 +406,13 @@ def _make_out_dir(out_dir: Path) -> None:
         raise SchemaError(f"output path {out_dir} is not a directory: {exc}") from exc
 
 
+def _out_file(out: Path) -> Path:
+    """``out`` once its missing parent directories exist; made after the work,
+    as ``run`` makes its directory, so a failing build leaves none."""
+    _make_out_dir(out.parent)
+    return out
+
+
 def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
     _reject_file_out(out_dir)
     spec = InstanceSpec.from_json_obj(cfg["instance"])
@@ -446,7 +445,7 @@ def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
                     path = out_dir / f"check_{name}_{table_name}.csv"
                     write_csv(path, header, rows)
                     outputs.append(path)
-            if not report.passed and not report.vacuous:
+            if not report.passed:
                 failed.append(str(out_dir / f"check_{name}.json"))
         manifest = {
             "config_sha256": _config_digest(cfg),
@@ -475,7 +474,7 @@ def _instance_from_cfg(cfg: dict):
 
 def cmd_space_gen(cfg: dict, out: Path) -> int:
     space, _ = _instance_from_cfg(cfg)
-    write_json(out, space.to_json_obj())
+    write_json(_out_file(out), space.to_json_obj())
     return EXIT_OK
 
 
@@ -493,15 +492,14 @@ def cmd_space_validate(path: Path) -> int:
 
 def cmd_weight_gen(cfg: dict, out: Path) -> int:
     _, w = _instance_from_cfg(cfg)
-    write_json(out, {"values": w.values.tolist()})
+    write_json(_out_file(out), {"values": w.values.tolist()})
     return EXIT_OK
 
 
 def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
     space, w = _instance_from_cfg(cfg)
     geometry = cfg["geometry"]
-    base = resolve_base_ball(space, geometry)
-    family = build_family(space, base, geometry["eta"], geometry["sigma"])
+    family = RunContext(space, geometry).family
     profile = czdecomp.closure_profile(space, family)
     cz_cfg = cfg.get("cz", {})
     hat = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
@@ -524,7 +522,7 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
             space, w, lo, hi, family, profile, _table=table
         )
         write_json(
-            out,
+            _out_file(out),
             {
                 "low": dec_lo.to_json_obj(_cz_properties(space, w, family, dec_lo)),
                 "high": dec_hi.to_json_obj(_cz_properties(space, w, family, dec_hi)),
@@ -534,7 +532,7 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
     else:
         lam = level("level", "level_fraction", 0.3)
         dec = czdecomp.cz_decompose(space, w, lam, family, profile, _table=table)
-        write_json(out, dec.to_json_obj(_cz_properties(space, w, family, dec)))
+        write_json(_out_file(out), dec.to_json_obj(_cz_properties(space, w, family, dec)))
     return EXIT_OK
 
 
@@ -545,14 +543,12 @@ def _cz_properties(space, w, family, dec) -> dict:
 
 def cmd_cover(cfg: dict, out: Path) -> int:
     space, _ = _instance_from_cfg(cfg)
-    geometry = cfg["geometry"]
-    base = resolve_base_ball(space, geometry)
-    family = build_family(space, base, geometry["eta"], geometry["sigma"])
-    profile = czdecomp.closure_profile(space, family)
-    cover = five_r_cover(space, base, geometry["sigma"], geometry["eta"])
-    report = verify_cover(space, base, cover, geometry["sigma"], geometry["eta"], profile)
+    ctx = RunContext(space, cfg["geometry"])
+    profile = czdecomp.closure_profile(space, ctx.family)
+    cover = five_r_cover(space, ctx.base, ctx.sigma, ctx.eta)
+    report = verify_cover(space, ctx.base, cover, ctx.sigma, ctx.eta, profile)
     write_csv(
-        out,
+        _out_file(out),
         ["center", "radius", "fifth_disjoint_ok", "contained_ok"],
         [
             (r["center"], r["radius"], int(r["fifth_disjoint_ok"]), int(r["contained_ok"]))
@@ -570,39 +566,37 @@ def cmd_decay_table(cfg: dict, out: Path, threads: int) -> int:
     )
     report, tables = run_check("jn_decay", space, w, cfg["geometry"], params, threads)
     header, rows = tables["decay"]
-    write_csv(out, header, rows)
+    write_csv(_out_file(out), header, rows)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_sweep(cfg: dict, kind: str, out: Path, threads: int) -> int:
     space, w = _instance_from_cfg(cfg)
-    geometry = cfg["geometry"]
-    base = resolve_base_ball(space, geometry)
+    ctx = RunContext(space, cfg["geometry"])
     sweep_cfg = cfg.get("sweep", {})
     if kind == "eps":
-        system = theorems.build_ball_system(space, base, geometry["sigma"], geometry["eta"])
         rows = []
         for k in sweep_cfg.get("eps_pow2", list(range(3, 21))):
             eps = 2.0 ** (-k)
-            consts = czdecomp.jn_constants(system.profile, geometry["sigma"], geometry["eta"], eps)
+            consts = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps)
             rows.append(
                 (k, eps, consts.a_const, consts.lambda0, 1.0 / (2.0 * consts.a_const * eps))
             )
-        write_csv(out, ["k", "eps", "a_const", "lambda0", "p_cap"], rows)
+        write_csv(_out_file(out), ["k", "eps", "a_const", "lambda0", "p_cap"], rows)
         return EXIT_OK
-    family = build_family(space, base, geometry["eta"], geometry["sigma"])
     if kind == "p":
         rows = []
         for p in sweep_cfg.get("p_grid", [1.25, 1.5, 2.0, 3.0, 4.0]):
-            rows.append((p, rhi_constant(space, w, family, p, threads=threads).value))
-        write_csv(out, ["p", "rhi_constant"], rows)
+            value = rhi_constant(space, w, ctx.family, p, threads=threads, _sums=ctx.sums(w)).value
+            rows.append((p, value))
+        write_csv(_out_file(out), ["p", "rhi_constant"], rows)
         return EXIT_OK
     if kind == "sigma":
         rows = []
         for s in sweep_cfg.get("sigma_grid", [1.0, 1.25, 1.5, 2.0, 3.0]):
-            fam = build_family(space, base, geometry["eta"], s)
+            fam = build_family(space, ctx.base, ctx.eta, s)
             rows.append((s, wgr_epsilon(space, w, fam, threads=threads).value))
-        write_csv(out, ["sigma", "wgr_epsilon"], rows)
+        write_csv(_out_file(out), ["sigma", "wgr_epsilon"], rows)
         return EXIT_OK
     raise SchemaError(f"unknown sweep kind {kind!r}")
 
@@ -620,7 +614,7 @@ def cmd_check(cfg: dict, name: str, out_dir: Path, threads: int) -> int:
         write_csv(out_dir / f"check_{name}_{table_name}.csv", header, rows)
     print(f"{name}: {'PASS' if report.passed else 'FAIL'}"
           f"{' (vacuous)' if report.vacuous else ''}")
-    return EXIT_OK if report.passed or report.vacuous else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

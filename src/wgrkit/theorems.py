@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,9 +34,11 @@ from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
 from .util import fsum, weighted_sum
 from .weights import (
     _average,
-    _induced,
-    _neg_osc_avg,
-    _pos_osc,
+    _avg,
+    _ball_map,
+    _BallSums,
+    _neg_part_avg,
+    _pos_part,
     as_values,
     average,
     family_balls,
@@ -112,7 +115,8 @@ class _MarginTracker:
         self.n_compared = 0
         self.n_vacuous = 0
 
-    def add(self, lhs: float, rhs: float, witness, vacuous: bool = False) -> None:
+    def add(self, lhs: float, rhs: float, witness, vacuous: bool = False) -> float:
+        """Record one comparison; returns its gap, -inf when a side is not finite."""
         self.n_compared += 1
         if vacuous:
             self.n_vacuous += 1
@@ -126,6 +130,7 @@ class _MarginTracker:
             self.margin_rel = rel
             self.margin = gap
             self.witness = witness
+        return gap
 
     def report(self, notes: str = "", table=None) -> CheckReport:
         tol = self.params["tolerance"]
@@ -154,22 +159,47 @@ class _MarginTracker:
         )
 
 
-def _sigma_average(space, values, ball: Ball, sigma: float) -> float:
-    return _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
-
-
 # ---------------------------------------------------------------------------
 # superlevel / sublevel equivalences
 # ---------------------------------------------------------------------------
 
 
+def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
+                 functional: str, param, sides, mu_b: bool = False) -> CheckReport:
+    """The body the four implication checkers share.
+
+    ``params[key]`` is the hypothesis constant. When it is None it is
+    measured as the sup of the module-level ``functional`` at ``param``,
+    unless ``sums`` already records that sup. One pass over B then feeds
+    ``sides(constant, v, m, w(S), mu(S), mu(B))`` -> (lhs, rhs, vacuous) to
+    the tracker; with ``sums`` the S side is read from the table. A checker
+    with a ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
+    """
+    balls, fam_sigma = family_balls(family)
+    sigma = fam_sigma if sigma is None else sigma
+    values, sums = as_values(w), sums or _BallSums()
+    measured = params[key] is None
+    if measured:
+        measure = globals()[functional]  # looked up per call, so it can be wrapped
+        args = () if param is None else (param,)
+        params[key] = sums.sup(functional, balls, sigma, param, lambda: measure(
+            space, values, balls, *args, sigma=sigma, _sums=sums).value)
+    const = params[key]
+    tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
+    lam = params.get("lambda")
+    if lam is not None and const == 0.0:
+        return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
+    if lam is not None and not const < lam < 1.0:
+        raise InvalidParameterError(f"need eps < lambda < 1, got eps={const}, lambda={lam}")
+    per_ball = _ball_map(space, values, balls, sigma, partial(sides, const), mu_b=mu_b, sums=sums)
+    for ball, (lhs, rhs, vacuous) in zip(balls, per_ball):
+        tracker.add(lhs, rhs, ball, vacuous=vacuous)
+    return tracker.report()
+
+
 def check_superlevel_bound(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    lam: float,
-    eps: float | None = None,
-    sigma: float | None = None,
+    space: FiniteMetricMeasureSpace, w, family, lam: float, eps: float | None = None,
+    sigma: float | None = None, *, _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Positive-part oscillation controls weighted superlevel sets.
 
@@ -178,39 +208,22 @@ def check_superlevel_bound(
     ball, for eps < lam < 1:
 
         w(B n {(1 - eps/lam) w >= w_S}) <= lam w(S)
+
+    ``_sums`` is the run's ball-sum table of this weight, as in the three
+    checkers below.
     """
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
-    values = as_values(w)
-    measured = eps is None
-    if measured:
-        eps = wgr_epsilon(space, values, balls, sigma=sigma).value
-    tracker = _MarginTracker(
-        "superlevel_bound",
-        {"sigma": sigma, "lambda": lam, "eps": eps, "eps_measured": measured},
-    )
-    if eps == 0.0:
-        return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
-    if not eps < lam < 1.0:
-        raise InvalidParameterError(f"need eps < lambda < 1, got eps={eps}, lambda={lam}")
-    factor = 1.0 - eps / lam
-    for ball in balls:
-        c = _sigma_average(space, values, ball, sigma)
-        members = space.ball_members(ball.center, ball.radius)
-        level = members[factor * values[members] >= c]
-        lhs = _induced(space, values, level)
-        rhs = lam * _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
-        tracker.add(lhs, rhs, ball, vacuous=level.size == 0)
-    return tracker.report()
+
+    def sides(eps, v, m, w_s, mu_s, _):
+        level = (1.0 - eps / lam) * v >= _avg(w_s, mu_s)
+        return weighted_sum(v[level], m[level]), lam * w_s, not level.any()
+
+    return _implication("superlevel_bound", space, w, family, sigma, _sums,
+                        {"lambda": lam, "eps": eps}, "eps", "wgr_epsilon", None, sides)
 
 
 def check_osc_from_superlevel(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    alpha: float,
-    beta: float | None = None,
-    sigma: float | None = None,
+    space: FiniteMetricMeasureSpace, w, family, alpha: float, beta: float | None = None,
+    sigma: float | None = None, *, _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Weighted superlevel bound controls positive-part oscillation.
 
@@ -221,31 +234,18 @@ def check_osc_from_superlevel(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
-    values = as_values(w)
-    measured = beta is None
-    if measured:
-        beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma).value
-    tracker = _MarginTracker(
-        "osc_from_superlevel",
-        {"sigma": sigma, "alpha": alpha, "beta": beta, "beta_measured": measured},
-    )
-    coeff = 1.0 - alpha * (1.0 - beta)
-    for ball in balls:
-        lhs = _pos_osc(space, values, ball, sigma)
-        rhs = coeff * _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
-        tracker.add(lhs, rhs, ball, vacuous=lhs == 0.0)
-    return tracker.report()
+
+    def sides(beta, v, m, w_s, mu_s, _):
+        lhs = _pos_part(v, m, _avg(w_s, mu_s))
+        return lhs, (1.0 - alpha * (1.0 - beta)) * w_s, lhs == 0.0
+
+    return _implication("osc_from_superlevel", space, w, family, sigma, _sums,
+                        {"alpha": alpha, "beta": beta}, "beta", "weak_ainfty_beta", alpha, sides)
 
 
 def check_sublevel_bound(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    lam: float,
-    eps: float | None = None,
-    sigma: float | None = None,
+    space: FiniteMetricMeasureSpace, w, family, lam: float, eps: float | None = None,
+    sigma: float | None = None, *, _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Negative-part oscillation controls plain-measure sublevel sets.
 
@@ -254,38 +254,19 @@ def check_sublevel_bound(
 
         mu(B n {w <= (1 - eps/lam) w_S}) <= lam mu(B)
     """
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
-    values = as_values(w)
-    measured = eps is None
-    if measured:
-        eps = wgr_minus_epsilon(space, values, balls, sigma=sigma).value
-    tracker = _MarginTracker(
-        "sublevel_bound",
-        {"sigma": sigma, "lambda": lam, "eps": eps, "eps_measured": measured},
-    )
-    if eps == 0.0:
-        return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
-    if not eps < lam < 1.0:
-        raise InvalidParameterError(f"need eps < lambda < 1, got eps={eps}, lambda={lam}")
-    factor = 1.0 - eps / lam
-    for ball in balls:
-        c = _sigma_average(space, values, ball, sigma)
-        members = space.ball_members(ball.center, ball.radius)
-        level = members[values[members] <= factor * c]
-        lhs = space.set_measure(level)
-        rhs = lam * space.set_measure(members)
-        tracker.add(lhs, rhs, ball, vacuous=level.size == 0)
-    return tracker.report()
+
+    def sides(eps, v, m, w_s, mu_s, mu_b):
+        level = v <= (1.0 - eps / lam) * _avg(w_s, mu_s)
+        return fsum(m[level]), lam * mu_b, not level.any()
+
+    return _implication("sublevel_bound", space, w, family, sigma, _sums,
+                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, sides,
+                        mu_b=True)
 
 
 def check_neg_osc_from_sublevel(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    beta: float,
-    alpha_m: float | None = None,
-    sigma: float | None = None,
+    space: FiniteMetricMeasureSpace, w, family, beta: float, alpha_m: float | None = None,
+    sigma: float | None = None, *, _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Plain-measure sublevel bound controls negative-part oscillation.
 
@@ -296,22 +277,15 @@ def check_neg_osc_from_sublevel(
     """
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
-    values = as_values(w)
-    measured = alpha_m is None
-    if measured:
-        alpha_m = sublevel_alpha(space, values, balls, beta, sigma=sigma).value
-    tracker = _MarginTracker(
-        "neg_osc_from_sublevel",
-        {"sigma": sigma, "beta": beta, "alpha": alpha_m, "alpha_measured": measured},
-    )
-    coeff = 1.0 - (1.0 - alpha_m) * beta
-    for ball in balls:
-        lhs = _neg_osc_avg(space, values, ball, sigma)
-        rhs = coeff * _sigma_average(space, values, ball, sigma)
-        tracker.add(lhs, rhs, ball, vacuous=lhs == 0.0)
-    return tracker.report()
+
+    def sides(alpha_m, v, m, w_s, mu_s, mu_b):
+        c = _avg(w_s, mu_s)
+        lhs = _neg_part_avg(v, m, c, mu_b)
+        return lhs, (1.0 - (1.0 - alpha_m) * beta) * c, lhs == 0.0
+
+    return _implication("neg_osc_from_sublevel", space, w, family, sigma, _sums,
+                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, sides,
+                        mu_b=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +372,18 @@ def build_ball_system(
     )
 
 
-def _decay_inputs(system: BallSystem, values: np.ndarray, eps: float | None):
+def _decay_inputs(system: BallSystem, values: np.ndarray, eps: float | None, **params):
+    """The reference average c, eps, the excess (w - c)_+ and the report
+    params: ``params`` plus the ones every decay checker records."""
     c = _average(system.space, values, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
     if measured:
         eps = system.osc_constant(values)
-    excess = np.maximum(values - c, 0.0)
-    return values, c, float(eps), measured, excess
+    params.update({"c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
+                   "eps": float(eps), "eps_measured": measured, "w_ref": c})
+    return c, float(eps), np.maximum(values - c, 0.0), params
 
 
 def check_jn_decay(
@@ -433,17 +410,9 @@ def check_jn_decay(
     table; a lambda whose superlevel set is empty is flagged vacuous.
     """
     system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values, c, eps, measured, excess = _decay_inputs(system, as_values(w), eps)
-    params = {
-        "sigma": sigma,
-        "eta": eta,
-        "c_mu": system.profile.c_mu,
-        "D": system.profile.dimension_d,
-        "eps": eps,
-        "eps_measured": measured,
-        "n_measuring_balls": len(system.measuring),
-        "w_ref": c,
-    }
+    c, eps, excess, params = _decay_inputs(
+        system, as_values(w), eps, sigma=sigma, eta=eta, n_measuring_balls=len(system.measuring)
+    )
     tracker = _MarginTracker("jn_decay", params)
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
@@ -470,8 +439,8 @@ def check_jn_decay(
             consts.c_final / (eps * c)
         ) * hat_excess
         vac = sel.size == 0
-        tracker.add(lhs, rhs, float(lam), vacuous=vac)
-        rows.append((float(lam), lhs, rhs, rhs - lhs, int(vac)))
+        gap = tracker.add(lhs, rhs, float(lam), vacuous=vac)
+        rows.append((float(lam), lhs, rhs, gap, int(vac)))
     return tracker.report(table=rows)
 
 
@@ -486,6 +455,19 @@ def _power_bound_constant(consts: JNConstants, profile: DoublingProfile, sigma: 
     exact_beta = beta_fn(p, y - p)
     lead = consts.alpha * profile.c_mu * sigma**profile.dimension_d
     return p * lead ** (p - 1.0) + p * exact_beta * eps ** (-p) * consts.c_final
+
+
+def _weak_rhi_constant(consts: JNConstants, profile: DoublingProfile, sigma: float,
+                       eta: float, p: float, eps: float) -> float:
+    """C with C^p = C_power * c_mu * ((1+eta) sigma)^D, the weak bound's constant."""
+    c_power = _power_bound_constant(consts, profile, sigma, p, eps)
+    return (c_power * profile.c_mu * ((1.0 + eta) * sigma) ** profile.dimension_d) ** (1.0 / p)
+
+
+def _power_mean(space: FiniteMetricMeasureSpace, values, members, p: float) -> float:
+    """(avg over ``members`` of w^p)^(1/p)."""
+    mu = space.set_measure(members)
+    return (weighted_sum(values[members] ** p, space.mass[members]) / mu) ** (1.0 / p)
 
 
 def _require_osc_range(consts: JNConstants, eps: float, p: float) -> None:
@@ -521,17 +503,7 @@ def check_osc_power_bound(
     with the exact-beta constant of :func:`_power_bound_constant`.
     """
     system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values, c, eps, measured, excess = _decay_inputs(system, as_values(w), eps)
-    params = {
-        "sigma": sigma,
-        "eta": eta,
-        "p": p,
-        "c_mu": system.profile.c_mu,
-        "D": system.profile.dimension_d,
-        "eps": eps,
-        "eps_measured": measured,
-        "w_ref": c,
-    }
+    c, eps, excess, params = _decay_inputs(system, as_values(w), eps, sigma=sigma, eta=eta, p=p)
     tracker = _MarginTracker("osc_power_bound", params)
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
@@ -571,17 +543,7 @@ def check_weak_rhi(
 
 
 def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system) -> CheckReport:
-    values, c, eps, measured, _ = _decay_inputs(system, values, eps)
-    params = {
-        "sigma": sigma,
-        "eta": eta,
-        "p": p,
-        "c_mu": system.profile.c_mu,
-        "D": system.profile.dimension_d,
-        "eps": eps,
-        "eps_measured": measured,
-        "w_ref": c,
-    }
+    c, eps, _, params = _decay_inputs(system, values, eps, sigma=sigma, eta=eta, p=p)
     tracker = _MarginTracker("weak_rhi", params)
     if eps == 0.0:
         mean_p = average(space, values**p, system.base_members) ** (1.0 / p)
@@ -589,18 +551,10 @@ def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system) -> CheckRepo
         return tracker.report(notes="constant weight: bound reduces to the plain average")
     consts = jn_constants(system.profile, sigma, eta, eps)
     _require_osc_range(consts, eps, p)
-    c_power = _power_bound_constant(consts, system.profile, sigma, p, eps)
-    big_c = (
-        c_power * system.profile.c_mu * ((1.0 + eta) * sigma) ** system.profile.dimension_d
-    ) ** (1.0 / p)
+    big_c = _weak_rhi_constant(consts, system.profile, sigma, eta, p, eps)
     tracker.params.update({"alpha": consts.alpha, "A": consts.a_const, "C": big_c})
-    mu_base = space.set_measure(system.base_members)
-    lhs = (
-        weighted_sum(values[system.base_members] ** p, space.mass[system.base_members])
-        / mu_base
-    ) ** (1.0 / p)
-    rhs = (big_c * eps + 1.0) * c
-    tracker.add(lhs, rhs, base_ball)
+    lhs = _power_mean(space, values, system.base_members, p)
+    tracker.add(lhs, (big_c * eps + 1.0) * c, base_ball)
     return tracker.report()
 
 
@@ -664,16 +618,10 @@ def check_cover_rhi(
         "cover_count_ok": cover_report["count_ok"],
     }
     tracker = _MarginTracker("cover_rhi", params)
+    lhs = _power_mean(space, values, system.base_members, p)
+    ref = average(space, values, space.ball_members(base_ball.center, sigma * base_ball.radius))
     if eps == 0.0:
-        mu_base = space.set_measure(system.base_members)
-        lhs = (
-            weighted_sum(values[system.base_members] ** p, space.mass[system.base_members])
-            / mu_base
-        ) ** (1.0 / p)
-        rhs = average(
-            space, values, space.ball_members(base_ball.center, sigma * base_ball.radius)
-        )
-        tracker.add(lhs, rhs, base_ball)
+        tracker.add(lhs, ref, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
 
     consts = jn_constants(system.profile, sigma, eta, eps)
@@ -684,10 +632,7 @@ def check_cover_rhi(
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")
-    c_power = _power_bound_constant(consts, system.profile, sigma, p, eps)
-    weak_c = (
-        c_power * system.profile.c_mu * ((1.0 + eta) * sigma) ** system.profile.dimension_d
-    ) ** (1.0 / p)
+    weak_c = _weak_rhi_constant(consts, system.profile, sigma, eta, p, eps)
     c_mu, dim = system.profile.c_mu, system.profile.dimension_d
     big_c = (
         (weak_c * eps + 1.0)
@@ -696,15 +641,7 @@ def check_cover_rhi(
         * len(cover) ** (1.0 / p)
     )
     tracker.params["C"] = big_c
-    mu_base = space.set_measure(system.base_members)
-    lhs = (
-        weighted_sum(values[system.base_members] ** p, space.mass[system.base_members])
-        / mu_base
-    ) ** (1.0 / p)
-    rhs = big_c * average(
-        space, values, space.ball_members(base_ball.center, sigma * base_ball.radius)
-    )
-    tracker.add(lhs, rhs, base_ball)
+    tracker.add(lhs, big_c * ref, base_ball)
     ok_cover = (
         cover_report["coverage"] == 1.0
         and cover_report["all_fifth_disjoint"]

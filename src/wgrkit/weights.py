@@ -35,7 +35,7 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import parallel_map, weighted_sum
+from .util import fsum, parallel_map, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ def as_values(w) -> np.ndarray:
     return Weight(w).values
 
 
-# Per-ball helpers. They take values already validated by ``as_values`` and
-# member arrays from ``ball_members``; public entry points validate once and
-# hand the array down, so no weight is re-validated per ball.
+# Per-ball helpers. They take values already validated by ``as_values``;
+# public entry points validate once and hand the array down, so no weight
+# is re-validated per ball.
 
 
 def _induced(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
@@ -73,30 +73,80 @@ def _induced(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.nd
     return weighted_sum(values[members], space.mass[members])
 
 
-def _average(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
-    mu = space.set_measure(members)
+def _avg(w: float, mu: float) -> float:
+    """The average of a set with induced measure ``w`` and measure ``mu``."""
     if mu <= 0.0:
         raise EmptyAverageError("average over a set of zero measure")
-    return _induced(space, values, members) / mu
+    return w / mu
 
 
-def _pos_osc(
-    space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Ball, sigma: float
-) -> float:
-    c = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
-    members = space.ball_members(ball.center, ball.radius)
-    return weighted_sum(np.maximum(values[members] - c, 0.0), space.mass[members])
+def _average(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
+    return _avg(_induced(space, values, members), space.set_measure(members))
 
 
-def _neg_osc_avg(
-    space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Ball, sigma: float
-) -> float:
-    c = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
-    members = space.ball_members(ball.center, ball.radius)
-    mu = space.set_measure(members)
-    if mu <= 0.0:
+def _pos_part(v: np.ndarray, m: np.ndarray, c: float) -> float:
+    """int_B (w - c)_+ dmu from B's values ``v`` and masses ``m``."""
+    return weighted_sum(np.maximum(v - c, 0.0), m)
+
+
+def _neg_part_avg(v: np.ndarray, m: np.ndarray, c: float, mu_b: float) -> float:
+    """avg_B (w - c)_- from B's values, masses and measure."""
+    if mu_b <= 0.0:
         raise EmptyAverageError("negative oscillation over an empty ball")
-    return weighted_sum(np.maximum(c - values[members], 0.0), space.mass[members]) / mu
+    return weighted_sum(np.maximum(c - v, 0.0), m) / mu_b
+
+
+class _BallSums:
+    """Ball sums of one weight on one space, shared by the passes of a run.
+
+    ``balls`` maps a ball ``(center, radius)`` to its (w, mu); a ball B and
+    its dilate S = factor * B are plain entries, so each dilation factor
+    fills keys of its own. ``sups`` maps (functional, balls, factor,
+    parameter) to a measured supremum. Only floats are kept, never member
+    arrays. Whoever passes a table as ``_sums=`` vouches that it belongs to
+    the same space and weight.
+    """
+
+    def __init__(self):
+        self.balls: dict[tuple[int, float], tuple[float, float]] = {}
+        self.sups: dict[tuple, float] = {}
+
+    def sup(self, name: str, balls, factor, param, measure) -> float:
+        """The supremum of functional ``name`` recorded here, else ``measure()``."""
+        key = (name, tuple(balls), factor, param)
+        return self.sups[key] if key in self.sups else measure()
+
+
+def _ball_map(
+    space: FiniteMetricMeasureSpace, values: np.ndarray, balls: list[Ball], factor: float,
+    ratio, *, mu_b: bool = False, threads: int = 1, sums: _BallSums | None = None,
+) -> list:
+    """``ratio(v, m, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
+
+    ``v`` and ``m`` are the values and masses of B's points in index order;
+    mu(B) is None unless ``mu_b``. A ball's (w, mu) comes from ``sums`` when
+    an earlier pass stored it; otherwise it is summed here, once, and stored
+    after the map in ball order, so any thread count fills the same table.
+    """
+    known = {} if sums is None else sums.balls
+
+    def measure(members):
+        return _induced(space, values, members), space.set_measure(members)
+
+    def one(ball: Ball):
+        key_b, key_s = (ball.center, ball.radius), (ball.center, factor * ball.radius)
+        members = space.ball_members(*key_b)
+        s = known.get(key_s) or measure(
+            members if key_s == key_b else space.ball_members(*key_s)
+        )
+        b = (known.get(key_b) or measure(members)) if mu_b else None
+        out = ratio(values[members], space.mass[members], *s, None if b is None else b[1])
+        return out, ((key_s, s), (key_b, b))
+
+    results = parallel_map(one, balls, threads)
+    for _, entries in results:
+        known.update(e for e in entries if e[1] is not None)
+    return [out for out, _ in results]
 
 
 def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
@@ -111,12 +161,18 @@ def average(space: FiniteMetricMeasureSpace, w, members) -> float:
 
 def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """int_B (w - w_S)_+ dmu with S = sigma B."""
-    return _pos_osc(space, as_values(w), ball, sigma)
+    return _ball_map(
+        space, as_values(w), [ball], sigma,
+        lambda v, m, w_s, mu_s, _: _pos_part(v, m, _avg(w_s, mu_s)),
+    )[0]
 
 
 def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """avg_B (w - w_S)_- with S = sigma B."""
-    return _neg_osc_avg(space, as_values(w), ball, sigma)
+    return _ball_map(
+        space, as_values(w), [ball], sigma,
+        lambda v, m, w_s, mu_s, mu_b: _neg_part_avg(v, m, _avg(w_s, mu_s), mu_b), mu_b=True,
+    )[0]
 
 
 @dataclass
@@ -166,10 +222,11 @@ def family_balls(family) -> tuple[list[Ball], float | None]:
 
 
 def _resolve_sigma(family, sigma) -> float:
+    """``sigma``, else the family's; validated."""
     if sigma is None:
-        if isinstance(family, BallFamily):
-            return family.sigma
-        raise InvalidParameterError("sigma is required for a plain ball list")
+        if not isinstance(family, BallFamily):
+            raise InvalidParameterError("sigma is required for a plain ball list")
+        sigma = family.sigma
     if not sigma >= 1:
         raise InvalidParameterError(f"sigma must be >= 1, got {sigma}")
     return float(sigma)
@@ -192,122 +249,117 @@ def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> Conditi
     return ConditionReport(value=value, witness_ball=witness, per_ball=per_ball, skipped=skipped)
 
 
-def wgr_epsilon(
-    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1
+def _functional(
+    name: str, param, space, w, family, sigma, ratio, *, factor: float | None = None,
+    mu_b: bool = False, threads: int = 1, sums: _BallSums | None = None,
 ) -> ConditionReport:
-    """sup_B int_B (w - w_S)_+ dmu / w(S), the positive-part condition."""
-    balls, fam_sigma = family_balls(family)
-    sigma = _resolve_sigma(family, sigma if sigma is not None else fam_sigma)
+    """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
+
+    A ratio returns ``(ratio, skipped)``. The supremum is recorded in ``sums``.
+    """
+    balls, _ = family_balls(family)
+    factor = _resolve_sigma(family, sigma) if factor is None else factor
     values = as_values(w)
+    results = _ball_map(space, values, balls, factor, ratio, mu_b=mu_b, threads=threads, sums=sums)
+    report = _sup_report(balls, results)
+    if sums is not None:
+        sums.sups[(name, tuple(balls), factor, param)] = report.value
+    return report
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        denom = _induced(space, values, space.ball_members(ball.center, sigma * ball.radius))
-        if denom <= 0.0:
-            return 0.0, True
-        return _pos_osc(space, values, ball, sigma) / denom, False
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+def wgr_epsilon(
+    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
+    *, _sums: _BallSums | None = None,
+) -> ConditionReport:
+    """sup_B int_B (w - w_S)_+ dmu / w(S), the positive-part condition.
+
+    Every functional takes ``_sums``, a ball-sum table of this space and
+    weight that its pass reads and fills.
+    """
+
+    def ratio(v, m, w_s, mu_s, _):
+        return (0.0, True) if w_s <= 0.0 else (_pos_part(v, m, _avg(w_s, mu_s)) / w_s, False)
+
+    return _functional(
+        "wgr_epsilon", None, space, w, family, sigma, ratio, threads=threads, sums=_sums
+    )
 
 
 def wgr_minus_epsilon(
-    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1
+    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
+    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B avg_B (w - w_S)_- / w_S, the negative-part condition."""
-    balls, fam_sigma = family_balls(family)
-    sigma = _resolve_sigma(family, sigma if sigma is not None else fam_sigma)
-    values = as_values(w)
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        denom = _average(space, values, space.ball_members(ball.center, sigma * ball.radius))
-        if denom <= 0.0:
-            return 0.0, True
-        return _neg_osc_avg(space, values, ball, sigma) / denom, False
+    def ratio(v, m, w_s, mu_s, mu_b):
+        c = _avg(w_s, mu_s)
+        return (0.0, True) if c <= 0.0 else (_neg_part_avg(v, m, c, mu_b) / c, False)
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+    return _functional(
+        "wgr_minus_epsilon", None, space, w, family, sigma, ratio,
+        mu_b=True, threads=threads, sums=_sums,
+    )
 
 
-def gr_epsilon(space: FiniteMetricMeasureSpace, w, ball_set, threads: int = 1) -> ConditionReport:
+def gr_epsilon(
+    space: FiniteMetricMeasureSpace, w, ball_set, threads: int = 1,
+    *, _sums: _BallSums | None = None,
+) -> ConditionReport:
     """sup_B int_B |w - w_B| dmu / w(B), the absolute-oscillation condition."""
-    balls, _ = family_balls(ball_set)
-    values = as_values(w)
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        members = space.ball_members(ball.center, ball.radius)
-        denom = _induced(space, values, members)
-        if denom <= 0.0:
+    def ratio(v, m, w_b, mu_b, _):  # factor 1: the reference ball is B
+        if w_b <= 0.0:
             return 0.0, True
-        c = denom / space.set_measure(members)
-        num = weighted_sum(np.abs(values[members] - c), space.mass[members])
-        return num / denom, False
+        return weighted_sum(np.abs(v - w_b / mu_b), m) / w_b, False
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+    return _functional(
+        "gr_epsilon", None, space, w, ball_set, None, ratio,
+        factor=1.0, threads=threads, sums=_sums,
+    )
 
 
 def weak_ainfty_beta(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    alpha: float,
-    sigma: float | None = None,
-    threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, family, alpha: float, sigma: float | None = None,
+    threads: int = 1, *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
-    balls, fam_sigma = family_balls(family)
-    sigma = _resolve_sigma(family, sigma if sigma is not None else fam_sigma)
-    values = as_values(w)
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom = _induced(space, values, ref)
-        if denom <= 0.0:
+    def ratio(v, m, w_s, mu_s, _):
+        if w_s <= 0.0:
             return 0.0, True
-        c = denom / space.set_measure(ref)
-        members = space.ball_members(ball.center, ball.radius)
-        level = members[alpha * values[members] >= c]
-        return _induced(space, values, level) / denom, False
+        level = alpha * v >= w_s / mu_s
+        return weighted_sum(v[level], m[level]) / w_s, False
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+    return _functional(
+        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio, threads=threads, sums=_sums
+    )
 
 
 def sublevel_alpha(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    beta: float,
-    sigma: float | None = None,
-    threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, family, beta: float, sigma: float | None = None,
+    threads: int = 1, *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B mu(B n {w <= beta w_S}) / mu(B) for a fixed beta in (0, 1)."""
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    balls, fam_sigma = family_balls(family)
-    sigma = _resolve_sigma(family, sigma if sigma is not None else fam_sigma)
-    values = as_values(w)
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        ref = space.ball_members(ball.center, sigma * ball.radius)
-        denom_w = _induced(space, values, ref)
-        if denom_w <= 0.0:
+    def ratio(v, m, w_s, mu_s, mu_b):
+        if w_s <= 0.0:
             return 0.0, True
-        c = denom_w / space.set_measure(ref)
-        members = space.ball_members(ball.center, ball.radius)
-        level = members[values[members] <= beta * c]
-        return space.set_measure(level) / space.set_measure(members), False
+        return fsum(m[v <= beta * (w_s / mu_s)]) / mu_b, False
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+    return _functional(
+        "sublevel_alpha", beta, space, w, family, sigma, ratio,
+        mu_b=True, threads=threads, sums=_sums,
+    )
 
 
 def rhi_constant(
-    space: FiniteMetricMeasureSpace,
-    w,
-    family,
-    p: float,
-    rhs_ball: str = "sigma_dilate",
-    sigma: float | None = None,
-    eta: float | None = None,
-    threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, family, p: float, rhs_ball: str = "sigma_dilate",
+    sigma: float | None = None, eta: float | None = None, threads: int = 1,
+    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B (avg_B w^p)^(1/p) / avg_R w with R the reference dilate.
 
@@ -316,31 +368,22 @@ def rhi_constant(
     """
     if not p > 1:
         raise InvalidExponentError(f"reverse Holder exponent must be > 1, got {p}")
-    balls, fam_sigma = family_balls(family)
-    sigma = _resolve_sigma(family, sigma if sigma is not None else fam_sigma)
-    if rhs_ball == "sigma_dilate":
-        factor = sigma
-    elif rhs_ball == "sigma_hat":
+    factor = _resolve_sigma(family, sigma)
+    if rhs_ball == "sigma_hat":
         if eta is None:
-            if isinstance(family, BallFamily):
-                eta = family.eta
-            else:
+            if not isinstance(family, BallFamily):
                 raise InvalidParameterError("sigma_hat reference needs eta")
-        factor = sigma * (1.0 + eta)
-    else:
+            eta = family.eta
+        factor = factor * (1.0 + eta)
+    elif rhs_ball != "sigma_dilate":
         raise InvalidParameterError(f"unknown rhs_ball {rhs_ball!r}")
-    values = as_values(w)
 
-    def one(ball: Ball) -> tuple[float, bool]:
-        ref = space.ball_members(ball.center, factor * ball.radius)
-        denom_w = _induced(space, values, ref)
-        if denom_w <= 0.0:
+    def ratio(v, m, w_r, mu_r, mu_b):
+        if w_r <= 0.0:
             return 0.0, True
-        rhs = denom_w / space.set_measure(ref)
-        members = space.ball_members(ball.center, ball.radius)
-        mean_p = weighted_sum(values[members] ** p, space.mass[members]) / space.set_measure(
-            members
-        )
-        return mean_p ** (1.0 / p) / rhs, False
+        return (weighted_sum(v**p, m) / mu_b) ** (1.0 / p) / (w_r / mu_r), False
 
-    return _sup_report(balls, parallel_map(one, balls, threads))
+    return _functional(
+        "rhi_constant", p, space, w, family, None, ratio,
+        factor=factor, mu_b=True, threads=threads, sums=_sums,
+    )

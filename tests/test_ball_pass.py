@@ -1,0 +1,364 @@
+"""The per-ball pass against the brute-force oracles.
+
+The six functionals and the four implication checkers all read w(B),
+mu(B), w(S) and mu(S) from one per-ball pass, and may share a ball-sum
+table across calls as a run does. Every per-ball ratio and every per-ball
+side must equal the value recomputed from raw coordinates by
+``tests/oracles.py``, with and without a shared table, in either order.
+"""
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from wgrkit import Ball, theorems
+from wgrkit.errors import InvalidParameterError, NoDataError
+from wgrkit.space import FiniteMetricMeasureSpace
+from wgrkit.weights import (
+    _BallSums,
+    gr_epsilon,
+    rhi_constant,
+    sublevel_alpha,
+    weak_ainfty_beta,
+    wgr_epsilon,
+    wgr_minus_epsilon,
+)
+
+
+@st.composite
+def _instance(draw):
+    """Integer coordinates (many tied distances), some zero weights, and
+    balls whose radii are often exactly a pairwise distance."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    n = draw(st.integers(min_value=2, max_value=9))
+    coords = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    mass = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n))
+    if kind == "table":
+        pts = np.asarray(coords, dtype=float)
+        table = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        space = FiniteMetricMeasureSpace(mass, distance_matrix=table)
+    else:
+        space = FiniteMetricMeasureSpace(mass, coords=coords, metric_kind=kind)
+    values = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    balls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        center = draw(st.integers(min_value=0, max_value=n - 1))
+        r = 0.0
+        if draw(st.booleans()):
+            r = oracles.distance(space, center, draw(st.integers(min_value=0, max_value=n - 1)))
+        if r <= 0.0:
+            r = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        balls.append(Ball(center, r))
+    sigma = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return space, values, balls, sigma
+
+
+# ---------------------------------------------------------------------------
+# oracle ratios: (ratio, skipped) per ball, from raw coordinates
+# ---------------------------------------------------------------------------
+
+
+def _ref(space, vals, ball, factor):
+    s = oracles.ball(space, ball.center, factor * ball.radius)
+    return oracles.w_measure(space, vals, s), oracles.measure(space, s)
+
+
+def _o_wgr(space, vals, ball, sigma):
+    w_s, _ = _ref(space, vals, ball, sigma)
+    if w_s <= 0.0:
+        return 0.0, True
+    return oracles.pos_osc(space, vals, ball.center, ball.radius, sigma) / w_s, False
+
+
+def _o_wgr_minus(space, vals, ball, sigma):
+    c = oracles.avg(space, vals, oracles.ball(space, ball.center, sigma * ball.radius))
+    if c <= 0.0:
+        return 0.0, True
+    return oracles.neg_osc_avg(space, vals, ball.center, ball.radius, sigma) / c, False
+
+
+def _o_gr(space, vals, ball, _):
+    w_b, _ = _ref(space, vals, ball, 1.0)
+    if w_b <= 0.0:
+        return 0.0, True
+    return oracles.abs_osc(space, vals, ball.center, ball.radius) / w_b, False
+
+
+def _o_weak_ainfty(alpha):
+    def ratio(space, vals, ball, sigma):
+        w_s, mu_s = _ref(space, vals, ball, sigma)
+        if w_s <= 0.0:
+            return 0.0, True
+        members = oracles.ball(space, ball.center, ball.radius)
+        level = [j for j in members if alpha * vals[j] >= w_s / mu_s]
+        return oracles.w_measure(space, vals, level) / w_s, False
+
+    return ratio
+
+
+def _o_sublevel(beta):
+    def ratio(space, vals, ball, sigma):
+        w_s, mu_s = _ref(space, vals, ball, sigma)
+        if w_s <= 0.0:
+            return 0.0, True
+        members = oracles.ball(space, ball.center, ball.radius)
+        level = [j for j in members if vals[j] <= beta * (w_s / mu_s)]
+        return oracles.measure(space, level) / oracles.measure(space, members), False
+
+    return ratio
+
+
+def _o_rhi(p, factor):
+    def ratio(space, vals, ball, _):
+        w_r, mu_r = _ref(space, vals, ball, factor)
+        if w_r <= 0.0:
+            return 0.0, True
+        members = oracles.ball(space, ball.center, ball.radius)
+        mean_p = math.fsum(
+            float(vals[j]) ** p * float(space.mass[j]) for j in members
+        ) / oracles.measure(space, members)
+        return mean_p ** (1.0 / p) / (w_r / mu_r), False
+
+    return ratio
+
+
+def _o_sup(space, vals, balls, sigma, ratio):
+    """Per-ball (ball, ratio), skipped balls, sup and first attaining ball; None if
+    every ball is skipped."""
+    rows = [ratio(space, vals, b, sigma) for b in balls]
+    if all(skip for _, skip in rows):
+        return None
+    value, witness = -math.inf, None
+    for b, (r, _) in zip(balls, rows):
+        if r > value:
+            value, witness = r, b
+    per_ball = [(b, r) for b, (r, _) in zip(balls, rows)]
+    return per_ball, [b for b, (_, skip) in zip(balls, rows) if skip], value, witness
+
+
+# ---------------------------------------------------------------------------
+# oracle checker sides: (lhs, rhs, vacuous) per ball
+# ---------------------------------------------------------------------------
+
+
+def _o_superlevel_sides(lam, eps):
+    factor = 1.0 - eps / lam
+
+    def sides(space, vals, ball, sigma):
+        w_s, mu_s = _ref(space, vals, ball, sigma)
+        members = oracles.ball(space, ball.center, ball.radius)
+        level = [j for j in members if factor * vals[j] >= w_s / mu_s]
+        return oracles.w_measure(space, vals, level), lam * w_s, not level
+
+    return sides
+
+
+def _o_osc_from_superlevel_sides(alpha, beta):
+    coeff = 1.0 - alpha * (1.0 - beta)
+
+    def sides(space, vals, ball, sigma):
+        w_s, _ = _ref(space, vals, ball, sigma)
+        lhs = oracles.pos_osc(space, vals, ball.center, ball.radius, sigma)
+        return lhs, coeff * w_s, lhs == 0.0
+
+    return sides
+
+
+def _o_sublevel_sides(lam, eps):
+    factor = 1.0 - eps / lam
+
+    def sides(space, vals, ball, sigma):
+        w_s, mu_s = _ref(space, vals, ball, sigma)
+        members = oracles.ball(space, ball.center, ball.radius)
+        level = [j for j in members if vals[j] <= factor * (w_s / mu_s)]
+        return oracles.measure(space, level), lam * oracles.measure(space, members), not level
+
+    return sides
+
+
+def _o_neg_osc_sides(beta, alpha_m):
+    coeff = 1.0 - (1.0 - alpha_m) * beta
+
+    def sides(space, vals, ball, sigma):
+        w_s, mu_s = _ref(space, vals, ball, sigma)
+        lhs = oracles.neg_osc_avg(space, vals, ball.center, ball.radius, sigma)
+        return lhs, coeff * (w_s / mu_s), lhs == 0.0
+
+    return sides
+
+
+@contextmanager
+def _recorded_sides():
+    """Every (witness, lhs, rhs, vacuous) the checkers hand their margin tracker."""
+    sides = []
+    original = theorems._MarginTracker.add
+
+    def add(self, lhs, rhs, witness, vacuous=False):
+        sides.append((witness, lhs, rhs, vacuous))
+        return original(self, lhs, rhs, witness, vacuous)
+
+    theorems._MarginTracker.add = add
+    try:
+        yield sides
+    finally:
+        theorems._MarginTracker.add = original
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (InvalidParameterError, NoDataError) as exc:
+        return "raise", type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_instance(),
+    alpha=st.sampled_from([0.25, 0.5, 0.75]),
+    beta=st.sampled_from([0.25, 0.5, 0.75]),
+    p=st.sampled_from([1.5, 3.0]),
+    rhs_hat=st.booleans(),
+    u=st.floats(min_value=0.05, max_value=0.95),
+    supplied=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.9)),
+    shared=st.booleans(),
+    checkers_first=st.booleans(),
+)
+def test_functionals_and_checkers_match_oracles(
+    case, alpha, beta, p, rhs_hat, u, supplied, shared, checkers_first
+):
+    space, vals, balls, sigma = case
+    sums = _BallSums() if shared else None
+    kw = {"_sums": sums} if shared else {}
+    eta = 1.0
+    factor = sigma * (1.0 + eta) if rhs_hat else sigma
+
+    functionals = {
+        "wgr": (lambda: wgr_epsilon(space, vals, balls, sigma=sigma, **kw), _o_wgr),
+        "wgr_minus": (lambda: wgr_minus_epsilon(space, vals, balls, sigma=sigma, **kw),
+                      _o_wgr_minus),
+        "gr": (lambda: gr_epsilon(space, vals, balls, **kw), _o_gr),
+        "weak_ainfty": (lambda: weak_ainfty_beta(space, vals, balls, alpha, sigma=sigma, **kw),
+                        _o_weak_ainfty(alpha)),
+        "sublevel": (lambda: sublevel_alpha(space, vals, balls, beta, sigma=sigma, **kw),
+                     _o_sublevel(beta)),
+        "rhi": (lambda: rhi_constant(space, vals, balls, p,
+                                     rhs_ball="sigma_hat" if rhs_hat else "sigma_dilate",
+                                     sigma=sigma, eta=eta, **kw), _o_rhi(p, factor)),
+    }
+
+    def oracle_constant(ratio):
+        found = _o_sup(space, vals, balls, sigma, ratio)
+        return None if found is None else found[2]
+
+    def lam_above(eps):
+        return eps + (1.0 - eps) * u
+
+    # checker name -> (call, oracle constant, oracle sides given the constant, lambda)
+    def checker_cases():
+        eps_plus = supplied if supplied is not None else oracle_constant(_o_wgr)
+        eps_minus = supplied if supplied is not None else oracle_constant(_o_wgr_minus)
+        beta_m = supplied if supplied is not None else oracle_constant(_o_weak_ainfty(alpha))
+        alpha_m = supplied if supplied is not None else oracle_constant(_o_sublevel(beta))
+        lam_plus = lam_above(eps_plus or 0.0)
+        lam_minus = lam_above(eps_minus or 0.0)
+        return {
+            "superlevel_bound": (
+                lambda: theorems.check_superlevel_bound(
+                    space, vals, balls, lam_plus, eps=supplied, sigma=sigma, **kw),
+                eps_plus, lambda c: _o_superlevel_sides(lam_plus, c), lam_plus),
+            "osc_from_superlevel": (
+                lambda: theorems.check_osc_from_superlevel(
+                    space, vals, balls, alpha, beta=supplied, sigma=sigma, **kw),
+                beta_m, lambda c: _o_osc_from_superlevel_sides(alpha, c), None),
+            "sublevel_bound": (
+                lambda: theorems.check_sublevel_bound(
+                    space, vals, balls, lam_minus, eps=supplied, sigma=sigma, **kw),
+                eps_minus, lambda c: _o_sublevel_sides(lam_minus, c), lam_minus),
+            "neg_osc_from_sublevel": (
+                lambda: theorems.check_neg_osc_from_sublevel(
+                    space, vals, balls, beta, alpha_m=supplied, sigma=sigma, **kw),
+                alpha_m, lambda c: _o_neg_osc_sides(beta, c), None),
+        }
+
+    def run_functionals():
+        for name, (call, ratio) in functionals.items():
+            expected = _o_sup(space, vals, balls, sigma, ratio)
+            kind, rep = _outcome(call)
+            if expected is None:
+                assert (kind, rep) == ("raise", NoDataError), name
+                continue
+            assert kind == "ok", (name, rep)
+            per_ball, skipped, value, witness = expected
+            assert [b for b, _ in rep.per_ball] == [b for b, _ in per_ball]
+            assert rep.skipped == skipped, name
+            if name == "rhi":  # numpy's and Python's powers may differ in the last bit
+                got = [r for _, r in rep.per_ball]
+                assert got == pytest.approx([r for _, r in per_ball], rel=1e-12, abs=1e-300)
+                assert rep.value == pytest.approx(value, rel=1e-12)
+                assert ratio(space, vals, rep.witness_ball, sigma)[0] == pytest.approx(
+                    value, rel=1e-12)
+            else:
+                assert rep.per_ball == per_ball, name
+                assert rep.value == value, name
+                assert rep.witness_ball == witness, name
+
+    def run_checkers():
+        for name, (call, constant, oracle_sides, lam) in checker_cases().items():
+            with _recorded_sides() as sides:
+                kind, rep = _outcome(call)
+            if constant is None:  # every ball skipped while measuring the constant
+                assert (kind, rep) == ("raise", NoDataError), name
+                continue
+            eps_like = name in ("superlevel_bound", "sublevel_bound")
+            if eps_like and constant != 0.0 and not constant < lam < 1.0:
+                assert (kind, rep) == ("raise", InvalidParameterError), name
+                continue
+            assert kind == "ok", (name, rep)
+            measured_key = [k for k in rep.params if k.endswith("_measured")][0]
+            assert rep.params[measured_key] is (supplied is None)
+            if eps_like and constant == 0.0:
+                assert sides == [] and rep.vacuous, name
+                continue
+            expected = [(b, *oracle_sides(constant)(space, vals, b, sigma)) for b in balls]
+            assert sides == expected, name
+
+    if checkers_first:
+        run_checkers()
+        run_functionals()
+    else:
+        run_functionals()
+        run_checkers()
+
+
+def test_shared_table_reuses_a_measured_constant():
+    space = FiniteMetricMeasureSpace(np.ones(6), coords=np.arange(6.0)[:, None],
+                                     metric_kind="euclidean")
+    vals = np.array([1.0, 4.0, 0.5, 2.0, 3.0, 1.5])
+    balls = [Ball(c, 1.5) for c in range(6)]
+    sums = _BallSums()
+    eps = wgr_epsilon(space, vals, balls, sigma=2.0, _sums=sums).value
+    assert sums.sup("wgr_epsilon", balls, 2.0, None, lambda: pytest.fail("re-measured")) == eps
+    rep = theorems.check_superlevel_bound(space, vals, balls, 0.99, sigma=2.0, _sums=sums)
+    assert rep.params["eps"] == eps and rep.params["eps_measured"] is True
+    # another ball list, sigma or parameter is a different constant
+    other = balls[:3]
+    assert sums.sup("wgr_epsilon", other, 2.0, None, lambda: -1.0) == -1.0
+    assert sums.sup("wgr_epsilon", balls, 1.5, None, lambda: -2.0) == -2.0
+    assert sums.sup("weak_ainfty_beta", balls, 2.0, 0.5, lambda: -3.0) == -3.0

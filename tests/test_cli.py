@@ -361,3 +361,121 @@ def test_run_writes_non_finite_csv_values(tmp_path):
     assert len(rows) == 5
     assert {row["rhs_bound"] for row in rows} == {"inf"}  # C saturates on a 2-d grid
     assert all(np.isfinite(float(row["lambda"])) for row in rows)
+
+
+def _lognormal_2d_jn_decay(tmp_path) -> Path:
+    """A 2-d side-12 Chebyshev lognormal run of jn_decay alone: C saturates to inf."""
+    cfg = json.loads(smoke_config(tmp_path).read_text())
+    cfg["instance"] = {
+        "kind": "lognormal", "dimension": 2, "side": 12, "cell": 1.0, "metric": "chebyshev",
+        "params": {"geometry": "grid_nd", "mu": 0.0, "sigma": 0.25}, "seed": 1,
+    }
+    cfg["checks"] = [{"name": "jn_decay", "params": {"count": 5}}]
+    path = tmp_path / "jn2d.json"
+    path.write_text(dumps_canonical(cfg))
+    return path
+
+
+def test_check_without_evidence_exits_one(tmp_path, capsys):
+    cfg = _lognormal_2d_jn_decay(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    report = json.loads((tmp_path / "run" / "check_jn_decay.json").read_text())
+    assert (report["passed"], report["vacuous"], report["params"]["C"]) == (False, True, "inf")
+    assert "FAILED checks" in capsys.readouterr().err
+    assert main(["check", "jn_decay", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 1
+    assert "jn_decay: FAIL (vacuous)" in capsys.readouterr().out
+
+
+def test_vacuous_pass_exits_zero(tmp_path, capsys):
+    space = grid_1d(0.0, 16.0, 16)
+    cfg = smoke_config(
+        tmp_path,
+        instance={"kind": "custom",
+                  "params": {"space": space.to_json_obj(), "weight": [2.0] * 16}},
+        checks=[{"name": "superlevel_bound", "params": {"lambda": 0.9}}],
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "check_superlevel_bound.json").read_text())
+    assert (report["passed"], report["vacuous"]) == (True, True)
+    assert main(["check", "superlevel_bound", "--config", str(cfg),
+                 "--out", str(tmp_path / "one")]) == 0
+    assert "superlevel_bound: PASS (vacuous)" in capsys.readouterr().out
+
+
+def test_jn_decay_margin_column_matches_the_tracker(tmp_path):
+    out = tmp_path / "run"
+    main(["run", "--config", str(_lognormal_2d_jn_decay(tmp_path)), "--out", str(out)])
+    report = json.loads((out / "check_jn_decay.json").read_text())
+    with open(out / "check_jn_decay_decay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert {row["rhs_bound"] for row in rows} == {"inf"}
+    assert {row["margin"] for row in rows} == {report["margin"]} == {"-inf"}
+    # rows with finite sides keep margin = rhs - lhs, bit for bit
+    smoke = Path(__file__).parent.parent / "configs" / "smoke.json"
+    assert main(["run", "--config", str(smoke), "--out", str(tmp_path / "smoke")]) == 0
+    with open(tmp_path / "smoke" / "check_jn_decay_decay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert float(row["margin"]) == float(row["rhs_bound"]) - float(row["lhs_measure"])
+
+
+def _cz_spike_config(tmp_path) -> Path:
+    space = grid_1d(0.0, 256.0, 256)
+    f = 0.001 * (1.0 + philox_generator(3).random(256))
+    f[128] = 60.0
+    return smoke_config(
+        tmp_path,
+        instance={
+            "kind": "custom", "params": {"space": space.to_json_obj(), "weight": f.tolist()}
+        },
+        geometry={"sigma": 1.0, "eta": 4.0, "base_ball": {"center": 128, "radius": 25.5}},
+        cz={"level_fraction": 0.1, "level_fraction_hi": 0.6},
+    )
+
+
+_SINGLE_FILE_COMMANDS = [
+    ["cz", "decompose"], ["cz", "nested"], ["decay-table"], ["sweep", "eps"], ["sweep", "p"],
+    ["sweep", "sigma"], ["space", "gen"], ["weight", "gen"], ["cover"],
+]
+
+
+@pytest.mark.parametrize("command", _SINGLE_FILE_COMMANDS, ids=" ".join)
+def test_single_file_out_creates_missing_parents(tmp_path, command):
+    cfg = _cz_spike_config(tmp_path) if command[0] == "cz" else smoke_config(tmp_path)
+    flat = tmp_path / "flat.out"
+    deep = tmp_path / "missing" / "dir" / "f.out"
+    code = main([*command, "--config", str(cfg), "--out", str(flat)])
+    assert main([*command, "--config", str(cfg), "--out", str(deep)]) == code == 0
+    assert deep.read_bytes() == flat.read_bytes()
+
+
+@pytest.mark.parametrize("command", _SINGLE_FILE_COMMANDS, ids=" ".join)
+def test_single_file_out_under_a_file_exits_two(tmp_path, capsys, command):
+    cfg = _cz_spike_config(tmp_path) if command[0] == "cz" else smoke_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    out = blocker / "dir" / "f.out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_single_file_out_failing_build_leaves_no_directory(tmp_path):
+    cfg = smoke_config(tmp_path)  # lognormal noise: no admissible CZ level window
+    out = tmp_path / "missing" / "dir" / "f.out"
+    assert main(["cz", "decompose", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_json_constants_exit_two(tmp_path, capsys, constant):
+    text = smoke_config(tmp_path).read_text()
+    assert '"sigma": 1.5' in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"sigma": 1.5', f'"sigma": {constant}'))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config violates schema" in err and constant in err
+    assert not (tmp_path / "out").exists()

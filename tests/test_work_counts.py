@@ -165,3 +165,70 @@ def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
     for entry in cfg["checks"]:
         report = json.loads((tmp_path / "out" / f"check_{entry['name']}.json").read_text())
         assert report["params"]["eps_measured"] is True
+
+
+#: The six functionals and the four implication checkers, functionals first.
+_FAMILY_CHECKS = [
+    ("wgr", {}),
+    ("wgr_minus", {}),
+    ("gr", {}),
+    ("weak_ainfty", {"alpha": 0.5}),
+    ("sublevel", {"beta": 0.5}),
+    ("rhi", {"p": 2.0}),
+    ("superlevel_bound", {"lambda": 0.9}),
+    ("osc_from_superlevel", {"alpha": 0.5}),
+    ("sublevel_bound", {"lambda": 0.9}),
+    ("neg_osc_from_sublevel", {"beta": 0.5}),
+]
+
+#: Ball queries per family ball when each functional and checker queried
+#: B and S itself: 13 for the six functionals, 21 for the four checkers.
+_UNSHARED_QUERIES_PER_BALL = 13 + 21
+
+
+def _family_config(tmp_path) -> dict:
+    cfg = {
+        "instance": {
+            "kind": "lognormal", "dimension": 2, "side": 12, "cell": 1.0, "metric": "chebyshev",
+            "params": {"geometry": "grid_nd", "mu": 0.0, "sigma": 0.25}, "seed": 1,
+        },
+        "geometry": {"sigma": 1.5, "eta": 1.0, "base_ball": {"center": "central"}},
+        "checks": [{"name": name, "params": params} for name, params in _FAMILY_CHECKS],
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cli.validate_config(cfg)
+    return cfg
+
+
+def test_family_checks_share_one_table_of_ball_sums(monkeypatch, tmp_path):
+    cfg = _family_config(tmp_path)
+    space, _ = cli._instance_from_cfg(cfg)
+    n_family = len(cli.RunContext(space, cfg["geometry"]).family.members)
+    queries: list[tuple] = []
+    passes: list[tuple] = []
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
+    measured = ("wgr_epsilon", "wgr_minus_epsilon", "weak_ainfty_beta", "sublevel_alpha")
+    for name in measured:
+        for owner in (cli, theorems):
+            _counting(monkeypatch, owner, name, passes)
+    assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    # one B query per family ball and pass, plus one S query per ball
+    assert 3 * len(queries) <= _UNSHARED_QUERIES_PER_BALL * n_family
+    assert len(queries) <= 11 * n_family + 2
+    # each measured constant's functional runs once: the checkers reuse it
+    assert len(passes) == len(measured)
+    for name in ("superlevel_bound", "osc_from_superlevel", "sublevel_bound",
+                 "neg_osc_from_sublevel"):
+        report = json.loads((tmp_path / "out" / f"check_{name}.json").read_text())
+        assert [v for k, v in report["params"].items() if k.endswith("_measured")] == [True]
+
+
+def test_family_checks_are_byte_identical_for_any_thread_count(tmp_path):
+    cfg = _family_config(tmp_path)
+    assert cli.cmd_run(cfg, tmp_path / "t1", 1) == 0
+    assert cli.cmd_run(cfg, tmp_path / "t4", 4) == 0
+    names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "t4").iterdir())
+    assert len(names) == 2 * 6 + 4 + 1  # JSON and per-ball CSV per functional, manifest
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
