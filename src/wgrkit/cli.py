@@ -38,7 +38,7 @@ from .examples import InstanceSpec, build_instance, list_instances
 from .space import FiniteMetricMeasureSpace, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
-from .weights import (
+from .weights import (  # CHECKS looks the functionals up here by name
     _BallSums,
     as_values,
     average,
@@ -237,121 +237,116 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
-def _functional_report(name: str, report) -> CheckReport:
-    return CheckReport(
-        name=name,
-        passed=True,
-        margin=report.value,
-        witness=report.witness_ball,
-        params=report.summary_obj(),
-        notes="functional supremum; observational",
-    )
+class _Params(dict):
+    """One check's params; reading a missing required key names the check."""
+
+    def __init__(self, check: str, params: dict):
+        super().__init__(params)
+        self.check = check
+
+    def __missing__(self, key):
+        raise SchemaError(f"check {self.check!r} needs params/{key}")
+
+    def args(self, spec: dict) -> list:
+        """The values of ``spec``'s keys in order; ``spec`` maps each key to its
+        default, ``...`` for a required key."""
+        return [self[key] if dflt is ... else self.get(key, dflt) for key, dflt in spec.items()]
 
 
-# name -> f(space, w, family, params, **kw); kw carries the run's ``_sums``
-# table, and ``threads`` for the functionals.
-_FUNCTIONALS = {
-    "wgr": lambda s, w, fam, prm, **kw: wgr_epsilon(s, w, fam, **kw),
-    "wgr_minus": lambda s, w, fam, prm, **kw: wgr_minus_epsilon(s, w, fam, **kw),
-    "gr": lambda s, w, fam, prm, **kw: gr_epsilon(s, w, fam, **kw),
-    "weak_ainfty": lambda s, w, fam, prm, **kw: weak_ainfty_beta(
-        s, w, fam, prm.get("alpha", 0.5), **kw
+def _functional(name: str, spec: dict):
+    """Entry of the functional ``name`` over the run's family: its supremum as
+    an observational report, plus the per-ball CSV."""
+
+    def check(ctx, w, params, threads):
+        measure = globals()[name]  # looked up per call, so it can be wrapped
+        rep = measure(ctx.space, w, ctx.family, *params.args(spec), threads=threads,
+                      _sums=ctx.sums(w))
+        return CheckReport(
+            name=params.check, passed=True, margin=rep.value, witness=rep.witness_ball,
+            params=rep.summary_obj(), notes="functional supremum; observational",
+        ), {"per_ball": (["ball_center", "ball_radius", "ratio", "skipped_flag"], rep.csv_rows())}
+
+    return check
+
+
+def _on_family(name: str, spec: dict):
+    """Entry of the checker ``theorems.<name>`` over the run's family."""
+    return lambda ctx, w, params, threads: (getattr(theorems, name)(
+        ctx.space, w, ctx.family, *params.args(spec), _sums=ctx.sums(w)), {})
+
+
+def _on_base(name: str, spec: dict):
+    """Entry of the decay checker ``theorems.<name>`` on the run's base ball system."""
+    return lambda ctx, w, params, threads: (getattr(theorems, name)(
+        ctx.space, w, ctx.sigma, ctx.eta, ctx.base, *params.args(spec), system=ctx.system,
+        _sums=ctx.sums(w)), {})
+
+
+def _jn_decay(ctx, w, params, threads):
+    """Without a ``lambda_grid``: ``count`` levels from lambda0 to ``factor`` lambda0."""
+    grid, eps, sums = params.get("lambda_grid"), params.get("eps"), ctx.sums(w)
+    if grid is None:
+        count, factor = int(params.get("count", 20)), float(params.get("factor", 4.0))
+        if eps is None:
+            eps = theorems._system_eps(ctx.system, as_values(w), sums)
+        if eps == 0.0:
+            grid = []
+        else:
+            lam0 = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps).lambda0
+            grid = (lam0 * np.geomspace(1.0, factor, count)).tolist()
+    rep = theorems.check_jn_decay(ctx.space, w, ctx.sigma, ctx.eta, ctx.base, grid,
+                                  eps=params.get("eps"), system=ctx.system, _sums=sums)
+    return rep, {"decay": (["lambda", "lhs_measure", "rhs_bound", "margin", "vacuous"], rep.table)}
+
+
+def _beta_asymptotic(ctx, w, params, threads):
+    spec = {"p": 2.0, "y_list": [20.0, 40.0, 80.0, 160.0]}
+    rep = theorems.beta_asymptotic_check(*params.args(spec))
+    return rep, {"ratios": (["y", "ratio"], rep.table)}
+
+
+#: name -> check(ctx, w, params, threads) -> (CheckReport, {table: (header, rows)}).
+#: A spec lists, in order, the params its callee takes after the fixed arguments.
+CHECKS = {
+    "wgr": _functional("wgr_epsilon", {}),
+    "wgr_minus": _functional("wgr_minus_epsilon", {}),
+    "gr": _functional("gr_epsilon", {}),
+    "weak_ainfty": _functional("weak_ainfty_beta", {"alpha": 0.5}),
+    "sublevel": _functional("sublevel_alpha", {"beta": 0.5}),
+    "rhi": _functional("rhi_constant", {"p": 2.0, "rhs_ball": "sigma_dilate"}),
+    "superlevel_bound": _on_family("check_superlevel_bound", {"lambda": ..., "eps": None}),
+    "osc_from_superlevel": _on_family("check_osc_from_superlevel", {"alpha": 0.5, "beta": None}),
+    "sublevel_bound": _on_family("check_sublevel_bound", {"lambda": ..., "eps": None}),
+    "neg_osc_from_sublevel": _on_family(
+        "check_neg_osc_from_sublevel", {"beta": 0.5, "alpha": None}
     ),
-    "sublevel": lambda s, w, fam, prm, **kw: sublevel_alpha(
-        s, w, fam, prm.get("beta", 0.5), **kw
+    "rhi_equivalence_observed": _on_family(
+        "check_rhi_equivalence_observed", {"alpha": 0.5, "beta": 0.1, "p_grid": [1.5, 2.0, 4.0]}
     ),
-    "rhi": lambda s, w, fam, prm, **kw: rhi_constant(
-        s, w, fam, prm.get("p", 2.0), rhs_ball=prm.get("rhs_ball", "sigma_dilate"), **kw
+    "jn_decay": _jn_decay,
+    "osc_power_bound": _on_base("check_osc_power_bound", {"p": 2.0, "eps": None}),
+    "weak_rhi": _on_base("check_weak_rhi", {"p": 2.0, "eps": None}),
+    "cover_rhi": _on_base("check_cover_rhi", {"p": 2.0, "eps": None}),
+    "beta_asymptotic": _beta_asymptotic,
+    "cavalieri": lambda ctx, w, params, threads: (
+        theorems.cavalieri_check(ctx.space, w, params.get("p", 2.0)), {}
     ),
 }
-_IMPLICATIONS = {
-    "superlevel_bound": lambda s, w, fam, prm, **kw: theorems.check_superlevel_bound(
-        s, w, fam, prm["lambda"], eps=prm.get("eps"), **kw
-    ),
-    "osc_from_superlevel": lambda s, w, fam, prm, **kw: theorems.check_osc_from_superlevel(
-        s, w, fam, prm.get("alpha", 0.5), beta=prm.get("beta"), **kw
-    ),
-    "sublevel_bound": lambda s, w, fam, prm, **kw: theorems.check_sublevel_bound(
-        s, w, fam, prm["lambda"], eps=prm.get("eps"), **kw
-    ),
-    "neg_osc_from_sublevel": lambda s, w, fam, prm, **kw: theorems.check_neg_osc_from_sublevel(
-        s, w, fam, prm.get("beta", 0.5), alpha_m=prm.get("alpha"), **kw
-    ),
-}
-
-#: Decay checkers on the base ball system taking an exponent ``p``.
-_POWER_BOUNDS = ("osc_power_bound", "weak_rhi", "cover_rhi")
 
 
 def run_check(
     name: str, space, w, geometry: dict, params: dict, threads: int,
     ctx: RunContext | None = None,
 ):
-    """Dispatch one named check; returns (CheckReport, extra CSV tables).
+    """Run the :data:`CHECKS` entry ``name``; returns (CheckReport, extra CSV tables).
 
     Checks of one invocation share ``ctx``; without one, a fresh context
     is built for this check alone.
     """
     ctx = ctx or RunContext(space, geometry)
-    sigma, eta, base = ctx.sigma, ctx.eta, ctx.base
-    tables: dict[str, tuple[list[str], list[tuple]]] = {}
-
-    if name in _FUNCTIONALS:
-        rep = _FUNCTIONALS[name](space, w, ctx.family, params, threads=threads, _sums=ctx.sums(w))
-        tables["per_ball"] = (
-            ["ball_center", "ball_radius", "ratio", "skipped_flag"],
-            rep.csv_rows(),
-        )
-        return _functional_report(name, rep), tables
-
-    if name in _IMPLICATIONS:
-        return _IMPLICATIONS[name](space, w, ctx.family, params, _sums=ctx.sums(w)), tables
-    if name == "jn_decay":
-        system = ctx.system
-        grid = params.get("lambda_grid")
-        if grid is None:
-            count = int(params.get("count", 20))
-            factor = float(params.get("factor", 4.0))
-            eps = params.get("eps")
-            if eps is None:
-                eps = system.osc_constant(as_values(w))
-            if eps == 0.0:
-                grid = []
-            else:
-                lam0 = czdecomp.jn_constants(system.profile, sigma, eta, eps).lambda0
-                grid = (lam0 * np.geomspace(1.0, factor, count)).tolist()
-        rep = theorems.check_jn_decay(
-            space, w, sigma, eta, base, grid, eps=params.get("eps"), system=system
-        )
-        tables["decay"] = (
-            ["lambda", "lhs_measure", "rhs_bound", "margin", "vacuous"],
-            rep.table,
-        )
-        return rep, tables
-    if name in _POWER_BOUNDS:
-        check = getattr(theorems, f"check_{name}")  # looked up per call, so it can be wrapped
-        return check(
-            space, w, sigma, eta, base, params.get("p", 2.0), eps=params.get("eps"),
-            system=ctx.system,
-        ), tables
-    if name == "rhi_equivalence_observed":
-        return (
-            theorems.check_rhi_equivalence_observed(
-                space, w, ctx.family,
-                params.get("alpha", 0.5), params.get("beta", 0.1),
-                params.get("p_grid", [1.5, 2.0, 4.0]),
-            ),
-            tables,
-        )
-    if name == "beta_asymptotic":
-        rep = theorems.beta_asymptotic_check(
-            params.get("p", 2.0), params.get("y_list", [20.0, 40.0, 80.0, 160.0])
-        )
-        tables["ratios"] = (["y", "ratio"], rep.table)
-        return rep, tables
-    if name == "cavalieri":
-        return theorems.cavalieri_check(space, w, params.get("p", 2.0)), tables
-    raise SchemaError(f"unknown check name {name!r}")
+    if name not in CHECKS:
+        raise SchemaError(f"unknown check name {name!r}")
+    return CHECKS[name](ctx, w, _Params(name, params), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +554,14 @@ def cmd_cover(cfg: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _check_params(cfg: dict, name: str) -> dict:
+    """The params of the config's first check named ``name``; {} if there is none."""
+    return next((e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == name), {})
+
+
 def cmd_decay_table(cfg: dict, out: Path, threads: int) -> int:
     space, w = _instance_from_cfg(cfg)
-    params = next(
-        (e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == "jn_decay"), {}
-    )
+    params = _check_params(cfg, "jn_decay")
     report, tables = run_check("jn_decay", space, w, cfg["geometry"], params, threads)
     header, rows = tables["decay"]
     write_csv(_out_file(out), header, rows)
@@ -604,10 +602,7 @@ def cmd_sweep(cfg: dict, kind: str, out: Path, threads: int) -> int:
 def cmd_check(cfg: dict, name: str, out_dir: Path, threads: int) -> int:
     _reject_file_out(out_dir)
     space, w = _instance_from_cfg(cfg)
-    params = next(
-        (e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == name), {}
-    )
-    report, tables = run_check(name, space, w, cfg["geometry"], params, threads)
+    report, tables = run_check(name, space, w, cfg["geometry"], _check_params(cfg, name), threads)
     _make_out_dir(out_dir)
     write_json(out_dir / f"check_{name}.json", report.to_json_obj())
     for table_name, (header, rows) in tables.items():

@@ -21,8 +21,10 @@ uncached.
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
 runs over finitely many balls it is a *lower* bound for the doubling
-constant of any continuum parent; checkers that consume the profile accept
-an explicit override and always report which value they used.
+constant of any continuum parent. To override it, hand a decay checker a
+``system=`` built by ``build_ball_system(..., profile=...)``, or give
+``check_rhi_equivalence_observed`` a ``profile=``; reports always record
+the value they used.
 """
 from __future__ import annotations
 

@@ -315,24 +315,6 @@ class BallSystem:
     base_members: np.ndarray
     hat_members: np.ndarray
     sigma_hat_members: np.ndarray
-    # (weight bytes, eps) of the last osc_constant call; replaced as one tuple
-    _eps_slot: tuple[bytes, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def osc_constant(self, values: np.ndarray) -> float:
-        """The oscillation constant eps: :func:`wgr_epsilon` over ``measuring``.
-
-        Remembers the last weight (by a copy of its bytes) and its eps, so
-        the checks of one run that share this system measure eps once.
-        """
-        key = np.asarray(values, dtype=float).tobytes()
-        slot = self._eps_slot
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        eps = wgr_epsilon(self.space, values, self.measuring, sigma=self.sigma).value
-        self._eps_slot = (key, eps)
-        return eps
 
 
 def build_ball_system(
@@ -372,18 +354,26 @@ def build_ball_system(
     )
 
 
-def _decay_inputs(system: BallSystem, values: np.ndarray, eps: float | None, **params):
-    """The reference average c, eps, the excess (w - c)_+ and the report
-    params: ``params`` plus the ones every decay checker records."""
+def _system_eps(system: BallSystem, values: np.ndarray, sums: _BallSums) -> float:
+    """The oscillation constant eps of ``system``: the sup of :func:`wgr_epsilon`
+    over ``measuring``, read from ``sums`` when a pass of the run measured it."""
+    return sums.sup("wgr_epsilon", system.measuring, system.sigma, None, lambda: wgr_epsilon(
+        system.space, values, system.measuring, sigma=system.sigma, _sums=sums).value)
+
+
+def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float | None,
+                  sums: _BallSums | None, **params):
+    """The reference average c, eps, the excess (w - c)_+ and the tracker of
+    check ``name``, with ``params`` plus the ones every decay checker records."""
     c = _average(system.space, values, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
     if measured:
-        eps = system.osc_constant(values)
+        eps = _system_eps(system, values, sums or _BallSums())
     params.update({"c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
                    "eps": float(eps), "eps_measured": measured, "w_ref": c})
-    return c, float(eps), np.maximum(values - c, 0.0), params
+    return c, float(eps), np.maximum(values - c, 0.0), _MarginTracker(name, params)
 
 
 def check_jn_decay(
@@ -394,8 +384,9 @@ def check_jn_decay(
     base_ball: Ball,
     lambda_grid,
     eps: float | None = None,
-    profile: DoublingProfile | None = None,
     system: BallSystem | None = None,
+    *,
+    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Exponential decay of large positive oscillation.
 
@@ -409,11 +400,11 @@ def check_jn_decay(
     Rows (lambda, lhs, rhs, margin, vacuous) are returned in the report
     table; a lambda whose superlevel set is empty is flagged vacuous.
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    c, eps, excess, params = _decay_inputs(
-        system, as_values(w), eps, sigma=sigma, eta=eta, n_measuring_balls=len(system.measuring)
+    system = system or build_ball_system(space, base_ball, sigma, eta)
+    c, eps, excess, tracker = _decay_inputs(
+        "jn_decay", system, as_values(w), eps, _sums, sigma=sigma, eta=eta,
+        n_measuring_balls=len(system.measuring),
     )
-    tracker = _MarginTracker("jn_decay", params)
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
     consts = jn_constants(system.profile, sigma, eta, eps)
@@ -489,8 +480,9 @@ def check_osc_power_bound(
     base_ball: Ball,
     p: float,
     eps: float | None = None,
-    profile: DoublingProfile | None = None,
     system: BallSystem | None = None,
+    *,
+    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Self-improvement: p-th power of the positive oscillation.
 
@@ -502,9 +494,10 @@ def check_osc_power_bound(
 
     with the exact-beta constant of :func:`_power_bound_constant`.
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    c, eps, excess, params = _decay_inputs(system, as_values(w), eps, sigma=sigma, eta=eta, p=p)
-    tracker = _MarginTracker("osc_power_bound", params)
+    system = system or build_ball_system(space, base_ball, sigma, eta)
+    c, eps, excess, tracker = _decay_inputs(
+        "osc_power_bound", system, as_values(w), eps, _sums, sigma=sigma, eta=eta, p=p
+    )
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
     consts = jn_constants(system.profile, sigma, eta, eps)
@@ -528,8 +521,9 @@ def check_weak_rhi(
     base_ball: Ball,
     p: float,
     eps: float | None = None,
-    profile: DoublingProfile | None = None,
     system: BallSystem | None = None,
+    *,
+    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Weak reverse Holder bound against the sigma-hat reference ball.
 
@@ -538,13 +532,14 @@ def check_weak_rhi(
 
         (avg_B0 w^p)^(1/p) <= (C eps + 1) * avg over sigma*(1+eta)*B0 of w
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    return _weak_rhi(space, as_values(w), sigma, eta, base_ball, p, eps, system)
+    system = system or build_ball_system(space, base_ball, sigma, eta)
+    return _weak_rhi(space, as_values(w), sigma, eta, base_ball, p, eps, system, _sums)
 
 
-def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system) -> CheckReport:
-    c, eps, _, params = _decay_inputs(system, values, eps, sigma=sigma, eta=eta, p=p)
-    tracker = _MarginTracker("weak_rhi", params)
+def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system, sums) -> CheckReport:
+    c, eps, _, tracker = _decay_inputs(
+        "weak_rhi", system, values, eps, sums, sigma=sigma, eta=eta, p=p
+    )
     if eps == 0.0:
         mean_p = average(space, values**p, system.base_members) ** (1.0 / p)
         tracker.add(mean_p, c, base_ball)
@@ -566,8 +561,9 @@ def check_cover_rhi(
     base_ball: Ball,
     p: float,
     eps: float | None = None,
-    profile: DoublingProfile | None = None,
     system: BallSystem | None = None,
+    *,
+    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Reverse Holder bound with the smaller sigma*B0 reference ball.
 
@@ -583,12 +579,13 @@ def check_cover_rhi(
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
     A supplied ``system`` stands in for the base ball system, as in the
-    other decay checkers.
+    other decay checkers. Every eps is read through one ball-sum table,
+    so a dilate shared by the base and piece systems is summed once.
     """
     if not sigma > 1.0:
         raise InvalidParameterError(f"cover bound needs sigma > 1, got {sigma}")
-    system = system or build_ball_system(space, base_ball, sigma, eta, profile)
-    values = as_values(w)
+    system = system or build_ball_system(space, base_ball, sigma, eta)
+    values, sums = as_values(w), _sums or _BallSums()
     cover = five_r_cover(space, base_ball, sigma, eta)
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
 
@@ -597,11 +594,7 @@ def check_cover_rhi(
     ]
     measured = eps is None
     if measured:
-        eps = system.osc_constant(values)
-        for sub in sub_systems:
-            eps = max(
-                eps, wgr_epsilon(space, values, sub.measuring, sigma=sigma).value
-            )
+        eps = max(_system_eps(each, values, sums) for each in [system, *sub_systems])
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -628,7 +621,7 @@ def check_cover_rhi(
     _require_osc_range(consts, eps, p)
     # every piece must satisfy the weak bound at the shared eps
     for sub in sub_systems:
-        piece = _weak_rhi(space, values, sigma, eta, sub.base_ball, p, eps, sub)
+        piece = _weak_rhi(space, values, sigma, eta, sub.base_ball, p, eps, sub, sums)
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")
@@ -662,6 +655,8 @@ def check_rhi_equivalence_observed(
     p_grid,
     sigma: float | None = None,
     profile: DoublingProfile | None = None,
+    *,
+    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Observational log relating the superlevel condition to bounded RHI.
 
@@ -669,19 +664,22 @@ def check_rhi_equivalence_observed(
     below ``beta`` with ``beta`` under the smallness threshold
     ``c_mu^(-floor(log2(5 sigma^2)) - 1)``, and the reverse Holder
     constants along ``p_grid``. Purely observational: always passes,
-    both directions are logged for the reader.
+    both directions are logged for the reader. With the run's ball-sum
+    table ``_sums``, a constant the run already measured is reused.
     """
     balls, fam_sigma = family_balls(family)
     sigma = fam_sigma if sigma is None else sigma
     if profile is None:
         profile = doubling_profile(space, balls)
-    values = as_values(w)
-    measured_beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma).value
+    values, sums = as_values(w), _sums or _BallSums()
+    measured_beta = sums.sup("weak_ainfty_beta", balls, sigma, alpha, lambda: weak_ainfty_beta(
+        space, values, balls, alpha, sigma=sigma, _sums=sums).value)
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))
     rhi_values = {}
     for p in p_grid:
         try:
-            rhi_values[float(p)] = rhi_constant(space, values, balls, p, sigma=sigma).value
+            rhi_values[float(p)] = sums.sup("rhi_constant", balls, sigma, p, lambda: rhi_constant(
+                space, values, balls, p, sigma=sigma, _sums=sums).value)
         except Exception as exc:  # degenerate instances logged, not raised
             rhi_values[float(p)] = f"error: {exc}"
     params = {
@@ -727,6 +725,8 @@ def beta_asymptotic_check(p: float, y_list) -> CheckReport:
     if not p > 0:
         raise DomainError(f"p must be positive, got {p}")
     ys = [float(y) for y in y_list]
+    if not ys:
+        raise DomainError("y_list is empty")
     if any(y <= p for y in ys):
         raise DomainError("need y > p for every entry")
     gamma_p = math.exp(math.lgamma(p))

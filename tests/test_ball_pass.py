@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from wgrkit import Ball, theorems
-from wgrkit.errors import InvalidParameterError, NoDataError
+from wgrkit.errors import InvalidParameterError, NoDataError, WgrError
 from wgrkit.space import FiniteMetricMeasureSpace
 from wgrkit.weights import (
     _BallSums,
@@ -362,3 +362,61 @@ def test_shared_table_reuses_a_measured_constant():
     assert sums.sup("wgr_epsilon", other, 2.0, None, lambda: -1.0) == -1.0
     assert sums.sup("wgr_epsilon", balls, 1.5, None, lambda: -2.0) == -2.0
     assert sums.sup("weak_ainfty_beta", balls, 2.0, 0.5, lambda: -3.0) == -3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_instance(),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+    p=st.sampled_from([1.1, 1.5, 2.0]),
+    supplied=st.one_of(st.none(), st.just(1e-4)),
+)
+def test_decay_checkers_report_the_same_with_a_filled_table(case, eta, p, supplied):
+    """A table filled by a run's functionals changes no byte of any decay
+    checker's or ``rhi_equivalence_observed``'s report."""
+    space, vals, balls, sigma = case
+    base = balls[0]
+    try:
+        system = theorems.build_ball_system(space, base, sigma, eta)
+    except WgrError:
+        return  # no family on this base ball: nothing to compare
+    family = system.family
+    grid = [1e3, 1e6]
+    checks = {
+        "jn_decay": lambda kw: theorems.check_jn_decay(
+            space, vals, sigma, eta, base, grid, eps=supplied, system=system, **kw),
+        "osc_power_bound": lambda kw: theorems.check_osc_power_bound(
+            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
+        "weak_rhi": lambda kw: theorems.check_weak_rhi(
+            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
+        "cover_rhi": lambda kw: theorems.check_cover_rhi(
+            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
+        "rhi_equivalence_observed": lambda kw: theorems.check_rhi_equivalence_observed(
+            space, vals, family, 0.5, 0.1, [1.5, p], **kw),
+    }
+
+    def outcome(call):
+        try:
+            return call().to_json_obj()
+        except WgrError as exc:
+            return type(exc).__name__, str(exc)
+
+    fresh = {name: outcome(lambda: check({})) for name, check in checks.items()}
+    sums = _BallSums()
+    for fill in (
+        lambda: wgr_epsilon(space, vals, family, _sums=sums),
+        lambda: wgr_epsilon(space, vals, system.measuring, sigma=sigma, _sums=sums),
+        lambda: wgr_minus_epsilon(space, vals, family, _sums=sums),
+        lambda: gr_epsilon(space, vals, family, _sums=sums),
+        lambda: weak_ainfty_beta(space, vals, family, 0.5, _sums=sums),
+        lambda: sublevel_alpha(space, vals, family, 0.5, _sums=sums),
+        lambda: rhi_constant(space, vals, family, p, _sums=sums),
+        lambda: rhi_constant(space, vals, family, 1.5, rhs_ball="sigma_hat", _sums=sums),
+    ):
+        try:
+            fill()
+        except WgrError:
+            pass  # a functional that raises records no supremum
+    assert sums.balls  # the table holds sums before the checkers run
+    shared = {name: outcome(lambda: check({"_sums": sums})) for name, check in checks.items()}
+    assert shared == fresh

@@ -479,3 +479,33 @@ def test_non_standard_json_constants_exit_two(tmp_path, capsys, constant):
     err = capsys.readouterr().err
     assert "config violates schema" in err and constant in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["superlevel_bound", "sublevel_bound"])
+def test_missing_required_lambda_is_a_schema_error(tmp_path, name):
+    cfg = smoke_config(tmp_path, checks=[{"name": name, "params": {}}, {"name": "wgr"}])
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / f"check_{name}.json").read_text())
+    assert report["passed"] is False and report["params"]["error"] == "SchemaError"
+    assert report["notes"] == f"check {name!r} needs params/lambda"
+    assert json.loads((tmp_path / "out" / "check_wgr.json").read_text())["passed"] is True
+    assert (tmp_path / "out" / "manifest.json").exists()
+    proc = run_cli("check", name, "--config", str(cfg), "--out", str(tmp_path / "one"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"check {name!r} needs params/lambda" in proc.stderr
+
+
+def test_beta_asymptotic_empty_y_list_is_a_domain_error(tmp_path):
+    cfg = smoke_config(tmp_path, checks=[{"name": "beta_asymptotic", "params": {"y_list": []}}])
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / "check_beta_asymptotic.json").read_text())
+    assert report["passed"] is False and report["params"]["error"] == "DomainError"
+    proc = run_cli("check", "beta_asymptotic", "--config", str(cfg), "--out", str(tmp_path / "one"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "DomainError: y_list is empty" in proc.stderr

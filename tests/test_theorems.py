@@ -500,17 +500,40 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
     assert rep.margin_rel == -np.inf and rep.margin == -np.inf
 
 
-def test_osc_constant_recomputes_for_a_different_weight():
+def test_measured_eps_follows_the_weight():
+    from wgrkit import cli
+    from wgrkit.weights import Weight, _BallSums
+
     space, base, w, system = sin_system()
     values = np.array(w)
-    first = system.osc_constant(values)
+
+    def eps_of(vals, **kw):
+        rep = theorems.check_jn_decay(space, vals, 1.25, 1.0, base, [], system=system, **kw)
+        assert rep.params["eps_measured"] is True
+        return rep.params["eps"]
+
+    first = eps_of(values)
     assert first == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
-    assert system.osc_constant(values.copy()) == first  # equal values: same constant
+    assert eps_of(values.copy()) == first  # equal values: same constant
+    sums = _BallSums()
+    assert eps_of(values, _sums=sums) == eps_of(values.copy(), _sums=sums) == first
     values[base.center] *= 3.0  # the caller changes its own array in place
-    changed = system.osc_constant(values)
+    changed = eps_of(values)  # a standalone checker measures afresh
     assert changed == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
     assert changed != first
-    other = 2.0 + np.cos(2 * np.pi * space.coords[:, 0] / space.n_points)
-    assert system.osc_constant(other) == wgr_epsilon(
-        space, other, system.measuring, sigma=1.25
-    ).value
+
+    # a second weight in one run context gets a table of its own
+    geometry = {"sigma": 1.25, "eta": 1.0, "base_ball": {"center": base.center,
+                                                         "radius": base.radius}}
+    ctx = cli.RunContext(space, geometry)
+    one = Weight(w)
+    two = Weight(2.0 + np.cos(2 * np.pi * space.coords[:, 0] / space.n_points))
+    first_table = ctx.sums(one)
+    assert ctx.sums(one) is first_table
+    for weight in (one, two):
+        rep, _ = cli.run_check("jn_decay", space, weight, geometry, {"count": 3}, 1, ctx)
+        assert rep.params["eps"] == wgr_epsilon(space, weight, system.measuring, sigma=1.25).value
+    assert ctx.sums(two) is ctx.sums(two) is not first_table
+    assert rep.params["eps"] != first
+    # a bare array is validated into a fresh copy, so it never meets a stale table
+    assert ctx.sums(values) is not ctx.sums(values)

@@ -7,11 +7,13 @@ against regressions.
 """
 import json
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from wgrkit import Ball, build_family, cli, czdecomp, theorems
+from wgrkit.balls import five_r_cover
 from wgrkit.examples import random_weight
 from wgrkit.space import FiniteMetricMeasureSpace, doubling_profile, grid_1d, grid_nd
 from wgrkit.util import philox_generator
@@ -133,6 +135,22 @@ def test_doubling_profile_measures_each_ball_once(monkeypatch):
     assert set(keys) == expected
 
 
+def _decay_config(tmp_path, checks) -> dict:
+    cfg = {
+        "instance": {
+            "kind": "lognormal",
+            "interval": [0, 64, 64],
+            "params": {"mu": 0.0, "sigma": 0.001},
+            "seed": 1,
+        },
+        "geometry": {"sigma": 1.25, "eta": 1.0, "base_ball": {"center": "central", "radius": "auto"}},
+        "checks": checks,
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    cli.validate_config(cfg)
+    return cfg
+
+
 def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
     cfg = {
         "instance": {
@@ -232,3 +250,74 @@ def test_family_checks_are_byte_identical_for_any_thread_count(tmp_path):
     assert len(names) == 2 * 6 + 4 + 1  # JSON and per-ball CSV per functional, manifest
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+
+
+@contextmanager
+def _queries_inside(monkeypatch, owner, name):
+    """The (center, radius) of every ball query made inside ``owner.name``."""
+    inside, queries = [], []
+    original_pass = getattr(owner, name)
+    original_query = FiniteMetricMeasureSpace.ball_members
+
+    def flagged(*args, **kwargs):
+        inside.append(None)
+        try:
+            return original_pass(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def query(self, center, r):
+        if inside:
+            queries.append((int(center), float(r)))
+        return original_query(self, center, r)
+
+    monkeypatch.setattr(owner, name, flagged)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+    yield queries
+
+
+def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
+    cfg = _decay_config(tmp_path, [{"name": "cover_rhi", "params": {"p": 1.5}}])
+    space, _ = cli._instance_from_cfg(cfg)
+    sigma, eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
+    base = cli.resolve_base_ball(space, cfg["geometry"])
+    system = theorems.build_ball_system(space, base, sigma, eta)
+    systems = [system] + [
+        theorems.build_ball_system(space, b, sigma, eta, profile=system.profile)
+        for b in five_r_cover(space, base, sigma, eta)
+    ]
+    b_keys = {(b.center, b.radius) for sys_ in systems for b in sys_.measuring}
+    dilates = Counter(
+        key for sys_ in systems
+        for key in {(b.center, sigma * b.radius) for b in sys_.measuring} - b_keys
+    )
+    shared = [key for key, n in dilates.items() if n > 1]
+    assert len(systems) > 2 and shared  # the pieces overlap, so the test has teeth
+    with _queries_inside(monkeypatch, theorems, "wgr_epsilon") as queries:
+        assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    counts = Counter(queries)
+    assert [key for key in dilates if counts[key] != 1] == []
+    report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
+    assert report["params"]["eps_measured"] is True
+
+
+def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(monkeypatch, tmp_path):
+    cfg = _family_config(tmp_path)
+    cfg["checks"] = [
+        {"name": "osc_from_superlevel", "params": {"alpha": 0.5}},
+        {"name": "rhi_equivalence_observed",
+         "params": {"alpha": 0.5, "beta": 0.1, "p_grid": [1.5, 2.0]}},
+    ]
+    space, _ = cli._instance_from_cfg(cfg)
+    n_family = len(cli.RunContext(space, cfg["geometry"]).family.members)
+    passes: list[tuple] = []
+    for owner in (cli, theorems):
+        _counting(monkeypatch, owner, "weak_ainfty_beta", passes)
+    with _queries_inside(monkeypatch, theorems, "rhi_constant") as queries:
+        assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    assert len(passes) == 1
+    # each rhi pass queries B only: w(S), mu(S) and mu(B) come from the table
+    assert len(queries) == 2 * n_family
+    report = json.loads((tmp_path / "out" / "check_rhi_equivalence_observed.json").read_text())
+    beta = json.loads((tmp_path / "out" / "check_osc_from_superlevel.json").read_text())
+    assert report["params"]["measured_beta"] == beta["params"]["beta"]
