@@ -20,6 +20,7 @@ schema violation.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.resources
 import json
 import numbers
@@ -200,28 +201,24 @@ def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
 
 
 class RunContext:
-    """Geometry shared by every check of one invocation.
+    """The state of one invocation, shared by its subcommand and every check.
 
-    The base ball is resolved on construction. The family and the decay
-    ball system are built on first use and then shared; a build that
+    The instance is built on construction, with one table of the weight's
+    ball sums and measured suprema, so each family ball's w(B), mu(B), w(S)
+    and mu(S) is summed once per run. The base ball, the family and the
+    decay ball system are built on first use and then shared; a build that
     raises is not kept, so each check needing it reports the same error.
-    The weight's ball sums and measured suprema are kept in one table, so
-    each family ball's w(B), mu(B), w(S) and mu(S) is summed once per run.
     """
 
-    def __init__(self, space: FiniteMetricMeasureSpace, geometry: dict):
-        self.space = space
-        self.sigma, self.eta = geometry["sigma"], geometry["eta"]
-        self.base = resolve_base_ball(space, geometry)
-        self._sums_slot: tuple[np.ndarray, _BallSums] | None = None
+    def __init__(self, cfg: dict, threads: int = 1):
+        self.cfg, self.threads = cfg, threads
+        self.sigma, self.eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
+        self.space, self.w = build_instance(InstanceSpec.from_json_obj(cfg["instance"]))
+        self.sums = _BallSums()
 
-    def sums(self, w) -> _BallSums:
-        """The ball-sum table of weight ``w``; a new weight gets a new table."""
-        values = as_values(w)
-        slot = self._sums_slot
-        if slot is None or slot[0] is not values:
-            slot = self._sums_slot = (values, _BallSums())
-        return slot[1]
+    @cached_property
+    def base(self) -> Ball:
+        return resolve_base_ball(self.space, self.cfg["geometry"])
 
     @cached_property
     def family(self) -> BallFamily:
@@ -229,7 +226,8 @@ class RunContext:
 
     @cached_property
     def system(self) -> theorems.BallSystem:
-        return theorems.build_ball_system(self.space, self.base, self.sigma, self.eta)
+        return theorems.build_ball_system(self.space, self.base, self.sigma, self.eta,
+                                          _family=self.family)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,14 @@ class RunContext:
 # ---------------------------------------------------------------------------
 
 
+#: The JSON schema of each check param that is not a number.
+_GRID = {"type": "array", "items": {"type": "number"}}
+_PARAM_SCHEMAS = {"rhs_ball": {"type": "string"},
+                  "lambda_grid": _GRID, "p_grid": _GRID, "y_list": _GRID}
+
+
 class _Params(dict):
-    """One check's params; reading a missing required key names the check."""
+    """One check's params; a missing, unread or mistyped key names the check."""
 
     def __init__(self, check: str, params: dict):
         super().__init__(params)
@@ -249,18 +253,27 @@ class _Params(dict):
 
     def args(self, spec: dict) -> list:
         """The values of ``spec``'s keys in order; ``spec`` maps each key to its
-        default, ``...`` for a required key."""
-        return [self[key] if dflt is ... else self.get(key, dflt) for key, dflt in spec.items()]
+        default, ``...`` for a required key. A key outside ``spec`` and a value
+        of the wrong JSON type raise; null stands for a ``None`` default."""
+        unread = sorted(self.keys() - spec.keys())
+        if unread:
+            raise SchemaError(f"check {self.check!r} does not read params/{unread[0]}")
+        values = [self[key] if dflt is ... else self.get(key, dflt) for key, dflt in spec.items()]
+        for (key, dflt), value in zip(spec.items(), values):
+            errors = _schema_errors(_PARAM_SCHEMAS.get(key, {"type": "number"}), value)
+            if errors and not value is dflt is None:
+                raise SchemaError(f"check {self.check!r}: params/{key}: {errors[0][1]}")
+        return values
 
 
 def _functional(name: str, spec: dict):
     """Entry of the functional ``name`` over the run's family: its supremum as
     an observational report, plus the per-ball CSV."""
 
-    def check(ctx, w, params, threads):
+    def check(ctx, params):
         measure = globals()[name]  # looked up per call, so it can be wrapped
-        rep = measure(ctx.space, w, ctx.family, *params.args(spec), threads=threads,
-                      _sums=ctx.sums(w))
+        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec), threads=ctx.threads,
+                      _sums=ctx.sums)
         return CheckReport(
             name=params.check, passed=True, margin=rep.value, witness=rep.witness_ball,
             params=rep.summary_obj(), notes="functional supremum; observational",
@@ -271,41 +284,42 @@ def _functional(name: str, spec: dict):
 
 def _on_family(name: str, spec: dict):
     """Entry of the checker ``theorems.<name>`` over the run's family."""
-    return lambda ctx, w, params, threads: (getattr(theorems, name)(
-        ctx.space, w, ctx.family, *params.args(spec), _sums=ctx.sums(w)), {})
+    return lambda ctx, params: (getattr(theorems, name)(
+        ctx.space, ctx.w, ctx.family, *params.args(spec), _sums=ctx.sums), {})
 
 
 def _on_base(name: str, spec: dict):
     """Entry of the decay checker ``theorems.<name>`` on the run's base ball system."""
-    return lambda ctx, w, params, threads: (getattr(theorems, name)(
-        ctx.space, w, ctx.sigma, ctx.eta, ctx.base, *params.args(spec), system=ctx.system,
-        _sums=ctx.sums(w)), {})
+    return lambda ctx, params: (getattr(theorems, name)(
+        ctx.space, ctx.w, ctx.sigma, ctx.eta, ctx.base, *params.args(spec), system=ctx.system,
+        _sums=ctx.sums), {})
 
 
-def _jn_decay(ctx, w, params, threads):
+def _jn_decay(ctx, params):
     """Without a ``lambda_grid``: ``count`` levels from lambda0 to ``factor`` lambda0."""
-    grid, eps, sums = params.get("lambda_grid"), params.get("eps"), ctx.sums(w)
+    grid, eps, count, factor = params.args(
+        {"lambda_grid": None, "eps": None, "count": 20, "factor": 4.0}
+    )
     if grid is None:
-        count, factor = int(params.get("count", 20)), float(params.get("factor", 4.0))
         if eps is None:
-            eps = theorems._system_eps(ctx.system, as_values(w), sums)
+            eps = theorems._system_eps(ctx.system, as_values(ctx.w), ctx.sums)
         if eps == 0.0:
             grid = []
         else:
             lam0 = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps).lambda0
-            grid = (lam0 * np.geomspace(1.0, factor, count)).tolist()
-    rep = theorems.check_jn_decay(ctx.space, w, ctx.sigma, ctx.eta, ctx.base, grid,
-                                  eps=params.get("eps"), system=ctx.system, _sums=sums)
+            grid = (lam0 * np.geomspace(1.0, float(factor), int(count))).tolist()
+    rep = theorems.check_jn_decay(ctx.space, ctx.w, ctx.sigma, ctx.eta, ctx.base, grid,
+                                  eps=params.get("eps"), system=ctx.system, _sums=ctx.sums)
     return rep, {"decay": (["lambda", "lhs_measure", "rhs_bound", "margin", "vacuous"], rep.table)}
 
 
-def _beta_asymptotic(ctx, w, params, threads):
+def _beta_asymptotic(ctx, params):
     spec = {"p": 2.0, "y_list": [20.0, 40.0, 80.0, 160.0]}
     rep = theorems.beta_asymptotic_check(*params.args(spec))
     return rep, {"ratios": (["y", "ratio"], rep.table)}
 
 
-#: name -> check(ctx, w, params, threads) -> (CheckReport, {table: (header, rows)}).
+#: name -> check(ctx, params) -> (CheckReport, {table: (header, rows)}).
 #: A spec lists, in order, the params its callee takes after the fixed arguments.
 CHECKS = {
     "wgr": _functional("wgr_epsilon", {}),
@@ -328,25 +342,18 @@ CHECKS = {
     "weak_rhi": _on_base("check_weak_rhi", {"p": 2.0, "eps": None}),
     "cover_rhi": _on_base("check_cover_rhi", {"p": 2.0, "eps": None}),
     "beta_asymptotic": _beta_asymptotic,
-    "cavalieri": lambda ctx, w, params, threads: (
-        theorems.cavalieri_check(ctx.space, w, params.get("p", 2.0)), {}
+    "cavalieri": lambda ctx, params: (
+        theorems.cavalieri_check(ctx.space, ctx.w, *params.args({"p": 2.0})), {}
     ),
 }
 
 
-def run_check(
-    name: str, space, w, geometry: dict, params: dict, threads: int,
-    ctx: RunContext | None = None,
-):
-    """Run the :data:`CHECKS` entry ``name``; returns (CheckReport, extra CSV tables).
-
-    Checks of one invocation share ``ctx``; without one, a fresh context
-    is built for this check alone.
-    """
-    ctx = ctx or RunContext(space, geometry)
+def run_check(name: str, ctx: RunContext, params: dict):
+    """Run the :data:`CHECKS` entry ``name`` in ``ctx``; returns (CheckReport,
+    extra CSV tables)."""
     if name not in CHECKS:
         raise SchemaError(f"unknown check name {name!r}")
-    return CHECKS[name](ctx, w, _Params(name, params), threads)
+    return CHECKS[name](ctx, _Params(name, params))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +390,6 @@ class _OutputLock:
 
 
 def _config_digest(cfg: dict) -> str:
-    import hashlib
-
     return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
@@ -408,22 +413,17 @@ def _out_file(out: Path) -> Path:
     return out
 
 
-def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
-    _reject_file_out(out_dir)
-    spec = InstanceSpec.from_json_obj(cfg["instance"])
-    space, w = build_instance(spec)
-    ctx = RunContext(space, cfg["geometry"])
+def cmd_run(ctx: RunContext, out_dir: Path) -> int:
+    ctx.base  # a base ball that does not resolve exits 2 before the directory exists
     _make_out_dir(out_dir)
-    formats = cfg["output"].get("formats", ["json", "csv"])
+    formats = ctx.cfg["output"].get("formats", ["json", "csv"])
     with _OutputLock(out_dir):
         failed: list[str] = []
         outputs: list[Path] = []
-        for entry in cfg["checks"]:
+        for entry in ctx.cfg["checks"]:
             name, params = entry["name"], entry.get("params", {})
             try:
-                report, extra_tables = run_check(
-                    name, space, w, cfg["geometry"], params, threads, ctx
-                )
+                report, extra_tables = run_check(name, ctx, params)
             except WgrError as exc:
                 report = CheckReport(
                     name=name, passed=False, margin=float("-inf"),
@@ -443,12 +443,12 @@ def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
             if not report.passed:
                 failed.append(str(out_dir / f"check_{name}.json"))
         manifest = {
-            "config_sha256": _config_digest(cfg),
+            "config_sha256": _config_digest(ctx.cfg),
             "package_version": __version__,
             "numpy_version": np.__version__,
             "python_version": ".".join(str(v) for v in sys.version_info[:3]),
-            "seed": cfg["instance"].get("seed", 0),
-            "rng": cfg.get("rng", {}).get("algorithm", "philox4x64-10"),
+            "seed": ctx.cfg["instance"].get("seed", 0),
+            "rng": ctx.cfg.get("rng", {}).get("algorithm", "philox4x64-10"),
             "outputs": {p.name: sha256_file(p) for p in sorted(outputs)},
         }
         write_json(out_dir / "manifest.json", manifest)
@@ -463,13 +463,8 @@ def cmd_run(cfg: dict, out_dir: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _instance_from_cfg(cfg: dict):
-    return build_instance(InstanceSpec.from_json_obj(cfg["instance"]))
-
-
-def cmd_space_gen(cfg: dict, out: Path) -> int:
-    space, _ = _instance_from_cfg(cfg)
-    write_json(_out_file(out), space.to_json_obj())
+def cmd_space_gen(ctx: RunContext, out: Path) -> int:
+    write_json(_out_file(out), ctx.space.to_json_obj())
     return EXIT_OK
 
 
@@ -485,23 +480,24 @@ def cmd_space_validate(path: Path) -> int:
     return EXIT_OK
 
 
-def cmd_weight_gen(cfg: dict, out: Path) -> int:
-    _, w = _instance_from_cfg(cfg)
-    write_json(_out_file(out), {"values": w.values.tolist()})
+def cmd_weight_gen(ctx: RunContext, out: Path) -> int:
+    write_json(_out_file(out), {"values": ctx.w.values.tolist()})
     return EXIT_OK
 
 
-def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
-    space, w = _instance_from_cfg(cfg)
-    geometry = cfg["geometry"]
-    family = RunContext(space, geometry).family
-    profile = czdecomp.closure_profile(space, family)
-    cz_cfg = cfg.get("cz", {})
+# construction re-verifies before returning, so reaching here means pass
+_CZ_PROPERTIES = {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
+
+
+def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
+    space, w, family = ctx.space, ctx.w, ctx.family
+    # one averages table feeds the closure profile, the maximal function and every level
+    table = czdecomp._FamilyAverages(space, w, family)
+    profile = czdecomp.closure_profile(space, family, _measures=table.mu)
+    cz_cfg = ctx.cfg.get("cz", {})
     hat = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
     f_hat = average(space, w, hat)
-    alpha = czdecomp.jn_constants(profile, geometry["sigma"], geometry["eta"], 1.0).alpha
-    # one averages table feeds the maximal function and every level
-    table = czdecomp._FamilyAverages(space, w, family)
+    alpha = czdecomp.jn_constants(profile, ctx.sigma, ctx.eta, 1.0).alpha
     mf_max = float(czdecomp.maximal_function(space, w, family, _table=table).max())
 
     def level(key_abs, key_frac, default_frac):
@@ -519,29 +515,22 @@ def cmd_cz(cfg: dict, out: Path, nested: bool) -> int:
         write_json(
             _out_file(out),
             {
-                "low": dec_lo.to_json_obj(_cz_properties(space, w, family, dec_lo)),
-                "high": dec_hi.to_json_obj(_cz_properties(space, w, family, dec_hi)),
+                "low": dec_lo.to_json_obj(_CZ_PROPERTIES),
+                "high": dec_hi.to_json_obj(_CZ_PROPERTIES),
                 "containment_map": mapping,
             },
         )
     else:
         lam = level("level", "level_fraction", 0.3)
         dec = czdecomp.cz_decompose(space, w, lam, family, profile, _table=table)
-        write_json(_out_file(out), dec.to_json_obj(_cz_properties(space, w, family, dec)))
+        write_json(_out_file(out), dec.to_json_obj(_CZ_PROPERTIES))
     return EXIT_OK
 
 
-def _cz_properties(space, w, family, dec) -> dict:
-    # construction re-verifies before returning, so reaching here means pass
-    return {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
-
-
-def cmd_cover(cfg: dict, out: Path) -> int:
-    space, _ = _instance_from_cfg(cfg)
-    ctx = RunContext(space, cfg["geometry"])
-    profile = czdecomp.closure_profile(space, ctx.family)
-    cover = five_r_cover(space, ctx.base, ctx.sigma, ctx.eta)
-    report = verify_cover(space, ctx.base, cover, ctx.sigma, ctx.eta, profile)
+def cmd_cover(ctx: RunContext, out: Path) -> int:
+    profile = czdecomp.closure_profile(ctx.space, ctx.family)
+    cover = five_r_cover(ctx.space, ctx.base, ctx.sigma, ctx.eta)
+    report = verify_cover(ctx.space, ctx.base, cover, ctx.sigma, ctx.eta, profile)
     write_csv(
         _out_file(out),
         ["center", "radius", "fifth_disjoint_ok", "contained_ok"],
@@ -559,50 +548,41 @@ def _check_params(cfg: dict, name: str) -> dict:
     return next((e.get("params", {}) for e in cfg.get("checks", []) if e["name"] == name), {})
 
 
-def cmd_decay_table(cfg: dict, out: Path, threads: int) -> int:
-    space, w = _instance_from_cfg(cfg)
-    params = _check_params(cfg, "jn_decay")
-    report, tables = run_check("jn_decay", space, w, cfg["geometry"], params, threads)
-    header, rows = tables["decay"]
-    write_csv(_out_file(out), header, rows)
+def cmd_decay_table(ctx: RunContext, out: Path) -> int:
+    report, tables = run_check("jn_decay", ctx, _check_params(ctx.cfg, "jn_decay"))
+    write_csv(_out_file(out), *tables["decay"])
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(cfg: dict, kind: str, out: Path, threads: int) -> int:
-    space, w = _instance_from_cfg(cfg)
-    ctx = RunContext(space, cfg["geometry"])
-    sweep_cfg = cfg.get("sweep", {})
+def cmd_sweep(ctx: RunContext, kind: str, out: Path) -> int:
+    sweep_cfg = ctx.cfg.get("sweep", {})
     if kind == "eps":
-        rows = []
+        header, rows = ["k", "eps", "a_const", "lambda0", "p_cap"], []
         for k in sweep_cfg.get("eps_pow2", list(range(3, 21))):
             eps = 2.0 ** (-k)
             consts = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps)
             rows.append(
                 (k, eps, consts.a_const, consts.lambda0, 1.0 / (2.0 * consts.a_const * eps))
             )
-        write_csv(_out_file(out), ["k", "eps", "a_const", "lambda0", "p_cap"], rows)
-        return EXIT_OK
-    if kind == "p":
-        rows = []
+    elif kind == "p":
+        header, rows = ["p", "rhi_constant"], []
         for p in sweep_cfg.get("p_grid", [1.25, 1.5, 2.0, 3.0, 4.0]):
-            value = rhi_constant(space, w, ctx.family, p, threads=threads, _sums=ctx.sums(w)).value
-            rows.append((p, value))
-        write_csv(_out_file(out), ["p", "rhi_constant"], rows)
-        return EXIT_OK
-    if kind == "sigma":
-        rows = []
+            rep = rhi_constant(ctx.space, ctx.w, ctx.family, p, threads=ctx.threads, _sums=ctx.sums)
+            rows.append((p, rep.value))
+    elif kind == "sigma":
+        header, rows = ["sigma", "wgr_epsilon"], []
         for s in sweep_cfg.get("sigma_grid", [1.0, 1.25, 1.5, 2.0, 3.0]):
-            fam = build_family(space, ctx.base, ctx.eta, s)
-            rows.append((s, wgr_epsilon(space, w, fam, threads=threads).value))
-        write_csv(_out_file(out), ["sigma", "wgr_epsilon"], rows)
-        return EXIT_OK
-    raise SchemaError(f"unknown sweep kind {kind!r}")
+            fam = build_family(ctx.space, ctx.base, ctx.eta, s)
+            rows.append((s, wgr_epsilon(ctx.space, ctx.w, fam, threads=ctx.threads).value))
+    else:
+        raise SchemaError(f"unknown sweep kind {kind!r}")
+    write_csv(_out_file(out), header, rows)
+    return EXIT_OK
 
 
-def cmd_check(cfg: dict, name: str, out_dir: Path, threads: int) -> int:
-    _reject_file_out(out_dir)
-    space, w = _instance_from_cfg(cfg)
-    report, tables = run_check(name, space, w, cfg["geometry"], _check_params(cfg, name), threads)
+def cmd_check(ctx: RunContext, name: str, out_dir: Path) -> int:
+    ctx.base  # a base ball that does not resolve fails every check, as in run
+    report, tables = run_check(name, ctx, _check_params(ctx.cfg, name))
     _make_out_dir(out_dir)
     write_json(out_dir / f"check_{name}.json", report.to_json_obj())
     for table_name, (header, rows) in tables.items():
@@ -682,23 +662,26 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.seed)
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
         out = Path(args.out) if args.out else Path(cfg["output"]["directory"])
+        if args.command in ("run", "check"):
+            _reject_file_out(out)
+        ctx = RunContext(cfg, threads)
 
         if args.command == "run":
-            return cmd_run(cfg, out, threads)
+            return cmd_run(ctx, out)
         if args.command == "space":
-            return cmd_space_gen(cfg, out)
+            return cmd_space_gen(ctx, out)
         if args.command == "weight":
-            return cmd_weight_gen(cfg, out)
+            return cmd_weight_gen(ctx, out)
         if args.command == "check":
-            return cmd_check(cfg, args.name, out, threads)
+            return cmd_check(ctx, args.name, out)
         if args.command == "cz":
-            return cmd_cz(cfg, out, nested=args.action == "nested")
+            return cmd_cz(ctx, out, nested=args.action == "nested")
         if args.command == "cover":
-            return cmd_cover(cfg, out)
+            return cmd_cover(ctx, out)
         if args.command == "decay-table":
-            return cmd_decay_table(cfg, out, threads)
+            return cmd_decay_table(ctx, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.kind, out, threads)
+            return cmd_sweep(ctx, args.kind, out)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:

@@ -138,8 +138,10 @@ def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> lis
     return [Ball(c, rho) for c in centers for rho in sorted(radii)]
 
 
-def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
-    return doubling_profile(space, closure_ball_set(space, family))
+def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily, *,
+                    _measures: dict | None = None) -> DoublingProfile:
+    """:func:`doubling_profile` over :func:`closure_ball_set`, ``_measures`` included."""
+    return doubling_profile(space, closure_ball_set(space, family), _measures=_measures)
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class CZDecomposition:
 
 
 class _FamilyAverages:
-    """Per member ball: its points and, when nonempty, the average of |f|."""
+    """Per member ball: its points and, when nonempty, its measure and the average of |f|."""
 
     def __init__(self, space, f, family: BallFamily):
         self.space = space
@@ -189,14 +191,14 @@ class _FamilyAverages:
         self.centers = sorted({b.center for b in family.members})
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], np.ndarray] = {}
+        self.mu: dict[tuple[int, float], float] = {}
         for ball in family.members:
             key = (ball.center, ball.radius)
             members = space.ball_members(ball.center, ball.radius)
             self.members[key] = members
             if members.size:
-                self.avg[key] = weighted_sum(
-                    self.values[members], space.mass[members]
-                ) / space.set_measure(members)
+                mu = self.mu[key] = space.set_measure(members)
+                self.avg[key] = weighted_sum(self.values[members], space.mass[members]) / mu
 
     @cached_property
     def maximal(self) -> np.ndarray:

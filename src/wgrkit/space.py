@@ -303,15 +303,17 @@ def grid_nd(n_dim: int, side: int, cell: float, metric_kind: str) -> FiniteMetri
 # -- doubling ------------------------------------------------------------------
 
 
-def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfile:
+def doubling_profile(space: FiniteMetricMeasureSpace, ball_set, *,
+                     _measures: dict | None = None) -> DoublingProfile:
     """Max of mu(2B)/mu(B) over the supplied balls, floored at 1.
 
     The profile is relative to the ball set: a richer set can only increase
-    it. Every ball must be nonempty.
+    it. Every ball must be nonempty. ``_measures`` maps ``(center, radius)``
+    to mu(B) for balls already measured; the balls measured here are added.
     """
     # each (center, radius) is measured once: on a ratio-2 chain the double
     # of one ball is the next ball
-    measures: dict[tuple[int, float], float] = {}
+    measures: dict[tuple[int, float], float] = {} if _measures is None else _measures
 
     def measure(center: int, r: float) -> float:
         m = measures.get((center, r))

@@ -323,8 +323,11 @@ def build_ball_system(
     sigma: float,
     eta: float,
     profile: DoublingProfile | None = None,
+    *,
+    _family: BallFamily | None = None,
 ) -> BallSystem:
-    family = build_family(space, base_ball, eta, sigma)
+    """The decay ball system of ``base_ball``; ``_family`` is its family, built already."""
+    family = _family or build_family(space, base_ball, eta, sigma)
     measuring = list(family.members)
     measuring.append(family.hat_ball)
     lim = (sigma * (1.0 + eta) - 1.0) * base_ball.radius / (5.0 * sigma)

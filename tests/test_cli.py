@@ -509,3 +509,70 @@ def test_beta_asymptotic_empty_y_list_is_a_domain_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "DomainError: y_list is empty" in proc.stderr
+
+
+def test_check_registry_names_match_the_schema_enum():
+    enum = cli.load_schema()["properties"]["checks"]["items"]["properties"]["name"]["enum"]
+    assert sorted(cli.CHECKS) == sorted(enum)
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["check", "wgr"], *_SINGLE_FILE_COMMANDS], ids=" ".join
+)
+def test_each_subcommand_builds_the_instance_once(tmp_path, monkeypatch, command):
+    builds = []
+    original = cli.build_instance
+
+    def counting(spec):
+        builds.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cli, "build_instance", counting)
+    cfg = _cz_spike_config(tmp_path) if command[0] == "cz" else smoke_config(tmp_path)
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert len(builds) == 1
+
+
+#: Schema-valid params that a check cannot read: a value of the wrong JSON
+#: type, or a key the check does not take.
+_BAD_PARAMS = [
+    ("jn_decay", {"count": "x"}),
+    ("jn_decay", {"lambda_grid": "a"}),
+    ("rhi", {"p": "2"}),
+    ("cavalieri", {"p": "2"}),
+    ("osc_from_superlevel", {"alpha": "0.5"}),
+    ("superlevel_bound", {"lambda": "0.9"}),
+    ("beta_asymptotic", {"y_list": "abc"}),
+    ("rhi_equivalence_observed", {"p_grid": 2}),
+    ("rhi_equivalence_observed", {"p_grid": [1.5, "2"]}),
+    ("weak_ainfty", {"alpha": True}),
+    ("wgr", {"bogus": 1}),
+]
+
+
+@pytest.mark.parametrize("name, params", _BAD_PARAMS, ids=lambda x: json.dumps(x))
+def test_unreadable_params_are_schema_errors(tmp_path, capsys, name, params):
+    (key,) = params
+    cfg = smoke_config(tmp_path, checks=[{"name": name, "params": params}, {"name": "gr"}])
+    assert main(["run", "--config", str(cfg)]) == 1
+    out = tmp_path / "out"
+    report = json.loads((out / f"check_{name}.json").read_text())
+    assert report["passed"] is False and report["params"]["error"] == "SchemaError"
+    assert report["notes"].startswith(f"check {name!r}") and f"params/{key}" in report["notes"]
+    assert json.loads((out / "check_gr.json").read_text())["passed"] is True
+    assert (out / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["check", name, "--config", str(cfg), "--out", str(tmp_path / "one")]) == 2
+    err = capsys.readouterr().err
+    assert f"check {name!r}" in err and f"params/{key}" in err
+    assert not (tmp_path / "one").exists()
+
+
+def test_null_param_stands_for_its_none_default(tmp_path):
+    outputs = []
+    for params in ({"lambda": 0.9}, {"lambda": 0.9, "eps": None}):
+        cfg = smoke_config(tmp_path, checks=[{"name": "superlevel_bound", "params": params}])
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["check", "superlevel_bound", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((out / "check_superlevel_bound.json").read_bytes())
+    assert outputs[0] == outputs[1]

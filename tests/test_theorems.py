@@ -502,7 +502,7 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
 
 def test_measured_eps_follows_the_weight():
     from wgrkit import cli
-    from wgrkit.weights import Weight, _BallSums
+    from wgrkit.weights import _BallSums
 
     space, base, w, system = sin_system()
     values = np.array(w)
@@ -522,18 +522,22 @@ def test_measured_eps_follows_the_weight():
     assert changed == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
     assert changed != first
 
-    # a second weight in one run context gets a table of its own
-    geometry = {"sigma": 1.25, "eta": 1.0, "base_ball": {"center": base.center,
-                                                         "radius": base.radius}}
-    ctx = cli.RunContext(space, geometry)
-    one = Weight(w)
-    two = Weight(2.0 + np.cos(2 * np.pi * space.coords[:, 0] / space.n_points))
-    first_table = ctx.sums(one)
-    assert ctx.sums(one) is first_table
-    for weight in (one, two):
-        rep, _ = cli.run_check("jn_decay", space, weight, geometry, {"count": 3}, 1, ctx)
-        assert rep.params["eps"] == wgr_epsilon(space, weight, system.measuring, sigma=1.25).value
-    assert ctx.sums(two) is ctx.sums(two) is not first_table
-    assert rep.params["eps"] != first
-    # a bare array is validated into a fresh copy, so it never meets a stale table
-    assert ctx.sums(values) is not ctx.sums(values)
+    # a run context holds one weight: contexts of two seeds get a table each
+    cfg = {
+        "instance": {"kind": "lognormal", "interval": [0, 64, 64],
+                     "params": {"mu": 0.0, "sigma": 0.4}, "seed": 1},
+        "geometry": {"sigma": 1.25, "eta": 1.0, "base_ball": {"center": "central"}},
+        "checks": [],
+        "output": {"directory": "out"},
+    }
+    cli.validate_config(cfg)
+    ctxs = [cli.RunContext({**cfg, "instance": {**cfg["instance"], "seed": seed}})
+            for seed in (1, 2)]
+    measured = []
+    for ctx in ctxs:
+        rep, _ = cli.run_check("jn_decay", ctx, {"count": 3})
+        assert rep.params["eps"] == wgr_epsilon(
+            ctx.space, ctx.w, ctx.system.measuring, sigma=1.25).value
+        measured.append(rep.params["eps"])
+    assert ctxs[0].sums is not ctxs[1].sums
+    assert ctxs[0].base == ctxs[1].base and measured[0] != measured[1]

@@ -1,7 +1,8 @@
 """Work counters: repeated work is done once, not per ball, per check or per level.
 
-Distance rows, run geometry, the CZ family table, closure-ball measures
-and the oscillation constant of a ball system are each computed once. The
+Distance rows, run geometry, the base family, the CZ family table,
+closure-ball measures and the oscillation constant of a ball system are
+each computed once. The
 counts are exact and deterministic, so these tests guard the design
 against regressions.
 """
@@ -76,7 +77,7 @@ def test_run_resolves_base_ball_once_and_never_repeats_a_row(row_calls, monkeypa
     monkeypatch.setattr(cli, "resolve_base_ball", counting)
     cfg = cli.load_config(str(SMOKE))
     assert len(cfg["checks"]) > 1
-    assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     assert len(resolved) == 1
     # every pass walks its balls center by center, so a row computed twice in
     # a row means it was computed per ball instead of once per center
@@ -117,9 +118,32 @@ def test_cz_builds_one_family_table_and_one_maximal_function(nested, monkeypatch
     tables, maximal = [], []
     _counting(monkeypatch, czdecomp._FamilyAverages, "__init__", tables)
     _counting(monkeypatch, czdecomp, "maximal_function", maximal)
-    assert cli.cmd_cz(cfg, tmp_path / "cz_out.json", nested=nested) == 0
+    assert cli.cmd_cz(cli.RunContext(cfg), tmp_path / "cz_out.json", nested=nested) == 0
     assert len(tables) == 1
     assert len(maximal) == 1
+
+
+@pytest.mark.parametrize("nested", [True, False])
+def test_cz_queries_each_family_ball_once(nested, monkeypatch, tmp_path):
+    cfg = _cz_config(tmp_path)
+    ctx = cli.RunContext(cfg)
+    family_keys = {(b.center, b.radius) for b in ctx.family.members}
+    queries: list[tuple] = []
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
+    assert cli.cmd_cz(ctx, tmp_path / "cz_out.json", nested=nested) == 0
+    counts = Counter((int(c), float(r)) for _, c, r in queries)
+    # the closure profile reads the measures of the family balls from the CZ table
+    assert {key: counts[key] for key in family_keys} == dict.fromkeys(family_keys, 1)
+
+
+def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
+    builds: list[tuple] = []
+    for owner in (cli, theorems):
+        _counting(monkeypatch, owner, "build_family", builds)
+    cfg = cli.load_config(str(SMOKE))
+    assert {"jn_decay", "wgr"} <= {entry["name"] for entry in cfg["checks"]}
+    assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
+    assert len(builds) == 1  # the ball system reuses the context's family
 
 
 def test_doubling_profile_measures_each_ball_once(monkeypatch):
@@ -169,16 +193,16 @@ def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
         "output": {"directory": str(tmp_path / "out")},
     }
     cli.validate_config(cfg)
-    space, _ = cli._instance_from_cfg(cfg)
+    ctx = cli.RunContext(cfg)
     geometry = cfg["geometry"]
-    base = cli.resolve_base_ball(space, geometry)
+    base = cli.resolve_base_ball(ctx.space, geometry)
     measuring = theorems.build_ball_system(
-        space, base, geometry["sigma"], geometry["eta"]
+        ctx.space, base, geometry["sigma"], geometry["eta"]
     ).measuring
     passes: list[tuple] = []
     _counting(monkeypatch, theorems, "wgr_epsilon", passes)
     _counting(monkeypatch, cli, "wgr_epsilon", passes)
-    assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    assert cli.cmd_run(ctx, tmp_path / "out") == 0
     assert sum(list(args[2]) == measuring for args in passes) == 1
     for entry in cfg["checks"]:
         report = json.loads((tmp_path / "out" / f"check_{entry['name']}.json").read_text())
@@ -220,8 +244,7 @@ def _family_config(tmp_path) -> dict:
 
 def test_family_checks_share_one_table_of_ball_sums(monkeypatch, tmp_path):
     cfg = _family_config(tmp_path)
-    space, _ = cli._instance_from_cfg(cfg)
-    n_family = len(cli.RunContext(space, cfg["geometry"]).family.members)
+    n_family = len(cli.RunContext(cfg).family.members)
     queries: list[tuple] = []
     passes: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
@@ -229,7 +252,7 @@ def test_family_checks_share_one_table_of_ball_sums(monkeypatch, tmp_path):
     for name in measured:
         for owner in (cli, theorems):
             _counting(monkeypatch, owner, name, passes)
-    assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+    assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     # one B query per family ball and pass, plus one S query per ball
     assert 3 * len(queries) <= _UNSHARED_QUERIES_PER_BALL * n_family
     assert len(queries) <= 11 * n_family + 2
@@ -243,8 +266,8 @@ def test_family_checks_share_one_table_of_ball_sums(monkeypatch, tmp_path):
 
 def test_family_checks_are_byte_identical_for_any_thread_count(tmp_path):
     cfg = _family_config(tmp_path)
-    assert cli.cmd_run(cfg, tmp_path / "t1", 1) == 0
-    assert cli.cmd_run(cfg, tmp_path / "t4", 4) == 0
+    assert cli.cmd_run(cli.RunContext(cfg, 1), tmp_path / "t1") == 0
+    assert cli.cmd_run(cli.RunContext(cfg, 4), tmp_path / "t4") == 0
     names = sorted(p.name for p in (tmp_path / "t1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "t4").iterdir())
     assert len(names) == 2 * 6 + 4 + 1  # JSON and per-ball CSV per functional, manifest
@@ -278,7 +301,7 @@ def _queries_inside(monkeypatch, owner, name):
 
 def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     cfg = _decay_config(tmp_path, [{"name": "cover_rhi", "params": {"p": 1.5}}])
-    space, _ = cli._instance_from_cfg(cfg)
+    space = cli.RunContext(cfg).space
     sigma, eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
     base = cli.resolve_base_ball(space, cfg["geometry"])
     system = theorems.build_ball_system(space, base, sigma, eta)
@@ -294,7 +317,7 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     shared = [key for key, n in dilates.items() if n > 1]
     assert len(systems) > 2 and shared  # the pieces overlap, so the test has teeth
     with _queries_inside(monkeypatch, theorems, "wgr_epsilon") as queries:
-        assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+        assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     counts = Counter(queries)
     assert [key for key in dilates if counts[key] != 1] == []
     report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
@@ -308,13 +331,12 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(monkeypatc
         {"name": "rhi_equivalence_observed",
          "params": {"alpha": 0.5, "beta": 0.1, "p_grid": [1.5, 2.0]}},
     ]
-    space, _ = cli._instance_from_cfg(cfg)
-    n_family = len(cli.RunContext(space, cfg["geometry"]).family.members)
+    n_family = len(cli.RunContext(cfg).family.members)
     passes: list[tuple] = []
     for owner in (cli, theorems):
         _counting(monkeypatch, owner, "weak_ainfty_beta", passes)
     with _queries_inside(monkeypatch, theorems, "rhi_constant") as queries:
-        assert cli.cmd_run(cfg, tmp_path / "out", 1) == 0
+        assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     assert len(passes) == 1
     # each rhi pass queries B only: w(S), mu(S) and mu(B) come from the table
     assert len(queries) == 2 * n_family
