@@ -152,25 +152,30 @@ def verify_cover(
     supplied, the bound ``c_mu^2 (10 sigma (1+eta)/(sigma-1) + 2)^D``.
     """
     base_members = space.ball_members(base_ball.center, base_ball.radius)
-    sigma_base = set(space.ball_members(base_ball.center, sigma * base_ball.radius).tolist())
-    fifth_masks = [space.ball_mask(b.center, b.radius / 5.0) for b in cover]
+    sigma_base = space.ball_mask(base_ball.center, sigma * base_ball.radius)
+    fifth = np.zeros((len(cover), space.n_points), dtype=bool)
+    # the points that one, and two or more, fifth-balls hold: a count capped at 2
+    once, twice = np.zeros((2, space.n_points), dtype=bool)
     covered = np.zeros(space.n_points, dtype=bool)
-    rows = []
+    contained = []
     for i, ball in enumerate(cover):
+        fifth[i] = space.ball_mask(ball.center, ball.radius / 5.0)
+        twice |= once & fifth[i]
+        once |= fifth[i]
         covered |= space.ball_mask(ball.center, ball.radius)
-        disjoint = all(
-            not np.any(fifth_masks[i] & fifth_masks[j]) for j in range(len(cover)) if j != i
-        )
         hat_members = space.ball_members(ball.center, sigma * (1.0 + eta) * ball.radius)
-        contained = set(hat_members.tolist()) <= sigma_base
-        rows.append(
-            {
-                "center": ball.center,
-                "radius": ball.radius,
-                "fifth_disjoint_ok": disjoint,
-                "contained_ok": contained,
-            }
-        )
+        contained.append(bool(sigma_base[hat_members].all()))
+    # a fifth-ball misses every other one iff none of its points lies in two of them
+    disjoint = ~(fifth & twice).any(axis=1)
+    rows = [
+        {
+            "center": ball.center,
+            "radius": ball.radius,
+            "fifth_disjoint_ok": bool(disjoint[i]),
+            "contained_ok": contained[i],
+        }
+        for i, ball in enumerate(cover)
+    ]
     n_covered = int(np.count_nonzero(covered[base_members]))
     report = {
         "rows": rows,

@@ -36,7 +36,7 @@ from . import __version__, czdecomp, theorems
 from .balls import Ball, BallFamily, build_family, five_r_cover, verify_cover
 from .errors import LockError, SchemaError, WgrError
 from .examples import InstanceSpec, build_instance, list_instances
-from .space import FiniteMetricMeasureSpace, validate_metric
+from .space import FiniteMetricMeasureSpace, row_slices, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
 from .weights import (  # CHECKS looks the functionals up here by name
@@ -183,7 +183,8 @@ def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
     ecc = None
     if center == "central":
         # minimize the eccentricity, ties by index
-        ecc = [space.dist_row(i).max() for i in range(space.n_points)]
+        ecc = np.concatenate([space.dist_block(rows).max(axis=1)
+                              for rows in row_slices(space.n_points, space.n_points)])
         center = int(np.argmin(ecc))
     elif not center < space.n_points:
         raise SchemaError(
@@ -300,6 +301,10 @@ def _jn_decay(ctx, params):
     grid, eps, count, factor = params.args(
         {"lambda_grid": None, "eps": None, "count": 20, "factor": 4.0}
     )
+    if count != int(count) or count < 1:
+        raise SchemaError(f"check 'jn_decay': params/count must be an integer >= 1, got {count!r}")
+    if not factor > 0:
+        raise SchemaError(f"check 'jn_decay': params/factor must be > 0, got {factor!r}")
     if grid is None:
         if eps is None:
             eps = theorems._system_eps(ctx.system, as_values(ctx.w), ctx.sums)
@@ -393,10 +398,13 @@ def _config_digest(cfg: dict) -> str:
     return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
-def _reject_file_out(out_dir: Path) -> None:
-    """Fail fast, before any work, when the output path names a file."""
-    if out_dir.exists() and not out_dir.is_dir():
-        raise SchemaError(f"output path {out_dir} is not a directory")
+def _reject_out(out: Path, directory: bool) -> None:
+    """Fail fast, before any work, when the output path exists as the wrong
+    kind: a file where a ``directory`` is written, or a directory where a
+    subcommand writes one file."""
+    if out.exists() and out.is_dir() != directory:
+        raise SchemaError(f"output path {out} is not a directory" if directory
+                          else f"output path {out} is a directory, not a file")
 
 
 def _make_out_dir(out_dir: Path) -> None:
@@ -662,8 +670,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.seed)
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
         out = Path(args.out) if args.out else Path(cfg["output"]["directory"])
-        if args.command in ("run", "check"):
-            _reject_file_out(out)
+        _reject_out(out, directory=args.command in ("run", "check"))
         ctx = RunContext(cfg, threads)
 
         if args.command == "run":

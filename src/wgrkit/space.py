@@ -11,6 +11,19 @@ Balls are open: ``B(x, r) = {y : d(x, y) < r}``. In particular a radius
 equal to an existing pairwise distance excludes the points at exactly that
 distance, and ``r = 0`` gives the empty set.
 
+All distances come from one kernel, :meth:`FiniteMetricMeasureSpace.dist_block`,
+which returns the distances from a block of row points to a block of
+column points; :meth:`~FiniteMetricMeasureSpace.dist_row` is its one-row
+case, and a block is bit-identical to its rows. Chebyshev distances take
+the maximum axis by axis, which is exact in any order. Euclidean distances
+in one or two dimensions add the squares axis by axis too (one addition
+has one rounding, whatever the order); from three dimensions on, numpy
+sums the squared differences over the last axis of the block, which adds
+in the same order for one row as for many. The all-pairs scans (smallest
+positive distance, the central base ball's eccentricities, metric
+validation) walk row blocks of at most :data:`BLOCK_DISTANCES` distances,
+never an n x n matrix.
+
 Ball queries read distance rows through a one-slot cache holding the row
 of the most recently queried center, so a layer that walks its balls
 center by center (every family, measuring set and closure set is listed
@@ -49,6 +62,9 @@ GRID_SIZE_CAP = 1_000_000
 
 #: Spaces larger than this refuse the O(n^3) full metric validation.
 VALIDATION_SIZE_CAP = 2048
+
+#: Upper bound on the distances one block of an all-pairs scan holds.
+BLOCK_DISTANCES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,14 +153,40 @@ class FiniteMetricMeasureSpace:
     def coords(self):
         return self._coords
 
+    def dist_block(self, rows, cols=None) -> np.ndarray:
+        """Distances from each point of ``rows`` to each point of ``cols``.
+
+        ``rows`` and ``cols`` index the points (an id array or a slice);
+        ``cols=None`` means every point. The result has shape
+        ``(len(rows), len(cols))``.
+        """
+        if self._dist is not None:
+            if cols is None:
+                return self._dist[rows]
+            ids = np.arange(self.n_points)
+            return self._dist[ids[rows, None], ids[cols]]
+        here = self._coords[rows]
+        there = self._coords if cols is None else self._coords[cols]
+        chebyshev = self.metric_kind == "chebyshev"
+        if not chebyshev and here.shape[1] > 2:
+            # numpy's sum over the last axis: a block adds in the order its rows do
+            diff = there - here[:, None, :]
+            return np.sqrt((diff * diff).sum(axis=-1))
+        # axis by axis: a maximum is exact in any order, and so is one addition
+        combine = np.maximum if chebyshev else np.add
+        out = None
+        for k in range(here.shape[1]):
+            axis = there[:, k] - here[:, k, None]
+            if chebyshev:
+                np.abs(axis, out=axis)
+            else:
+                np.multiply(axis, axis, out=axis)
+            out = axis if out is None else combine(out, axis, out=out)
+        return out if chebyshev else np.sqrt(out, out=out)
+
     def dist_row(self, center: int) -> np.ndarray:
         """Distances from ``center`` to every point."""
-        if self._dist is not None:
-            return self._dist[center]
-        diff = self._coords - self._coords[center]
-        if self.metric_kind == "chebyshev":
-            return np.abs(diff).max(axis=1)
-        return np.sqrt((diff * diff).sum(axis=1))
+        return self.dist_block(slice(center, center + 1))[0]
 
     def distance(self, i: int, j: int) -> float:
         return float(self.dist_row(i)[j])
@@ -166,7 +208,7 @@ class FiniteMetricMeasureSpace:
 
     def ball_members(self, center: int, r: float) -> np.ndarray:
         """Point ids strictly inside B(center, r), ascending."""
-        return np.flatnonzero(self.ball_mask(center, r))
+        return self.ball_mask(center, r).nonzero()[0]
 
     def set_measure(self, members) -> float:
         """Total mass of a point subset; the empty set has measure 0."""
@@ -182,13 +224,14 @@ class FiniteMetricMeasureSpace:
 
         Returns None when there is no pair of distinct points.
         """
-        idx = np.arange(self.n_points) if members is None else np.asarray(members)
-        if idx.size < 2:
+        idx = None if members is None else np.asarray(members)
+        size = self.n_points if idx is None else idx.size
+        if size < 2:
             return None
         best = math.inf
-        for i in idx:
-            row = self.dist_row(int(i))[idx]
-            positive = row[row > 0.0]
+        for part in row_slices(size, size):
+            block = self.dist_block(part if idx is None else idx[part], idx)
+            positive = block[block > 0.0]
             if positive.size:
                 best = min(best, float(positive.min()))
         return None if best == math.inf else best
@@ -221,41 +264,53 @@ class FiniteMetricMeasureSpace:
 # -- validation --------------------------------------------------------------
 
 
+def row_slices(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of ``range(n_rows)``, each a block of rows whose
+    distances to ``n_cols`` columns number at most :data:`BLOCK_DISTANCES`."""
+    step = max(1, BLOCK_DISTANCES // max(1, n_cols))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
 def validate_metric(space: FiniteMetricMeasureSpace) -> list[MetricViolation]:
     """Check all metric axioms exactly (zero tolerance).
 
     Returns the violations as data; an empty list certifies the axioms.
-    O(n^3) over the triangle inequality, so refuses very large spaces.
+    Violations are listed by axiom, each axiom's in row-major order (the
+    triangle's by intermediate point first). O(n^3) over the triangle
+    inequality, so refuses very large spaces; distances are read in row
+    blocks, never as one n x n matrix.
     """
     n = space.n_points
     if n > VALIDATION_SIZE_CAP:
         raise TooLargeError(f"metric validation is O(n^3); n={n} exceeds {VALIDATION_SIZE_CAP}")
-    dist = np.vstack([space.dist_row(i) for i in range(n)])
-    violations: list[MetricViolation] = []
-    for i in range(n):
-        if dist[i, i] != 0.0:
-            violations.append(MetricViolation("diagonal", (i,), float(dist[i, i])))
-    neg = np.argwhere(dist < 0.0)
-    for i, j in neg:
-        violations.append(MetricViolation("negative", (int(i), int(j)), float(-dist[i, j])))
-    asym = np.argwhere(dist != dist.T)
-    for i, j in asym:
-        if i < j:
-            violations.append(
-                MetricViolation("asymmetry", (int(i), int(j)), float(abs(dist[i, j] - dist[j, i])))
-            )
-    for k in range(n):
-        through = dist[:, k][:, None] + dist[k, :][None, :]
-        bad = np.argwhere(dist > through)
-        for i, j in bad:
-            violations.append(
-                MetricViolation(
-                    "triangle",
-                    (int(i), int(k), int(j)),
-                    float(dist[i, j] - through[i, j]),
+    blocks = row_slices(n, n)
+    found: dict[str, list] = {"diagonal": [], "negative": [], "asymmetry": [], "triangle": []}
+    for rows in blocks:
+        dist = space.dist_block(rows)
+        ids = np.arange(rows.start, rows.stop)
+        diag = dist[ids - rows.start, ids]
+        for i in np.flatnonzero(diag != 0.0):
+            found["diagonal"].append(((int(ids[i]),), float(diag[i])))
+        for i, j in np.argwhere(dist < 0.0):
+            found["negative"].append(((int(ids[i]), int(j)), float(-dist[i, j])))
+        mirror = space.dist_block(slice(None), rows).T
+        for i, j in np.argwhere(dist != mirror):
+            if ids[i] < j:
+                found["asymmetry"].append(
+                    ((int(ids[i]), int(j)), float(abs(dist[i, j] - mirror[i, j])))
                 )
-            )
-    return violations
+        for mids in blocks:
+            via = space.dist_block(mids)
+            for k in range(mids.start, mids.stop):
+                through = dist[:, k][:, None] + via[k - mids.start][None, :]
+                for i, j in np.argwhere(dist > through):
+                    found["triangle"].append(
+                        ((int(ids[i]), k, int(j)), float(dist[i, j] - through[i, j]))
+                    )
+    # blocks visit the rows in order; the triangle is ordered by k, then (i, j)
+    found["triangle"].sort(key=lambda v: (v[0][1], v[0][0], v[0][2]))
+    return [MetricViolation(kind, points, deficit)
+            for kind, hits in found.items() for points, deficit in hits]
 
 
 # -- generators ----------------------------------------------------------------

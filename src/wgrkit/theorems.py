@@ -668,8 +668,12 @@ def check_rhi_equivalence_observed(
     ``c_mu^(-floor(log2(5 sigma^2)) - 1)``, and the reverse Holder
     constants along ``p_grid``. Purely observational: always passes,
     both directions are logged for the reader. With the run's ball-sum
-    table ``_sums``, a constant the run already measured is reused.
+    table ``_sums``, a constant the run already measured is reused. An
+    empty ``p_grid`` compares nothing and raises :class:`DomainError`.
     """
+    p_grid = list(p_grid)
+    if not p_grid:
+        raise DomainError("p_grid is empty")
     balls, fam_sigma = family_balls(family)
     sigma = fam_sigma if sigma is None else sigma
     if profile is None:

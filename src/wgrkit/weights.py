@@ -102,14 +102,17 @@ class _BallSums:
     ``balls`` maps a ball ``(center, radius)`` to its (w, mu); a ball B and
     its dilate S = factor * B are plain entries, so each dilation factor
     fills keys of its own. ``sups`` maps (functional, balls, factor,
-    parameter) to a measured supremum. Only floats are kept, never member
-    arrays. Whoever passes a table as ``_sums=`` vouches that it belongs to
-    the same space and weight.
+    parameter) to a measured supremum. ``ratios`` maps (functional,
+    parameter, factor) to a dict from ``(center, radius)`` to the ball's
+    (ratio, skipped), so a ball that several ball lists share is evaluated
+    once. Only floats are kept, never member arrays. Whoever passes a table
+    as ``_sums=`` vouches that it belongs to the same space and weight.
     """
 
     def __init__(self):
         self.balls: dict[tuple[int, float], tuple[float, float]] = {}
         self.sups: dict[tuple, float] = {}
+        self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
 
     def sup(self, name: str, balls, factor, param, measure) -> float:
         """The supremum of functional ``name`` recorded here, else ``measure()``."""
@@ -255,12 +258,19 @@ def _functional(
 ) -> ConditionReport:
     """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
 
-    A ratio returns ``(ratio, skipped)``. The supremum is recorded in ``sums``.
+    A ratio returns ``(ratio, skipped)``. Each distinct ball is evaluated
+    once, and only if ``sums`` holds no ratio for it; the new ratios and the
+    supremum are recorded there.
     """
     balls, _ = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
     values = as_values(w)
-    results = _ball_map(space, values, balls, factor, ratio, mu_b=mu_b, threads=threads, sums=sums)
+    memo = {} if sums is None else sums.ratios.setdefault((name, param, factor), {})
+    missing = {(b.center, b.radius): b for b in balls if (b.center, b.radius) not in memo}
+    found = _ball_map(space, values, list(missing.values()), factor, ratio, mu_b=mu_b,
+                      threads=threads, sums=sums)
+    memo.update(zip(missing, found))
+    results = [memo[(b.center, b.radius)] for b in balls]
     report = _sup_report(balls, results)
     if sums is not None:
         sums.sups[(name, tuple(balls), factor, param)] = report.value

@@ -145,3 +145,79 @@ def test_family_centers_inside_base(seed):
         space.ball_members(family.base_ball.center, family.base_ball.radius).tolist()
     )
     assert {b.center for b in family.members} == base_members
+
+
+def _pairwise_verify_cover(space, base_ball, cover, sigma, eta):
+    """The cover rows and flags by the pairwise scan: every pair of fifth-balls
+    is intersected, and containment is a set inclusion."""
+    base_members = space.ball_members(base_ball.center, base_ball.radius)
+    sigma_base = set(space.ball_members(base_ball.center, sigma * base_ball.radius).tolist())
+    fifth_masks = [space.ball_mask(b.center, b.radius / 5.0) for b in cover]
+    covered = np.zeros(space.n_points, dtype=bool)
+    rows = []
+    for i, ball in enumerate(cover):
+        covered |= space.ball_mask(ball.center, ball.radius)
+        disjoint = all(
+            not np.any(fifth_masks[i] & fifth_masks[j]) for j in range(len(cover)) if j != i
+        )
+        hat_members = space.ball_members(ball.center, sigma * (1.0 + eta) * ball.radius)
+        contained = set(hat_members.tolist()) <= sigma_base
+        rows.append({"center": ball.center, "radius": ball.radius,
+                     "fifth_disjoint_ok": disjoint, "contained_ok": contained})
+    return {
+        "rows": rows,
+        "n_balls": len(cover),
+        "coverage": int(np.count_nonzero(covered[base_members])) / max(1, base_members.size),
+        "all_fifth_disjoint": all(r["fifth_disjoint_ok"] for r in rows),
+        "all_contained": all(r["contained_ok"] for r in rows),
+    }
+
+
+#: (cover, fifth_disjoint_ok per ball, contained_ok per ball) on 16 unit cells
+#: with B0 = B(8, 3), sigma = 2 and eta = 1, so sigma*B0 holds the cells 3..13.
+_HAND_MADE_COVERS = [
+    # the fifth-balls of 1 and 2 share cells 1 and 2; the hats of 1, 2 and 12 leave sigma*B0
+    ([Ball(1, 6.0), Ball(2, 6.0), Ball(9, 1.0), Ball(12, 1.0)],
+     [False, False, True, True], [False, False, True, False]),
+    # three fifth-balls share cell 7; only the small middle piece has its hat inside
+    ([Ball(6, 10.0), Ball(7, 1.0), Ball(8, 10.0)], [False, False, False], [False, True, False]),
+    # a repeated ball overlaps its copy; the cover misses part of B0
+    ([Ball(8, 0.5), Ball(8, 0.5)], [False, False], [True, True]),
+    ([Ball(8, 0.5)], [True], [True]),
+    ([], [], []),
+]
+
+
+@pytest.mark.parametrize("cover, disjoint, contained", _HAND_MADE_COVERS,
+                         ids=lambda x: str(x) if x and isinstance(x[0], Ball) else None)
+def test_verify_cover_matches_the_pairwise_scan_on_hand_made_covers(cover, disjoint, contained):
+    sp = grid_1d(0.0, 16.0, 16)
+    base, sigma, eta = Ball(8, 3.0), 2.0, 1.0
+    report = verify_cover(sp, base, cover, sigma, eta)
+    assert report == _pairwise_verify_cover(sp, base, cover, sigma, eta)
+    assert [r["fifth_disjoint_ok"] for r in report["rows"]] == disjoint
+    assert [r["contained_ok"] for r in report["rows"]] == contained
+
+
+@pytest.mark.parametrize(
+    "space, sigma, eta",
+    [
+        (grid_1d(0.0, 64.0, 64), 1.25, 1.0),
+        (grid_nd(2, 13, 1.0, "chebyshev"), 1.5, 1.0),
+        (grid_nd(2, 13, 1.0, "euclidean"), 2.0, 0.5),
+    ],
+    ids=["1d", "2d-chebyshev", "2d-euclidean"],
+)
+def test_verify_cover_matches_the_pairwise_scan_on_greedy_covers(space, sigma, eta):
+    base = Ball(space.n_points // 2, space.n_points ** (1.0 / space.coords.shape[1]) / 2.5)
+    cover = five_r_cover(space, base, sigma, eta)
+    assert len(cover) > 2
+    report = verify_cover(space, base, cover, sigma, eta)
+    assert report == _pairwise_verify_cover(space, base, cover, sigma, eta)
+    assert report["all_fifth_disjoint"]
+    # a copy of one piece overlaps that piece and no other
+    extra = Ball(cover[1].center, cover[1].radius)
+    report = verify_cover(space, base, [*cover, extra], sigma, eta)
+    assert report == _pairwise_verify_cover(space, base, [*cover, extra], sigma, eta)
+    assert [i for i, r in enumerate(report["rows"]) if not r["fifth_disjoint_ok"]] == [
+        1, len(cover)]

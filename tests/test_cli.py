@@ -462,6 +462,25 @@ def test_single_file_out_under_a_file_exits_two(tmp_path, capsys, command):
     assert blocker.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command", _SINGLE_FILE_COMMANDS, ids=" ".join)
+def test_single_file_out_that_is_a_directory_exits_two_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    cfg = _cz_spike_config(tmp_path) if command[0] == "cz" else smoke_config(tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_instance", forbidden)
+    out = tmp_path / "existing_dir"
+    out.mkdir()
+    (out / "keep.txt").write_text("keep me\n")
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"output path {out} is a directory" in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
 def test_single_file_out_failing_build_leaves_no_directory(tmp_path):
     cfg = smoke_config(tmp_path)  # lognormal noise: no admissible CZ level window
     out = tmp_path / "missing" / "dir" / "f.out"
@@ -511,6 +530,23 @@ def test_beta_asymptotic_empty_y_list_is_a_domain_error(tmp_path):
     assert "DomainError: y_list is empty" in proc.stderr
 
 
+def test_rhi_equivalence_empty_p_grid_is_a_domain_error(tmp_path):
+    checks = [{"name": "rhi_equivalence_observed", "params": {"p_grid": []}}]
+    cfg = smoke_config(tmp_path, checks=checks)
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "out" / "check_rhi_equivalence_observed.json").read_text())
+    assert report["passed"] is False and report["params"]["error"] == "DomainError"
+    assert report["notes"] == "p_grid is empty"
+    proc = run_cli("check", "rhi_equivalence_observed", "--config", str(cfg),
+                   "--out", str(tmp_path / "one"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "DomainError: p_grid is empty" in proc.stderr
+    assert not (tmp_path / "one").exists()
+
+
 def test_check_registry_names_match_the_schema_enum():
     enum = cli.load_schema()["properties"]["checks"]["items"]["properties"]["name"]["enum"]
     assert sorted(cli.CHECKS) == sorted(enum)
@@ -534,9 +570,14 @@ def test_each_subcommand_builds_the_instance_once(tmp_path, monkeypatch, command
 
 
 #: Schema-valid params that a check cannot read: a value of the wrong JSON
-#: type, or a key the check does not take.
+#: type or out of its range, or a key the check does not take.
 _BAD_PARAMS = [
     ("jn_decay", {"count": "x"}),
+    ("jn_decay", {"count": -1}),
+    ("jn_decay", {"count": 0}),
+    ("jn_decay", {"count": 2.5}),
+    ("jn_decay", {"factor": 0}),
+    ("jn_decay", {"factor": -4.0}),
     ("jn_decay", {"lambda_grid": "a"}),
     ("rhi", {"p": "2"}),
     ("cavalieri", {"p": "2"}),

@@ -14,6 +14,8 @@ from wgrkit import (
     grid_nd,
     validate_metric,
 )
+from wgrkit import space as space_module
+from wgrkit.cli import resolve_base_ball
 from wgrkit.errors import EmptyBallError, InvalidGeneratorError, TooLargeError
 
 
@@ -339,3 +341,143 @@ def test_doubling_profile_matches_brute_force(case):
             return
         ratios.append(oracles.measure(space, oracles.ball(space, b.center, 2.0 * b.radius)) / m1)
     assert doubling_profile(space, balls).c_mu == max([1.0, *ratios])
+
+
+# -- distance blocks ------------------------------------------------------------
+
+
+@st.composite
+def _block_case(draw):
+    """A space with duplicate points, row and column index sets, a block size.
+
+    Coordinates are multiples of 1/4 in [-4, 4], so every squared difference
+    and every partial sum of them is exact: the oracle's sequential sum then
+    agrees bit for bit with any summation order, in any dimension.
+    """
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    dim = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=10))
+    point = st.lists(st.integers(min_value=-16, max_value=16), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(point, min_size=1, max_size=n))
+    coords = np.asarray([draw(st.sampled_from(distinct)) for _ in range(n)], dtype=float) / 4.0
+    mass = np.ones(n)
+    if kind == "table":
+        # an asymmetric table with a nonzero diagonal entry: no metric is needed
+        table = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+        table[0, -1] += 0.5
+        table[-1, -1] = 0.25
+        space = FiniteMetricMeasureSpace(mass, distance_matrix=table)
+    else:
+        space = FiniteMetricMeasureSpace(mass, coords=coords, metric_kind=kind)
+    ids = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n)
+    start = draw(st.integers(min_value=0, max_value=n))
+    rows = draw(st.one_of(ids, st.just(slice(start, draw(st.integers(start, n))))))
+    cols = draw(st.one_of(st.none(), ids))
+    block = draw(st.sampled_from([1, 3, 7, 1 << 16]))
+    return space, rows, cols, block
+
+
+def _expected_block(space, rows, cols) -> np.ndarray:
+    """The oracle distance of every (row, column) pair; a table's own entries."""
+    row_ids = list(range(space.n_points))[rows] if isinstance(rows, slice) else list(rows)
+    col_ids = list(range(space.n_points)) if cols is None else list(cols)
+    if space.metric_kind == "table":
+        table = space.to_json_obj()["distance_matrix"]
+        return np.array([[table[i][j] for j in col_ids] for i in row_ids]).reshape(
+            len(row_ids), len(col_ids))
+    return np.array([[oracles.distance(space, i, j) for j in col_ids] for i in row_ids]).reshape(
+        len(row_ids), len(col_ids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_case())
+def test_dist_block_matches_the_oracle_bit_for_bit(case):
+    space, rows, cols, _ = case
+    block = space.dist_block(np.asarray(rows, dtype=int) if isinstance(rows, list) else rows,
+                             None if cols is None else np.asarray(cols, dtype=int))
+    expected = _expected_block(space, rows, cols)
+    assert block.shape == expected.shape
+    assert block.tobytes() == expected.tobytes()
+    for i in range(space.n_points):
+        assert space.dist_row(i).tobytes() == _expected_block(space, [i], None).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["euclidean", "chebyshev"]),
+)
+def test_dist_block_rows_equal_the_single_row_formula(dim, seed, kind):
+    # real coordinates: the squared differences round, so the order of the sum matters
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(12, dim)) * rng.choice([1e-3, 1.0, 1e3], size=(12, dim))
+    coords[5] = coords[2]
+    space = FiniteMetricMeasureSpace(np.ones(12), coords=coords, metric_kind=kind)
+    block = space.dist_block(slice(None))
+    for i in range(12):
+        diff = coords - coords[i]
+        oracle = np.array([oracles.distance(space, i, j) for j in range(12)])
+        if kind == "chebyshev":
+            row = np.abs(diff).max(axis=1)
+            assert row.tobytes() == oracle.tobytes()
+        else:
+            row = np.sqrt((diff * diff).sum(axis=1))
+            # numpy's reduction and the oracle's sequential sum differ in the
+            # last bits from three axes on; the row formula is the reference
+            np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=0.0)
+        assert block[i].tobytes() == row.tobytes()
+        assert space.dist_row(i).tobytes() == row.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_block_case(), st.data())
+def test_min_positive_distance_and_eccentricity_match_a_brute_force_scan(case, data):
+    space, _, _, block = case
+    n = space.n_points
+    members = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(min_value=0, max_value=n - 1), unique=True)))
+    ids = list(range(n)) if members is None else members
+    dist = _expected_block(space, slice(None), None)
+    positive = [dist[i, j] for i in ids for j in ids if dist[i, j] > 0.0]
+    ecc = [max(dist[i]) for i in range(n)]
+    center = ecc.index(min(ecc))  # the first minimum: ties go to the lowest id
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "BLOCK_DISTANCES", block)
+        got = space.min_positive_distance(None if members is None else np.asarray(members, int))
+        base = resolve_base_ball(space, {"eta": 1.0, "sigma": 1.5})
+    assert got == (min(positive) if len(ids) >= 2 and positive else None)
+    assert base.center == center
+    assert base.radius == (ecc[center] / 3.0 if ecc[center] > 0.0 else 1.0)
+
+
+def _violations_by_full_matrix(space) -> list[tuple]:
+    """The metric violations of ``space``, listed as the n x n scan lists them."""
+    n = space.n_points
+    dist = np.vstack([space.dist_row(i) for i in range(n)])
+    out = [("diagonal", (i,), float(dist[i, i])) for i in range(n) if dist[i, i] != 0.0]
+    out += [("negative", (int(i), int(j)), float(-dist[i, j])) for i, j in np.argwhere(dist < 0)]
+    out += [("asymmetry", (int(i), int(j)), float(abs(dist[i, j] - dist[j, i])))
+            for i, j in np.argwhere(dist != dist.T) if i < j]
+    for k in range(n):
+        through = dist[:, k][:, None] + dist[k, :][None, :]
+        out += [("triangle", (int(i), k, int(j)), float(dist[i, j] - through[i, j]))
+                for i, j in np.argwhere(dist > through)]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 1 << 16])
+def test_validate_metric_in_row_blocks_lists_the_full_scan(monkeypatch, block):
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(11, 2))
+    table = np.round(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)), 2)
+    table[1, 3] += 0.75
+    table[2, 2] = 0.1
+    table[4, 0] = -0.2
+    table[10, 9] = 5.0
+    space = FiniteMetricMeasureSpace(np.ones(11), distance_matrix=table)
+    expected = _violations_by_full_matrix(space)
+    assert {v[0] for v in expected} == {"diagonal", "negative", "asymmetry", "triangle"}
+    monkeypatch.setattr(space_module, "BLOCK_DISTANCES", block)
+    got = [(v.kind, v.points, v.deficit) for v in validate_metric(space)]
+    assert got == expected

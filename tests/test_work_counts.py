@@ -1,8 +1,9 @@
 """Work counters: repeated work is done once, not per ball, per check or per level.
 
-Distance rows, run geometry, the base family, the CZ family table,
-closure-ball measures and the oscillation constant of a ball system are
-each computed once. The
+Distance rows (all-pairs scans read row blocks, never one row per
+point), run geometry, the base family, the CZ family table, closure-ball
+measures, the oscillation constant of a ball system and the ratio of a
+ball that several measuring sets share are each computed once. The
 counts are exact and deterministic, so these tests guard the design
 against regressions.
 """
@@ -11,12 +12,19 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wgrkit import Ball, build_family, cli, czdecomp, theorems
+from wgrkit import Ball, build_family, cli, czdecomp, theorems, weights
 from wgrkit.balls import five_r_cover
 from wgrkit.examples import random_weight
-from wgrkit.space import FiniteMetricMeasureSpace, doubling_profile, grid_1d, grid_nd
+from wgrkit.space import (
+    BLOCK_DISTANCES,
+    FiniteMetricMeasureSpace,
+    doubling_profile,
+    grid_1d,
+    grid_nd,
+)
 from wgrkit.util import philox_generator
 from wgrkit.weights import (
     gr_epsilon,
@@ -64,6 +72,25 @@ def test_functional_pass_computes_each_row_once(functional, row_calls):
     centers = {b.center for b in family.members}
     assert set(row_calls) <= centers
     assert max(Counter(row_calls).values()) == 1
+
+
+def test_min_positive_distance_reads_row_blocks_not_rows(row_calls, monkeypatch):
+    space = grid_nd(2, 20, 1.0, "chebyshev")
+    block_shapes = []
+    original = FiniteMetricMeasureSpace.dist_block
+
+    def counting(self, rows, cols=None):
+        out = original(self, rows, cols)
+        block_shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "dist_block", counting)
+    assert space.min_positive_distance() == 1.0
+    assert space.min_positive_distance(np.arange(0, 400, 7)) == 1.0
+    assert row_calls == []
+    # 400 x 400 distances in blocks of at most 2^16: three blocks, then one
+    assert block_shapes == [(163, 400), (163, 400), (74, 400), (58, 58)]
+    assert max(r * c for r, c in block_shapes) <= BLOCK_DISTANCES
 
 
 def test_run_resolves_base_ball_once_and_never_repeats_a_row(row_calls, monkeypatch, tmp_path):
@@ -322,6 +349,32 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     assert [key for key in dilates if counts[key] != 1] == []
     report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
     assert report["params"]["eps_measured"] is True
+
+
+def test_cover_rhi_evaluates_each_measuring_ball_once(monkeypatch, tmp_path):
+    cfg = _decay_config(tmp_path, [{"name": "jn_decay", "params": {"count": 5}},
+                                   {"name": "cover_rhi", "params": {"p": 1.5}}])
+    ctx = cli.RunContext(cfg)
+    pieces = [
+        theorems.build_ball_system(ctx.space, b, ctx.sigma, ctx.eta, profile=ctx.system.profile)
+        for b in five_r_cover(ctx.space, ctx.base, ctx.sigma, ctx.eta)
+    ]
+    listed = [(b.center, b.radius) for sys_ in [ctx.system, *pieces] for b in sys_.measuring]
+    assert len(listed) - len(set(listed)) > 50  # the measuring sets overlap: the test has teeth
+    evaluated: list[tuple] = []
+    original = weights._ball_map
+
+    def recording(space, values, balls, factor, ratio, **kwargs):
+        evaluated.extend((b.center, b.radius, factor) for b in balls)
+        return original(space, values, balls, factor, ratio, **kwargs)
+
+    monkeypatch.setattr(weights, "_ball_map", recording)
+    assert cli.cmd_run(ctx, tmp_path / "out") == 0
+    counts = Counter(evaluated)
+    assert set(counts) == {(c, r, ctx.sigma) for c, r in listed}
+    assert max(counts.values()) == 1
+    report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
+    assert report["params"]["eps_measured"] is True and report["params"]["n_cover"] == len(pieces)
 
 
 def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(monkeypatch, tmp_path):
