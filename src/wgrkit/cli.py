@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import importlib.resources
 import json
+import math
 import numbers
 import os
 import platform
@@ -56,6 +57,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 LOCK_NAME = ".wgrkit.lock"
+
+#: Most lambda levels a ``jn_decay`` grid built from ``count`` may hold.
+MAX_DECAY_LEVELS = 10_000
 
 
 def load_schema() -> dict:
@@ -166,9 +170,18 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
             f"config violates schema: {path} holds {name}, which is not a JSON number"
         )
 
+    def finite_float(text: str) -> float:
+        # and would read a literal beyond the float range, such as 1e400, as +-inf
+        value = float(text)
+        if not math.isfinite(value):
+            raise SchemaError(
+                f"config violates schema: {path} holds {text}, which is beyond the float range"
+            )
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=reject_constant)
+            cfg = json.load(fh, parse_constant=reject_constant, parse_float=finite_float)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
@@ -301,8 +314,10 @@ def _jn_decay(ctx, params):
     grid, eps, count, factor = params.args(
         {"lambda_grid": None, "eps": None, "count": 20, "factor": 4.0}
     )
-    if count != int(count) or count < 1:
-        raise SchemaError(f"check 'jn_decay': params/count must be an integer >= 1, got {count!r}")
+    # compared before any int(): a count beyond the float range is inf, and inf % 1 is nan
+    if not (1 <= count <= MAX_DECAY_LEVELS and count % 1 == 0):
+        raise SchemaError(f"check 'jn_decay': params/count must be an integer in "
+                          f"[1, {MAX_DECAY_LEVELS}], got {count!r}")
     if not factor > 0:
         raise SchemaError(f"check 'jn_decay': params/factor must be > 0, got {factor!r}")
     if grid is None:

@@ -16,13 +16,10 @@ which returns the distances from a block of row points to a block of
 column points; :meth:`~FiniteMetricMeasureSpace.dist_row` is its one-row
 case, and a block is bit-identical to its rows. Chebyshev distances take
 the maximum axis by axis, which is exact in any order. Euclidean distances
-in one or two dimensions add the squares axis by axis too (one addition
-has one rounding, whatever the order); from three dimensions on, numpy
-sums the squared differences over the last axis of the block, which adds
-in the same order for one row as for many. The all-pairs scans (smallest
-positive distance, the central base ball's eccentricities, metric
-validation) walk row blocks of at most :data:`BLOCK_DISTANCES` distances,
-never an n x n matrix.
+sum the squared differences over the last axis of the block, which adds
+in the same order for one row as for many. The smallest positive distance
+and the central base ball's eccentricities walk row blocks of at most
+:data:`BLOCK_DISTANCES` distances, never an n x n matrix.
 
 Ball queries read distance rows through a one-slot cache holding the row
 of the most recently queried center, so a layer that walks its balls
@@ -65,6 +62,13 @@ VALIDATION_SIZE_CAP = 2048
 
 #: Upper bound on the distances one block of an all-pairs scan holds.
 BLOCK_DISTANCES = 1 << 16
+
+
+def row_slices(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of ``range(n_rows)``, each a block of rows whose
+    distances to ``n_cols`` columns number at most :data:`BLOCK_DISTANCES`."""
+    step = max(1, BLOCK_DISTANCES // max(1, n_cols))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -167,22 +171,16 @@ class FiniteMetricMeasureSpace:
             return self._dist[ids[rows, None], ids[cols]]
         here = self._coords[rows]
         there = self._coords if cols is None else self._coords[cols]
-        chebyshev = self.metric_kind == "chebyshev"
-        if not chebyshev and here.shape[1] > 2:
-            # numpy's sum over the last axis: a block adds in the order its rows do
+        if self.metric_kind == "euclidean":
             diff = there - here[:, None, :]
-            return np.sqrt((diff * diff).sum(axis=-1))
-        # axis by axis: a maximum is exact in any order, and so is one addition
-        combine = np.maximum if chebyshev else np.add
-        out = None
+            np.multiply(diff, diff, out=diff)  # squared in place: no second (rows, cols, dim) array
+            out = diff.sum(axis=-1)
+            return np.sqrt(out, out=out)
+        # the maximum axis by axis is exact in any order; with no axis, every distance is 0
+        out = np.zeros((len(here), len(there)))
         for k in range(here.shape[1]):
-            axis = there[:, k] - here[:, k, None]
-            if chebyshev:
-                np.abs(axis, out=axis)
-            else:
-                np.multiply(axis, axis, out=axis)
-            out = axis if out is None else combine(out, axis, out=out)
-        return out if chebyshev else np.sqrt(out, out=out)
+            np.maximum(out, np.abs(there[:, k] - here[:, k, None]), out=out)
+        return out
 
     def dist_row(self, center: int) -> np.ndarray:
         """Distances from ``center`` to every point."""
@@ -264,53 +262,41 @@ class FiniteMetricMeasureSpace:
 # -- validation --------------------------------------------------------------
 
 
-def row_slices(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive slices of ``range(n_rows)``, each a block of rows whose
-    distances to ``n_cols`` columns number at most :data:`BLOCK_DISTANCES`."""
-    step = max(1, BLOCK_DISTANCES // max(1, n_cols))
-    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
-
-
 def validate_metric(space: FiniteMetricMeasureSpace) -> list[MetricViolation]:
     """Check all metric axioms exactly (zero tolerance).
 
     Returns the violations as data; an empty list certifies the axioms.
-    Violations are listed by axiom, each axiom's in row-major order (the
-    triangle's by intermediate point first). O(n^3) over the triangle
-    inequality, so refuses very large spaces; distances are read in row
-    blocks, never as one n x n matrix.
+    O(n^3) over the triangle inequality, so refuses very large spaces.
     """
     n = space.n_points
     if n > VALIDATION_SIZE_CAP:
         raise TooLargeError(f"metric validation is O(n^3); n={n} exceeds {VALIDATION_SIZE_CAP}")
-    blocks = row_slices(n, n)
-    found: dict[str, list] = {"diagonal": [], "negative": [], "asymmetry": [], "triangle": []}
-    for rows in blocks:
-        dist = space.dist_block(rows)
-        ids = np.arange(rows.start, rows.stop)
-        diag = dist[ids - rows.start, ids]
-        for i in np.flatnonzero(diag != 0.0):
-            found["diagonal"].append(((int(ids[i]),), float(diag[i])))
-        for i, j in np.argwhere(dist < 0.0):
-            found["negative"].append(((int(ids[i]), int(j)), float(-dist[i, j])))
-        mirror = space.dist_block(slice(None), rows).T
-        for i, j in np.argwhere(dist != mirror):
-            if ids[i] < j:
-                found["asymmetry"].append(
-                    ((int(ids[i]), int(j)), float(abs(dist[i, j] - mirror[i, j])))
+    dist = np.vstack([space.dist_row(i) for i in range(n)])
+    violations: list[MetricViolation] = []
+    for i in range(n):
+        if dist[i, i] != 0.0:
+            violations.append(MetricViolation("diagonal", (i,), float(dist[i, i])))
+    neg = np.argwhere(dist < 0.0)
+    for i, j in neg:
+        violations.append(MetricViolation("negative", (int(i), int(j)), float(-dist[i, j])))
+    asym = np.argwhere(dist != dist.T)
+    for i, j in asym:
+        if i < j:
+            violations.append(
+                MetricViolation("asymmetry", (int(i), int(j)), float(abs(dist[i, j] - dist[j, i])))
+            )
+    for k in range(n):
+        through = dist[:, k][:, None] + dist[k, :][None, :]
+        bad = np.argwhere(dist > through)
+        for i, j in bad:
+            violations.append(
+                MetricViolation(
+                    "triangle",
+                    (int(i), int(k), int(j)),
+                    float(dist[i, j] - through[i, j]),
                 )
-        for mids in blocks:
-            via = space.dist_block(mids)
-            for k in range(mids.start, mids.stop):
-                through = dist[:, k][:, None] + via[k - mids.start][None, :]
-                for i, j in np.argwhere(dist > through):
-                    found["triangle"].append(
-                        ((int(ids[i]), k, int(j)), float(dist[i, j] - through[i, j]))
-                    )
-    # blocks visit the rows in order; the triangle is ordered by k, then (i, j)
-    found["triangle"].sort(key=lambda v: (v[0][1], v[0][0], v[0][2]))
-    return [MetricViolation(kind, points, deficit)
-            for kind, hits in found.items() for points, deficit in hits]
+            )
+    return violations
 
 
 # -- generators ----------------------------------------------------------------

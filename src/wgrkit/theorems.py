@@ -170,7 +170,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
 
     ``params[key]`` is the hypothesis constant. When it is None it is
     measured as the sup of the module-level ``functional`` at ``param``,
-    unless ``sums`` already records that sup. One pass over B then feeds
+    whose pass reads the ratios ``sums`` already holds. One pass over B then feeds
     ``sides(constant, v, m, w(S), mu(S), mu(B))`` -> (lhs, rhs, vacuous) to
     the tracker; with ``sums`` the S side is read from the table. A checker
     with a ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
@@ -182,8 +182,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
     if measured:
         measure = globals()[functional]  # looked up per call, so it can be wrapped
         args = () if param is None else (param,)
-        params[key] = sums.sup(functional, balls, sigma, param, lambda: measure(
-            space, values, balls, *args, sigma=sigma, _sums=sums).value)
+        params[key] = measure(space, values, balls, *args, sigma=sigma, _sums=sums).value
     const = params[key]
     tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
     lam = params.get("lambda")
@@ -359,9 +358,10 @@ def build_ball_system(
 
 def _system_eps(system: BallSystem, values: np.ndarray, sums: _BallSums) -> float:
     """The oscillation constant eps of ``system``: the sup of :func:`wgr_epsilon`
-    over ``measuring``, read from ``sums`` when a pass of the run measured it."""
-    return sums.sup("wgr_epsilon", system.measuring, system.sigma, None, lambda: wgr_epsilon(
-        system.space, values, system.measuring, sigma=system.sigma, _sums=sums).value)
+    over ``measuring``, from the ratios ``sums`` holds where a pass of the run
+    already evaluated a ball."""
+    return wgr_epsilon(system.space, values, system.measuring, sigma=system.sigma,
+                       _sums=sums).value
 
 
 def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float | None,
@@ -668,7 +668,7 @@ def check_rhi_equivalence_observed(
     ``c_mu^(-floor(log2(5 sigma^2)) - 1)``, and the reverse Holder
     constants along ``p_grid``. Purely observational: always passes,
     both directions are logged for the reader. With the run's ball-sum
-    table ``_sums``, a constant the run already measured is reused. An
+    table ``_sums``, a ratio the run already evaluated is reused. An
     empty ``p_grid`` compares nothing and raises :class:`DomainError`.
     """
     p_grid = list(p_grid)
@@ -679,14 +679,13 @@ def check_rhi_equivalence_observed(
     if profile is None:
         profile = doubling_profile(space, balls)
     values, sums = as_values(w), _sums or _BallSums()
-    measured_beta = sums.sup("weak_ainfty_beta", balls, sigma, alpha, lambda: weak_ainfty_beta(
-        space, values, balls, alpha, sigma=sigma, _sums=sums).value)
+    measured_beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma, _sums=sums).value
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))
     rhi_values = {}
     for p in p_grid:
         try:
-            rhi_values[float(p)] = sums.sup("rhi_constant", balls, sigma, p, lambda: rhi_constant(
-                space, values, balls, p, sigma=sigma, _sums=sums).value)
+            rhi_values[float(p)] = rhi_constant(space, values, balls, p, sigma=sigma,
+                                                _sums=sums).value
         except Exception as exc:  # degenerate instances logged, not raised
             rhi_values[float(p)] = f"error: {exc}"
     params = {

@@ -101,23 +101,17 @@ class _BallSums:
 
     ``balls`` maps a ball ``(center, radius)`` to its (w, mu); a ball B and
     its dilate S = factor * B are plain entries, so each dilation factor
-    fills keys of its own. ``sups`` maps (functional, balls, factor,
-    parameter) to a measured supremum. ``ratios`` maps (functional,
-    parameter, factor) to a dict from ``(center, radius)`` to the ball's
-    (ratio, skipped), so a ball that several ball lists share is evaluated
-    once. Only floats are kept, never member arrays. Whoever passes a table
-    as ``_sums=`` vouches that it belongs to the same space and weight.
+    fills keys of its own. ``ratios`` maps (functional, parameter, factor)
+    to a dict from ``(center, radius)`` to the ball's (ratio, skipped), so a
+    ball that several ball lists share is evaluated once, and a functional
+    run again over balls it has seen evaluates none. Only floats are kept,
+    never member arrays. Whoever passes a table as ``_sums=`` vouches that
+    it belongs to the same space and weight.
     """
 
     def __init__(self):
         self.balls: dict[tuple[int, float], tuple[float, float]] = {}
-        self.sups: dict[tuple, float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
-
-    def sup(self, name: str, balls, factor, param, measure) -> float:
-        """The supremum of functional ``name`` recorded here, else ``measure()``."""
-        key = (name, tuple(balls), factor, param)
-        return self.sups[key] if key in self.sups else measure()
 
 
 def _ball_map(
@@ -259,8 +253,8 @@ def _functional(
     """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
 
     A ratio returns ``(ratio, skipped)``. Each distinct ball is evaluated
-    once, and only if ``sums`` holds no ratio for it; the new ratios and the
-    supremum are recorded there.
+    once, and only if ``sums`` holds no ratio for it; the new ratios are
+    recorded there.
     """
     balls, _ = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
@@ -271,10 +265,7 @@ def _functional(
                       threads=threads, sums=sums)
     memo.update(zip(missing, found))
     results = [memo[(b.center, b.radius)] for b in balls]
-    report = _sup_report(balls, results)
-    if sums is not None:
-        sums.sups[(name, tuple(balls), factor, param)] = report.value
-    return report
+    return _sup_report(balls, results)
 
 
 def wgr_epsilon(

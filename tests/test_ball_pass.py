@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wgrkit import Ball, theorems
+from wgrkit import Ball, theorems, weights
 from wgrkit.errors import InvalidParameterError, NoDataError, WgrError
 from wgrkit.space import FiniteMetricMeasureSpace
 from wgrkit.weights import (
@@ -347,21 +347,37 @@ def test_functionals_and_checkers_match_oracles(
         run_checkers()
 
 
-def test_shared_table_reuses_a_measured_constant():
+def test_shared_table_reuses_a_measured_constant(monkeypatch):
     space = FiniteMetricMeasureSpace(np.ones(6), coords=np.arange(6.0)[:, None],
                                      metric_kind="euclidean")
     vals = np.array([1.0, 4.0, 0.5, 2.0, 3.0, 1.5])
     balls = [Ball(c, 1.5) for c in range(6)]
+    fresh_head = wgr_epsilon(space, vals, balls[:3], sigma=2.0)
+    evaluated: list[Ball] = []
+    original = weights._ball_map
+
+    def recording(space, values, listed, factor, ratio, **kwargs):
+        evaluated.extend(listed)
+        return original(space, values, listed, factor, ratio, **kwargs)
+
+    monkeypatch.setattr(weights, "_ball_map", recording)
     sums = _BallSums()
     eps = wgr_epsilon(space, vals, balls, sigma=2.0, _sums=sums).value
-    assert sums.sup("wgr_epsilon", balls, 2.0, None, lambda: pytest.fail("re-measured")) == eps
+    assert evaluated == balls
+    evaluated.clear()
     rep = theorems.check_superlevel_bound(space, vals, balls, 0.99, sigma=2.0, _sums=sums)
     assert rep.params["eps"] == eps and rep.params["eps_measured"] is True
-    # another ball list, sigma or parameter is a different constant
-    other = balls[:3]
-    assert sums.sup("wgr_epsilon", other, 2.0, None, lambda: -1.0) == -1.0
-    assert sums.sup("wgr_epsilon", balls, 1.5, None, lambda: -2.0) == -2.0
-    assert sums.sup("weak_ainfty_beta", balls, 2.0, 0.5, lambda: -3.0) == -3.0
+    assert evaluated == []  # the constant comes from the ratios the table holds
+    # a sub-list reads its ratios and takes the sup over its own balls
+    head = wgr_epsilon(space, vals, balls[:3], sigma=2.0, _sums=sums)
+    assert (head.value, head.witness_ball, head.per_ball) == (
+        fresh_head.value, fresh_head.witness_ball, fresh_head.per_ball)
+    assert evaluated == []
+    # another sigma or parameter is another ratio: every ball is evaluated
+    wgr_epsilon(space, vals, balls, sigma=1.5, _sums=sums)
+    assert evaluated == balls
+    weak_ainfty_beta(space, vals, balls, 0.5, sigma=2.0, _sums=sums)
+    assert evaluated == balls + balls
 
 
 @settings(max_examples=200, deadline=None)

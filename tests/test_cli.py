@@ -135,6 +135,14 @@ def test_space_gen_validate_weight_gen(tmp_path):
     bad_path.write_text(dumps_canonical(bad))
     assert main(["space", "validate", "--in", str(bad_path)]) == 1
 
+    # points without coordinates all lie at distance 0: a degenerate but valid space
+    for kind in ("euclidean", "chebyshev"):
+        flat = {"points": [[], [], []], "distance_matrix": None, "mass": [1.0, 1.0, 1.0],
+                "metric_kind": kind}
+        flat_path = tmp_path / f"flat_{kind}.json"
+        flat_path.write_text(json.dumps(flat))
+        assert main(["space", "validate", "--in", str(flat_path)]) == 0
+
     weight_path = tmp_path / "weight.json"
     assert main(["weight", "gen", "--config", str(cfg), "--out", str(weight_path)]) == 0
     values = json.loads(weight_path.read_text())["values"]
@@ -488,8 +496,9 @@ def test_single_file_out_failing_build_leaves_no_directory(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_non_standard_json_constants_exit_two(tmp_path, capsys, constant):
+    # a number literal beyond the float range would be read as +-inf
     text = smoke_config(tmp_path).read_text()
     assert '"sigma": 1.5' in text
     bad = tmp_path / "bad.json"
@@ -576,6 +585,7 @@ _BAD_PARAMS = [
     ("jn_decay", {"count": -1}),
     ("jn_decay", {"count": 0}),
     ("jn_decay", {"count": 2.5}),
+    ("jn_decay", {"count": 1e12}),
     ("jn_decay", {"factor": 0}),
     ("jn_decay", {"factor": -4.0}),
     ("jn_decay", {"lambda_grid": "a"}),

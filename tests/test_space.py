@@ -451,33 +451,11 @@ def test_min_positive_distance_and_eccentricity_match_a_brute_force_scan(case, d
     assert base.radius == (ecc[center] / 3.0 if ecc[center] > 0.0 else 1.0)
 
 
-def _violations_by_full_matrix(space) -> list[tuple]:
-    """The metric violations of ``space``, listed as the n x n scan lists them."""
-    n = space.n_points
-    dist = np.vstack([space.dist_row(i) for i in range(n)])
-    out = [("diagonal", (i,), float(dist[i, i])) for i in range(n) if dist[i, i] != 0.0]
-    out += [("negative", (int(i), int(j)), float(-dist[i, j])) for i, j in np.argwhere(dist < 0)]
-    out += [("asymmetry", (int(i), int(j)), float(abs(dist[i, j] - dist[j, i])))
-            for i, j in np.argwhere(dist != dist.T) if i < j]
-    for k in range(n):
-        through = dist[:, k][:, None] + dist[k, :][None, :]
-        out += [("triangle", (int(i), k, int(j)), float(dist[i, j] - through[i, j]))
-                for i, j in np.argwhere(dist > through)]
-    return out
-
-
-@pytest.mark.parametrize("block", [1, 5, 16, 1 << 16])
-def test_validate_metric_in_row_blocks_lists_the_full_scan(monkeypatch, block):
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(11, 2))
-    table = np.round(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)), 2)
-    table[1, 3] += 0.75
-    table[2, 2] = 0.1
-    table[4, 0] = -0.2
-    table[10, 9] = 5.0
-    space = FiniteMetricMeasureSpace(np.ones(11), distance_matrix=table)
-    expected = _violations_by_full_matrix(space)
-    assert {v[0] for v in expected} == {"diagonal", "negative", "asymmetry", "triangle"}
-    monkeypatch.setattr(space_module, "BLOCK_DISTANCES", block)
-    got = [(v.kind, v.points, v.deficit) for v in validate_metric(space)]
-    assert got == expected
+@pytest.mark.parametrize("kind", ["euclidean", "chebyshev"])
+def test_dist_block_without_coordinate_axes_is_zero(kind):
+    space = FiniteMetricMeasureSpace(np.ones(3), coords=np.zeros((3, 0)), metric_kind=kind)
+    block = space.dist_block(slice(None), np.array([2, 0]))
+    assert block.shape == (3, 2) and block.dtype == float and not block.any()
+    assert space.dist_row(1).tolist() == [0.0, 0.0, 0.0]
+    assert space.min_positive_distance() is None
+    assert validate_metric(space) == []

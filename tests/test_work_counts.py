@@ -123,6 +123,21 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counting)
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The balls each functional pass evaluates, one list per pass, each
+    ball as (center, radius, factor); a ratio the table holds is not listed."""
+    passes: list[list[tuple]] = []
+    original = weights._ball_map
+
+    def recording(space, values, balls, factor, ratio, **kwargs):
+        passes.append([(b.center, b.radius, factor) for b in balls])
+        return original(space, values, balls, factor, ratio, **kwargs)
+
+    monkeypatch.setattr(weights, "_ball_map", recording)
+    return passes
+
+
 def _cz_config(tmp_path) -> dict:
     """A schema-valid config: a 1-d spike instance with an admissible CZ level window."""
     space = grid_1d(0.0, 256.0, 256)
@@ -202,7 +217,7 @@ def _decay_config(tmp_path, checks) -> dict:
     return cfg
 
 
-def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
+def test_decay_checks_measure_the_base_eps_once(evaluated, tmp_path):
     cfg = {
         "instance": {
             "kind": "lognormal",
@@ -226,11 +241,11 @@ def test_decay_checks_measure_the_base_eps_once(monkeypatch, tmp_path):
     measuring = theorems.build_ball_system(
         ctx.space, base, geometry["sigma"], geometry["eta"]
     ).measuring
-    passes: list[tuple] = []
-    _counting(monkeypatch, theorems, "wgr_epsilon", passes)
-    _counting(monkeypatch, cli, "wgr_epsilon", passes)
     assert cli.cmd_run(ctx, tmp_path / "out") == 0
-    assert sum(list(args[2]) == measuring for args in passes) == 1
+    # every check reads eps from the run's ratios: each measuring ball is evaluated once
+    counts = Counter(ball for balls in evaluated for ball in balls)
+    assert [counts[(b.center, b.radius, geometry["sigma"])] for b in measuring] == [1] * len(
+        measuring)
     for entry in cfg["checks"]:
         report = json.loads((tmp_path / "out" / f"check_{entry['name']}.json").read_text())
         assert report["params"]["eps_measured"] is True
@@ -269,22 +284,18 @@ def _family_config(tmp_path) -> dict:
     return cfg
 
 
-def test_family_checks_share_one_table_of_ball_sums(monkeypatch, tmp_path):
+def test_family_checks_share_one_table_of_ball_sums(evaluated, monkeypatch, tmp_path):
     cfg = _family_config(tmp_path)
     n_family = len(cli.RunContext(cfg).family.members)
     queries: list[tuple] = []
-    passes: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
-    measured = ("wgr_epsilon", "wgr_minus_epsilon", "weak_ainfty_beta", "sublevel_alpha")
-    for name in measured:
-        for owner in (cli, theorems):
-            _counting(monkeypatch, owner, name, passes)
     assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     # one B query per family ball and pass, plus one S query per ball
     assert 3 * len(queries) <= _UNSHARED_QUERIES_PER_BALL * n_family
     assert len(queries) <= 11 * n_family + 2
-    # each measured constant's functional runs once: the checkers reuse it
-    assert len(passes) == len(measured)
+    # each functional evaluates every family ball once; the four checkers
+    # measure their constants from those ratios and evaluate none again
+    assert [len(balls) for balls in evaluated] == [n_family] * 6 + [0] * 4
     for name in ("superlevel_bound", "osc_from_superlevel", "sublevel_bound",
                  "neg_osc_from_sublevel"):
         report = json.loads((tmp_path / "out" / f"check_{name}.json").read_text())
@@ -351,7 +362,7 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     assert report["params"]["eps_measured"] is True
 
 
-def test_cover_rhi_evaluates_each_measuring_ball_once(monkeypatch, tmp_path):
+def test_cover_rhi_evaluates_each_measuring_ball_once(evaluated, tmp_path):
     cfg = _decay_config(tmp_path, [{"name": "jn_decay", "params": {"count": 5}},
                                    {"name": "cover_rhi", "params": {"p": 1.5}}])
     ctx = cli.RunContext(cfg)
@@ -361,23 +372,16 @@ def test_cover_rhi_evaluates_each_measuring_ball_once(monkeypatch, tmp_path):
     ]
     listed = [(b.center, b.radius) for sys_ in [ctx.system, *pieces] for b in sys_.measuring]
     assert len(listed) - len(set(listed)) > 50  # the measuring sets overlap: the test has teeth
-    evaluated: list[tuple] = []
-    original = weights._ball_map
-
-    def recording(space, values, balls, factor, ratio, **kwargs):
-        evaluated.extend((b.center, b.radius, factor) for b in balls)
-        return original(space, values, balls, factor, ratio, **kwargs)
-
-    monkeypatch.setattr(weights, "_ball_map", recording)
     assert cli.cmd_run(ctx, tmp_path / "out") == 0
-    counts = Counter(evaluated)
+    counts = Counter(ball for balls in evaluated for ball in balls)
     assert set(counts) == {(c, r, ctx.sigma) for c, r in listed}
     assert max(counts.values()) == 1
     report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
     assert report["params"]["eps_measured"] is True and report["params"]["n_cover"] == len(pieces)
 
 
-def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(monkeypatch, tmp_path):
+def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
+        evaluated, monkeypatch, tmp_path):
     cfg = _family_config(tmp_path)
     cfg["checks"] = [
         {"name": "osc_from_superlevel", "params": {"alpha": 0.5}},
@@ -385,12 +389,11 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(monkeypatc
          "params": {"alpha": 0.5, "beta": 0.1, "p_grid": [1.5, 2.0]}},
     ]
     n_family = len(cli.RunContext(cfg).family.members)
-    passes: list[tuple] = []
-    for owner in (cli, theorems):
-        _counting(monkeypatch, owner, "weak_ainfty_beta", passes)
     with _queries_inside(monkeypatch, theorems, "rhi_constant") as queries:
         assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
-    assert len(passes) == 1
+    # the superlevel constant's pass evaluates the family once, for the
+    # checker; the observation reads its ratios, then runs one rhi pass per p
+    assert [len(balls) for balls in evaluated] == [n_family, 0, n_family, n_family]
     # each rhi pass queries B only: w(S), mu(S) and mu(B) come from the table
     assert len(queries) == 2 * n_family
     report = json.loads((tmp_path / "out" / "check_rhi_equivalence_observed.json").read_text())
