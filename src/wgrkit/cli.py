@@ -304,9 +304,12 @@ def _on_family(name: str, spec: dict):
 
 def _on_base(name: str, spec: dict):
     """Entry of the decay checker ``theorems.<name>`` on the run's base ball system."""
-    return lambda ctx, params: (getattr(theorems, name)(
-        ctx.space, ctx.w, ctx.sigma, ctx.eta, ctx.base, *params.args(spec), system=ctx.system,
-        _sums=ctx.sums), {})
+
+    def check(ctx, params):
+        args = params.args(spec)  # a bad param raises before the system is built
+        return getattr(theorems, name)(ctx.system, ctx.w, *args, _sums=ctx.sums), {}
+
+    return check
 
 
 def _jn_decay(ctx, params):
@@ -328,8 +331,7 @@ def _jn_decay(ctx, params):
         else:
             lam0 = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps).lambda0
             grid = (lam0 * np.geomspace(1.0, float(factor), int(count))).tolist()
-    rep = theorems.check_jn_decay(ctx.space, ctx.w, ctx.sigma, ctx.eta, ctx.base, grid,
-                                  eps=params.get("eps"), system=ctx.system, _sums=ctx.sums)
+    rep = theorems.check_jn_decay(ctx.system, ctx.w, grid, eps=params.get("eps"), _sums=ctx.sums)
     return rep, {"decay": (["lambda", "lhs_measure", "rhs_bound", "margin", "vacuous"], rep.table)}
 
 
@@ -492,8 +494,11 @@ def cmd_space_gen(ctx: RunContext, out: Path) -> int:
 
 
 def cmd_space_validate(path: Path) -> int:
-    with open(path, encoding="utf-8") as fh:
-        space = FiniteMetricMeasureSpace.from_json_obj(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            space = FiniteMetricMeasureSpace.from_json_obj(json.load(fh))
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise SchemaError(f"cannot read space {path}: {type(exc).__name__}: {exc}") from exc
     violations = validate_metric(space)
     for v in violations:
         print(f"{v.kind} at {v.points}: deficit {v.deficit}")

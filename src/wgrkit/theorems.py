@@ -8,6 +8,10 @@ measured from the instance by default, as suprema over the supplied ball
 system, and may instead be supplied explicitly; reports always record
 which value was used and which doubling constant entered the formulas.
 
+The implication checkers run over a ball family; the four decay checkers
+take one :class:`BallSystem` from :func:`build_ball_system` as their only
+geometry, so their sigma, eta and B0 cannot disagree with its constants.
+
 Margins are judged with a relative tolerance against the RHS scale;
 margins within the tolerance band are flagged ``boundary``. A check whose
 compared sets are all empty (nothing exceeds the level anywhere) passes
@@ -294,7 +298,8 @@ def check_neg_osc_from_sublevel(
 
 @dataclass
 class BallSystem:
-    """All ball machinery for decay checks over one base ball.
+    """All ball machinery for decay checks over one base ball B0, and the
+    only geometry the decay checkers read: their space, B0, sigma and eta.
 
     ``measuring`` holds the family members plus the hat ball and the
     5-dilates of small members -- every ball whose sigma-dilate stays
@@ -367,28 +372,22 @@ def _system_eps(system: BallSystem, values: np.ndarray, sums: _BallSums) -> floa
 def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float | None,
                   sums: _BallSums | None, **params):
     """The reference average c, eps, the excess (w - c)_+ and the tracker of
-    check ``name``, with ``params`` plus the ones every decay checker records."""
+    check ``name``, with the system's sigma and eta, ``params``, and the
+    constants every decay checker records."""
     c = _average(system.space, values, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
     if measured:
         eps = _system_eps(system, values, sums or _BallSums())
-    params.update({"c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
-                   "eps": float(eps), "eps_measured": measured, "w_ref": c})
+    params = {"sigma": system.sigma, "eta": system.eta, **params,
+              "c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
+              "eps": float(eps), "eps_measured": measured, "w_ref": c}
     return c, float(eps), np.maximum(values - c, 0.0), _MarginTracker(name, params)
 
 
 def check_jn_decay(
-    space: FiniteMetricMeasureSpace,
-    w,
-    sigma: float,
-    eta: float,
-    base_ball: Ball,
-    lambda_grid,
-    eps: float | None = None,
-    system: BallSystem | None = None,
-    *,
+    system: BallSystem, w, lambda_grid, eps: float | None = None, *,
     _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Exponential decay of large positive oscillation.
@@ -403,14 +402,12 @@ def check_jn_decay(
     Rows (lambda, lhs, rhs, margin, vacuous) are returned in the report
     table; a lambda whose superlevel set is empty is flagged vacuous.
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta)
     c, eps, excess, tracker = _decay_inputs(
-        "jn_decay", system, as_values(w), eps, _sums, sigma=sigma, eta=eta,
-        n_measuring_balls=len(system.measuring),
+        "jn_decay", system, as_values(w), eps, _sums, n_measuring_balls=len(system.measuring)
     )
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
-    consts = jn_constants(system.profile, sigma, eta, eps)
+    consts = jn_constants(system.profile, system.sigma, system.eta, eps)
     tracker.params.update(
         {
             "alpha": consts.alpha,
@@ -420,7 +417,7 @@ def check_jn_decay(
             "C": consts.c_final,
         }
     )
-    hat_excess = weighted_sum(excess[system.hat_members], space.mass[system.hat_members])
+    hat_excess = weighted_sum(excess[system.hat_members], system.space.mass[system.hat_members])
     rows = []
     for lam in lambda_grid:
         if lam < consts.lambda0 * (1.0 - 1e-12):
@@ -428,7 +425,7 @@ def check_jn_decay(
                 f"lambda grid entry {lam} below lambda0 = {consts.lambda0}"
             )
         sel = system.base_members[excess[system.base_members] > lam * c]
-        lhs = space.set_measure(sel)
+        lhs = system.space.set_measure(sel)
         rhs = (1.0 / (1.0 + lam)) ** (1.0 / (consts.a_const * eps)) * (
             consts.c_final / (eps * c)
         ) * hat_excess
@@ -438,8 +435,7 @@ def check_jn_decay(
     return tracker.report(table=rows)
 
 
-def _power_bound_constant(consts: JNConstants, profile: DoublingProfile, sigma: float,
-                          p: float, eps: float) -> float:
+def _power_bound_constant(consts: JNConstants, system: BallSystem, p: float, eps: float) -> float:
     """Self-improvement constant with the exact beta-function value.
 
     C(p) = p (alpha c_mu sigma^D)^(p-1)
@@ -447,15 +443,15 @@ def _power_bound_constant(consts: JNConstants, profile: DoublingProfile, sigma: 
     """
     y = 1.0 / (consts.a_const * eps)
     exact_beta = beta_fn(p, y - p)
-    lead = consts.alpha * profile.c_mu * sigma**profile.dimension_d
+    lead = consts.alpha * system.profile.c_mu * system.sigma**system.profile.dimension_d
     return p * lead ** (p - 1.0) + p * exact_beta * eps ** (-p) * consts.c_final
 
 
-def _weak_rhi_constant(consts: JNConstants, profile: DoublingProfile, sigma: float,
-                       eta: float, p: float, eps: float) -> float:
+def _weak_rhi_constant(consts: JNConstants, system: BallSystem, p: float, eps: float) -> float:
     """C with C^p = C_power * c_mu * ((1+eta) sigma)^D, the weak bound's constant."""
-    c_power = _power_bound_constant(consts, profile, sigma, p, eps)
-    return (c_power * profile.c_mu * ((1.0 + eta) * sigma) ** profile.dimension_d) ** (1.0 / p)
+    c_power = _power_bound_constant(consts, system, p, eps)
+    dilation = ((1.0 + system.eta) * system.sigma) ** system.profile.dimension_d
+    return (c_power * system.profile.c_mu * dilation) ** (1.0 / p)
 
 
 def _power_mean(space: FiniteMetricMeasureSpace, values, members, p: float) -> float:
@@ -476,15 +472,7 @@ def _require_osc_range(consts: JNConstants, eps: float, p: float) -> None:
 
 
 def check_osc_power_bound(
-    space: FiniteMetricMeasureSpace,
-    w,
-    sigma: float,
-    eta: float,
-    base_ball: Ball,
-    p: float,
-    eps: float | None = None,
-    system: BallSystem | None = None,
-    *,
+    system: BallSystem, w, p: float, eps: float | None = None, *,
     _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Self-improvement: p-th power of the positive oscillation.
@@ -497,35 +485,26 @@ def check_osc_power_bound(
 
     with the exact-beta constant of :func:`_power_bound_constant`.
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta)
     c, eps, excess, tracker = _decay_inputs(
-        "osc_power_bound", system, as_values(w), eps, _sums, sigma=sigma, eta=eta, p=p
+        "osc_power_bound", system, as_values(w), eps, _sums, p=p
     )
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
-    consts = jn_constants(system.profile, sigma, eta, eps)
+    consts = jn_constants(system.profile, system.sigma, system.eta, eps)
     _require_osc_range(consts, eps, p)
-    c_p = _power_bound_constant(consts, system.profile, sigma, p, eps)
+    c_p = _power_bound_constant(consts, system, p, eps)
     tracker.params.update({"alpha": consts.alpha, "A": consts.a_const, "C": c_p})
     lhs = weighted_sum(
-        excess[system.base_members] ** p, space.mass[system.base_members]
+        excess[system.base_members] ** p, system.space.mass[system.base_members]
     )
-    hat_excess = weighted_sum(excess[system.hat_members], space.mass[system.hat_members])
+    hat_excess = weighted_sum(excess[system.hat_members], system.space.mass[system.hat_members])
     rhs = c_p * eps ** (p - 1.0) * c ** (p - 1.0) * hat_excess
-    tracker.add(lhs, rhs, base_ball, vacuous=lhs == 0.0)
+    tracker.add(lhs, rhs, system.base_ball, vacuous=lhs == 0.0)
     return tracker.report()
 
 
 def check_weak_rhi(
-    space: FiniteMetricMeasureSpace,
-    w,
-    sigma: float,
-    eta: float,
-    base_ball: Ball,
-    p: float,
-    eps: float | None = None,
-    system: BallSystem | None = None,
-    *,
+    system: BallSystem, w, p: float, eps: float | None = None, *,
     _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Weak reverse Holder bound against the sigma-hat reference ball.
@@ -535,37 +514,26 @@ def check_weak_rhi(
 
         (avg_B0 w^p)^(1/p) <= (C eps + 1) * avg over sigma*(1+eta)*B0 of w
     """
-    system = system or build_ball_system(space, base_ball, sigma, eta)
-    return _weak_rhi(space, as_values(w), sigma, eta, base_ball, p, eps, system, _sums)
+    return _weak_rhi(system, as_values(w), p, eps, _sums)
 
 
-def _weak_rhi(space, values, sigma, eta, base_ball, p, eps, system, sums) -> CheckReport:
-    c, eps, _, tracker = _decay_inputs(
-        "weak_rhi", system, values, eps, sums, sigma=sigma, eta=eta, p=p
-    )
+def _weak_rhi(system: BallSystem, values, p, eps, sums) -> CheckReport:
+    space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
+    c, eps, _, tracker = _decay_inputs("weak_rhi", system, values, eps, sums, p=p)
+    lhs = _power_mean(space, values, system.base_members, p)
     if eps == 0.0:
-        mean_p = average(space, values**p, system.base_members) ** (1.0 / p)
-        tracker.add(mean_p, c, base_ball)
+        tracker.add(lhs, c, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
     consts = jn_constants(system.profile, sigma, eta, eps)
     _require_osc_range(consts, eps, p)
-    big_c = _weak_rhi_constant(consts, system.profile, sigma, eta, p, eps)
+    big_c = _weak_rhi_constant(consts, system, p, eps)
     tracker.params.update({"alpha": consts.alpha, "A": consts.a_const, "C": big_c})
-    lhs = _power_mean(space, values, system.base_members, p)
     tracker.add(lhs, (big_c * eps + 1.0) * c, base_ball)
     return tracker.report()
 
 
 def check_cover_rhi(
-    space: FiniteMetricMeasureSpace,
-    w,
-    sigma: float,
-    eta: float,
-    base_ball: Ball,
-    p: float,
-    eps: float | None = None,
-    system: BallSystem | None = None,
-    *,
+    system: BallSystem, w, p: float, eps: float | None = None, *,
     _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Reverse Holder bound with the smaller sigma*B0 reference ball.
@@ -581,13 +549,12 @@ def check_cover_rhi(
 
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
-    A supplied ``system`` stands in for the base ball system, as in the
-    other decay checkers. Every eps is read through one ball-sum table,
-    so a dilate shared by the base and piece systems is summed once.
+    Every eps is read through one ball-sum table, so a dilate shared by
+    the base and piece systems is summed once.
     """
+    space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
     if not sigma > 1.0:
         raise InvalidParameterError(f"cover bound needs sigma > 1, got {sigma}")
-    system = system or build_ball_system(space, base_ball, sigma, eta)
     values, sums = as_values(w), _sums or _BallSums()
     cover = five_r_cover(space, base_ball, sigma, eta)
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
@@ -624,11 +591,11 @@ def check_cover_rhi(
     _require_osc_range(consts, eps, p)
     # every piece must satisfy the weak bound at the shared eps
     for sub in sub_systems:
-        piece = _weak_rhi(space, values, sigma, eta, sub.base_ball, p, eps, sub, sums)
+        piece = _weak_rhi(sub, values, p, eps, sums)
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")
-    weak_c = _weak_rhi_constant(consts, system.profile, sigma, eta, p, eps)
+    weak_c = _weak_rhi_constant(consts, system, p, eps)
     c_mu, dim = system.profile.c_mu, system.profile.dimension_d
     big_c = (
         (weak_c * eps + 1.0)
@@ -657,7 +624,6 @@ def check_rhi_equivalence_observed(
     beta: float,
     p_grid,
     sigma: float | None = None,
-    profile: DoublingProfile | None = None,
     *,
     _sums: _BallSums | None = None,
 ) -> CheckReport:
@@ -676,8 +642,7 @@ def check_rhi_equivalence_observed(
         raise DomainError("p_grid is empty")
     balls, fam_sigma = family_balls(family)
     sigma = fam_sigma if sigma is None else sigma
-    if profile is None:
-        profile = doubling_profile(space, balls)
+    profile = doubling_profile(space, balls)
     values, sums = as_values(w), _sums or _BallSums()
     measured_beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma, _sums=sums).value
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))

@@ -240,7 +240,7 @@ def decay_setup(weight_kind: str):
     # 20 admissible points, spread from lambda0 toward the largest excess
     top = max(4.0 * consts.lambda0, 1.5 * lam_max, consts.lambda0 * 1.0001)
     grid = np.geomspace(consts.lambda0, top, 20).tolist()
-    report = theorems.check_jn_decay(space, w, sigma, eta, base, grid, system=system)
+    report = theorems.check_jn_decay(system, w, grid)
     return report, consts, lam_max, system, w
 
 
@@ -329,7 +329,7 @@ def test_criterion_06_lognormal_nonvacuous_points():
     c, b0, excess = oracle_excess(space, values, base, sigma, eta)
     assert lam0 < excess, (lam0, excess)
     grid = np.geomspace(lam0, excess, 20).tolist()
-    report = theorems.check_jn_decay(space, w, sigma, eta, base, grid, system=system)
+    report = theorems.check_jn_decay(system, w, grid)
     assert report.params["lambda0"] == pytest.approx(lam0, rel=1e-12)
     assert len(report.table) == 20
     for lam, lhs, rhs, margin, vac in report.table:
@@ -361,11 +361,11 @@ def test_criterion_07_power_bound_chain():
     exponents = [1.5, 2.0, min(4.0, cap)]
 
     for p in exponents:
-        rep_power = theorems.check_osc_power_bound(space, w, sigma, eta, base, p, system=system)
+        rep_power = theorems.check_osc_power_bound(system, w, p)
         assert rep_power.passed and rep_power.margin >= 0.0, p
-        rep_weak = theorems.check_weak_rhi(space, w, sigma, eta, base, p, system=system)
+        rep_weak = theorems.check_weak_rhi(system, w, p)
         assert rep_weak.passed and rep_weak.margin >= 0.0, p
-        rep_cover = theorems.check_cover_rhi(space, w, sigma, eta, base, p)
+        rep_cover = theorems.check_cover_rhi(system, w, p)
         assert rep_cover.passed and rep_cover.margin >= 0.0, p
         assert rep_cover.params["cover_coverage"] == 1.0
         assert rep_cover.params["cover_fifth_disjoint"]

@@ -399,14 +399,11 @@ def test_decay_checkers_report_the_same_with_a_filled_table(case, eta, p, suppli
     family = system.family
     grid = [1e3, 1e6]
     checks = {
-        "jn_decay": lambda kw: theorems.check_jn_decay(
-            space, vals, sigma, eta, base, grid, eps=supplied, system=system, **kw),
+        "jn_decay": lambda kw: theorems.check_jn_decay(system, vals, grid, eps=supplied, **kw),
         "osc_power_bound": lambda kw: theorems.check_osc_power_bound(
-            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
-        "weak_rhi": lambda kw: theorems.check_weak_rhi(
-            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
-        "cover_rhi": lambda kw: theorems.check_cover_rhi(
-            space, vals, sigma, eta, base, p, eps=supplied, system=system, **kw),
+            system, vals, p, eps=supplied, **kw),
+        "weak_rhi": lambda kw: theorems.check_weak_rhi(system, vals, p, eps=supplied, **kw),
+        "cover_rhi": lambda kw: theorems.check_cover_rhi(system, vals, p, eps=supplied, **kw),
         "rhi_equivalence_observed": lambda kw: theorems.check_rhi_equivalence_observed(
             space, vals, family, 0.5, 0.1, [1.5, p], **kw),
     }

@@ -149,6 +149,38 @@ def test_space_gen_validate_weight_gen(tmp_path):
     assert len(values) == 48
 
 
+@pytest.mark.parametrize("n_dim,side", [(2, 10), (3, 6)])
+def test_generated_euclidean_grid_validates(tmp_path, capsys, n_dim, side):
+    instance = {
+        "kind": "lognormal", "dimension": n_dim, "side": side, "cell": 1.0, "metric": "euclidean",
+        "params": {"geometry": "grid_nd", "mu": 0.0, "sigma": 0.25}, "seed": 3,
+    }
+    cfg = smoke_config(tmp_path, instance=instance)
+    space_path = tmp_path / "space.json"
+    assert main(["space", "gen", "--config", str(cfg), "--out", str(space_path)]) == 0
+    assert json.loads(space_path.read_text())["metric_kind"] == "euclidean"
+    assert main(["space", "validate", "--in", str(space_path)]) == 0
+    assert capsys.readouterr().out == "metric axioms hold\n"
+
+
+@pytest.mark.parametrize(
+    "content,cause",
+    [
+        (None, "FileNotFoundError"),
+        ("{not json", "JSONDecodeError"),
+        ('{"points": [[0.0]], "metric_kind": "euclidean"}', "KeyError: 'mass'"),
+    ],
+    ids=["missing", "not_json", "no_mass"],
+)
+def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, cause):
+    path = tmp_path / "space.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["space", "validate", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read space {path}: {cause}")
+
+
 def test_check_subcommand(tmp_path):
     cfg = smoke_config(tmp_path)
     out = tmp_path / "single"

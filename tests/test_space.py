@@ -147,6 +147,30 @@ def test_validate_metric_triangle_violation():
     assert 3.0 in deficits  # d(a,c)=5 against d(a,b)+d(b,c)=2
 
 
+@pytest.mark.parametrize("n_dim,side", [(2, 10), (3, 6)])
+def test_validate_metric_euclidean_grid_rounding_is_no_violation(n_dim, side):
+    # an exact comparison finds hundreds of triangles off by about one ulp here
+    assert validate_metric(grid_nd(n_dim, side, 1.0, "euclidean")) == []
+
+
+def test_validate_metric_random_euclidean_points_clean():
+    coords = np.random.default_rng(5).normal(size=(60, 1))
+    space = FiniteMetricMeasureSpace(np.ones(60), coords=coords, metric_kind="euclidean")
+    assert validate_metric(space) == []
+
+
+def test_validate_metric_triangle_rounding_band():
+    def triangles(d_ac):
+        d = [[0.0, 1.0, d_ac], [1.0, 0.0, 1.0], [d_ac, 1.0, 0.0]]
+        sp = FiniteMetricMeasureSpace([1.0, 1.0, 1.0], distance_matrix=d)
+        return [v for v in validate_metric(sp) if v.kind == "triangle"]
+
+    # one ulp above d(a,b) + d(b,c) = 2 is rounding; 1e-12 above is a violation
+    assert triangles(np.nextafter(2.0, 3.0)) == []
+    assert triangles(2.0 * (1.0 + 2.0 * space_module.TRIANGLE_RTOL))
+    assert {v.deficit for v in triangles(2.0 + 1e-12)} == {2.0 + 1e-12 - 2.0}
+
+
 def test_space_requires_positive_mass():
     with pytest.raises(Exception):
         FiniteMetricMeasureSpace([1.0, 0.0], distance_matrix=[[0, 1], [1, 0]])

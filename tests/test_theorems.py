@@ -119,9 +119,7 @@ def test_composition_coefficient_identity():
 
 def test_jn_decay_constant_weight_note():
     space, base, _, system = sin_system()
-    rep = theorems.check_jn_decay(
-        space, np.full(space.n_points, 4.0), 1.25, 1.0, base, [], system=system
-    )
+    rep = theorems.check_jn_decay(system, np.full(space.n_points, 4.0), [])
     assert rep.passed and rep.vacuous
     assert "constant" in rep.notes
 
@@ -132,15 +130,13 @@ def test_jn_decay_near_constant_sin():
     assert eps < 1e-3  # near-constant: tiny measured constant
     consts = jn_constants(system.profile, 1.25, 1.0, eps)
     grid = (consts.lambda0 * np.geomspace(1.0, 4.0, 20)).tolist()
-    rep = theorems.check_jn_decay(space, w, 1.25, 1.0, base, grid, system=system)
+    rep = theorems.check_jn_decay(system, w, grid)
     assert rep.passed
     assert len(rep.table) == 20
     assert rep.params["lambda0"] == pytest.approx(consts.lambda0)
     # below-lambda0 grid entries are rejected
     with pytest.raises(InvalidParameterError):
-        theorems.check_jn_decay(
-            space, w, 1.25, 1.0, base, [consts.lambda0 * 0.5], system=system
-        )
+        theorems.check_jn_decay(system, w, [consts.lambda0 * 0.5])
 
 
 def test_jn_decay_lognormal_inequality_holds():
@@ -155,7 +151,7 @@ def test_jn_decay_lognormal_inequality_holds():
     eps = wgr_epsilon(space, w, system.measuring, sigma=1.25).value
     consts = jn_constants(system.profile, 1.25, 1.0, eps)
     grid = (consts.lambda0 * np.geomspace(1.0, 3.0, 10)).tolist()
-    rep = theorems.check_jn_decay(space, w, 1.25, 1.0, base, grid, system=system)
+    rep = theorems.check_jn_decay(system, w, grid)
     assert rep.passed  # vacuous or not, the bound must hold with margin >= 0
     for lam, lhs, rhs, margin, vac in rep.table:
         assert margin >= -1e-9 * abs(rhs)
@@ -167,23 +163,23 @@ def test_osc_power_bound_and_weak_rhi_near_constant():
     consts = jn_constants(system.profile, 1.25, 1.0, eps)
     cap = 1.0 / (2.0 * consts.a_const * eps)
     for p in (1.5, 2.0, min(4.0, cap)):
-        ro = theorems.check_osc_power_bound(space, w, 1.25, 1.0, base, p, system=system)
+        ro = theorems.check_osc_power_bound(system, w, p)
         assert ro.passed and ro.margin >= 0.0
-        rw = theorems.check_weak_rhi(space, w, 1.25, 1.0, base, p, system=system)
+        rw = theorems.check_weak_rhi(system, w, p)
         assert rw.passed and rw.margin >= 0.0
 
 
 def test_weak_rhi_constant_weight():
     space, base, _, system = sin_system()
     w = np.full(space.n_points, 2.0)
-    rep = theorems.check_weak_rhi(space, w, 1.25, 1.0, base, 2.0, system=system)
+    rep = theorems.check_weak_rhi(system, w, 2.0)
     assert rep.passed  # (avg w^p)^(1/p) = w_ref exactly
 
 
 def test_osc_power_bound_p_limit_consistency():
     # p -> 1+ reduces to int (..)_+ <= C int (..)_+ with C >= 1
     space, base, w, system = sin_system()
-    rep = theorems.check_osc_power_bound(space, w, 1.25, 1.0, base, 1.0 + 1e-9, system=system)
+    rep = theorems.check_osc_power_bound(system, w, 1.0 + 1e-9)
     assert rep.passed
     assert rep.params["C"] >= 1.0
 
@@ -192,21 +188,22 @@ def test_threshold_error_on_sawyer():
     space, w = sawyer_strip(2, 16, 1.0)
     center = int(np.argmin(np.abs(space.coords[:, 0] - 0.5) + np.abs(space.coords[:, 1] - 0.5)))
     base = Ball(center, 2.0)
+    system = theorems.build_ball_system(space, base, 2.0, 1.0)
     with pytest.raises(ThresholdError):
-        theorems.check_weak_rhi(space, w, 2.0, 1.0, base, 2.0)
+        theorems.check_weak_rhi(system, w, 2.0)
 
 
 def test_exponent_out_of_range():
     space, base, w, system = sin_system()
     with pytest.raises(InvalidExponentError):
-        theorems.check_osc_power_bound(space, w, 1.25, 1.0, base, 1.0, system=system)
+        theorems.check_osc_power_bound(system, w, 1.0)
     with pytest.raises(InvalidExponentError):
-        theorems.check_osc_power_bound(space, w, 1.25, 1.0, base, 1e9, system=system)
+        theorems.check_osc_power_bound(system, w, 1e9)
 
 
 def test_cover_rhi_near_constant_chain():
     space, base, w, system = sin_system()
-    rep = theorems.check_cover_rhi(space, w, 1.25, 1.0, base, 2.0)
+    rep = theorems.check_cover_rhi(system, w, 2.0)
     assert rep.passed and rep.margin >= 0.0
     assert rep.params["cover_coverage"] == 1.0
     assert rep.params["cover_fifth_disjoint"] and rep.params["cover_contained"]
@@ -215,8 +212,40 @@ def test_cover_rhi_near_constant_chain():
 
 def test_cover_rhi_constant_weight_degenerate():
     space, base, _, system = sin_system()
-    rep = theorems.check_cover_rhi(space, np.full(space.n_points, 3.0), 1.25, 1.0, base, 2.0)
+    rep = theorems.check_cover_rhi(system, np.full(space.n_points, 3.0), 2.0)
     assert rep.passed
+
+
+def test_decay_checkers_take_their_geometry_from_the_system():
+    from wgrkit.examples import random_weight
+
+    space = grid_1d(0.0, 128.0, 128)
+    w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.001}, seed=1)
+    system = theorems.build_ball_system(space, Ball(64, 24.0), 1.5, 1.0)
+    eps = wgr_epsilon(space, w, system.measuring, sigma=1.5).value
+    assert eps > 0.0
+    lambda0 = jn_constants(system.profile, 1.5, 1.0, eps).lambda0
+    reports = {
+        "jn_decay": theorems.check_jn_decay(system, w, [lambda0, 2.0 * lambda0]),
+        "osc_power_bound": theorems.check_osc_power_bound(system, w, 1.5),
+        "weak_rhi": theorems.check_weak_rhi(system, w, 1.5),
+        "cover_rhi": theorems.check_cover_rhi(system, w, 1.5),
+    }
+    for name, rep in reports.items():
+        assert (rep.params["sigma"], rep.params["eta"]) == (1.5, 1.0), name
+        assert rep.params["eps_measured"] is True, name
+    for name in ("jn_decay", "osc_power_bound", "weak_rhi"):
+        assert reports[name].params["eps"] == eps, name
+        assert reports[name].params["w_ref"] == average(space, w, system.sigma_hat_members)
+    assert reports["jn_decay"].params["lambda0"] == lambda0
+    assert reports["osc_power_bound"].witness == system.base_ball
+    assert reports["weak_rhi"].witness == system.base_ball
+    # the cover's eps is the max over the base system and every piece system
+    pieces = [theorems.build_ball_system(space, b, 1.5, 1.0, profile=system.profile)
+              for b in theorems.five_r_cover(space, system.base_ball, 1.5, 1.0)]
+    assert reports["cover_rhi"].params["eps"] == max(
+        wgr_epsilon(space, w, s.measuring, sigma=1.5).value for s in [system, *pieces]
+    ) >= eps
 
 
 def test_rhi_equivalence_observed_cases():
@@ -348,7 +377,7 @@ def test_jn_decay_rhs_formula_reconstruction():
     eps = wgr_epsilon(space, w, system.measuring, sigma=sigma).value
     consts = jn_constants(system.profile, sigma, eta, eps)
     grid = (consts.lambda0 * np.geomspace(1.0, 3.0, 8)).tolist()
-    rep = theorems.check_jn_decay(space, w, sigma, eta, base, grid, system=system)
+    rep = theorems.check_jn_decay(system, w, grid)
 
     c_mu = system.profile.c_mu
     d = math.log2(c_mu)
@@ -416,6 +445,12 @@ def test_rhi_equivalence_small_variance_holds():
 
 # -- weight validation at the entry of every functional and checker -------------
 
+
+def decay_system(space, family):
+    """The decay ball system on ``family``'s base ball, sigma and eta."""
+    return theorems.build_ball_system(space, family.base_ball, family.sigma, family.eta)
+
+
 #: name -> call(space, family, w); checkers get their constants supplied, so no
 #: inner functional sees the weight before the checker itself does.
 ENTRY_POINTS = {
@@ -438,16 +473,16 @@ ENTRY_POINTS = {
         sp, w, fam, 0.5, alpha_m=0.5
     ),
     "jn_decay": lambda sp, fam, w: theorems.check_jn_decay(
-        sp, w, fam.sigma, fam.eta, fam.base_ball, [1e6], eps=1e-4
+        decay_system(sp, fam), w, [1e6], eps=1e-4
     ),
     "osc_power_bound": lambda sp, fam, w: theorems.check_osc_power_bound(
-        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+        decay_system(sp, fam), w, 1.5, eps=1e-4
     ),
     "weak_rhi": lambda sp, fam, w: theorems.check_weak_rhi(
-        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+        decay_system(sp, fam), w, 1.5, eps=1e-4
     ),
     "cover_rhi": lambda sp, fam, w: theorems.check_cover_rhi(
-        sp, w, fam.sigma, fam.eta, fam.base_ball, 1.5, eps=1e-4
+        decay_system(sp, fam), w, 1.5, eps=1e-4
     ),
     "rhi_equivalence_observed": lambda sp, fam, w: theorems.check_rhi_equivalence_observed(
         sp, w, fam, 0.5, 0.1, [2.0]
@@ -495,7 +530,7 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
     consts = jn_constants(system.profile, 1.5, 1.0, eps)
     assert system.profile.c_mu >= 9.0 and consts.c_final == np.inf  # the saturated constant
     grid = (consts.lambda0 * np.geomspace(1.0, 4.0, 5)).tolist()
-    rep = theorems.check_jn_decay(space, w, 1.5, 1.0, base, grid, system=system)
+    rep = theorems.check_jn_decay(system, w, grid)
     assert rep.passed is False  # a bound of inf proves nothing, vacuous or not
     assert rep.margin_rel == -np.inf and rep.margin == -np.inf
 
@@ -508,7 +543,7 @@ def test_measured_eps_follows_the_weight():
     values = np.array(w)
 
     def eps_of(vals, **kw):
-        rep = theorems.check_jn_decay(space, vals, 1.25, 1.0, base, [], system=system, **kw)
+        rep = theorems.check_jn_decay(system, vals, [], **kw)
         assert rep.params["eps_measured"] is True
         return rep.params["eps"]
 
