@@ -41,9 +41,9 @@ from .space import FiniteMetricMeasureSpace, row_slices, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
 from .weights import (  # CHECKS looks the functionals up here by name
+    _ball_average,
     _BallSums,
     as_values,
-    average,
     gr_epsilon,
     rhi_constant,
     sublevel_alpha,
@@ -496,8 +496,11 @@ def cmd_space_gen(ctx: RunContext, out: Path) -> int:
 def cmd_space_validate(path: Path) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
-            space = FiniteMetricMeasureSpace.from_json_obj(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError(f"the top level is a {type(obj).__name__}, not an object")
+        space = FiniteMetricMeasureSpace.from_json_obj(obj)
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # ValueError: bad JSON or mass
         raise SchemaError(f"cannot read space {path}: {type(exc).__name__}: {exc}") from exc
     violations = validate_metric(space)
     for v in violations:
@@ -519,12 +522,12 @@ _CZ_PROPERTIES = {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
 
 def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
     space, w, family = ctx.space, ctx.w, ctx.family
-    # one averages table feeds the closure profile, the maximal function and every level
+    # one averages table feeds the maximal function and every level; the ball
+    # measures it sums stay in the space's memo, where the closure profile reads them
     table = czdecomp._FamilyAverages(space, w, family)
-    profile = czdecomp.closure_profile(space, family, _measures=table.mu)
+    profile = czdecomp.closure_profile(space, family)
     cz_cfg = ctx.cfg.get("cz", {})
-    hat = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
-    f_hat = average(space, w, hat)
+    f_hat = _ball_average(space, as_values(w), family.hat_ball)
     alpha = czdecomp.jn_constants(profile, ctx.sigma, ctx.eta, 1.0).alpha
     mf_max = float(czdecomp.maximal_function(space, w, family, _table=table).max())
 

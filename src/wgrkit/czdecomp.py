@@ -41,8 +41,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .weights import _average, as_values
-from .util import weighted_sum
+from .weights import _ball_average, as_values
 
 
 @dataclass(frozen=True)
@@ -138,10 +137,9 @@ def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> lis
     return [Ball(c, rho) for c in centers for rho in sorted(radii)]
 
 
-def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily, *,
-                    _measures: dict | None = None) -> DoublingProfile:
-    """:func:`doubling_profile` over :func:`closure_ball_set`, ``_measures`` included."""
-    return doubling_profile(space, closure_ball_set(space, family), _measures=_measures)
+def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
+    """:func:`doubling_profile` over :func:`closure_ball_set`."""
+    return doubling_profile(space, closure_ball_set(space, family))
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ class CZDecomposition:
 
 
 class _FamilyAverages:
-    """Per member ball: its points and, when nonempty, its measure and the average of |f|."""
+    """Per member ball: its points and, when nonempty, the average of |f|."""
 
     def __init__(self, space, f, family: BallFamily):
         self.space = space
@@ -191,14 +189,12 @@ class _FamilyAverages:
         self.centers = sorted({b.center for b in family.members})
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], np.ndarray] = {}
-        self.mu: dict[tuple[int, float], float] = {}
         for ball in family.members:
             key = (ball.center, ball.radius)
             members = space.ball_members(ball.center, ball.radius)
             self.members[key] = members
             if members.size:
-                mu = self.mu[key] = space.set_measure(members)
-                self.avg[key] = weighted_sum(self.values[members], space.mass[members]) / mu
+                self.avg[key] = _ball_average(space, self.values, ball, members)
 
     @cached_property
     def maximal(self) -> np.ndarray:
@@ -308,7 +304,7 @@ def cz_decompose(
     """
     table = _table or _FamilyAverages(space, f, family)
     hat_members = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
-    f_hat = _average(space, table.values, hat_members)
+    f_hat = _ball_average(space, table.values, family.hat_ball, hat_members)
     alpha = jn_constants(profile, family.sigma, family.eta, 1.0).alpha
     if lam < alpha * f_hat:
         raise CZPreconditionError(

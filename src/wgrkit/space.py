@@ -26,7 +26,10 @@ of the most recently queried center, so a layer that walks its balls
 center by center (every family, measuring set and closure set is listed
 center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
-uncached.
+uncached. Beside the slot, a memo maps ``(center, r)`` to the float mu(B),
+which :meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and
+every layer reads. Pool threads may write it; each write stores the same
+float. A space freezes private copies of its arrays, so it cannot go stale.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -104,12 +107,12 @@ class FiniteMetricMeasureSpace:
     """Finite point set with a validated metric and positive point masses.
 
     Exactly one of ``coords`` (with ``metric_kind`` in ``{"euclidean",
-    "chebyshev"}``) or ``distance_matrix`` must be supplied. Spaces are
-    immutable after construction; all operations are pure reads.
+    "chebyshev"}``) or ``distance_matrix`` must be supplied. A space keeps
+    frozen private copies of its arrays; the caller's stay writeable.
     """
 
     def __init__(self, mass, *, coords=None, metric_kind=None, distance_matrix=None):
-        mass = np.asarray(mass, dtype=float)
+        mass = np.array(mass, dtype=float)
         if mass.ndim != 1 or mass.size == 0:
             raise WgrError("mass must be a nonempty 1-d array")
         if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
@@ -121,7 +124,7 @@ class FiniteMetricMeasureSpace:
             raise WgrError("exactly one of coords/distance_matrix is required")
 
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = np.array(coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != mass.size:
                 raise WgrError("coords must be (n_points, dim)")
             if not np.all(np.isfinite(coords)):
@@ -133,7 +136,7 @@ class FiniteMetricMeasureSpace:
             self._dist = None
             self.metric_kind = metric_kind
         else:
-            dist = np.asarray(distance_matrix, dtype=float)
+            dist = np.array(distance_matrix, dtype=float)
             if dist.shape != (mass.size, mass.size):
                 raise WgrError("distance_matrix must be square (n_points, n_points)")
             if not np.all(np.isfinite(dist)):
@@ -145,6 +148,7 @@ class FiniteMetricMeasureSpace:
         # (center, row) of the last ball query; replaced as one tuple, so a
         # concurrent reader never pairs one center with another's row
         self._row_slot: tuple[int, np.ndarray] | None = None
+        self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
 
     # -- basic structure ---------------------------------------------------
 
@@ -219,6 +223,16 @@ class FiniteMetricMeasureSpace:
         if members.dtype == bool:
             members = np.flatnonzero(members)
         return fsum(self._mass[members])
+
+    def ball_measure(self, center: int, r: float, members=None) -> float:
+        """mu(B(center, r)) from the memo, summed on first use; ``members``,
+        the ball's ids when the caller holds them, spares a second query."""
+        mu = self._mu.get((center, r))
+        if mu is None:
+            if members is None:
+                members = self.ball_members(center, r)
+            mu = self._mu[(center, r)] = self.set_measure(members)
+        return mu
 
     def min_positive_distance(self, members=None) -> float | None:
         """Smallest positive pairwise distance among ``members`` (default: all).
@@ -348,31 +362,20 @@ def grid_nd(n_dim: int, side: int, cell: float, metric_kind: str) -> FiniteMetri
 # -- doubling ------------------------------------------------------------------
 
 
-def doubling_profile(space: FiniteMetricMeasureSpace, ball_set, *,
-                     _measures: dict | None = None) -> DoublingProfile:
+def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfile:
     """Max of mu(2B)/mu(B) over the supplied balls, floored at 1.
 
     The profile is relative to the ball set: a richer set can only increase
-    it. Every ball must be nonempty. ``_measures`` maps ``(center, radius)``
-    to mu(B) for balls already measured; the balls measured here are added.
+    it. Every ball must be nonempty. Measures come from the space's memo,
+    so on a ratio-2 chain the double of one ball, the next ball, is summed once.
     """
-    # each (center, radius) is measured once: on a ratio-2 chain the double
-    # of one ball is the next ball
-    measures: dict[tuple[int, float], float] = {} if _measures is None else _measures
-
-    def measure(center: int, r: float) -> float:
-        m = measures.get((center, r))
-        if m is None:
-            m = measures[(center, r)] = space.set_measure(space.ball_members(center, r))
-        return m
-
     c_mu = 1.0
     for ball in ball_set:
-        m1 = measure(ball.center, ball.radius)
+        m1 = space.ball_measure(ball.center, ball.radius)
         if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0
             raise EmptyBallError(
                 f"ball (center={ball.center}, radius={ball.radius}) is empty"
             )
-        m2 = measure(ball.center, 2.0 * ball.radius)
+        m2 = space.ball_measure(ball.center, 2.0 * ball.radius)
         c_mu = max(c_mu, m2 / m1)
     return DoublingProfile.from_c_mu(c_mu)

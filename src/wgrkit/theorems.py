@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .balls import Ball, BallFamily, build_family, five_r_cover, verify_cover
+from .balls import Ball, BallFamily, build_family, dilate, five_r_cover, verify_cover
 from .czdecomp import JNConstants, closure_ball_set, jn_constants
 from .errors import (
     DegenerateWeightError,
@@ -37,14 +37,14 @@ from .errors import (
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
 from .util import fsum, weighted_sum
 from .weights import (
-    _average,
     _avg,
+    _ball_average,
     _ball_map,
     _BallSums,
     _neg_part_avg,
     _pos_part,
+    _resolve_sigma,
     as_values,
-    average,
     family_balls,
     rhi_constant,
     sublevel_alpha,
@@ -169,7 +169,7 @@ class _MarginTracker:
 
 
 def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
-                 functional: str, param, sides, mu_b: bool = False) -> CheckReport:
+                 functional: str, param, sides) -> CheckReport:
     """The body the four implication checkers share.
 
     ``params[key]`` is the hypothesis constant. When it is None it is
@@ -179,8 +179,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
     the tracker; with ``sums`` the S side is read from the table. A checker
     with a ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
     """
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
+    balls, sigma = family_balls(family), _resolve_sigma(family, sigma)
     values, sums = as_values(w), sums or _BallSums()
     measured = params[key] is None
     if measured:
@@ -194,7 +193,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
     if lam is not None and not const < lam < 1.0:
         raise InvalidParameterError(f"need eps < lambda < 1, got eps={const}, lambda={lam}")
-    per_ball = _ball_map(space, values, balls, sigma, partial(sides, const), mu_b=mu_b, sums=sums)
+    per_ball = _ball_map(space, values, balls, sigma, partial(sides, const), sums=sums)
     for ball, (lhs, rhs, vacuous) in zip(balls, per_ball):
         tracker.add(lhs, rhs, ball, vacuous=vacuous)
     return tracker.report()
@@ -263,8 +262,7 @@ def check_sublevel_bound(
         return fsum(m[level]), lam * mu_b, not level.any()
 
     return _implication("sublevel_bound", space, w, family, sigma, _sums,
-                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, sides,
-                        mu_b=True)
+                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, sides)
 
 
 def check_neg_osc_from_sublevel(
@@ -287,8 +285,7 @@ def check_neg_osc_from_sublevel(
         return lhs, (1.0 - (1.0 - alpha_m) * beta) * c, lhs == 0.0
 
     return _implication("neg_osc_from_sublevel", space, w, family, sigma, _sums,
-                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, sides,
-                        mu_b=True)
+                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +371,8 @@ def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float 
     """The reference average c, eps, the excess (w - c)_+ and the tracker of
     check ``name``, with the system's sigma and eta, ``params``, and the
     constants every decay checker records."""
-    c = _average(system.space, values, system.sigma_hat_members)
+    sigma_hat = dilate(system.base_ball, system.sigma * (1.0 + system.eta))
+    c = _ball_average(system.space, values, sigma_hat, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
@@ -454,9 +452,10 @@ def _weak_rhi_constant(consts: JNConstants, system: BallSystem, p: float, eps: f
     return (c_power * system.profile.c_mu * dilation) ** (1.0 / p)
 
 
-def _power_mean(space: FiniteMetricMeasureSpace, values, members, p: float) -> float:
-    """(avg over ``members`` of w^p)^(1/p)."""
-    mu = space.set_measure(members)
+def _power_mean(system: BallSystem, values, p: float) -> float:
+    """(avg over B0 of w^p)^(1/p)."""
+    space, b0, members = system.space, system.base_ball, system.base_members
+    mu = space.ball_measure(b0.center, b0.radius, members)
     return (weighted_sum(values[members] ** p, space.mass[members]) / mu) ** (1.0 / p)
 
 
@@ -518,9 +517,9 @@ def check_weak_rhi(
 
 
 def _weak_rhi(system: BallSystem, values, p, eps, sums) -> CheckReport:
-    space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
+    base_ball, sigma, eta = system.base_ball, system.sigma, system.eta
     c, eps, _, tracker = _decay_inputs("weak_rhi", system, values, eps, sums, p=p)
-    lhs = _power_mean(space, values, system.base_members, p)
+    lhs = _power_mean(system, values, p)
     if eps == 0.0:
         tracker.add(lhs, c, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
@@ -581,8 +580,8 @@ def check_cover_rhi(
         "cover_count_ok": cover_report["count_ok"],
     }
     tracker = _MarginTracker("cover_rhi", params)
-    lhs = _power_mean(space, values, system.base_members, p)
-    ref = average(space, values, space.ball_members(base_ball.center, sigma * base_ball.radius))
+    lhs = _power_mean(system, values, p)
+    ref = _ball_average(space, values, dilate(base_ball, sigma))
     if eps == 0.0:
         tracker.add(lhs, ref, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
@@ -640,9 +639,8 @@ def check_rhi_equivalence_observed(
     p_grid = list(p_grid)
     if not p_grid:
         raise DomainError("p_grid is empty")
-    balls, fam_sigma = family_balls(family)
-    sigma = fam_sigma if sigma is None else sigma
-    profile = doubling_profile(space, balls)
+    balls, sigma = family_balls(family), _resolve_sigma(family, sigma)
+    profile = doubling_profile(space, balls)  # from the space's memo: no ball is summed twice
     values, sums = as_values(w), _sums or _BallSums()
     measured_beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma, _sums=sums).value
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))

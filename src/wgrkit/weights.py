@@ -80,8 +80,12 @@ def _avg(w: float, mu: float) -> float:
     return w / mu
 
 
-def _average(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
-    return _avg(_induced(space, values, members), space.set_measure(members))
+def _ball_average(space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Ball,
+                  members: np.ndarray | None = None) -> float:
+    """The average over ``ball``, whose ids ``members`` holds when given."""
+    c, r = ball.center, ball.radius
+    members = space.ball_members(c, r) if members is None else members
+    return _avg(_induced(space, values, members), space.ball_measure(c, r, members))
 
 
 def _pos_part(v: np.ndarray, m: np.ndarray, c: float) -> float:
@@ -99,50 +103,47 @@ def _neg_part_avg(v: np.ndarray, m: np.ndarray, c: float, mu_b: float) -> float:
 class _BallSums:
     """Ball sums of one weight on one space, shared by the passes of a run.
 
-    ``balls`` maps a ball ``(center, radius)`` to its (w, mu); a ball B and
-    its dilate S = factor * B are plain entries, so each dilation factor
-    fills keys of its own. ``ratios`` maps (functional, parameter, factor)
-    to a dict from ``(center, radius)`` to the ball's (ratio, skipped), so a
-    ball that several ball lists share is evaluated once, and a functional
-    run again over balls it has seen evaluates none. Only floats are kept,
-    never member arrays. Whoever passes a table as ``_sums=`` vouches that
-    it belongs to the same space and weight.
+    ``balls`` maps a ball ``(center, radius)`` to w(B) only; mu(B) lives in
+    the space's memo. A ball B and its dilate S = factor * B are plain
+    entries, so each dilation factor fills keys of its own. ``ratios`` maps
+    (functional, parameter, factor) to a dict from ``(center, radius)`` to the
+    ball's (ratio, skipped), so a ball that several ball lists share is
+    evaluated once, and a functional run again over balls it has seen
+    evaluates none. Only floats are kept, never member arrays. Whoever passes
+    a table as ``_sums=`` vouches that it belongs to the same space and weight.
     """
 
     def __init__(self):
-        self.balls: dict[tuple[int, float], tuple[float, float]] = {}
+        self.balls: dict[tuple[int, float], float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
 
 
 def _ball_map(
     space: FiniteMetricMeasureSpace, values: np.ndarray, balls: list[Ball], factor: float,
-    ratio, *, mu_b: bool = False, threads: int = 1, sums: _BallSums | None = None,
+    ratio, *, threads: int = 1, sums: _BallSums | None = None,
 ) -> list:
     """``ratio(v, m, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
 
-    ``v`` and ``m`` are the values and masses of B's points in index order;
-    mu(B) is None unless ``mu_b``. A ball's (w, mu) comes from ``sums`` when
-    an earlier pass stored it; otherwise it is summed here, once, and stored
-    after the map in ball order, so any thread count fills the same table.
+    ``v`` and ``m`` are the values and masses of B's points in index order.
+    w(S) comes from ``sums`` when an earlier pass stored it; otherwise it is
+    summed here, once, and stored after the map in ball order, so any thread
+    count fills the same table. mu(S) and mu(B) are read from the space's memo.
     """
     known = {} if sums is None else sums.balls
-
-    def measure(members):
-        return _induced(space, values, members), space.set_measure(members)
 
     def one(ball: Ball):
         key_b, key_s = (ball.center, ball.radius), (ball.center, factor * ball.radius)
         members = space.ball_members(*key_b)
-        s = known.get(key_s) or measure(
-            members if key_s == key_b else space.ball_members(*key_s)
-        )
-        b = (known.get(key_b) or measure(members)) if mu_b else None
-        out = ratio(values[members], space.mass[members], *s, None if b is None else b[1])
-        return out, ((key_s, s), (key_b, b))
+        w_s, s_members = known.get(key_s), None
+        if w_s is None:
+            s_members = members if key_s == key_b else space.ball_members(*key_s)
+            w_s = _induced(space, values, s_members)
+        mu_s = space.ball_measure(*key_s, members=s_members)
+        mu_b = space.ball_measure(*key_b, members=members)
+        return ratio(values[members], space.mass[members], w_s, mu_s, mu_b), (key_s, w_s)
 
     results = parallel_map(one, balls, threads)
-    for _, entries in results:
-        known.update(e for e in entries if e[1] is not None)
+    known.update(entry for _, entry in results)
     return [out for out, _ in results]
 
 
@@ -153,7 +154,8 @@ def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
 
 def average(space: FiniteMetricMeasureSpace, w, members) -> float:
     """Integral average of w over a set of positive measure."""
-    return _average(space, as_values(w), np.asarray(members))
+    members = np.asarray(members)
+    return _avg(_induced(space, as_values(w), members), space.set_measure(members))
 
 
 def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
@@ -168,7 +170,7 @@ def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: f
     """avg_B (w - w_S)_- with S = sigma B."""
     return _ball_map(
         space, as_values(w), [ball], sigma,
-        lambda v, m, w_s, mu_s, mu_b: _neg_part_avg(v, m, _avg(w_s, mu_s), mu_b), mu_b=True,
+        lambda v, m, w_s, mu_s, mu_b: _neg_part_avg(v, m, _avg(w_s, mu_s), mu_b),
     )[0]
 
 
@@ -211,11 +213,9 @@ class ConditionReport:
         ]
 
 
-def family_balls(family) -> tuple[list[Ball], float | None]:
-    """Normalize a BallFamily or plain ball iterable to (balls, sigma)."""
-    if isinstance(family, BallFamily):
-        return list(family.members), family.sigma
-    return list(family), None
+def family_balls(family) -> list[Ball]:
+    """The balls of a BallFamily or of a plain ball iterable, as a list."""
+    return list(family.members if isinstance(family, BallFamily) else family)
 
 
 def _resolve_sigma(family, sigma) -> float:
@@ -248,7 +248,7 @@ def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> Conditi
 
 def _functional(
     name: str, param, space, w, family, sigma, ratio, *, factor: float | None = None,
-    mu_b: bool = False, threads: int = 1, sums: _BallSums | None = None,
+    threads: int = 1, sums: _BallSums | None = None,
 ) -> ConditionReport:
     """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
 
@@ -256,13 +256,13 @@ def _functional(
     once, and only if ``sums`` holds no ratio for it; the new ratios are
     recorded there.
     """
-    balls, _ = family_balls(family)
+    balls = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
     values = as_values(w)
     memo = {} if sums is None else sums.ratios.setdefault((name, param, factor), {})
     missing = {(b.center, b.radius): b for b in balls if (b.center, b.radius) not in memo}
-    found = _ball_map(space, values, list(missing.values()), factor, ratio, mu_b=mu_b,
-                      threads=threads, sums=sums)
+    found = _ball_map(space, values, list(missing.values()), factor, ratio, threads=threads,
+                      sums=sums)
     memo.update(zip(missing, found))
     results = [memo[(b.center, b.radius)] for b in balls]
     return _sup_report(balls, results)
@@ -297,8 +297,7 @@ def wgr_minus_epsilon(
         return (0.0, True) if c <= 0.0 else (_neg_part_avg(v, m, c, mu_b) / c, False)
 
     return _functional(
-        "wgr_minus_epsilon", None, space, w, family, sigma, ratio,
-        mu_b=True, threads=threads, sums=_sums,
+        "wgr_minus_epsilon", None, space, w, family, sigma, ratio, threads=threads, sums=_sums
     )
 
 
@@ -352,8 +351,7 @@ def sublevel_alpha(
         return fsum(m[v <= beta * (w_s / mu_s)]) / mu_b, False
 
     return _functional(
-        "sublevel_alpha", beta, space, w, family, sigma, ratio,
-        mu_b=True, threads=threads, sums=_sums,
+        "sublevel_alpha", beta, space, w, family, sigma, ratio, threads=threads, sums=_sums
     )
 
 
@@ -386,5 +384,5 @@ def rhi_constant(
 
     return _functional(
         "rhi_constant", p, space, w, family, None, ratio,
-        factor=factor, mu_b=True, threads=threads, sums=_sums,
+        factor=factor, threads=threads, sums=_sums,
     )

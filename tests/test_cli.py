@@ -169,8 +169,11 @@ def test_generated_euclidean_grid_validates(tmp_path, capsys, n_dim, side):
         (None, "FileNotFoundError"),
         ("{not json", "JSONDecodeError"),
         ('{"points": [[0.0]], "metric_kind": "euclidean"}', "KeyError: 'mass'"),
+        ("[]", "TypeError: the top level is a list, not an object"),
+        ('{"points": [[0.0], [1.0]], "mass": ["x", 1], "metric_kind": "euclidean"}',
+         "ValueError: could not convert string to float"),
     ],
-    ids=["missing", "not_json", "no_mass"],
+    ids=["missing", "not_json", "no_mass", "top_level_list", "mass_not_numeric"],
 )
 def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, cause):
     path = tmp_path / "space.json"

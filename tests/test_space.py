@@ -1,5 +1,6 @@
 """Space construction, balls, measures, doubling."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import oracles
 from wgrkit import (
     Ball,
     FiniteMetricMeasureSpace,
+    build_family,
     doubling_profile,
     grid_1d,
     grid_nd,
     validate_metric,
+    wgr_minus_epsilon,
 )
 from wgrkit import space as space_module
 from wgrkit.cli import resolve_base_ball
@@ -104,6 +107,43 @@ def test_ball_monotone_in_radius(center, r1, r2):
     sp = grid_1d(0.0, 12.0, 12)
     lo, hi = sorted((r1, r2))
     assert set(sp.ball_members(center, lo).tolist()) <= set(sp.ball_members(center, hi).tolist())
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "table"])
+def test_space_keeps_frozen_private_copies_of_its_arrays(kind):
+    base = np.array([1.0, 1.0, 2.0, 4.0])
+    pts = np.arange(4.0)[:, None]
+    table = np.abs(pts - pts.T)
+    geometry = ({"coords": pts[:], "metric_kind": kind} if kind != "table"
+                else {"distance_matrix": table[:]})
+    space = FiniteMetricMeasureSpace(base[:], **geometry)  # views of the caller's arrays
+    assert space.ball_measure(3, 1.5) == 6.0
+    # the caller's arrays stay writeable, and writing them changes nothing in the space
+    assert base.flags.writeable and pts.flags.writeable and table.flags.writeable
+    base[:], pts[:], table[:] = 100.0, 0.0, 0.0
+    members = space.ball_members(3, 1.5)
+    assert members.tolist() == [2, 3]
+    assert space.set_measure(members) == space.ball_measure(3, 1.5) == 6.0
+    assert space.mass.tolist() == [1.0, 1.0, 2.0, 4.0]
+    frozen = space.dist_block(slice(0, 4)) if kind == "table" else space.coords
+    assert not space.mass.flags.writeable and not frozen.flags.writeable
+
+
+def test_measure_memo_holds_fresh_sums_after_concurrent_writers():
+    space = grid_nd(2, 12, 1.0, "chebyshev")
+    family = build_family(space, Ball(78, 3.0), eta=1.0, sigma=1.5)
+    w = 1.0 + np.arange(144.0) % 7
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # eight pool threads fill one memo, switching often
+    try:
+        threaded = wgr_minus_epsilon(space, w, family, threads=8)
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == wgr_minus_epsilon(grid_nd(2, 12, 1.0, "chebyshev"), w, family)
+    for ball in family.members:
+        for r in (ball.radius, 1.5 * ball.radius):
+            assert space.ball_measure(ball.center, r) == space.set_measure(
+                space.ball_members(ball.center, r))
 
 
 def test_set_measure_empty_and_full():
@@ -307,6 +347,7 @@ def test_ball_queries_interleaved_match_oracle(case):
         assert space.ball_members(center, r).tolist() == expected
         mask = space.ball_mask(center, r)
         assert np.flatnonzero(mask).tolist() == expected
+        assert space.ball_measure(center, r) == oracles.measure(space, expected)
 
 
 @st.composite

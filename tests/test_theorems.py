@@ -269,6 +269,39 @@ def test_rhi_equivalence_observed_cases():
     assert not rep2.params["superlevel_holds_at_beta"]
 
 
+#: The four implication checkers and the observation, each with its constant supplied.
+_SUPPLIED = {
+    "superlevel_bound": lambda sp, w, balls, **kw: theorems.check_superlevel_bound(
+        sp, w, balls, lam=0.9, eps=0.1, **kw),
+    "osc_from_superlevel": lambda sp, w, balls, **kw: theorems.check_osc_from_superlevel(
+        sp, w, balls, alpha=0.5, beta=0.1, **kw),
+    "sublevel_bound": lambda sp, w, balls, **kw: theorems.check_sublevel_bound(
+        sp, w, balls, lam=0.9, eps=0.1, **kw),
+    "neg_osc_from_sublevel": lambda sp, w, balls, **kw: theorems.check_neg_osc_from_sublevel(
+        sp, w, balls, beta=0.5, alpha_m=0.1, **kw),
+    "rhi_equivalence_observed": lambda sp, w, balls, **kw: (
+        theorems.check_rhi_equivalence_observed(sp, w, balls, 0.5, 0.1, [2.0], **kw)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPLIED))
+def test_checkers_resolve_sigma_like_the_functionals(name):
+    space, family, w = small_instance(2)
+    balls = list(family.members)
+    check = _SUPPLIED[name]
+    # a plain ball list carries no sigma, and a supplied constant measures nothing
+    with pytest.raises(InvalidParameterError, match="sigma is required"):
+        check(space, w, balls)
+    with pytest.raises(InvalidParameterError, match="sigma must be >= 1"):
+        check(space, w, family, sigma=0.5)
+    with pytest.raises(InvalidParameterError, match="sigma must be >= 1"):
+        wgr_epsilon(space, w, family, sigma=0.5)
+    # given explicitly, the family's own sigma reports what the family reports
+    explicit = check(space, w, balls, sigma=family.sigma).to_json_obj()
+    assert explicit == check(space, w, family).to_json_obj()
+    assert explicit["params"]["sigma"] == family.sigma
+
+
 # -- special functions ------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Work counters: repeated work is done once, not per ball, per check or per level.
 
 Distance rows (all-pairs scans read row blocks, never one row per
-point), run geometry, the base family, the CZ family table, closure-ball
-measures, the oscillation constant of a ball system and the ratio of a
+point), run geometry, the base family, the CZ family table, the measure
+of each ball, the oscillation constant of a ball system and the ratio of a
 ball that several measuring sets share are each computed once. The
 counts are exact and deterministic, so these tests guard the design
 against regressions.
@@ -399,3 +399,57 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
     report = json.loads((tmp_path / "out" / "check_rhi_equivalence_observed.json").read_text())
     beta = json.loads((tmp_path / "out" / "check_osc_from_superlevel.json").read_text())
     assert report["params"]["measured_beta"] == beta["params"]["beta"]
+
+
+@contextmanager
+def _ball_sums(monkeypatch):
+    """A Counter of the mass sums over each ball's ids, by (center, radius).
+
+    A sum is attributed to a ball when ``set_measure`` receives the very id
+    array that a ball query returned; every returned array is kept alive,
+    so no id is reused.
+    """
+    queried, held, sums = {}, [], Counter()
+    original_query = FiniteMetricMeasureSpace.ball_members
+    original_sum = FiniteMetricMeasureSpace.set_measure
+
+    def query(self, center, r):
+        out = original_query(self, center, r)
+        queried[id(out)] = (int(center), float(r))
+        held.append(out)
+        return out
+
+    def measure(self, members):
+        if id(members) in queried:
+            sums[queried[id(members)]] += 1
+        return original_sum(self, members)
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", measure)
+    yield sums
+
+
+def test_run_sums_the_measure_of_each_ball_once(monkeypatch, tmp_path):
+    cfg = cli.load_config(str(SMOKE))
+    with _ball_sums(monkeypatch) as sums:
+        assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
+    assert len(sums) > 300  # the run measures many balls, so the test has teeth
+    assert {key: n for key, n in sums.items() if n > 1} == {}
+
+
+def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
+    cfg = cli.load_config(str(SMOKE))
+    names = [entry["name"] for entry in cfg["checks"]]
+    assert names.index("jn_decay") < names.index("rhi_equivalence_observed")
+    with _queries_inside(monkeypatch, theorems, "doubling_profile") as queries, \
+            _ball_sums(monkeypatch) as sums:
+        ctx = cli.RunContext(cfg)
+        for entry in cfg["checks"][:names.index("rhi_equivalence_observed")]:
+            cli.run_check(entry["name"], ctx, entry.get("params", {}))
+        before, queries[:] = dict(sums), []
+        report, _ = cli.run_check("rhi_equivalence_observed", ctx, {"p_grid": [1.5, 2.0]})
+    # the family balls and their doubles were measured by the earlier checks:
+    # the observation's doubling profile queries no ball and nothing is summed again
+    assert before and queries == []
+    assert dict(sums) == before
+    assert report.params["c_mu"] >= 1.0
