@@ -500,7 +500,7 @@ def cmd_space_validate(path: Path) -> int:
         if not isinstance(obj, dict):
             raise TypeError(f"the top level is a {type(obj).__name__}, not an object")
         space = FiniteMetricMeasureSpace.from_json_obj(obj)
-    except (OSError, ValueError, TypeError, KeyError) as exc:  # ValueError: bad JSON or mass
+    except (OSError, ValueError, TypeError, KeyError, WgrError) as exc:  # WgrError: constructor
         raise SchemaError(f"cannot read space {path}: {type(exc).__name__}: {exc}") from exc
     violations = validate_metric(space)
     for v in violations:

@@ -11,7 +11,6 @@ seeds reproduce identical values byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -27,8 +26,6 @@ RNG_ALGORITHM = "philox4x64-10"
 POWER_EXPONENT_CAP = 8.0
 
 INSTANCE_KINDS = ("sawyer_strip", "exponential", "power", "lognormal", "two_level", "custom")
-
-_NORMAL = NormalDist()
 
 
 def sawyer_strip(n_dim: int, side: int, cell: float) -> tuple[FiniteMetricMeasureSpace, Weight]:
@@ -78,8 +75,10 @@ def random_weight(space: FiniteMetricMeasureSpace, kind: str, params: dict, seed
         sig = float(params.get("sigma", params.get("variance", 0.0)))
         if sig < 0:
             raise WgrError(f"lognormal sigma must be >= 0, got {sig}")
+        from statistics import NormalDist  # imports fractions and decimal: only lognormal needs it
         u = np.clip(gen.random(n), 5e-17, 1.0 - 1e-16)
-        z = np.array([_NORMAL.inv_cdf(x) for x in u])
+        inv_cdf = NormalDist().inv_cdf
+        z = np.array([inv_cdf(x) for x in u])
         return Weight(np.exp(mu + sig * z))
     if kind == "power":
         exponent = float(params["exponent"])

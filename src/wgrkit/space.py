@@ -30,6 +30,10 @@ uncached. Beside the slot, a memo maps ``(center, r)`` to the float mu(B),
 which :meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and
 every layer reads. Pool threads may write it; each write stores the same
 float. A space freezes private copies of its arrays, so it cannot go stale.
+On a space whose points share one mass m (every generated grid), a set of
+k points measures ``k * m`` with no sum: both that product and ``fsum`` of
+k copies of m are the correctly rounded k*m, so they agree bit for bit. A
+product that overflows falls back to ``fsum``, which raises as before.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -119,6 +123,7 @@ class FiniteMetricMeasureSpace:
             raise WgrError("masses must be finite and strictly positive")
         self._mass = mass
         self._mass.setflags(write=False)
+        self._common_mass = float(mass[0]) if np.all(mass == mass[0]) else None
 
         if (coords is None) == (distance_matrix is None):
             raise WgrError("exactly one of coords/distance_matrix is required")
@@ -216,13 +221,23 @@ class FiniteMetricMeasureSpace:
         return self.ball_mask(center, r).nonzero()[0]
 
     def set_measure(self, members) -> float:
-        """Total mass of a point subset; the empty set has measure 0."""
+        """Total mass of a point subset; the empty set has measure 0.
+
+        ``k * m`` for k points of a uniform mass m (see the module notes);
+        ``fsum`` for unequal masses and when that product overflows, where
+        ``fsum`` raises ``OverflowError``.
+        """
         members = np.asarray(members)
         if members.size == 0:
             return 0.0
         if members.dtype == bool:
             members = np.flatnonzero(members)
-        return fsum(self._mass[members])
+        picked = self._mass[members]
+        if self._common_mass is not None:
+            mu = picked.size * self._common_mass
+            if mu != math.inf:
+                return mu
+        return fsum(picked)
 
     def ball_measure(self, center: int, r: float, members=None) -> float:
         """mu(B(center, r)) from the memo, summed on first use; ``members``,

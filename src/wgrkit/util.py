@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,10 +28,13 @@ def weighted_sum(values: np.ndarray, mass: np.ndarray) -> float:
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map; identical output for any thread count."""
+    """Order-preserving map; identical output for any thread count.
+
+    The thread pool is imported only for ``threads > 1``."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -172,8 +172,15 @@ def test_generated_euclidean_grid_validates(tmp_path, capsys, n_dim, side):
         ("[]", "TypeError: the top level is a list, not an object"),
         ('{"points": [[0.0], [1.0]], "mass": ["x", 1], "metric_kind": "euclidean"}',
          "ValueError: could not convert string to float"),
+        ('{"points": [[0.0], [1.0]], "mass": [1, -1], "metric_kind": "euclidean"}',
+         "WgrError: masses must be finite and strictly positive"),
+        ('{"points": [[0.0], [1.0]], "mass": [1, 1], "metric_kind": "manhattan"}',
+         "WgrError: metric_kind must be euclidean or chebyshev, got 'manhattan'"),
+        ('{"points": null, "distance_matrix": null, "mass": [1, 1], "metric_kind": "table"}',
+         "WgrError: exactly one of coords/distance_matrix is required"),
     ],
-    ids=["missing", "not_json", "no_mass", "top_level_list", "mass_not_numeric"],
+    ids=["missing", "not_json", "no_mass", "top_level_list", "mass_not_numeric",
+         "mass_negative", "metric_kind_unknown", "no_geometry"],
 )
 def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, cause):
     path = tmp_path / "space.json"
@@ -182,6 +189,18 @@ def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, ca
     assert main(["space", "validate", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot read space {path}: {cause}")
+
+
+def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, wgrkit.cli\n"
+        "loaded = [m for m in ('concurrent.futures', 'statistics') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_check_subcommand(tmp_path):

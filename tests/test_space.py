@@ -162,6 +162,58 @@ def test_set_measure_additive_disjoint():
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1 / 3, 0.1, 1.0, 5e-324, 2.0**-1060, 1e308, 8.9e307]),
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+)
+def test_set_measure_on_a_uniform_space_is_the_fsum_of_its_masses(m, n, data):
+    sp = FiniteMetricMeasureSpace(np.full(n, m), coords=np.arange(n, dtype=float)[:, None],
+                                  metric_kind="euclidean")
+    if data.draw(st.booleans()):
+        members = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    else:
+        members = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    try:
+        expected = math.fsum(sp.mass[members].tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            sp.set_measure(members)
+        return
+    got = sp.set_measure(members)
+    assert type(got) is float
+    assert got == expected
+
+
+def test_set_measure_on_a_uniform_space_keeps_the_fsum_errors():
+    big = FiniteMetricMeasureSpace([1e308, 1e308], coords=[[0.0], [1.0]], metric_kind="euclidean")
+    assert big.set_measure([0]) == 1e308
+    with pytest.raises(OverflowError):
+        big.set_measure([0, 1])
+    with pytest.raises(IndexError):
+        big.set_measure([2])
+
+
+def test_set_measure_sums_unequal_masses(monkeypatch):
+    calls = []
+
+    def counting_fsum(values):
+        calls.append(len(values))
+        return math.fsum(values.tolist())
+
+    monkeypatch.setattr(space_module, "fsum", counting_fsum)
+    m = 1 / 3
+    sp = FiniteMetricMeasureSpace([m, m, math.nextafter(m, 1.0)], coords=[[0.0], [1.0], [2.0]],
+                                  metric_kind="euclidean")
+    assert sp.set_measure([0, 1, 2]) == math.fsum([m, m, math.nextafter(m, 1.0)])
+    assert calls == [3]
+    uniform = FiniteMetricMeasureSpace([m] * 3, coords=[[0.0], [1.0], [2.0]],
+                                       metric_kind="euclidean")
+    assert uniform.set_measure([0, 1, 2]) == math.fsum([m] * 3)
+    assert calls == [3]
+
+
 def test_validate_metric_clean_generators():
     assert validate_metric(grid_1d(0.0, 5.0, 5)) == []
     assert validate_metric(grid_nd(2, 3, 0.5, "chebyshev")) == []
