@@ -42,7 +42,6 @@ from .theorems import CheckReport
 from .util import dumps_canonical, sha256_file, write_csv, write_json
 from .weights import (  # CHECKS looks the functionals up here by name
     _ball_average,
-    _BallSums,
     as_values,
     gr_epsilon,
     rhi_constant,
@@ -217,18 +216,18 @@ def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
 class RunContext:
     """The state of one invocation, shared by its subcommand and every check.
 
-    The instance is built on construction, with one table of the weight's
-    ball sums and measured suprema, so each family ball's w(B), mu(B), w(S)
-    and mu(S) is summed once per run. The base ball, the family and the
-    decay ball system are built on first use and then shared; a build that
-    raises is not kept, so each check needing it reports the same error.
+    The instance is built on construction. Its one Weight keeps the table
+    of ball sums and measured suprema that every check reads, so each family
+    ball's w(B), mu(B), w(S) and mu(S) is summed once per run. The base
+    ball, the family and the decay ball system are built on first use and
+    then shared; a build that raises is not kept, so each check needing it
+    reports the same error.
     """
 
     def __init__(self, cfg: dict, threads: int = 1):
         self.cfg, self.threads = cfg, threads
         self.sigma, self.eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
         self.space, self.w = build_instance(InstanceSpec.from_json_obj(cfg["instance"]))
-        self.sums = _BallSums()
 
     @cached_property
     def base(self) -> Ball:
@@ -286,8 +285,7 @@ def _functional(name: str, spec: dict):
 
     def check(ctx, params):
         measure = globals()[name]  # looked up per call, so it can be wrapped
-        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec), threads=ctx.threads,
-                      _sums=ctx.sums)
+        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec), threads=ctx.threads)
         return CheckReport(
             name=params.check, passed=True, margin=rep.value, witness=rep.witness_ball,
             params=rep.summary_obj(), notes="functional supremum; observational",
@@ -299,7 +297,7 @@ def _functional(name: str, spec: dict):
 def _on_family(name: str, spec: dict):
     """Entry of the checker ``theorems.<name>`` over the run's family."""
     return lambda ctx, params: (getattr(theorems, name)(
-        ctx.space, ctx.w, ctx.family, *params.args(spec), _sums=ctx.sums), {})
+        ctx.space, ctx.w, ctx.family, *params.args(spec)), {})
 
 
 def _on_base(name: str, spec: dict):
@@ -307,7 +305,7 @@ def _on_base(name: str, spec: dict):
 
     def check(ctx, params):
         args = params.args(spec)  # a bad param raises before the system is built
-        return getattr(theorems, name)(ctx.system, ctx.w, *args, _sums=ctx.sums), {}
+        return getattr(theorems, name)(ctx.system, ctx.w, *args), {}
 
     return check
 
@@ -325,13 +323,13 @@ def _jn_decay(ctx, params):
         raise SchemaError(f"check 'jn_decay': params/factor must be > 0, got {factor!r}")
     if grid is None:
         if eps is None:
-            eps = theorems._system_eps(ctx.system, as_values(ctx.w), ctx.sums)
+            eps = theorems._system_eps(ctx.system, ctx.w)
         if eps == 0.0:
             grid = []
         else:
             lam0 = czdecomp.jn_constants(ctx.system.profile, ctx.sigma, ctx.eta, eps).lambda0
             grid = (lam0 * np.geomspace(1.0, float(factor), int(count))).tolist()
-    rep = theorems.check_jn_decay(ctx.system, ctx.w, grid, eps=params.get("eps"), _sums=ctx.sums)
+    rep = theorems.check_jn_decay(ctx.system, ctx.w, grid, eps=params.get("eps"))
     return rep, {"decay": (["lambda", "lhs_measure", "rhs_bound", "margin", "vacuous"], rep.table)}
 
 
@@ -598,7 +596,7 @@ def cmd_sweep(ctx: RunContext, kind: str, out: Path) -> int:
     elif kind == "p":
         header, rows = ["p", "rhi_constant"], []
         for p in sweep_cfg.get("p_grid", [1.25, 1.5, 2.0, 3.0, 4.0]):
-            rep = rhi_constant(ctx.space, ctx.w, ctx.family, p, threads=ctx.threads, _sums=ctx.sums)
+            rep = rhi_constant(ctx.space, ctx.w, ctx.family, p, threads=ctx.threads)
             rows.append((p, rep.value))
     elif kind == "sigma":
         header, rows = ["sigma", "wgr_epsilon"], []

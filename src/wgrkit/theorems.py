@@ -40,15 +40,16 @@ from .weights import (
     _avg,
     _ball_average,
     _ball_map,
-    _BallSums,
     _neg_part_avg,
     _pos_part,
     _resolve_sigma,
+    _weight,
     as_values,
     family_balls,
     rhi_constant,
     sublevel_alpha,
     weak_ainfty_beta,
+    Weight,
     wgr_epsilon,
     wgr_minus_epsilon,
 )
@@ -168,24 +169,24 @@ class _MarginTracker:
 # ---------------------------------------------------------------------------
 
 
-def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
+def _implication(name, space, w, family, sigma, params: dict, key: str,
                  functional: str, param, sides) -> CheckReport:
     """The body the four implication checkers share.
 
     ``params[key]`` is the hypothesis constant. When it is None it is
     measured as the sup of the module-level ``functional`` at ``param``,
-    whose pass reads the ratios ``sums`` already holds. One pass over B then feeds
-    ``sides(constant, v, m, w(S), mu(S), mu(B))`` -> (lhs, rhs, vacuous) to
-    the tracker; with ``sums`` the S side is read from the table. A checker
-    with a ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
+    whose pass reads the ratios the weight's table on ``space`` already
+    holds. One pass over B then feeds ``sides(constant, v, m, w(S), mu(S),
+    mu(B))`` -> (lhs, rhs, vacuous) to the tracker, reading the S side from
+    that table. A checker with a ``lambda`` needs constant < lambda < 1, and
+    is vacuous at 0.
     """
-    balls, sigma = family_balls(family), _resolve_sigma(family, sigma)
-    values, sums = as_values(w), sums or _BallSums()
+    balls, sigma, w = family_balls(family), _resolve_sigma(family, sigma), _weight(w)
     measured = params[key] is None
     if measured:
         measure = globals()[functional]  # looked up per call, so it can be wrapped
         args = () if param is None else (param,)
-        params[key] = measure(space, values, balls, *args, sigma=sigma, _sums=sums).value
+        params[key] = measure(space, w, balls, *args, sigma=sigma).value
     const = params[key]
     tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
     lam = params.get("lambda")
@@ -193,7 +194,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
     if lam is not None and not const < lam < 1.0:
         raise InvalidParameterError(f"need eps < lambda < 1, got eps={const}, lambda={lam}")
-    per_ball = _ball_map(space, values, balls, sigma, partial(sides, const), sums=sums)
+    per_ball = _ball_map(space, w, balls, sigma, partial(sides, const))
     for ball, (lhs, rhs, vacuous) in zip(balls, per_ball):
         tracker.add(lhs, rhs, ball, vacuous=vacuous)
     return tracker.report()
@@ -201,7 +202,7 @@ def _implication(name, space, w, family, sigma, sums, params: dict, key: str,
 
 def check_superlevel_bound(
     space: FiniteMetricMeasureSpace, w, family, lam: float, eps: float | None = None,
-    sigma: float | None = None, *, _sums: _BallSums | None = None,
+    sigma: float | None = None,
 ) -> CheckReport:
     """Positive-part oscillation controls weighted superlevel sets.
 
@@ -210,22 +211,19 @@ def check_superlevel_bound(
     ball, for eps < lam < 1:
 
         w(B n {(1 - eps/lam) w >= w_S}) <= lam w(S)
-
-    ``_sums`` is the run's ball-sum table of this weight, as in the three
-    checkers below.
     """
 
     def sides(eps, v, m, w_s, mu_s, _):
         level = (1.0 - eps / lam) * v >= _avg(w_s, mu_s)
         return weighted_sum(v[level], m[level]), lam * w_s, not level.any()
 
-    return _implication("superlevel_bound", space, w, family, sigma, _sums,
+    return _implication("superlevel_bound", space, w, family, sigma,
                         {"lambda": lam, "eps": eps}, "eps", "wgr_epsilon", None, sides)
 
 
 def check_osc_from_superlevel(
     space: FiniteMetricMeasureSpace, w, family, alpha: float, beta: float | None = None,
-    sigma: float | None = None, *, _sums: _BallSums | None = None,
+    sigma: float | None = None,
 ) -> CheckReport:
     """Weighted superlevel bound controls positive-part oscillation.
 
@@ -241,13 +239,13 @@ def check_osc_from_superlevel(
         lhs = _pos_part(v, m, _avg(w_s, mu_s))
         return lhs, (1.0 - alpha * (1.0 - beta)) * w_s, lhs == 0.0
 
-    return _implication("osc_from_superlevel", space, w, family, sigma, _sums,
+    return _implication("osc_from_superlevel", space, w, family, sigma,
                         {"alpha": alpha, "beta": beta}, "beta", "weak_ainfty_beta", alpha, sides)
 
 
 def check_sublevel_bound(
     space: FiniteMetricMeasureSpace, w, family, lam: float, eps: float | None = None,
-    sigma: float | None = None, *, _sums: _BallSums | None = None,
+    sigma: float | None = None,
 ) -> CheckReport:
     """Negative-part oscillation controls plain-measure sublevel sets.
 
@@ -261,13 +259,13 @@ def check_sublevel_bound(
         level = v <= (1.0 - eps / lam) * _avg(w_s, mu_s)
         return fsum(m[level]), lam * mu_b, not level.any()
 
-    return _implication("sublevel_bound", space, w, family, sigma, _sums,
+    return _implication("sublevel_bound", space, w, family, sigma,
                         {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, sides)
 
 
 def check_neg_osc_from_sublevel(
     space: FiniteMetricMeasureSpace, w, family, beta: float, alpha_m: float | None = None,
-    sigma: float | None = None, *, _sums: _BallSums | None = None,
+    sigma: float | None = None,
 ) -> CheckReport:
     """Plain-measure sublevel bound controls negative-part oscillation.
 
@@ -284,7 +282,7 @@ def check_neg_osc_from_sublevel(
         lhs = _neg_part_avg(v, m, c, mu_b)
         return lhs, (1.0 - (1.0 - alpha_m) * beta) * c, lhs == 0.0
 
-    return _implication("neg_osc_from_sublevel", space, w, family, sigma, _sums,
+    return _implication("neg_osc_from_sublevel", space, w, family, sigma,
                         {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, sides)
 
 
@@ -358,26 +356,25 @@ def build_ball_system(
     )
 
 
-def _system_eps(system: BallSystem, values: np.ndarray, sums: _BallSums) -> float:
+def _system_eps(system: BallSystem, w: Weight) -> float:
     """The oscillation constant eps of ``system``: the sup of :func:`wgr_epsilon`
-    over ``measuring``, from the ratios ``sums`` holds where a pass of the run
-    already evaluated a ball."""
-    return wgr_epsilon(system.space, values, system.measuring, sigma=system.sigma,
-                       _sums=sums).value
+    over ``measuring``, from the ratios the weight's table holds where an
+    earlier pass already evaluated a ball."""
+    return wgr_epsilon(system.space, w, system.measuring, sigma=system.sigma).value
 
 
-def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float | None,
-                  sums: _BallSums | None, **params):
+def _decay_inputs(name: str, system: BallSystem, w: Weight, eps: float | None, **params):
     """The reference average c, eps, the excess (w - c)_+ and the tracker of
     check ``name``, with the system's sigma and eta, ``params``, and the
     constants every decay checker records."""
+    values = as_values(w)
     sigma_hat = dilate(system.base_ball, system.sigma * (1.0 + system.eta))
     c = _ball_average(system.space, values, sigma_hat, system.sigma_hat_members)
     if c <= 0.0:
         raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
     measured = eps is None
     if measured:
-        eps = _system_eps(system, values, sums or _BallSums())
+        eps = _system_eps(system, w)
     params = {"sigma": system.sigma, "eta": system.eta, **params,
               "c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
               "eps": float(eps), "eps_measured": measured, "w_ref": c}
@@ -385,8 +382,7 @@ def _decay_inputs(name: str, system: BallSystem, values: np.ndarray, eps: float 
 
 
 def check_jn_decay(
-    system: BallSystem, w, lambda_grid, eps: float | None = None, *,
-    _sums: _BallSums | None = None,
+    system: BallSystem, w, lambda_grid, eps: float | None = None,
 ) -> CheckReport:
     """Exponential decay of large positive oscillation.
 
@@ -401,7 +397,7 @@ def check_jn_decay(
     table; a lambda whose superlevel set is empty is flagged vacuous.
     """
     c, eps, excess, tracker = _decay_inputs(
-        "jn_decay", system, as_values(w), eps, _sums, n_measuring_balls=len(system.measuring)
+        "jn_decay", system, _weight(w), eps, n_measuring_balls=len(system.measuring)
     )
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
@@ -471,8 +467,7 @@ def _require_osc_range(consts: JNConstants, eps: float, p: float) -> None:
 
 
 def check_osc_power_bound(
-    system: BallSystem, w, p: float, eps: float | None = None, *,
-    _sums: _BallSums | None = None,
+    system: BallSystem, w, p: float, eps: float | None = None,
 ) -> CheckReport:
     """Self-improvement: p-th power of the positive oscillation.
 
@@ -485,7 +480,7 @@ def check_osc_power_bound(
     with the exact-beta constant of :func:`_power_bound_constant`.
     """
     c, eps, excess, tracker = _decay_inputs(
-        "osc_power_bound", system, as_values(w), eps, _sums, p=p
+        "osc_power_bound", system, _weight(w), eps, p=p
     )
     if eps == 0.0:
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
@@ -503,8 +498,7 @@ def check_osc_power_bound(
 
 
 def check_weak_rhi(
-    system: BallSystem, w, p: float, eps: float | None = None, *,
-    _sums: _BallSums | None = None,
+    system: BallSystem, w, p: float, eps: float | None = None,
 ) -> CheckReport:
     """Weak reverse Holder bound against the sigma-hat reference ball.
 
@@ -513,13 +507,13 @@ def check_weak_rhi(
 
         (avg_B0 w^p)^(1/p) <= (C eps + 1) * avg over sigma*(1+eta)*B0 of w
     """
-    return _weak_rhi(system, as_values(w), p, eps, _sums)
+    return _weak_rhi(system, _weight(w), p, eps)
 
 
-def _weak_rhi(system: BallSystem, values, p, eps, sums) -> CheckReport:
+def _weak_rhi(system: BallSystem, w: Weight, p, eps) -> CheckReport:
     base_ball, sigma, eta = system.base_ball, system.sigma, system.eta
-    c, eps, _, tracker = _decay_inputs("weak_rhi", system, values, eps, sums, p=p)
-    lhs = _power_mean(system, values, p)
+    c, eps, _, tracker = _decay_inputs("weak_rhi", system, w, eps, p=p)
+    lhs = _power_mean(system, as_values(w), p)
     if eps == 0.0:
         tracker.add(lhs, c, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
@@ -532,8 +526,7 @@ def _weak_rhi(system: BallSystem, values, p, eps, sums) -> CheckReport:
 
 
 def check_cover_rhi(
-    system: BallSystem, w, p: float, eps: float | None = None, *,
-    _sums: _BallSums | None = None,
+    system: BallSystem, w, p: float, eps: float | None = None,
 ) -> CheckReport:
     """Reverse Holder bound with the smaller sigma*B0 reference ball.
 
@@ -548,13 +541,14 @@ def check_cover_rhi(
 
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
-    Every eps is read through one ball-sum table, so a dilate shared by
-    the base and piece systems is summed once.
+    Every eps is read through the weight's one table of ball sums on the
+    space, so a dilate shared by the base and piece systems is summed once.
     """
     space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
     if not sigma > 1.0:
         raise InvalidParameterError(f"cover bound needs sigma > 1, got {sigma}")
-    values, sums = as_values(w), _sums or _BallSums()
+    w = _weight(w)
+    values = as_values(w)
     cover = five_r_cover(space, base_ball, sigma, eta)
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
 
@@ -563,7 +557,7 @@ def check_cover_rhi(
     ]
     measured = eps is None
     if measured:
-        eps = max(_system_eps(each, values, sums) for each in [system, *sub_systems])
+        eps = max(_system_eps(each, w) for each in [system, *sub_systems])
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -590,7 +584,7 @@ def check_cover_rhi(
     _require_osc_range(consts, eps, p)
     # every piece must satisfy the weak bound at the shared eps
     for sub in sub_systems:
-        piece = _weak_rhi(sub, values, p, eps, sums)
+        piece = _weak_rhi(sub, w, p, eps)
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")
@@ -623,8 +617,6 @@ def check_rhi_equivalence_observed(
     beta: float,
     p_grid,
     sigma: float | None = None,
-    *,
-    _sums: _BallSums | None = None,
 ) -> CheckReport:
     """Observational log relating the superlevel condition to bounded RHI.
 
@@ -632,23 +624,22 @@ def check_rhi_equivalence_observed(
     below ``beta`` with ``beta`` under the smallness threshold
     ``c_mu^(-floor(log2(5 sigma^2)) - 1)``, and the reverse Holder
     constants along ``p_grid``. Purely observational: always passes,
-    both directions are logged for the reader. With the run's ball-sum
-    table ``_sums``, a ratio the run already evaluated is reused. An
-    empty ``p_grid`` compares nothing and raises :class:`DomainError`.
+    both directions are logged for the reader. A ratio already held in the
+    weight's table of ball sums is reused. An empty ``p_grid`` compares
+    nothing and raises :class:`DomainError`.
     """
     p_grid = list(p_grid)
     if not p_grid:
         raise DomainError("p_grid is empty")
     balls, sigma = family_balls(family), _resolve_sigma(family, sigma)
     profile = doubling_profile(space, balls)  # from the space's memo: no ball is summed twice
-    values, sums = as_values(w), _sums or _BallSums()
-    measured_beta = weak_ainfty_beta(space, values, balls, alpha, sigma=sigma, _sums=sums).value
+    w = _weight(w)
+    measured_beta = weak_ainfty_beta(space, w, balls, alpha, sigma=sigma).value
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))
     rhi_values = {}
     for p in p_grid:
         try:
-            rhi_values[float(p)] = rhi_constant(space, values, balls, p, sigma=sigma,
-                                                _sums=sums).value
+            rhi_values[float(p)] = rhi_constant(space, w, balls, p, sigma=sigma).value
         except Exception as exc:  # degenerate instances logged, not raised
             rhi_values[float(p)] = f"error: {exc}"
     params = {

@@ -22,6 +22,7 @@ under ``w -> c w`` and ``mass -> c mass``.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,16 @@ from .util import fsum, parallel_map, weighted_sum
 
 @dataclass(frozen=True)
 class Weight:
-    """Nonnegative values per point, sharing the space's index set."""
+    """Nonnegative values per point, sharing the space's index set.
+
+    A weight keeps one table of ball sums per space it is measured on, so
+    every call given the same Weight shares them; a space's table goes
+    with the space. Values and masses are frozen, so no table goes stale.
+    """
 
     values: np.ndarray
+    _tables: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # freeze a private copy: the caller's array stays writeable
@@ -54,17 +62,24 @@ class Weight:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    def _sums(self, space: FiniteMetricMeasureSpace) -> _BallSums:
+        """This weight's table of ball sums on ``space``, made on first use."""
+        return self._tables.setdefault(space, _BallSums())
+
+
+def _weight(w) -> Weight:
+    """A Weight as given; a bare array becomes a new Weight with empty tables."""
+    return w if isinstance(w, Weight) else Weight(w)
+
 
 def as_values(w) -> np.ndarray:
     """Accept a Weight or a bare array."""
-    if isinstance(w, Weight):
-        return w.values
-    return Weight(w).values
+    return _weight(w).values
 
 
-# Per-ball helpers. They take values already validated by ``as_values``;
-# public entry points validate once and hand the array down, so no weight
-# is re-validated per ball.
+# Per-ball helpers. They take a validated Weight or its values; public entry
+# points turn a bare array into a Weight once and hand it down, so no weight
+# is re-validated per ball and one call shares one table of ball sums.
 
 
 def _induced(space: FiniteMetricMeasureSpace, values: np.ndarray, members: np.ndarray) -> float:
@@ -101,7 +116,7 @@ def _neg_part_avg(v: np.ndarray, m: np.ndarray, c: float, mu_b: float) -> float:
 
 
 class _BallSums:
-    """Ball sums of one weight on one space, shared by the passes of a run.
+    """Ball sums of one weight on one space, kept by the :class:`Weight`.
 
     ``balls`` maps a ball ``(center, radius)`` to w(B) only; mu(B) lives in
     the space's memo. A ball B and its dilate S = factor * B are plain
@@ -109,8 +124,7 @@ class _BallSums:
     (functional, parameter, factor) to a dict from ``(center, radius)`` to the
     ball's (ratio, skipped), so a ball that several ball lists share is
     evaluated once, and a functional run again over balls it has seen
-    evaluates none. Only floats are kept, never member arrays. Whoever passes
-    a table as ``_sums=`` vouches that it belongs to the same space and weight.
+    evaluates none. Only floats are kept, never member arrays.
     """
 
     def __init__(self):
@@ -119,22 +133,23 @@ class _BallSums:
 
 
 def _ball_map(
-    space: FiniteMetricMeasureSpace, values: np.ndarray, balls: list[Ball], factor: float,
-    ratio, *, threads: int = 1, sums: _BallSums | None = None,
+    space: FiniteMetricMeasureSpace, w: Weight, balls: list[Ball], factor: float,
+    ratio, *, threads: int = 1,
 ) -> list:
     """``ratio(v, m, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
 
     ``v`` and ``m`` are the values and masses of B's points in index order.
-    w(S) comes from ``sums`` when an earlier pass stored it; otherwise it is
-    summed here, once, and stored after the map in ball order, so any thread
-    count fills the same table. mu(S) and mu(B) are read from the space's memo.
+    w(S) comes from the weight's table on ``space`` when an earlier pass
+    stored it; otherwise it is summed here, once, and stored after the map in
+    ball order, so any thread count fills the same table. mu(S) and mu(B) are
+    read from the space's memo.
     """
-    known = {} if sums is None else sums.balls
+    values, sums = w.values, w._sums(space)
 
     def one(ball: Ball):
         key_b, key_s = (ball.center, ball.radius), (ball.center, factor * ball.radius)
         members = space.ball_members(*key_b)
-        w_s, s_members = known.get(key_s), None
+        w_s, s_members = sums.balls.get(key_s), None
         if w_s is None:
             s_members = members if key_s == key_b else space.ball_members(*key_s)
             w_s = _induced(space, values, s_members)
@@ -143,7 +158,7 @@ def _ball_map(
         return ratio(values[members], space.mass[members], w_s, mu_s, mu_b), (key_s, w_s)
 
     results = parallel_map(one, balls, threads)
-    known.update(entry for _, entry in results)
+    sums.balls.update(entry for _, entry in results)
     return [out for out, _ in results]
 
 
@@ -161,7 +176,7 @@ def average(space: FiniteMetricMeasureSpace, w, members) -> float:
 def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """int_B (w - w_S)_+ dmu with S = sigma B."""
     return _ball_map(
-        space, as_values(w), [ball], sigma,
+        space, _weight(w), [ball], sigma,
         lambda v, m, w_s, mu_s, _: _pos_part(v, m, _avg(w_s, mu_s)),
     )[0]
 
@@ -169,7 +184,7 @@ def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float
 def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """avg_B (w - w_S)_- with S = sigma B."""
     return _ball_map(
-        space, as_values(w), [ball], sigma,
+        space, _weight(w), [ball], sigma,
         lambda v, m, w_s, mu_s, mu_b: _neg_part_avg(v, m, _avg(w_s, mu_s), mu_b),
     )[0]
 
@@ -248,21 +263,20 @@ def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> Conditi
 
 def _functional(
     name: str, param, space, w, family, sigma, ratio, *, factor: float | None = None,
-    threads: int = 1, sums: _BallSums | None = None,
+    threads: int = 1,
 ) -> ConditionReport:
     """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
 
     A ratio returns ``(ratio, skipped)``. Each distinct ball is evaluated
-    once, and only if ``sums`` holds no ratio for it; the new ratios are
-    recorded there.
+    once, and only if the weight's table on ``space`` holds no ratio for it;
+    the new ratios are recorded there.
     """
     balls = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
-    values = as_values(w)
-    memo = {} if sums is None else sums.ratios.setdefault((name, param, factor), {})
+    w = _weight(w)
+    memo = w._sums(space).ratios.setdefault((name, param, factor), {})
     missing = {(b.center, b.radius): b for b in balls if (b.center, b.radius) not in memo}
-    found = _ball_map(space, values, list(missing.values()), factor, ratio, threads=threads,
-                      sums=sums)
+    found = _ball_map(space, w, list(missing.values()), factor, ratio, threads=threads)
     memo.update(zip(missing, found))
     results = [memo[(b.center, b.radius)] for b in balls]
     return _sup_report(balls, results)
@@ -270,25 +284,23 @@ def _functional(
 
 def wgr_epsilon(
     space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
-    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B int_B (w - w_S)_+ dmu / w(S), the positive-part condition.
 
-    Every functional takes ``_sums``, a ball-sum table of this space and
-    weight that its pass reads and fills.
+    Every functional reads and fills the table of ball sums that ``w`` keeps
+    for ``space``; a bare array starts with an empty one.
     """
 
     def ratio(v, m, w_s, mu_s, _):
         return (0.0, True) if w_s <= 0.0 else (_pos_part(v, m, _avg(w_s, mu_s)) / w_s, False)
 
     return _functional(
-        "wgr_epsilon", None, space, w, family, sigma, ratio, threads=threads, sums=_sums
+        "wgr_epsilon", None, space, w, family, sigma, ratio, threads=threads
     )
 
 
 def wgr_minus_epsilon(
     space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
-    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B avg_B (w - w_S)_- / w_S, the negative-part condition."""
 
@@ -297,13 +309,12 @@ def wgr_minus_epsilon(
         return (0.0, True) if c <= 0.0 else (_neg_part_avg(v, m, c, mu_b) / c, False)
 
     return _functional(
-        "wgr_minus_epsilon", None, space, w, family, sigma, ratio, threads=threads, sums=_sums
+        "wgr_minus_epsilon", None, space, w, family, sigma, ratio, threads=threads
     )
 
 
 def gr_epsilon(
     space: FiniteMetricMeasureSpace, w, ball_set, threads: int = 1,
-    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B int_B |w - w_B| dmu / w(B), the absolute-oscillation condition."""
 
@@ -314,13 +325,13 @@ def gr_epsilon(
 
     return _functional(
         "gr_epsilon", None, space, w, ball_set, None, ratio,
-        factor=1.0, threads=threads, sums=_sums,
+        factor=1.0, threads=threads,
     )
 
 
 def weak_ainfty_beta(
     space: FiniteMetricMeasureSpace, w, family, alpha: float, sigma: float | None = None,
-    threads: int = 1, *, _sums: _BallSums | None = None,
+    threads: int = 1,
 ) -> ConditionReport:
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
@@ -333,13 +344,13 @@ def weak_ainfty_beta(
         return weighted_sum(v[level], m[level]) / w_s, False
 
     return _functional(
-        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio, threads=threads, sums=_sums
+        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio, threads=threads
     )
 
 
 def sublevel_alpha(
     space: FiniteMetricMeasureSpace, w, family, beta: float, sigma: float | None = None,
-    threads: int = 1, *, _sums: _BallSums | None = None,
+    threads: int = 1,
 ) -> ConditionReport:
     """sup_B mu(B n {w <= beta w_S}) / mu(B) for a fixed beta in (0, 1)."""
     if not 0.0 < beta < 1.0:
@@ -351,14 +362,13 @@ def sublevel_alpha(
         return fsum(m[v <= beta * (w_s / mu_s)]) / mu_b, False
 
     return _functional(
-        "sublevel_alpha", beta, space, w, family, sigma, ratio, threads=threads, sums=_sums
+        "sublevel_alpha", beta, space, w, family, sigma, ratio, threads=threads
     )
 
 
 def rhi_constant(
     space: FiniteMetricMeasureSpace, w, family, p: float, rhs_ball: str = "sigma_dilate",
     sigma: float | None = None, eta: float | None = None, threads: int = 1,
-    *, _sums: _BallSums | None = None,
 ) -> ConditionReport:
     """sup_B (avg_B w^p)^(1/p) / avg_R w with R the reference dilate.
 
@@ -384,5 +394,5 @@ def rhi_constant(
 
     return _functional(
         "rhi_constant", p, space, w, family, None, ratio,
-        factor=factor, threads=threads, sums=_sums,
+        factor=factor, threads=threads,
     )

@@ -1,11 +1,13 @@
 """The per-ball pass against the brute-force oracles.
 
 The six functionals and the four implication checkers all read w(B),
-mu(B), w(S) and mu(S) from one per-ball pass, and may share a ball-sum
-table across calls as a run does. Every per-ball ratio and every per-ball
-side must equal the value recomputed from raw coordinates by
+mu(B), w(S) and mu(S) from one per-ball pass. Calls given the same Weight
+share its table of ball sums on the space, as a run does; a bare array
+starts with an empty table. Every per-ball ratio and every per-ball side
+must equal the value recomputed from raw coordinates by
 ``tests/oracles.py``, with and without a shared table, in either order.
 """
+import gc
 import math
 from contextlib import contextmanager
 
@@ -16,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from wgrkit import Ball, theorems, weights
 from wgrkit.errors import InvalidParameterError, NoDataError, WgrError
-from wgrkit.space import FiniteMetricMeasureSpace
+from wgrkit.examples import random_weight
+from wgrkit.space import FiniteMetricMeasureSpace, grid_1d
 from wgrkit.weights import (
-    _BallSums,
+    Weight,
     gr_epsilon,
     rhi_constant,
     sublevel_alpha,
@@ -244,23 +247,22 @@ def test_functionals_and_checkers_match_oracles(
     case, alpha, beta, p, rhs_hat, u, supplied, shared, checkers_first
 ):
     space, vals, balls, sigma = case
-    sums = _BallSums() if shared else None
-    kw = {"_sums": sums} if shared else {}
+    w = Weight(vals) if shared else vals  # one table for every call, or a fresh one each
     eta = 1.0
     factor = sigma * (1.0 + eta) if rhs_hat else sigma
 
     functionals = {
-        "wgr": (lambda: wgr_epsilon(space, vals, balls, sigma=sigma, **kw), _o_wgr),
-        "wgr_minus": (lambda: wgr_minus_epsilon(space, vals, balls, sigma=sigma, **kw),
+        "wgr": (lambda: wgr_epsilon(space, w, balls, sigma=sigma), _o_wgr),
+        "wgr_minus": (lambda: wgr_minus_epsilon(space, w, balls, sigma=sigma),
                       _o_wgr_minus),
-        "gr": (lambda: gr_epsilon(space, vals, balls, **kw), _o_gr),
-        "weak_ainfty": (lambda: weak_ainfty_beta(space, vals, balls, alpha, sigma=sigma, **kw),
+        "gr": (lambda: gr_epsilon(space, w, balls), _o_gr),
+        "weak_ainfty": (lambda: weak_ainfty_beta(space, w, balls, alpha, sigma=sigma),
                         _o_weak_ainfty(alpha)),
-        "sublevel": (lambda: sublevel_alpha(space, vals, balls, beta, sigma=sigma, **kw),
+        "sublevel": (lambda: sublevel_alpha(space, w, balls, beta, sigma=sigma),
                      _o_sublevel(beta)),
-        "rhi": (lambda: rhi_constant(space, vals, balls, p,
+        "rhi": (lambda: rhi_constant(space, w, balls, p,
                                      rhs_ball="sigma_hat" if rhs_hat else "sigma_dilate",
-                                     sigma=sigma, eta=eta, **kw), _o_rhi(p, factor)),
+                                     sigma=sigma, eta=eta), _o_rhi(p, factor)),
     }
 
     def oracle_constant(ratio):
@@ -281,19 +283,19 @@ def test_functionals_and_checkers_match_oracles(
         return {
             "superlevel_bound": (
                 lambda: theorems.check_superlevel_bound(
-                    space, vals, balls, lam_plus, eps=supplied, sigma=sigma, **kw),
+                    space, w, balls, lam_plus, eps=supplied, sigma=sigma),
                 eps_plus, lambda c: _o_superlevel_sides(lam_plus, c), lam_plus),
             "osc_from_superlevel": (
                 lambda: theorems.check_osc_from_superlevel(
-                    space, vals, balls, alpha, beta=supplied, sigma=sigma, **kw),
+                    space, w, balls, alpha, beta=supplied, sigma=sigma),
                 beta_m, lambda c: _o_osc_from_superlevel_sides(alpha, c), None),
             "sublevel_bound": (
                 lambda: theorems.check_sublevel_bound(
-                    space, vals, balls, lam_minus, eps=supplied, sigma=sigma, **kw),
+                    space, w, balls, lam_minus, eps=supplied, sigma=sigma),
                 eps_minus, lambda c: _o_sublevel_sides(lam_minus, c), lam_minus),
             "neg_osc_from_sublevel": (
                 lambda: theorems.check_neg_osc_from_sublevel(
-                    space, vals, balls, beta, alpha_m=supplied, sigma=sigma, **kw),
+                    space, w, balls, beta, alpha_m=supplied, sigma=sigma),
                 alpha_m, lambda c: _o_neg_osc_sides(beta, c), None),
         }
 
@@ -356,28 +358,38 @@ def test_shared_table_reuses_a_measured_constant(monkeypatch):
     evaluated: list[Ball] = []
     original = weights._ball_map
 
-    def recording(space, values, listed, factor, ratio, **kwargs):
+    def recording(space, w, listed, factor, ratio, **kwargs):
         evaluated.extend(listed)
-        return original(space, values, listed, factor, ratio, **kwargs)
+        return original(space, w, listed, factor, ratio, **kwargs)
 
     monkeypatch.setattr(weights, "_ball_map", recording)
-    sums = _BallSums()
-    eps = wgr_epsilon(space, vals, balls, sigma=2.0, _sums=sums).value
+    w = Weight(vals)
+    eps = wgr_epsilon(space, w, balls, sigma=2.0).value
     assert evaluated == balls
     evaluated.clear()
-    rep = theorems.check_superlevel_bound(space, vals, balls, 0.99, sigma=2.0, _sums=sums)
+    rep = theorems.check_superlevel_bound(space, w, balls, 0.99, sigma=2.0)
     assert rep.params["eps"] == eps and rep.params["eps_measured"] is True
     assert evaluated == []  # the constant comes from the ratios the table holds
     # a sub-list reads its ratios and takes the sup over its own balls
-    head = wgr_epsilon(space, vals, balls[:3], sigma=2.0, _sums=sums)
+    head = wgr_epsilon(space, w, balls[:3], sigma=2.0)
     assert (head.value, head.witness_ball, head.per_ball) == (
         fresh_head.value, fresh_head.witness_ball, fresh_head.per_ball)
     assert evaluated == []
     # another sigma or parameter is another ratio: every ball is evaluated
-    wgr_epsilon(space, vals, balls, sigma=1.5, _sums=sums)
+    wgr_epsilon(space, w, balls, sigma=1.5)
     assert evaluated == balls
-    weak_ainfty_beta(space, vals, balls, 0.5, sigma=2.0, _sums=sums)
+    weak_ainfty_beta(space, w, balls, 0.5, sigma=2.0)
     assert evaluated == balls + balls
+    # a bare array or a new Weight of the same values starts with an empty table
+    evaluated.clear()
+    assert wgr_epsilon(space, vals, balls, sigma=2.0).value == eps
+    assert evaluated == balls
+    assert wgr_epsilon(space, Weight(vals), balls, sigma=2.0).value == eps
+    assert evaluated == balls + balls
+    # a checker given a bare array measures its constant afresh
+    evaluated.clear()
+    rep = theorems.check_superlevel_bound(space, vals, balls, 0.99, sigma=2.0)
+    assert rep.params["eps"] == eps and evaluated == balls
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,13 +411,12 @@ def test_decay_checkers_report_the_same_with_a_filled_table(case, eta, p, suppli
     family = system.family
     grid = [1e3, 1e6]
     checks = {
-        "jn_decay": lambda kw: theorems.check_jn_decay(system, vals, grid, eps=supplied, **kw),
-        "osc_power_bound": lambda kw: theorems.check_osc_power_bound(
-            system, vals, p, eps=supplied, **kw),
-        "weak_rhi": lambda kw: theorems.check_weak_rhi(system, vals, p, eps=supplied, **kw),
-        "cover_rhi": lambda kw: theorems.check_cover_rhi(system, vals, p, eps=supplied, **kw),
-        "rhi_equivalence_observed": lambda kw: theorems.check_rhi_equivalence_observed(
-            space, vals, family, 0.5, 0.1, [1.5, p], **kw),
+        "jn_decay": lambda w: theorems.check_jn_decay(system, w, grid, eps=supplied),
+        "osc_power_bound": lambda w: theorems.check_osc_power_bound(system, w, p, eps=supplied),
+        "weak_rhi": lambda w: theorems.check_weak_rhi(system, w, p, eps=supplied),
+        "cover_rhi": lambda w: theorems.check_cover_rhi(system, w, p, eps=supplied),
+        "rhi_equivalence_observed": lambda w: theorems.check_rhi_equivalence_observed(
+            space, w, family, 0.5, 0.1, [1.5, p]),
     }
 
     def outcome(call):
@@ -414,22 +425,80 @@ def test_decay_checkers_report_the_same_with_a_filled_table(case, eta, p, suppli
         except WgrError as exc:
             return type(exc).__name__, str(exc)
 
-    fresh = {name: outcome(lambda: check({})) for name, check in checks.items()}
-    sums = _BallSums()
+    fresh = {name: outcome(lambda: check(vals)) for name, check in checks.items()}
+    w = Weight(vals)
     for fill in (
-        lambda: wgr_epsilon(space, vals, family, _sums=sums),
-        lambda: wgr_epsilon(space, vals, system.measuring, sigma=sigma, _sums=sums),
-        lambda: wgr_minus_epsilon(space, vals, family, _sums=sums),
-        lambda: gr_epsilon(space, vals, family, _sums=sums),
-        lambda: weak_ainfty_beta(space, vals, family, 0.5, _sums=sums),
-        lambda: sublevel_alpha(space, vals, family, 0.5, _sums=sums),
-        lambda: rhi_constant(space, vals, family, p, _sums=sums),
-        lambda: rhi_constant(space, vals, family, 1.5, rhs_ball="sigma_hat", _sums=sums),
+        lambda: wgr_epsilon(space, w, family),
+        lambda: wgr_epsilon(space, w, system.measuring, sigma=sigma),
+        lambda: wgr_minus_epsilon(space, w, family),
+        lambda: gr_epsilon(space, w, family),
+        lambda: weak_ainfty_beta(space, w, family, 0.5),
+        lambda: sublevel_alpha(space, w, family, 0.5),
+        lambda: rhi_constant(space, w, family, p),
+        lambda: rhi_constant(space, w, family, 1.5, rhs_ball="sigma_hat"),
     ):
         try:
             fill()
         except WgrError:
             pass  # a functional that raises records no supremum
-    assert sums.balls  # the table holds sums before the checkers run
-    shared = {name: outcome(lambda: check({"_sums": sums})) for name, check in checks.items()}
+    assert w._tables[space].balls  # the table holds sums before the checkers run
+    shared = {name: outcome(lambda: check(w)) for name, check in checks.items()}
     assert shared == fresh
+
+
+def test_one_weight_keeps_a_table_per_space():
+    """Two spaces with the same coordinates and different masses give one
+    Weight two tables; each supremum is that space's own, and a space's
+    table goes with the space."""
+    coords = np.arange(8.0)[:, None]
+    uniform = FiniteMetricMeasureSpace(np.ones(8), coords=coords, metric_kind="euclidean")
+    alternating = FiniteMetricMeasureSpace(np.tile([1.0, 3.0], 4), coords=coords,
+                                           metric_kind="euclidean")
+    vals = np.array([1.0, 4.0, 0.5, 2.0, 3.0, 1.5, 0.25, 5.0])
+    balls = [Ball(c, 2.5) for c in range(8)]
+    w = Weight(vals)
+    calls = {
+        "wgr": lambda sp, wt: wgr_epsilon(sp, wt, balls, sigma=2.0),
+        "wgr_minus": lambda sp, wt: wgr_minus_epsilon(sp, wt, balls, sigma=2.0),
+        "gr": lambda sp, wt: gr_epsilon(sp, wt, balls),
+        "weak_ainfty": lambda sp, wt: weak_ainfty_beta(sp, wt, balls, 0.5, sigma=2.0),
+        "sublevel": lambda sp, wt: sublevel_alpha(sp, wt, balls, 0.5, sigma=2.0),
+        "rhi": lambda sp, wt: rhi_constant(sp, wt, balls, 2.0, sigma=2.0),
+    }
+    seen = {}
+    for space in (uniform, alternating, uniform, alternating):  # each call reads its own space's table
+        for name, call in calls.items():
+            got, fresh = call(space, w), call(space, vals)
+            assert (got.value, got.witness_ball, got.per_ball, got.skipped) == (
+                fresh.value, fresh.witness_ball, fresh.per_ball, fresh.skipped), name
+            seen.setdefault(name, set()).add(got.value)
+        rep = theorems.check_superlevel_bound(space, w, balls, 0.99, sigma=2.0)
+        assert rep.params["eps"] == wgr_epsilon(space, vals, balls, sigma=2.0).value
+    assert all(len(values) == 2 for values in seen.values())  # the spaces disagree
+    assert len(w._tables) == 2
+    # another weight on a space this one filled reads a table of its own
+    other = Weight(vals[::-1])
+    assert wgr_epsilon(uniform, other, balls, sigma=2.0).value == wgr_epsilon(
+        uniform, vals[::-1], balls, sigma=2.0).value
+    del space, alternating
+    gc.collect()
+    assert list(w._tables.keys()) == [uniform]
+
+
+def test_a_checker_given_a_bare_array_reads_one_table(monkeypatch):
+    """``check_cover_rhi`` measures eps over the base and every piece system;
+    given a bare array it still evaluates each shared measuring ball once."""
+    space = grid_1d(0.0, 64.0, 64)
+    vals = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.001}, 1).values
+    system = theorems.build_ball_system(space, Ball(32, 14.0), 1.25, 1.0)
+    evaluated: list[tuple] = []
+    original = weights._ball_map
+
+    def recording(space, w, listed, factor, ratio, **kwargs):
+        evaluated.extend((b.center, b.radius, factor) for b in listed)
+        return original(space, w, listed, factor, ratio, **kwargs)
+
+    monkeypatch.setattr(weights, "_ball_map", recording)
+    rep = theorems.check_cover_rhi(system, vals, 1.5)
+    assert rep.params["eps_measured"] is True and rep.params["n_cover"] > 1
+    assert evaluated and len(evaluated) == len(set(evaluated))

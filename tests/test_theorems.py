@@ -8,6 +8,7 @@ from conftest import small_instance
 from wgrkit import (
     Ball,
     DoublingProfile,
+    Weight,
     average,
     build_family,
     gr_epsilon,
@@ -570,7 +571,6 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
 
 def test_measured_eps_follows_the_weight():
     from wgrkit import cli
-    from wgrkit.weights import _BallSums
 
     space, base, w, system = sin_system()
     values = np.array(w)
@@ -583,12 +583,14 @@ def test_measured_eps_follows_the_weight():
     first = eps_of(values)
     assert first == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
     assert eps_of(values.copy()) == first  # equal values: same constant
-    sums = _BallSums()
-    assert eps_of(values, _sums=sums) == eps_of(values.copy(), _sums=sums) == first
+    shared = Weight(values)
+    assert eps_of(shared) == eps_of(shared) == first  # the second reads the first's table
     values[base.center] *= 3.0  # the caller changes its own array in place
-    changed = eps_of(values)  # a standalone checker measures afresh
+    changed = eps_of(values)  # a bare array is measured afresh
     assert changed == wgr_epsilon(space, values, system.measuring, sigma=1.25).value
     assert changed != first
+    assert eps_of(shared) == first  # the Weight froze its own copy: its table is not stale
+    assert eps_of(Weight(values)) == changed  # a new Weight has a table of its own
 
     # a run context holds one weight: contexts of two seeds get a table each
     cfg = {
@@ -607,5 +609,5 @@ def test_measured_eps_follows_the_weight():
         assert rep.params["eps"] == wgr_epsilon(
             ctx.space, ctx.w, ctx.system.measuring, sigma=1.25).value
         measured.append(rep.params["eps"])
-    assert ctxs[0].sums is not ctxs[1].sums
+    assert [list(ctx.w._tables.keys()) for ctx in ctxs] == [[ctx.space] for ctx in ctxs]
     assert ctxs[0].base == ctxs[1].base and measured[0] != measured[1]
