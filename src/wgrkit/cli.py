@@ -12,8 +12,9 @@ Subcommands
     sweep eps|p|sigma   parameter sweeps as CSV
     examples list       instance kinds and their parameter schemas
 
-Every subcommand accepts --config, --out, --seed and --threads; outputs are
-byte-identical for any thread count. Exit codes: 0 success (vacuous passes
+Every subcommand accepts --config, --out, --seed and --threads. --threads
+and the config's "threads" key are accepted for compatibility and have no
+effect: the work runs in one thread. Exit codes: 0 success (vacuous passes
 included), 1 a check failed or a construction error occurred, 2 usage or
 schema violation.
 """
@@ -224,8 +225,8 @@ class RunContext:
     reports the same error.
     """
 
-    def __init__(self, cfg: dict, threads: int = 1):
-        self.cfg, self.threads = cfg, threads
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
         self.sigma, self.eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
         self.space, self.w = build_instance(InstanceSpec.from_json_obj(cfg["instance"]))
 
@@ -285,7 +286,7 @@ def _functional(name: str, spec: dict):
 
     def check(ctx, params):
         measure = globals()[name]  # looked up per call, so it can be wrapped
-        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec), threads=ctx.threads)
+        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec))
         return CheckReport(
             name=params.check, passed=True, margin=rep.value, witness=rep.witness_ball,
             params=rep.summary_obj(), notes="functional supremum; observational",
@@ -596,13 +597,13 @@ def cmd_sweep(ctx: RunContext, kind: str, out: Path) -> int:
     elif kind == "p":
         header, rows = ["p", "rhi_constant"], []
         for p in sweep_cfg.get("p_grid", [1.25, 1.5, 2.0, 3.0, 4.0]):
-            rep = rhi_constant(ctx.space, ctx.w, ctx.family, p, threads=ctx.threads)
+            rep = rhi_constant(ctx.space, ctx.w, ctx.family, p)
             rows.append((p, rep.value))
     elif kind == "sigma":
         header, rows = ["sigma", "wgr_epsilon"], []
         for s in sweep_cfg.get("sigma_grid", [1.0, 1.25, 1.5, 2.0, 3.0]):
             fam = build_family(ctx.space, ctx.base, ctx.eta, s)
-            rows.append((s, wgr_epsilon(ctx.space, ctx.w, fam, threads=ctx.threads).value))
+            rows.append((s, wgr_epsilon(ctx.space, ctx.w, fam).value))
     else:
         raise SchemaError(f"unknown sweep kind {kind!r}")
     write_csv(_out_file(out), header, rows)
@@ -634,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the instance seed")
     common.add_argument(
         "--threads", type=int, default=None,
-        help="worker count (results identical for any value; config fallback)",
+        help="accepted for compatibility; no effect",
     )
 
     sub = parser.add_subparsers(dest="command")
@@ -689,10 +690,9 @@ def main(argv=None) -> int:
             print(f"{args.command} needs --config", file=sys.stderr)
             return EXIT_USAGE
         cfg = load_config(args.config, args.seed)
-        threads = args.threads if args.threads is not None else cfg.get("threads", 1)
         out = Path(args.out) if args.out else Path(cfg["output"]["directory"])
         _reject_out(out, directory=args.command in ("run", "check"))
-        ctx = RunContext(cfg, threads)
+        ctx = RunContext(cfg)
 
         if args.command == "run":
             return cmd_run(ctx, out)

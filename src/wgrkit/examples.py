@@ -151,7 +151,11 @@ def build_instance(spec: InstanceSpec) -> tuple[FiniteMetricMeasureSpace, Weight
         return exponential_weight(a, b, n)
     if spec.kind == "custom":
         space = FiniteMetricMeasureSpace.from_json_obj(spec.params["space"])
-        return space, Weight(np.asarray(spec.params["weight"], dtype=float))
+        w = Weight(np.asarray(spec.params["weight"], dtype=float))
+        if w.values.size != space.n_points:
+            raise InvalidGeneratorError(f"custom weight has {w.values.size} values "
+                                        f"for a space of {space.n_points} points")
+        return space, w
     # random weights over a declared geometry
     if spec.params.get("geometry", "grid_1d") == "grid_nd":
         from .space import grid_nd

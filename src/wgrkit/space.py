@@ -5,7 +5,7 @@ coordinate array with a standard metric (``euclidean`` or ``chebyshev``)
 or a raw symmetric distance table, together with a strictly positive mass
 per point. Every integral in the library is a mass-weighted sum over a
 point subset, accumulated in ascending index order with compensated
-summation, so results do not depend on evaluation order or worker count.
+summation, so results do not depend on evaluation order.
 
 Balls are open: ``B(x, r) = {y : d(x, y) < r}``. In particular a radius
 equal to an existing pairwise distance excludes the points at exactly that
@@ -28,12 +28,12 @@ center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
 uncached. Beside the slot, a memo maps ``(center, r)`` to the float mu(B),
 which :meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and
-every layer reads. Pool threads may write it; each write stores the same
-float. A space freezes private copies of its arrays, so it cannot go stale.
-On a space whose points share one mass m (every generated grid), a set of
-k points measures ``k * m`` with no sum: both that product and ``fsum`` of
-k copies of m are the correctly rounded k*m, so they agree bit for bit. A
-product that overflows falls back to ``fsum``, which raises as before.
+every layer reads. A space freezes private copies of its arrays, so it
+cannot go stale. On a space whose points share one mass m (every generated
+grid), a set of k points measures ``k * m`` with no sum: both that product
+and ``fsum`` of k copies of m are the correctly rounded k*m, so they agree
+bit for bit. A product that overflows falls back to ``fsum``, which raises
+as before.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -150,8 +150,7 @@ class FiniteMetricMeasureSpace:
             self._dist = dist
             self._dist.setflags(write=False)
             self.metric_kind = "table"
-        # (center, row) of the last ball query; replaced as one tuple, so a
-        # concurrent reader never pairs one center with another's row
+        # (center, row) of the last ball query
         self._row_slot: tuple[int, np.ndarray] | None = None
         self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
 

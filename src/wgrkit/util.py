@@ -1,9 +1,9 @@
 """Shared numeric and I/O helpers.
 
 Summations that feed ratios and report values use ``math.fsum`` over a
-fixed ascending point-index order, so every result is independent of the
-worker count and reproducible bit for bit. JSON and CSV emitters format
-reals with 17 significant digits, which round-trips IEEE doubles exactly.
+fixed ascending point-index order, so every result is reproducible bit
+for bit. JSON and CSV emitters format reals with 17 significant digits,
+which round-trips IEEE doubles exactly.
 """
 from __future__ import annotations
 
@@ -25,18 +25,6 @@ def fsum(values) -> float:
 def weighted_sum(values: np.ndarray, mass: np.ndarray) -> float:
     """Compensated sum of values*mass, elementwise products rounded once."""
     return math.fsum((np.asarray(values, dtype=float) * mass).tolist())
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map; identical output for any thread count.
-
-    The thread pool is imported only for ``threads > 1``."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_real(x: float) -> str:

@@ -36,21 +36,22 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import fsum, parallel_map, weighted_sum
+from .util import fsum, weighted_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
     """Nonnegative values per point, sharing the space's index set.
 
     A weight keeps one table of ball sums per space it is measured on, so
     every call given the same Weight shares them; a space's table goes
     with the space. Values and masses are frozen, so no table goes stale.
+    Equality and hashing are by identity, as the tables are.
     """
 
     values: np.ndarray
     _tables: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False)
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     def __post_init__(self):
         # freeze a private copy: the caller's array stays writeable
@@ -133,33 +134,28 @@ class _BallSums:
 
 
 def _ball_map(
-    space: FiniteMetricMeasureSpace, w: Weight, balls: list[Ball], factor: float,
-    ratio, *, threads: int = 1,
+    space: FiniteMetricMeasureSpace, w: Weight, balls: list[Ball], factor: float, ratio,
 ) -> list:
     """``ratio(v, m, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
 
     ``v`` and ``m`` are the values and masses of B's points in index order.
-    w(S) comes from the weight's table on ``space`` when an earlier pass
-    stored it; otherwise it is summed here, once, and stored after the map in
-    ball order, so any thread count fills the same table. mu(S) and mu(B) are
-    read from the space's memo.
+    w(S) comes from the weight's table on ``space`` when an earlier ball
+    stored it; otherwise it is summed here, once, and stored at once. mu(S)
+    and mu(B) are read from the space's memo.
     """
     values, sums = w.values, w._sums(space)
-
-    def one(ball: Ball):
+    out = []
+    for ball in balls:
         key_b, key_s = (ball.center, ball.radius), (ball.center, factor * ball.radius)
         members = space.ball_members(*key_b)
         w_s, s_members = sums.balls.get(key_s), None
         if w_s is None:
             s_members = members if key_s == key_b else space.ball_members(*key_s)
-            w_s = _induced(space, values, s_members)
+            w_s = sums.balls[key_s] = _induced(space, values, s_members)
         mu_s = space.ball_measure(*key_s, members=s_members)
         mu_b = space.ball_measure(*key_b, members=members)
-        return ratio(values[members], space.mass[members], w_s, mu_s, mu_b), (key_s, w_s)
-
-    results = parallel_map(one, balls, threads)
-    sums.balls.update(entry for _, entry in results)
-    return [out for out, _ in results]
+        out.append(ratio(values[members], space.mass[members], w_s, mu_s, mu_b))
+    return out
 
 
 def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
@@ -263,7 +259,6 @@ def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> Conditi
 
 def _functional(
     name: str, param, space, w, family, sigma, ratio, *, factor: float | None = None,
-    threads: int = 1,
 ) -> ConditionReport:
     """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
 
@@ -276,14 +271,14 @@ def _functional(
     w = _weight(w)
     memo = w._sums(space).ratios.setdefault((name, param, factor), {})
     missing = {(b.center, b.radius): b for b in balls if (b.center, b.radius) not in memo}
-    found = _ball_map(space, w, list(missing.values()), factor, ratio, threads=threads)
+    found = _ball_map(space, w, list(missing.values()), factor, ratio)
     memo.update(zip(missing, found))
     results = [memo[(b.center, b.radius)] for b in balls]
     return _sup_report(balls, results)
 
 
 def wgr_epsilon(
-    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None,
 ) -> ConditionReport:
     """sup_B int_B (w - w_S)_+ dmu / w(S), the positive-part condition.
 
@@ -295,12 +290,12 @@ def wgr_epsilon(
         return (0.0, True) if w_s <= 0.0 else (_pos_part(v, m, _avg(w_s, mu_s)) / w_s, False)
 
     return _functional(
-        "wgr_epsilon", None, space, w, family, sigma, ratio, threads=threads
+        "wgr_epsilon", None, space, w, family, sigma, ratio
     )
 
 
 def wgr_minus_epsilon(
-    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None, threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None,
 ) -> ConditionReport:
     """sup_B avg_B (w - w_S)_- / w_S, the negative-part condition."""
 
@@ -309,12 +304,12 @@ def wgr_minus_epsilon(
         return (0.0, True) if c <= 0.0 else (_neg_part_avg(v, m, c, mu_b) / c, False)
 
     return _functional(
-        "wgr_minus_epsilon", None, space, w, family, sigma, ratio, threads=threads
+        "wgr_minus_epsilon", None, space, w, family, sigma, ratio
     )
 
 
 def gr_epsilon(
-    space: FiniteMetricMeasureSpace, w, ball_set, threads: int = 1,
+    space: FiniteMetricMeasureSpace, w, ball_set,
 ) -> ConditionReport:
     """sup_B int_B |w - w_B| dmu / w(B), the absolute-oscillation condition."""
 
@@ -325,13 +320,12 @@ def gr_epsilon(
 
     return _functional(
         "gr_epsilon", None, space, w, ball_set, None, ratio,
-        factor=1.0, threads=threads,
+        factor=1.0,
     )
 
 
 def weak_ainfty_beta(
     space: FiniteMetricMeasureSpace, w, family, alpha: float, sigma: float | None = None,
-    threads: int = 1,
 ) -> ConditionReport:
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
@@ -344,13 +338,12 @@ def weak_ainfty_beta(
         return weighted_sum(v[level], m[level]) / w_s, False
 
     return _functional(
-        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio, threads=threads
+        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio
     )
 
 
 def sublevel_alpha(
     space: FiniteMetricMeasureSpace, w, family, beta: float, sigma: float | None = None,
-    threads: int = 1,
 ) -> ConditionReport:
     """sup_B mu(B n {w <= beta w_S}) / mu(B) for a fixed beta in (0, 1)."""
     if not 0.0 < beta < 1.0:
@@ -362,13 +355,13 @@ def sublevel_alpha(
         return fsum(m[v <= beta * (w_s / mu_s)]) / mu_b, False
 
     return _functional(
-        "sublevel_alpha", beta, space, w, family, sigma, ratio, threads=threads
+        "sublevel_alpha", beta, space, w, family, sigma, ratio
     )
 
 
 def rhi_constant(
     space: FiniteMetricMeasureSpace, w, family, p: float, rhs_ball: str = "sigma_dilate",
-    sigma: float | None = None, eta: float | None = None, threads: int = 1,
+    sigma: float | None = None, eta: float | None = None,
 ) -> ConditionReport:
     """sup_B (avg_B w^p)^(1/p) / avg_R w with R the reference dilate.
 
@@ -383,6 +376,8 @@ def rhi_constant(
             if not isinstance(family, BallFamily):
                 raise InvalidParameterError("sigma_hat reference needs eta")
             eta = family.eta
+        if not eta > 0:
+            raise InvalidParameterError(f"eta must be > 0, got {eta}")
         factor = factor * (1.0 + eta)
     elif rhs_ball != "sigma_dilate":
         raise InvalidParameterError(f"unknown rhs_ball {rhs_ball!r}")
@@ -394,5 +389,5 @@ def rhi_constant(
 
     return _functional(
         "rhi_constant", p, space, w, family, None, ratio,
-        factor=factor, threads=threads,
+        factor=factor,
     )

@@ -191,16 +191,48 @@ def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, ca
     assert err.startswith(f"cannot read space {path}: {cause}")
 
 
-def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's wgrkit."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():
+    proc = run_python(
         "import sys, wgrkit.cli\n"
         "loaded = [m for m in ('concurrent.futures', 'statistics') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_threads_flag_runs_in_one_thread(tmp_path):
+    smoke = Path(__file__).parent.parent / "configs" / "smoke.json"
+    proc = run_python(
+        "import sys, threading, wgrkit.cli\n"
+        f"code = wgrkit.cli.main(['run', '--config', {str(smoke)!r}, '--out', {str(tmp_path / 'run')!r},"
+        " '--threads', '8'])\n"
+        "assert code == 0, code\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n_values", [9, 15])
+def test_custom_weight_of_the_wrong_length_exits_one(tmp_path, capsys, n_values):
+    space = grid_1d(0.0, 12.0, 12)
+    cfg = smoke_config(
+        tmp_path,
+        instance={"kind": "custom",
+                  "params": {"space": space.to_json_obj(), "weight": [1.0] * n_values}},
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"InvalidGeneratorError: custom weight has {n_values} values "
+                   "for a space of 12 points\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_check_subcommand(tmp_path):

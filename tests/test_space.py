@@ -1,6 +1,5 @@
 """Space construction, balls, measures, doubling."""
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,12 +9,10 @@ import oracles
 from wgrkit import (
     Ball,
     FiniteMetricMeasureSpace,
-    build_family,
     doubling_profile,
     grid_1d,
     grid_nd,
     validate_metric,
-    wgr_minus_epsilon,
 )
 from wgrkit import space as space_module
 from wgrkit.cli import resolve_base_ball
@@ -127,23 +124,6 @@ def test_space_keeps_frozen_private_copies_of_its_arrays(kind):
     assert space.mass.tolist() == [1.0, 1.0, 2.0, 4.0]
     frozen = space.dist_block(slice(0, 4)) if kind == "table" else space.coords
     assert not space.mass.flags.writeable and not frozen.flags.writeable
-
-
-def test_measure_memo_holds_fresh_sums_after_concurrent_writers():
-    space = grid_nd(2, 12, 1.0, "chebyshev")
-    family = build_family(space, Ball(78, 3.0), eta=1.0, sigma=1.5)
-    w = 1.0 + np.arange(144.0) % 7
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # eight pool threads fill one memo, switching often
-    try:
-        threaded = wgr_minus_epsilon(space, w, family, threads=8)
-    finally:
-        sys.setswitchinterval(switch)
-    assert threaded == wgr_minus_epsilon(grid_nd(2, 12, 1.0, "chebyshev"), w, family)
-    for ball in family.members:
-        for r in (ball.radius, 1.5 * ball.radius):
-            assert space.ball_measure(ball.center, r) == space.set_measure(
-                space.ball_members(ball.center, r))
 
 
 def test_set_measure_empty_and_full():

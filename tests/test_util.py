@@ -10,7 +10,6 @@ from wgrkit.util import (
     dumps_canonical,
     format_real,
     fsum,
-    parallel_map,
     philox_generator,
     weighted_sum,
 )
@@ -51,12 +50,6 @@ def test_fsum_matches_math_fsum():
     data = gen.random(1000) * 1e6
     assert fsum(data) == math.fsum(data.tolist())
     assert weighted_sum(data, np.ones(1000)) == math.fsum(data.tolist())
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(100))
-    assert parallel_map(lambda x: x * x, items, threads=1) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, threads=8) == [x * x for x in items]
 
 
 def test_philox_stream_reproducible():

@@ -36,6 +36,14 @@ def test_weight_rejects_negative():
         Weight(np.array([1.0, -0.1]))
 
 
+def test_weights_compare_and_hash_by_identity():
+    a, b = Weight([1.0, 2.0]), Weight([1.0, 2.0])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    table = {a: "a", b: "b"}
+    assert (table[a], table[b]) == ("a", "b")
+
+
 def test_average_constant_and_indicator():
     sp = grid_1d(0.0, 4.0, 4)
     assert average(sp, np.full(4, 3.0), [0, 2, 3]) == 3.0
@@ -215,6 +223,15 @@ def test_rhi_invalid_exponent():
     space, family, w = small_instance(0)
     with pytest.raises(InvalidExponentError):
         rhi_constant(space, w, family, 1.0)
+
+
+@pytest.mark.parametrize("eta", [-0.5, 0.0, math.nan])
+def test_rhi_sigma_hat_rejects_a_nonpositive_eta(eta):
+    space = grid_1d(0.0, 32.0, 32)
+    family = build_family(space, Ball(16, 8.0), eta=1.0, sigma=1.5)
+    w = 1.0 + np.arange(32.0) % 5
+    with pytest.raises(InvalidParameterError, match="eta must be > 0"):
+        rhi_constant(space, w, family, 2.0, rhs_ball="sigma_hat", eta=eta)
 
 
 def test_zero_denominator_skip_policy():

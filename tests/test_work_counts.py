@@ -302,17 +302,6 @@ def test_family_checks_share_one_table_of_ball_sums(evaluated, monkeypatch, tmp_
         assert [v for k, v in report["params"].items() if k.endswith("_measured")] == [True]
 
 
-def test_family_checks_are_byte_identical_for_any_thread_count(tmp_path):
-    cfg = _family_config(tmp_path)
-    assert cli.cmd_run(cli.RunContext(cfg, 1), tmp_path / "t1") == 0
-    assert cli.cmd_run(cli.RunContext(cfg, 4), tmp_path / "t4") == 0
-    names = sorted(p.name for p in (tmp_path / "t1").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "t4").iterdir())
-    assert len(names) == 2 * 6 + 4 + 1  # JSON and per-ball CSV per functional, manifest
-    for name in names:
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
-
-
 @contextmanager
 def _queries_inside(monkeypatch, owner, name):
     """The (center, radius) of every ball query made inside ``owner.name``."""
