@@ -13,15 +13,14 @@ Subcommands
     examples list       instance kinds and their parameter schemas
 
 Every subcommand accepts --config, --out, --seed and --threads. --threads
-and the config's "threads" key are accepted for compatibility and have no
-effect: the work runs in one thread. Exit codes: 0 success (vacuous passes
-included), 1 a check failed or a construction error occurred, 2 usage or
-schema violation.
+and the config's "threads" key take an integer >= 1, accepted for
+compatibility with no effect: the work runs in one thread. Exit codes: 0
+success (vacuous passes included), 1 a check failed or a construction
+error occurred, 2 usage or schema violation.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.resources
 import json
 import math
@@ -411,6 +410,8 @@ class _OutputLock:
 
 
 def _config_digest(cfg: dict) -> str:
+    import hashlib  # loads OpenSSL, so only when hashing
+
     return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
@@ -521,8 +522,8 @@ _CZ_PROPERTIES = {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
 
 def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
     space, w, family = ctx.space, ctx.w, ctx.family
-    # one averages table feeds the maximal function and every level; the ball
-    # measures it sums stay in the space's memo, where the closure profile reads them
+    # one averages table feeds the maximal function and every level; its sweep
+    # also measures the closure balls, so the closure profile reads the memo only
     table = czdecomp._FamilyAverages(space, w, family)
     profile = czdecomp.closure_profile(space, family)
     cz_cfg = ctx.cfg.get("cz", {})
@@ -627,6 +628,17 @@ def cmd_check(ctx: RunContext, name: str, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    """``--threads`` takes what the config's ``threads`` key takes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wgrkit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -634,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file or directory")
     common.add_argument("--seed", type=int, help="override the instance seed")
     common.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_thread_count, default=None,
         help="accepted for compatibility; no effect",
     )
 

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .weights import _ball_average, as_values
+from .weights import _avg, _ball_average, as_values
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,11 @@ def level_set(mf: np.ndarray, lam: float, region: np.ndarray) -> np.ndarray:
     return region[mf[region] > lam]
 
 
-def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> list[Ball]:
-    """Family balls plus their power-of-two dilates up to twice the hat radius.
-
-    Doubling ratios measured over this set dominate the halving chains that
-    compare any family ball against the hat ball, which is what makes the
-    admissibility constant ``alpha`` effective on discrete data.
-    """
+def _chain_radii(family: BallFamily) -> list[float]:
+    """Ascending radii of the closure chains: each family radius and its
+    power-of-two dilates up to twice the hat radius. They do not depend on
+    the center."""
     top = 2.0 * (1.0 + family.eta) * family.base_ball.radius
-    # the chains do not depend on the center: build their radii once
     radii: set[float] = set()
     for r in family.radius_grid:
         rho = r
@@ -133,8 +128,19 @@ def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> lis
             if rho >= top:
                 break
             rho *= 2.0
+    return sorted(radii)
+
+
+def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> list[Ball]:
+    """Family balls plus their power-of-two dilates up to twice the hat radius.
+
+    Doubling ratios measured over this set dominate the halving chains that
+    compare any family ball against the hat ball, which is what makes the
+    admissibility constant ``alpha`` effective on discrete data.
+    """
+    radii = _chain_radii(family)
     centers = sorted({b.center for b in family.members})
-    return [Ball(c, rho) for c in centers for rho in sorted(radii)]
+    return [Ball(c, rho) for c in centers for rho in radii]
 
 
 def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
@@ -179,30 +185,56 @@ class CZDecomposition:
 
 
 class _FamilyAverages:
-    """Per member ball: its points and, when nonempty, the average of |f|."""
+    """Per member ball: its points and, when nonempty, the average of |f|;
+    and ``maximal``, the maximal function of |f| over the family (see
+    :func:`maximal_function`).
+
+    The balls at one center are nested, so one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
+    sweep per center gives each ball as a prefix of that center's distance
+    order. The sweep also measures the center's closure balls and their
+    doubles, so :func:`closure_profile` reads every measure from the memo.
+    A ball's ``members`` is a prefix view of one array per center, listed in
+    distance order; every reader uses it as an index set.
+    """
 
     def __init__(self, space, f, family: BallFamily):
         self.space = space
         self.family = family
         self.values = np.abs(as_values(f))
         self.grid = list(family.radius_grid)
-        self.centers = sorted({b.center for b in family.members})
+        by_center: dict[int, list[float]] = {}
+        for ball in family.members:
+            by_center.setdefault(ball.center, []).append(ball.radius)
+        self.centers = sorted(by_center)
+        chain = _chain_radii(family)
+        closure = {*chain, *(2.0 * rho for rho in chain)}
+        # w(B) sums the same once-rounded products as weights._induced; fsum
+        # is correctly rounded, so the distance order gives the same bits
+        products = self.values * space.mass
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], np.ndarray] = {}
-        for ball in family.members:
-            key = (ball.center, ball.radius)
-            members = space.ball_members(ball.center, ball.radius)
-            self.members[key] = members
-            if members.size:
-                self.avg[key] = _ball_average(space, self.values, ball, members)
-
-    @cached_property
-    def maximal(self) -> np.ndarray:
-        """The maximal function of |f| over the family (see :func:`maximal_function`)."""
-        mf = np.zeros(self.space.n_points)
-        for key, avg in self.avg.items():
-            np.maximum.at(mf, self.members[key], avg)
-        return mf
+        self.maximal = np.zeros(space.n_points)
+        for c, radii in by_center.items():
+            swept = sorted(closure.union(radii))
+            order, counts = space.ball_prefixes(c, swept)
+            count = dict(zip(swept, counts.tolist()))
+            # a copy, so the center's full order is not kept alive by the views
+            inside = order[: max(count[r] for r in radii)].copy()
+            p = products[inside]
+            for r in radii:
+                k = count[r]
+                self.members[(c, r)] = inside[:k]
+                if k:
+                    w = math.fsum(memoryview(p[:k]))
+                    self.avg[(c, r)] = _avg(w, space.ball_measure(c, r))
+            # the point of distance rank i lies in every ball of count > i, so it
+            # takes the largest average over the radii from the first such ball up
+            ascending = sorted(radii)
+            avgs = [self.avg.get((c, r), 0.0) for r in ascending]
+            tail_max = np.maximum.accumulate(avgs[::-1])[::-1]
+            ranks = np.arange(inside.size)
+            first = np.searchsorted([count[r] for r in ascending], ranks, side="right")
+            self.maximal[inside] = np.maximum(self.maximal[inside], tail_max[first])
 
 
 def _candidates(table: _FamilyAverages, lam: float, cap: float):

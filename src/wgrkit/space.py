@@ -4,8 +4,8 @@ Points carry dense integer ids ``0..n-1``. A space stores either a
 coordinate array with a standard metric (``euclidean`` or ``chebyshev``)
 or a raw symmetric distance table, together with a strictly positive mass
 per point. Every integral in the library is a mass-weighted sum over a
-point subset, accumulated in ascending index order with compensated
-summation, so results do not depend on evaluation order.
+point subset, accumulated with ``math.fsum``. That sum is correctly
+rounded, so the order of its terms is free and never changes a result.
 
 Balls are open: ``B(x, r) = {y : d(x, y) < r}``. In particular a radius
 equal to an existing pairwise distance excludes the points at exactly that
@@ -26,9 +26,14 @@ of the most recently queried center, so a layer that walks its balls
 center by center (every family, measuring set and closure set is listed
 center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
-uncached. Beside the slot, a memo maps ``(center, r)`` to the float mu(B),
-which :meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and
-every layer reads. A space freezes private copies of its arrays, so it
+uncached. There are two ball queries:
+:meth:`~FiniteMetricMeasureSpace.ball_members` returns one ball's ids in
+ascending order, and :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
+the center's row once and returns that order with a count per radius, so
+the nested balls at one center are prefixes of one array. Beside the slot,
+a memo maps ``(center, r)`` to the float mu(B), which
+:meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and every
+layer reads. A space freezes private copies of its arrays, so it
 cannot go stale. On a space whose points share one mass m (every generated
 grid), a set of k points measures ``k * m`` with no sum: both that product
 and ``fsum`` of k copies of m are the correctly rounded k*m, so they agree
@@ -71,7 +76,7 @@ VALIDATION_SIZE_CAP = 2048
 TRIANGLE_RTOL = 4.0 * np.finfo(float).eps
 
 #: Upper bound on the distances one block of an all-pairs scan holds.
-BLOCK_DISTANCES = 1 << 16
+BLOCK_DISTANCES = 1 << 14
 
 
 def row_slices(n_rows: int, n_cols: int) -> list[slice]:
@@ -219,6 +224,24 @@ class FiniteMetricMeasureSpace:
         """Point ids strictly inside B(center, r), ascending."""
         return self.ball_mask(center, r).nonzero()[0]
 
+    def ball_prefixes(self, center: int, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Every point id in ascending distance from ``center`` (ties by id),
+        and per radius the count of those strictly inside ``B(center, r)``.
+
+        ``B(center, r)`` is ``order[:count]``, the set :meth:`ball_members`
+        returns, listed in distance order; one sort serves every radius.
+        Each ball's measure goes into the memo on the way.
+        """
+        radii = np.asarray(radii, dtype=float)
+        if not (radii >= 0.0).all():
+            raise WgrError("ball radius must be >= 0")
+        row = self._cached_row(center)
+        order = np.argsort(row, kind="stable")
+        counts = np.searchsorted(row[order], radii, side="left")
+        for r, k in zip(radii.tolist(), counts.tolist()):
+            self.ball_measure(center, r, order[:k])
+        return order, counts
+
     def set_measure(self, members) -> float:
         """Total mass of a point subset; the empty set has measure 0.
 
@@ -260,9 +283,7 @@ class FiniteMetricMeasureSpace:
         best = math.inf
         for part in row_slices(size, size):
             block = self.dist_block(part if idx is None else idx[part], idx)
-            positive = block[block > 0.0]
-            if positive.size:
-                best = min(best, float(positive.min()))
+            best = min(best, float(np.min(block, where=block > 0.0, initial=math.inf)))
         return None if best == math.inf else best
 
     def coordinate_bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -721,8 +721,11 @@ def cavalieri_check(
     values = as_values(f)
     region = np.arange(space.n_points) if region is None else np.asarray(region)
     direct = weighted_sum(values[region] ** p, space.mass[region])
-    levels = np.unique(values[region])
-    levels = levels[levels > 0.0]
+    # sorted distinct positive levels; np.unique would import numpy.ma
+    levels = np.sort(values[region])
+    fresh = np.ones(levels.size, dtype=bool)
+    fresh[1:] = levels[1:] != levels[:-1]
+    levels = levels[fresh & (levels > 0.0)]
     pieces = []
     prev = 0.0
     for level in levels:

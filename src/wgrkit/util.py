@@ -1,14 +1,13 @@
 """Shared numeric and I/O helpers.
 
-Summations that feed ratios and report values use ``math.fsum`` over a
-fixed ascending point-index order, so every result is reproducible bit
-for bit. JSON and CSV emitters format reals with 17 significant digits,
-which round-trips IEEE doubles exactly.
+Summations that feed ratios and report values use ``math.fsum``, which
+is correctly rounded: the order of the terms is free, and every result is
+reproducible bit for bit. JSON and CSV emitters format reals with 17
+significant digits, which round-trips IEEE doubles exactly.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 
@@ -93,6 +92,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def sha256_file(path) -> str:
+    import hashlib  # loads OpenSSL, so only when hashing
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

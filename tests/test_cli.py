@@ -220,6 +220,35 @@ def test_threads_flag_runs_in_one_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command, module", [(["cz", "nested"], "hashlib"), (["run"], "numpy.ma")])
+def test_invocations_leave_unused_modules_unloaded(tmp_path, command, module):
+    # a custom instance draws no random numbers, so nothing but a hash would
+    # load hashlib; np.unique would load numpy.ma for the cavalieri check
+    if command[0] == "cz":
+        cfg = _cz_spike_config(tmp_path)
+    else:
+        cfg = smoke_config(tmp_path, checks=[{"name": "cavalieri", "params": {"p": 2.0}}])
+    out = tmp_path / "out.json" if command[0] == "cz" else tmp_path / "run"
+    proc = run_python(
+        "import sys, wgrkit.cli\n"
+        f"code = wgrkit.cli.main({[*command, '--config', str(cfg), '--out', str(out)]!r})\n"
+        "assert code == 0, code\n"
+        f"assert {module!r} not in sys.modules\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("threads, code", [("-3", 2), ("0", 2), ("1", 0), ("8", 0)])
+def test_threads_flag_takes_what_the_config_key_takes(tmp_path, capsys, threads, code):
+    out = tmp_path / "w.json"
+    smoke = Path(__file__).parent.parent / "configs" / "smoke.json"
+    argv = ["weight", "gen", "--config", str(smoke), "--out", str(out), "--threads", threads]
+    assert main(argv) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n_values", [9, 15])
 def test_custom_weight_of_the_wrong_length_exits_one(tmp_path, capsys, n_values):
     space = grid_1d(0.0, 12.0, 12)

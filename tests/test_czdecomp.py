@@ -7,6 +7,7 @@ import pytest
 import oracles
 from wgrkit import (
     Ball,
+    FiniteMetricMeasureSpace,
     DoublingProfile,
     build_family,
     cz_decompose,
@@ -19,10 +20,11 @@ from wgrkit import (
     phi_sequence,
     wgr_epsilon,
 )
+from wgrkit import czdecomp
 from wgrkit.czdecomp import closure_ball_set, closure_profile
 from wgrkit.errors import CZPreconditionError
 from wgrkit.util import philox_generator
-from wgrkit.weights import average
+from wgrkit.weights import _ball_average, average
 
 
 def spike_instance(seed: int, n: int = 512, n_spikes: int = 2):
@@ -357,3 +359,72 @@ def _closure_reference(family):
 def test_closure_ball_set_matches_per_center_construction(space, base, eta, sigma):
     family = build_family(space, base, eta=eta, sigma=sigma)
     assert closure_ball_set(space, family) == _closure_reference(family)
+
+
+# -- the family sweep against the per-ball path -------------------------------
+
+
+@st.composite
+def _small_spaces(draw):
+    """(mass, geometry keywords, f >= 0): a small space with tied distances."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    if kind == "table":
+        # shortest paths over integer edge lengths: a metric full of ties
+        n = draw(st.integers(3, 10))
+        d = np.array(draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n)), float)
+        d = d.reshape(n, n)
+        d = np.minimum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        for k in range(n):
+            d = np.minimum(d, d[:, k, None] + d[None, k, :])
+        geometry = {"distance_matrix": d}
+    else:
+        dim, side = draw(st.sampled_from([(1, 12), (2, 4)]))
+        point = st.tuples(*[st.integers(0, side - 1)] * dim)
+        coords = draw(st.lists(point, min_size=3, max_size=12, unique=True))
+        n = len(coords)
+        geometry = {"coords": coords, "metric_kind": kind}
+    if draw(st.booleans()):
+        mass = [1.0 / 3.0] * n
+    else:
+        masses = st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0, 3.0])
+        mass = draw(st.lists(masses, min_size=n, max_size=n))
+    f = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    return mass, geometry, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    instance=_small_spaces(),
+    center=st.integers(0, 11),
+    radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
+    mass, geometry, f = instance
+    swept, per_ball = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(2))
+    family = build_family(swept, Ball(center % swept.n_points, radius), eta=eta, sigma=1.0)
+    table = czdecomp._FamilyAverages(swept, f, family)
+
+    values = np.asarray(f)
+    members, avg = {}, {}
+    for ball in family.members:
+        key = (ball.center, ball.radius)
+        ids = per_ball.ball_members(ball.center, ball.radius)
+        members[key] = set(ids.tolist())
+        if ids.size:
+            avg[key] = _ball_average(per_ball, values, ball, ids).hex()
+    mf = np.zeros(per_ball.n_points)
+    for key, a in avg.items():
+        np.maximum.at(mf, list(members[key]), float.fromhex(a))
+
+    assert {k: set(v.tolist()) for k, v in table.members.items()} == members
+    assert {k: v.hex() for k, v in table.avg.items()} == avg
+    assert table.maximal.tobytes() == mf.tobytes()
+    assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
+    # every measure the sweep stored is the per-ball measure, closure balls included
+    closure = closure_ball_set(swept, family)
+    assert {(b.center, r) for b in closure for r in (b.radius, 2.0 * b.radius)} <= swept._mu.keys()
+    assert {k: mu.hex() for k, mu in swept._mu.items()} == {
+        k: per_ball.ball_measure(*k).hex() for k in swept._mu
+    }

@@ -16,7 +16,7 @@ from wgrkit import (
 )
 from wgrkit import space as space_module
 from wgrkit.cli import resolve_base_ball
-from wgrkit.errors import EmptyBallError, InvalidGeneratorError, TooLargeError
+from wgrkit.errors import EmptyBallError, InvalidGeneratorError, TooLargeError, WgrError
 
 
 def test_grid_1d_cell_centers():
@@ -104,6 +104,29 @@ def test_ball_monotone_in_radius(center, r1, r2):
     sp = grid_1d(0.0, 12.0, 12)
     lo, hi = sorted((r1, r2))
     assert set(sp.ball_members(center, lo).tolist()) <= set(sp.ball_members(center, hi).tolist())
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        grid_1d(0.0, 9.0, 9),
+        grid_nd(2, 5, 1.0, "chebyshev"),
+        FiniteMetricMeasureSpace([1.0, 0.5, 2.0, 0.25, 3.0], coords=[[0], [2], [1], [3], [2]],
+                                 metric_kind="euclidean"),
+    ],
+)
+def test_ball_prefixes_lists_each_ball_as_a_prefix_of_one_distance_order(space):
+    center = 2
+    radii = [0.0, 0.5, 1.0, 1.5, 2.0, 10.0]
+    order, counts = space.ball_prefixes(center, radii)
+    row = space.dist_row(center)
+    assert order.tolist() == sorted(range(space.n_points), key=lambda j: (row[j], j))
+    for r, k in zip(radii, counts.tolist()):
+        members = space.ball_members(center, r)
+        assert sorted(order[:k].tolist()) == members.tolist()
+        assert space._mu[(center, r)] == space.set_measure(members)
+    with pytest.raises(WgrError):
+        space.ball_prefixes(center, [1.0, -0.5])
 
 
 @pytest.mark.parametrize("kind", ["chebyshev", "table"])

@@ -88,8 +88,8 @@ def test_min_positive_distance_reads_row_blocks_not_rows(row_calls, monkeypatch)
     assert space.min_positive_distance() == 1.0
     assert space.min_positive_distance(np.arange(0, 400, 7)) == 1.0
     assert row_calls == []
-    # 400 x 400 distances in blocks of at most 2^16: three blocks, then one
-    assert block_shapes == [(163, 400), (163, 400), (74, 400), (58, 58)]
+    # 400 x 400 distances in blocks of at most 2^14: ten blocks, then one
+    assert block_shapes == [(40, 400)] * 10 + [(58, 58)]
     assert max(r * c for r, c in block_shapes) <= BLOCK_DISTANCES
 
 
@@ -166,16 +166,22 @@ def test_cz_builds_one_family_table_and_one_maximal_function(nested, monkeypatch
 
 
 @pytest.mark.parametrize("nested", [True, False])
-def test_cz_queries_each_family_ball_once(nested, monkeypatch, tmp_path):
+def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path):
     cfg = _cz_config(tmp_path)
     ctx = cli.RunContext(cfg)
     family_keys = {(b.center, b.radius) for b in ctx.family.members}
+    sweeps: list[tuple] = []
     queries: list[tuple] = []
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_prefixes", sweeps)
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
     assert cli.cmd_cz(ctx, tmp_path / "cz_out.json", nested=nested) == 0
-    counts = Counter((int(c), float(r)) for _, c, r in queries)
-    # the closure profile reads the measures of the family balls from the CZ table
-    assert {key: counts[key] for key in family_keys} == dict.fromkeys(family_keys, 1)
+    swept = Counter(int(c) for _, c, _ in sweeps)
+    assert swept == Counter({c: 1 for c, _ in family_keys})
+    # the family balls and the closure profile's balls come from the sweeps
+    closure = {(b.center, b.radius) for b in czdecomp.closure_ball_set(ctx.space, ctx.family)}
+    closure |= {(c, 2.0 * r) for c, r in closure}
+    queried = {(int(c), float(r)) for _, c, r in queries}
+    assert not queried & (family_keys | closure)
 
 
 def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
