@@ -12,7 +12,8 @@ Subcommands
     sweep eps|p|sigma   parameter sweeps as CSV
     examples list       instance kinds and their parameter schemas
 
-Every subcommand accepts --config, --out, --seed and --threads. --threads
+Every subcommand accepts --config, --out, --seed and --threads. --seed
+and the config's seed keys take an integer in [0, 2**128). --threads
 and the config's "threads" key take an integer >= 1, accepted for
 compatibility with no effect: the work runs in one thread. Exit codes: 0
 success (vacuous passes included), 1 a check failed or a construction
@@ -639,12 +640,24 @@ def _thread_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed`` takes what the config's ``instance.seed`` key takes: an integer in [0, 2**128)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    errors = _schema_errors(load_schema()["properties"]["instance"]["properties"]["seed"], value)
+    if errors:
+        raise argparse.ArgumentTypeError(errors[0][1])
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wgrkit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="experiment config JSON")
     common.add_argument("--out", help="output file or directory")
-    common.add_argument("--seed", type=int, help="override the instance seed")
+    common.add_argument("--seed", type=_seed, help="override the instance seed")
     common.add_argument(
         "--threads", type=_thread_count, default=None,
         help="accepted for compatibility; no effect",

@@ -4,9 +4,10 @@ The strip instance pairs an indicator weight with a cube-metric grid: the
 grid is shifted so the unit slab ``0 <= x_last <= 1`` is a union of whole
 cells near the middle of the domain, which keeps every cube-vs-double-cube
 weight ratio an exact rational. The exponential instance puts ``e^x`` on a
-1-d grid. Random weights draw from a counter-based stream (Philox4x64-10
-keyed by the seed; uniforms consumed in point-index order) so identical
-seeds reproduce identical values byte for byte.
+1-d grid. Random weights draw from a counter-based stream: numpy's
+Philox4x64-10 keyed by the seed, reproduced in ``util`` and pinned by
+tests to ``numpy.random``, with uniforms consumed in point-index order.
+Identical seeds reproduce identical values byte for byte.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .balls import Ball
 from .errors import AlignmentError, InvalidGeneratorError, WgrError
 from .space import FiniteMetricMeasureSpace, _grid_coords, grid_1d
-from .util import philox_generator
+from .util import philox_index, philox_uniforms
 from .weights import Weight
 
 RNG_ALGORITHM = "philox4x64-10"
@@ -58,6 +59,15 @@ def exponential_weight(a: float, b: float, n: int) -> tuple[FiniteMetricMeasureS
     return space, Weight(np.exp(space.coords[:, 0]))
 
 
+def _normal_quantiles(u: np.ndarray) -> np.ndarray:
+    """``NormalDist().inv_cdf`` at each u in (0, 1), by the C routine it calls."""
+    try:  # guarded as statistics.py guards it
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:  # statistics imports fractions and decimal, so only as a fallback
+        from statistics import _normal_dist_inv_cdf
+    return np.array([_normal_dist_inv_cdf(x, 0.0, 1.0) for x in u.tolist()])
+
+
 def random_weight(space: FiniteMetricMeasureSpace, kind: str, params: dict, seed: int) -> Weight:
     """Seeded random weight; deterministic given (kind, params, seed).
 
@@ -68,23 +78,19 @@ def random_weight(space: FiniteMetricMeasureSpace, kind: str, params: dict, seed
                  from the stream; |exponent| < POWER_EXPONENT_CAP.
       two_level: ``high`` with probability ``fraction`` else ``low``.
     """
-    gen = philox_generator(seed)
     n = space.n_points
     if kind == "lognormal":
         mu = float(params.get("mu", 0.0))
         sig = float(params.get("sigma", params.get("variance", 0.0)))
         if sig < 0:
             raise WgrError(f"lognormal sigma must be >= 0, got {sig}")
-        from statistics import NormalDist  # imports fractions and decimal: only lognormal needs it
-        u = np.clip(gen.random(n), 5e-17, 1.0 - 1e-16)
-        inv_cdf = NormalDist().inv_cdf
-        z = np.array([inv_cdf(x) for x in u])
+        z = _normal_quantiles(np.clip(philox_uniforms(seed, n), 5e-17, 1.0 - 1e-16))
         return Weight(np.exp(mu + sig * z))
     if kind == "power":
         exponent = float(params["exponent"])
         if not -POWER_EXPONENT_CAP < exponent < POWER_EXPONENT_CAP:
             raise WgrError(f"power exponent must be in (-{POWER_EXPONENT_CAP}, {POWER_EXPONENT_CAP})")
-        x0 = int(gen.integers(0, n))
+        x0 = philox_index(seed, n)
         floor = space.min_positive_distance()
         floor = 1.0 if floor is None else 0.5 * floor
         dist = np.maximum(space.dist_row(x0), floor)
@@ -95,7 +101,7 @@ def random_weight(space: FiniteMetricMeasureSpace, kind: str, params: dict, seed
         fraction = float(params.get("fraction", 0.5))
         if low < 0 or high < 0 or not 0.0 <= fraction <= 1.0:
             raise WgrError("two_level needs low, high >= 0 and fraction in [0,1]")
-        u = gen.random(n)
+        u = philox_uniforms(seed, n)
         return Weight(np.where(u < fraction, high, low))
     raise WgrError(f"unknown random weight kind {kind!r}")
 

@@ -4,6 +4,11 @@ Summations that feed ratios and report values use ``math.fsum``, which
 is correctly rounded: the order of the terms is free, and every result is
 reproducible bit for bit. JSON and CSV emitters format reals with 17
 significant digits, which round-trips IEEE doubles exactly.
+
+Seeded draws come from numpy's Philox4x64-10 stream, reproduced here
+with plain numpy arithmetic (``philox_uniforms``, ``philox_index``) so
+that no process imports ``numpy.random``; tests pin both, bit for bit, to
+``numpy.random.Generator(numpy.random.Philox(key=seed))``.
 """
 from __future__ import annotations
 
@@ -101,6 +106,54 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def philox_generator(seed: int) -> np.random.Generator:
-    """Counter-based RNG stream (Philox4x64-10) keyed by the seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+_M64 = (1 << 64) - 1
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a*b, from 32-bit limbs."""
+    al, ah = a & 0xFFFFFFFF, a >> 32
+    bl, bh = b & 0xFFFFFFFF, b >> 32
+    lh, hl = al * bh, ah * bl
+    mid = (al * bl >> 32) + (lh & 0xFFFFFFFF) + (hl & 0xFFFFFFFF)
+    return ah * bh + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
+
+
+def _philox_words(seed: int, n: int) -> np.ndarray:
+    """First n uint64 outputs of numpy's Philox4x64-10 keyed by the seed."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"Philox key must be in [0, 2**128), got {seed}")
+    k0, k1 = seed & _M64, seed >> 64
+    # numpy bumps the counter before it generates: block i runs counter i + 1
+    c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _M64, (k1 + 0xBB67AE8584CAA73B) & _M64
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return np.stack([c0, c1, c2, c3], axis=1).ravel()[:n]
+
+
+def philox_uniforms(seed: int, n: int) -> np.ndarray:
+    """``Generator(Philox(key=seed)).random(n)``: 53-bit doubles in [0, 1)."""
+    return (_philox_words(seed, n) >> 11) * 2.0**-53
+
+
+def philox_index(seed: int, n: int) -> int:
+    """``Generator(Philox(key=seed)).integers(0, n)`` for 1 <= n <= 2**32.
+
+    numpy splits each word into 32-bit halves, low half first, and applies
+    Lemire's rejection; at n = 2**32 the threshold is 0 and the draw is raw.
+    """
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"philox_index needs 1 <= n <= 2**32, got {n}")
+    threshold = ((1 << 32) - n) % n
+    count = 4
+    while True:
+        words = _philox_words(seed, count)
+        for u in np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel().tolist():
+            if u * n & 0xFFFFFFFF >= threshold:
+                return u * n >> 32
+        count *= 2

@@ -34,6 +34,11 @@ def small_instance(seed: int):
     return space, family, w
 
 
+def philox(seed: int) -> np.random.Generator:
+    """numpy's Philox4x64-10 stream keyed by the seed, the stream wgrkit reproduces."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 @pytest.fixture
 def rng():
-    return np.random.Generator(np.random.Philox(key=123))
+    return philox(123)

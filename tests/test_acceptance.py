@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from conftest import small_instance
+from conftest import philox, small_instance
 from wgrkit import (
     Ball,
     FiniteMetricMeasureSpace,
@@ -36,7 +36,6 @@ from wgrkit import theorems
 from wgrkit.czdecomp import closure_profile
 from wgrkit.errors import NestingError
 from wgrkit.examples import random_weight, sawyer_strip, strip_cube_family
-from wgrkit.util import philox_generator
 from wgrkit.weights import induced_measure
 
 
@@ -168,7 +167,7 @@ def cz_geometry(n: int):
 def cz_instance(seed: int):
     n = 2048 if seed % 5 == 0 else 512
     space, base, family, profile = cz_geometry(n)
-    gen = philox_generator(1000 + seed)
+    gen = philox(1000 + seed)
     f = 0.001 * (1.0 + gen.random(n))
     b0 = space.ball_members(base.center, base.radius)
     if n == 2048:

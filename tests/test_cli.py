@@ -12,12 +12,21 @@ import pytest
 
 from wgrkit import cli, grid_1d
 from wgrkit.cli import main
-from wgrkit.util import dumps_canonical, philox_generator, sha256_file
+from conftest import philox
+from wgrkit.util import dumps_canonical, sha256_file
+
+
+SRC = str(Path(cli.__file__).parents[1])
+
+
+def child_env() -> dict:
+    """The caller's environment with this checkout's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_cli(*args) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "wgrkit.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "wgrkit.cli", *args], env=child_env(), capture_output=True, text=True
     )
 
 
@@ -193,9 +202,7 @@ def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, ca
 
 def run_python(code: str) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that imports this checkout's wgrkit."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
 
 
 def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():
@@ -236,6 +243,49 @@ def test_invocations_leave_unused_modules_unloaded(tmp_path, command, module):
         f"assert {module!r} not in sys.modules\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_seeded_runs_load_neither_numpy_random_nor_statistics(tmp_path):
+    # the stream and the inverse normal CDF need no numpy.random, and no
+    # statistics with its fractions and decimal imports
+    runs = []
+    for kind, params in [("lognormal", {"mu": 0.0, "sigma": 0.3}), ("power", {"exponent": 1.5})]:
+        (tmp_path / kind).mkdir()
+        instance = {"kind": kind, "interval": [0.0, 48.0, 48], "params": params, "seed": 7}
+        cfg = smoke_config(tmp_path / kind, instance=instance, checks=[{"name": "wgr", "params": {}}])
+        runs.append((str(cfg), str(tmp_path / kind / "run")))
+    proc = run_python(
+        "import sys, wgrkit.cli\n"
+        f"for cfg, out in {runs!r}:\n"
+        "    assert wgrkit.cli.main(['run', '--config', cfg, '--out', out]) == 0\n"
+        "loaded = [m for m in ('numpy.random', 'statistics', 'fractions', 'decimal') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("key", ["instance", "rng"])
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_config_seed_outside_the_philox_key_range_exits_two(tmp_path, key, seed):
+    cfg = json.loads(smoke_config(tmp_path).read_text())
+    cfg[key]["seed"] = seed
+    path = tmp_path / "cfg.json"
+    path.write_text(dumps_canonical(cfg))
+    proc = run_cli("run", "--config", str(path))
+    assert proc.returncode == 2
+    assert f"at {key}/seed: {seed} is " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed, code", [("-1", 2), (str(2**128), 2), ("0", 0), (str(2**128 - 1), 0)])
+def test_seed_flag_takes_what_the_config_key_takes(tmp_path, capsys, seed, code):
+    out = tmp_path / "w.json"
+    smoke = Path(__file__).parent.parent / "configs" / "smoke.json"
+    assert main(["weight", "gen", "--config", str(smoke), "--out", str(out), "--seed", seed]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert f"argument --seed: {seed} is " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads, code", [("-3", 2), ("0", 2), ("1", 0), ("8", 0)])
@@ -343,7 +393,7 @@ def test_cover_subcommand(tmp_path):
 
 def test_cz_subcommands(tmp_path):
     space = grid_1d(0.0, 512.0, 512)
-    gen = philox_generator(1)
+    gen = philox(1)
     f = 0.001 * (1.0 + gen.random(512))
     b0 = np.flatnonzero(np.abs(space.coords[:, 0] - 256.5) < 51.0)
     f[b0[5]] = 60.0
@@ -546,7 +596,7 @@ def test_jn_decay_margin_column_matches_the_tracker(tmp_path):
 
 def _cz_spike_config(tmp_path) -> Path:
     space = grid_1d(0.0, 256.0, 256)
-    f = 0.001 * (1.0 + philox_generator(3).random(256))
+    f = 0.001 * (1.0 + philox(3).random(256))
     f[128] = 60.0
     return smoke_config(
         tmp_path,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import philox
 from wgrkit import (
     Ball,
     FiniteMetricMeasureSpace,
@@ -23,7 +24,6 @@ from wgrkit import (
 from wgrkit import czdecomp
 from wgrkit.czdecomp import closure_ball_set, closure_profile
 from wgrkit.errors import CZPreconditionError
-from wgrkit.util import philox_generator
 from wgrkit.weights import _ball_average, average
 
 
@@ -33,7 +33,7 @@ def spike_instance(seed: int, n: int = 512, n_spikes: int = 2):
     base = Ball(n // 2, n / 10.0)
     family = build_family(space, base, eta=4.0, sigma=1.0)
     profile = closure_profile(space, family)
-    gen = philox_generator(seed)
+    gen = philox(seed)
     f = 0.001 * (1.0 + gen.random(n))
     b0 = space.ball_members(base.center, base.radius)
     spots = gen.choice(b0, size=n_spikes, replace=False)
@@ -141,7 +141,7 @@ def test_maximal_function_zero_outside_hat():
 def test_maximal_function_five_point_brute():
     space = grid_1d(0.0, 5.0, 5)
     family = build_family(space, Ball(2, 2.0), eta=1.0, sigma=1.0)
-    gen = philox_generator(9)
+    gen = philox(9)
     f = gen.random(5)
     mf = maximal_function(space, f, family)
     assert np.allclose(mf, oracles.maximal_function(space, f, family.members))
@@ -152,7 +152,7 @@ def test_maximal_dominates_pointwise():
     # |f(x)| <= Mf(x) holds on the base-ball members
     space = grid_1d(0.0, 64.0, 64)
     family = build_family(space, Ball(32, 16.0), eta=1.0, sigma=1.0)
-    gen = philox_generator(3)
+    gen = philox(3)
     f = gen.random(64)
     mf = maximal_function(space, f, family)
     centers = space.ball_members(32, 16.0)
@@ -162,7 +162,7 @@ def test_maximal_dominates_pointwise():
 def test_maximal_sublinear():
     space = grid_1d(0.0, 48.0, 48)
     family = build_family(space, Ball(24, 12.0), eta=1.0, sigma=1.0)
-    gen = philox_generator(4)
+    gen = philox(4)
     f, g = gen.random(48), gen.random(48)
     mfg = maximal_function(space, f + g, family)
     bound = maximal_function(space, f, family) + maximal_function(space, g, family)
@@ -216,7 +216,7 @@ def test_cz_properties_oracle_rescan():
         space, family, profile, f = spike_instance(seed)
         lo, hi = level_window(space, family, profile, f)
         assert lo < hi
-        gen = philox_generator(1000 + seed)
+        gen = philox(1000 + seed)
         lam = lo + (hi - lo) * (0.05 + 0.9 * gen.random())
         dec = cz_decompose(space, f, lam, family, profile)
         props = oracles.cz_properties(space, f, lam, family, dec)
@@ -273,7 +273,7 @@ def test_cz_contraction_between_levels():
     system = build_ball_system(space, base, sigma, eta)
     family, profile = system.family, system.profile
 
-    gen = philox_generator(21)
+    gen = philox(21)
     w = 1.0 + 0.002 * gen.random(512)
     b0 = space.ball_members(base.center, base.radius)
     spots = gen.choice(b0, size=2, replace=False)

@@ -1,14 +1,18 @@
 """Canonical instances: strip, exponential, seeded random weights."""
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import philox
 from wgrkit import Ball, build_family, gr_epsilon, grid_1d, rhi_constant, wgr_epsilon
 from wgrkit.errors import AlignmentError, WgrError
 from wgrkit.examples import (
     InstanceSpec,
+    _normal_quantiles,
     build_instance,
     exponential_weight,
     list_instances,
@@ -137,6 +141,37 @@ def test_power_weight_domain():
         random_weight(space, "power", {"exponent": 9.0}, seed=0)
     w = random_weight(space, "power", {"exponent": -1.5}, seed=0)
     assert np.all(np.isfinite(w.values)) and np.all(w.values > 0)
+
+
+#: the clip bounds of the lognormal draw, both sides of |p - 0.5| = 0.425
+#: and of sqrt(-log r) = 5, where the inverse CDF switches branches
+_TAIL = math.exp(-25.0)
+INV_CDF_EDGES = [5e-17, 1.0 - 1e-16] + [
+    q for p in (0.075, 0.925, _TAIL, 1.0 - _TAIL)
+    for q in (math.nextafter(p, 0.0), p, math.nextafter(p, 1.0))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(5e-17, 1.0 - 1e-16))
+def test_normal_quantiles_match_normal_dist_inv_cdf(p):
+    ps = np.array([p, *INV_CDF_EDGES])
+    oracle = [NormalDist().inv_cdf(q) for q in ps.tolist()]
+    assert _normal_quantiles(ps).tolist() == oracle
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**128 - 1])
+def test_random_weights_match_the_numpy_and_statistics_oracle(seed):
+    space = grid_1d(0.0, 37.0, 37)
+    u = philox(seed).random(37)
+    z = np.array([NormalDist().inv_cdf(x) for x in np.clip(u, 5e-17, 1.0 - 1e-16).tolist()])
+    lognormal = random_weight(space, "lognormal", {"mu": 0.2, "sigma": 0.7}, seed)
+    assert lognormal.values.tobytes() == np.exp(0.2 + 0.7 * z).tobytes()
+    two_level = random_weight(space, "two_level", {"low": 1.0, "high": 4.0, "fraction": 0.3}, seed)
+    assert two_level.values.tobytes() == np.where(u < 0.3, 4.0, 1.0).tobytes()
+    x0 = int(philox(seed).integers(0, 37))
+    power = random_weight(space, "power", {"exponent": -1.5}, seed)
+    assert power.values.tobytes() == (np.maximum(space.dist_row(x0), 0.5) ** -1.5).tobytes()
 
 
 def test_unknown_kind_rejected():

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from conftest import small_instance
+from conftest import philox, small_instance
 from wgrkit import (
     Ball,
     DoublingProfile,
@@ -30,7 +30,6 @@ from wgrkit.errors import (
     WgrError,
 )
 from wgrkit.examples import sawyer_strip
-from wgrkit.util import philox_generator
 
 
 def sin_system(n=128, sigma=1.25, eta=1.0):
@@ -144,7 +143,7 @@ def test_jn_decay_lognormal_inequality_holds():
     space = grid_1d(0.0, 128.0, 128)
     base = Ball(64, 32.0)
     system = theorems.build_ball_system(space, base, 1.25, 1.0)
-    gen = philox_generator(17)
+    gen = philox(17)
     from statistics import NormalDist
 
     z = np.array([NormalDist().inv_cdf(u) for u in np.clip(gen.random(128), 1e-16, 1 - 1e-16)])

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import philox
 from wgrkit.util import (
     dumps_canonical,
     format_real,
     fsum,
-    philox_generator,
+    philox_index,
+    philox_uniforms,
     weighted_sum,
 )
 
@@ -46,13 +48,53 @@ def test_dumps_canonical_rejects_unknown_types():
 
 
 def test_fsum_matches_math_fsum():
-    gen = philox_generator(0)
-    data = gen.random(1000) * 1e6
+    data = philox_uniforms(0, 1000) * 1e6
     assert fsum(data) == math.fsum(data.tolist())
     assert weighted_sum(data, np.ones(1000)) == math.fsum(data.tolist())
 
 
 def test_philox_stream_reproducible():
-    a = philox_generator(123).random(16)
-    b = philox_generator(123).random(16)
+    a = philox_uniforms(123, 16)
+    b = philox_uniforms(123, 16)
     assert a.tobytes() == b.tobytes()
+
+
+#: Philox keys across [0, 2**128), with the word boundaries drawn often
+KEYS = st.one_of(
+    st.integers(0, 2**128 - 1),
+    st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(KEYS, st.integers(0, 1030))
+@example(2**64 + 1, 1029)
+@example(2**128 - 1, 1030)
+@example(2**64 - 1, 3)
+def test_philox_uniforms_match_numpy_bit_for_bit(seed, n):
+    ours = philox_uniforms(seed, n)
+    assert ours.dtype == np.float64 and ours.shape == (n,)
+    assert ours.tobytes() == philox(seed).random(n).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(KEYS, st.sampled_from([1, 2, 7, 2**31 + 11, 3 * 2**30, 2**32 - 1, 2**32]))
+@example(339, 2**31 + 11)  # rejects 11 halves: more than the first batch of words holds
+def test_philox_index_matches_numpy(seed, n):
+    assert philox_index(seed, n) == philox(seed).integers(0, n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_philox_rejects_the_keys_numpy_rejects(seed):
+    with pytest.raises(ValueError):
+        philox(seed)
+    with pytest.raises(ValueError, match="Philox key"):
+        philox_uniforms(seed, 4)
+    with pytest.raises(ValueError, match="Philox key"):
+        philox_index(seed, 4)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_philox_index_takes_n_from_one_to_two_to_the_32(n):
+    with pytest.raises(ValueError):
+        philox_index(0, n)

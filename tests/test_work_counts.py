@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import philox
 from wgrkit import Ball, build_family, cli, czdecomp, theorems, weights
 from wgrkit.balls import five_r_cover
 from wgrkit.examples import random_weight
@@ -25,7 +26,6 @@ from wgrkit.space import (
     grid_1d,
     grid_nd,
 )
-from wgrkit.util import philox_generator
 from wgrkit.weights import (
     gr_epsilon,
     rhi_constant,
@@ -141,7 +141,7 @@ def evaluated(monkeypatch):
 def _cz_config(tmp_path) -> dict:
     """A schema-valid config: a 1-d spike instance with an admissible CZ level window."""
     space = grid_1d(0.0, 256.0, 256)
-    f = 0.001 * (1.0 + philox_generator(3).random(256))
+    f = 0.001 * (1.0 + philox(3).random(256))
     f[128] = 60.0
     cfg = {
         "instance": {"kind": "custom", "params": {"space": space.to_json_obj(), "weight": f.tolist()}},
