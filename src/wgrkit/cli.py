@@ -29,6 +29,7 @@ import numbers
 import os
 import platform
 import sys
+from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
 
@@ -185,6 +186,10 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
+    seed = cfg["instance"].get("seed", 0)
+    if cfg.get("rng", {}).get("seed", seed) != seed:
+        raise SchemaError(f"config violates schema: rng/seed {cfg['rng']['seed']} differs from "
+                          f"instance/seed {seed}, which alone keys the stream")
     if seed_override is not None:
         cfg.setdefault("instance", {})["seed"] = seed_override
     return cfg
@@ -652,52 +657,56 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wgrkit", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config JSON")
-    common.add_argument("--out", help="output file or directory")
-    common.add_argument("--seed", type=_seed, help="override the instance seed")
-    common.add_argument(
-        "--threads", type=_thread_count, default=None,
-        help="accepted for compatibility; no effect",
-    )
+#: Each subcommand and its positional argument: (name, choices), None for none.
+_SUBCOMMANDS = {
+    "run": None, "space": ("action", ["gen", "validate"]), "weight": ("action", ["gen"]),
+    "check": ("name", None), "cz": ("action", ["decompose", "nested"]), "cover": None,
+    "decay-table": None, "sweep": ("kind", ["eps", "p", "sigma"]), "examples": ("action", ["list"]),
+}
 
+
+class _QuietParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with ``only``, of that one alone, and
+    quiet: a usage error raises ``argparse.ArgumentError``, unprinted."""
+    parser = (_QuietParser if only else argparse.ArgumentParser)(prog="wgrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("run", parents=[common])
-
-    space_p = sub.add_parser("space", parents=[common])
-    space_p.add_argument("action", choices=["gen", "validate"])
-    space_p.add_argument("--in", dest="infile", help="space JSON to validate")
-
-    weight_p = sub.add_parser("weight", parents=[common])
-    weight_p.add_argument("action", choices=["gen"])
-
-    check_p = sub.add_parser("check", parents=[common])
-    check_p.add_argument("name")
-
-    cz_p = sub.add_parser("cz", parents=[common])
-    cz_p.add_argument("action", choices=["decompose", "nested"])
-
-    sub.add_parser("cover", parents=[common])
-    sub.add_parser("decay-table", parents=[common])
-
-    sweep_p = sub.add_parser("sweep", parents=[common])
-    sweep_p.add_argument("kind", choices=["eps", "p", "sigma"])
-
-    examples_p = sub.add_parser("examples", parents=[common])
-    examples_p.add_argument("action", choices=["list"])
+    for name, positional in _SUBCOMMANDS.items():
+        if only in (None, name):
+            sub_p = sub.add_parser(name)
+            sub_p.add_argument("--config", help="experiment config JSON")
+            sub_p.add_argument("--out", help="output file or directory")
+            sub_p.add_argument("--seed", type=_seed, help="override the instance seed")
+            sub_p.add_argument("--threads", type=_thread_count, default=None,
+                               help="accepted for compatibility; no effect")
+            if positional:
+                sub_p.add_argument(positional[0], choices=positional[1])
+            if name == "space":
+                sub_p.add_argument("--in", dest="infile", help="space JSON to validate")
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone, as each parser costs
+    gettext lookups to build; the full tree prints root help and every error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        with suppress(argparse.ArgumentError):
+            return build_parser(argv[0]).parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
 
     try:
@@ -719,24 +728,17 @@ def main(argv=None) -> int:
         _reject_out(out, directory=args.command in ("run", "check"))
         ctx = RunContext(cfg)
 
-        if args.command == "run":
-            return cmd_run(ctx, out)
-        if args.command == "space":
-            return cmd_space_gen(ctx, out)
-        if args.command == "weight":
-            return cmd_weight_gen(ctx, out)
-        if args.command == "check":
-            return cmd_check(ctx, args.name, out)
-        if args.command == "cz":
-            return cmd_cz(ctx, out, nested=args.action == "nested")
-        if args.command == "cover":
-            return cmd_cover(ctx, out)
-        if args.command == "decay-table":
-            return cmd_decay_table(ctx, out)
-        if args.command == "sweep":
-            return cmd_sweep(ctx, args.kind, out)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+        commands = {
+            "run": lambda: cmd_run(ctx, out),
+            "space": lambda: cmd_space_gen(ctx, out),
+            "weight": lambda: cmd_weight_gen(ctx, out),
+            "check": lambda: cmd_check(ctx, args.name, out),
+            "cz": lambda: cmd_cz(ctx, out, nested=args.action == "nested"),
+            "cover": lambda: cmd_cover(ctx, out),
+            "decay-table": lambda: cmd_decay_table(ctx, out),
+            "sweep": lambda: cmd_sweep(ctx, args.kind, out),
+        }
+        return commands[args.command]()
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

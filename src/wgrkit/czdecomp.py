@@ -144,8 +144,11 @@ def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> lis
 
 
 def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
-    """:func:`doubling_profile` over :func:`closure_ball_set`."""
-    return doubling_profile(space, closure_ball_set(space, family))
+    """:func:`doubling_profile` over :func:`closure_ball_set`, each ball as its
+    ``(center, radius)`` key, not a :class:`Ball`."""
+    radii = _chain_radii(family)
+    centers = sorted({b.center for b in family.members})
+    return doubling_profile(space, [(c, rho) for c in centers for rho in radii])
 
 
 @dataclass(frozen=True)
@@ -218,23 +221,21 @@ class _FamilyAverages:
             swept = sorted(closure.union(radii))
             order, counts = space.ball_prefixes(c, swept)
             count = dict(zip(swept, counts.tolist()))
+            ascending = sorted(radii)
+            ks = [count[r] for r in ascending]
             # a copy, so the center's full order is not kept alive by the views
-            inside = order[: max(count[r] for r in radii)].copy()
-            p = products[inside]
-            for r in radii:
-                k = count[r]
+            inside = order[: ks[-1]].copy()
+            p = memoryview(products[inside])
+            for r, k in zip(ascending, ks):
                 self.members[(c, r)] = inside[:k]
                 if k:
-                    w = math.fsum(memoryview(p[:k]))
-                    self.avg[(c, r)] = _avg(w, space.ball_measure(c, r))
+                    self.avg[(c, r)] = _avg(math.fsum(p[:k]), space._mu[(c, r)])
             # the point of distance rank i lies in every ball of count > i, so it
             # takes the largest average over the radii from the first such ball up
-            ascending = sorted(radii)
             avgs = [self.avg.get((c, r), 0.0) for r in ascending]
             tail_max = np.maximum.accumulate(avgs[::-1])[::-1]
-            ranks = np.arange(inside.size)
-            first = np.searchsorted([count[r] for r in ascending], ranks, side="right")
-            self.maximal[inside] = np.maximum(self.maximal[inside], tail_max[first])
+            reach = np.repeat(tail_max, [k - j for j, k in zip([0, *ks], ks)])
+            self.maximal[inside] = np.maximum(self.maximal[inside], reach)
 
 
 def _candidates(table: _FamilyAverages, lam: float, cap: float):

@@ -11,14 +11,13 @@ Balls are open: ``B(x, r) = {y : d(x, y) < r}``. In particular a radius
 equal to an existing pairwise distance excludes the points at exactly that
 distance, and ``r = 0`` gives the empty set.
 
-All distances come from one kernel, :meth:`FiniteMetricMeasureSpace.dist_block`,
-which returns the distances from a block of row points to a block of
-column points; :meth:`~FiniteMetricMeasureSpace.dist_row` is its one-row
-case, and a block is bit-identical to its rows. Chebyshev distances take
-the maximum axis by axis, which is exact in any order. Euclidean distances
-sum the squared differences over the last axis of the block, which adds
-in the same order for one row as for many. The smallest positive distance
-and the central base ball's eccentricities walk row blocks of at most
+All distances come from one kernel, which :meth:`FiniteMetricMeasureSpace.dist_block`
+applies to a block of rows and columns, :meth:`~FiniteMetricMeasureSpace.dist_row`
+to one row; a block is bit-identical to its rows. Chebyshev distances take
+the maximum axis by axis, exact in any order. Euclidean distances sum the
+squared differences over the last axis, in the same order for one pair as
+for a block. The central base ball's eccentricities, and the smallest
+positive distance on a table, walk row blocks of at most
 :data:`BLOCK_DISTANCES` distances, never an n x n matrix.
 
 Ball queries read distance rows through a one-slot cache holding the row
@@ -31,14 +30,13 @@ uncached. There are two ball queries:
 ascending order, and :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
 the center's row once and returns that order with a count per radius, so
 the nested balls at one center are prefixes of one array. Beside the slot,
-a memo maps ``(center, r)`` to the float mu(B), which
-:meth:`~FiniteMetricMeasureSpace.ball_measure` sums on first use and every
-layer reads. A space freezes private copies of its arrays, so it
+a memo maps ``(center, r)`` to the float mu(B), which every layer reads;
+``ball_measure`` sums one ball on first use, ``ball_prefixes`` all the
+radii it sweeps. A space freezes private copies of its arrays, so it
 cannot go stale. On a space whose points share one mass m (every generated
-grid), a set of k points measures ``k * m`` with no sum: both that product
-and ``fsum`` of k copies of m are the correctly rounded k*m, so they agree
-bit for bit. A product that overflows falls back to ``fsum``, which raises
-as before.
+grid), k points measure ``k * m`` with no sum: that product and ``fsum`` of
+k copies of m are both the correctly rounded k*m, equal bit for bit. A
+product that overflows falls back to ``fsum``, which raises as before.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -185,17 +183,22 @@ class FiniteMetricMeasureSpace:
                 return self._dist[rows]
             ids = np.arange(self.n_points)
             return self._dist[ids[rows, None], ids[cols]]
-        here = self._coords[rows]
         there = self._coords if cols is None else self._coords[cols]
+        return self._distances(self._coords[rows][:, None, :], there)
+
+    def _distances(self, here: np.ndarray, there: np.ndarray) -> np.ndarray:
+        """The metric on coordinate arrays (axes last) whose other axes broadcast."""
         if self.metric_kind == "euclidean":
-            diff = there - here[:, None, :]
-            np.multiply(diff, diff, out=diff)  # squared in place: no second (rows, cols, dim) array
+            diff = there - here
+            np.multiply(diff, diff, out=diff)  # squared in place: no second (..., dim) array
             out = diff.sum(axis=-1)
             return np.sqrt(out, out=out)
         # the maximum axis by axis is exact in any order; with no axis, every distance is 0
-        out = np.zeros((len(here), len(there)))
-        for k in range(here.shape[1]):
-            np.maximum(out, np.abs(there[:, k] - here[:, k, None]), out=out)
+        if not here.shape[-1]:
+            return np.zeros(np.broadcast_shapes(here.shape, there.shape)[:-1])
+        out = np.abs(there[..., 0] - here[..., 0])
+        for k in range(1, here.shape[-1]):
+            np.maximum(out, np.abs(there[..., k] - here[..., k]), out=out)
         return out
 
     def dist_row(self, center: int) -> np.ndarray:
@@ -229,17 +232,22 @@ class FiniteMetricMeasureSpace:
         and per radius the count of those strictly inside ``B(center, r)``.
 
         ``B(center, r)`` is ``order[:count]``, the set :meth:`ball_members`
-        returns, listed in distance order; one sort serves every radius.
-        Each ball's measure goes into the memo on the way.
-        """
+        returns, in distance order. The memo gains each ball it lacks as
+        :meth:`set_measure` sums it: ``count * m`` on a uniform mass m, else
+        one ``fsum`` over a prefix of the masses in that order."""
         radii = np.asarray(radii, dtype=float)
         if not (radii >= 0.0).all():
             raise WgrError("ball radius must be >= 0")
         row = self._cached_row(center)
         order = np.argsort(row, kind="stable")
         counts = np.searchsorted(row[order], radii, side="left")
+        memo, m = self._mu, self._common_mass
+        masses = memoryview(self._mass[order]) if m is None else None
         for r, k in zip(radii.tolist(), counts.tolist()):
-            self.ball_measure(center, r, order[:k])
+            if (center, r) not in memo:
+                mu = math.fsum(masses[:k]) if m is None else k * m
+                # where k * m overflows, set_measure's fsum raises OverflowError
+                memo[(center, r)] = mu if mu != math.inf else self.set_measure(order[:k])
         return order, counts
 
     def set_measure(self, members) -> float:
@@ -272,18 +280,31 @@ class FiniteMetricMeasureSpace:
         return mu
 
     def min_positive_distance(self, members=None) -> float | None:
-        """Smallest positive pairwise distance among ``members`` (default: all).
-
-        Returns None when there is no pair of distinct points.
-        """
+        """Smallest positive pairwise distance among ``members`` (default: all),
+        None without two distinct points. A table is scanned in row blocks.
+        Coordinates are sorted by the first axis, and each lag pairs every
+        point with the one ``lag`` places on. A computed distance is at least
+        the computed one along the first axis (a rounded sum of nonnegative
+        terms is no smaller than any term), which grows with the lag: the
+        sweep ends at the first lag whose bounds all exceed the best so far."""
         idx = None if members is None else np.asarray(members)
         size = self.n_points if idx is None else idx.size
         if size < 2:
             return None
         best = math.inf
-        for part in row_slices(size, size):
-            block = self.dist_block(part if idx is None else idx[part], idx)
-            best = min(best, float(np.min(block, where=block > 0.0, initial=math.inf)))
+        if self._coords is None or not self._coords.shape[1]:
+            for part in row_slices(size, size):
+                block = self.dist_block(part if idx is None else idx[part], idx)
+                best = min(best, float(np.min(block, where=block > 0.0, initial=math.inf)))
+        else:
+            pts = self._coords if idx is None else self._coords[idx]
+            if (pts[1:, 0] < pts[:-1, 0]).any():  # grids come sorted; ties may come in any order
+                pts = pts[np.argsort(pts[:, 0])]
+            for lag in range(1, size):
+                if self._distances(pts[:-lag, :1], pts[lag:, :1]).min() > best:
+                    break
+                d = self._distances(pts[:-lag], pts[lag:])
+                best = float(np.minimum.reduce(d, where=d > 0.0, initial=best))
         return None if best == math.inf else best
 
     def coordinate_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -400,17 +421,16 @@ def grid_nd(n_dim: int, side: int, cell: float, metric_kind: str) -> FiniteMetri
 def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfile:
     """Max of mu(2B)/mu(B) over the supplied balls, floored at 1.
 
+    A ball is a :class:`~wgrkit.balls.Ball` or its ``(center, radius)`` key.
     The profile is relative to the ball set: a richer set can only increase
     it. Every ball must be nonempty. Measures come from the space's memo,
     so on a ratio-2 chain the double of one ball, the next ball, is summed once.
     """
-    c_mu = 1.0
+    c_mu, memo = 1.0, space._mu  # read first, as ball_measure does: no call per hit
     for ball in ball_set:
-        m1 = space.ball_measure(ball.center, ball.radius)
+        c, r = ball if isinstance(ball, tuple) else (ball.center, ball.radius)
+        m1 = memo.get((c, r)) or space.ball_measure(c, r)
         if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0
-            raise EmptyBallError(
-                f"ball (center={ball.center}, radius={ball.radius}) is empty"
-            )
-        m2 = space.ball_measure(ball.center, 2.0 * ball.radius)
-        c_mu = max(c_mu, m2 / m1)
+            raise EmptyBallError(f"ball (center={c}, radius={r}) is empty")
+        c_mu = max(c_mu, (memo.get((c, 2.0 * r)) or space.ball_measure(c, 2.0 * r)) / m1)
     return DoublingProfile.from_c_mu(c_mu)

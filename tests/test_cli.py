@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wgrkit import cli, grid_1d
-from wgrkit.cli import main
+from wgrkit.cli import EXIT_USAGE, main
 from conftest import philox
 from wgrkit.util import dumps_canonical, sha256_file
 
@@ -51,6 +51,8 @@ def smoke_config(tmp_path: Path, **overrides) -> Path:
         "rng": {"algorithm": "philox4x64-10", "seed": 7},
     }
     cfg.update(overrides)
+    if "rng" not in overrides:  # the stream is keyed by instance.seed, which rng.seed must repeat
+        cfg["rng"]["seed"] = cfg["instance"].get("seed", 0)
     path = tmp_path / "cfg.json"
     path.write_text(dumps_canonical(cfg))
     return path
@@ -276,6 +278,57 @@ def test_config_seed_outside_the_philox_key_range_exits_two(tmp_path, key, seed)
     assert f"at {key}/seed: {seed} is " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("instance_seed, rng_seed, code", [
+    (7, 7, 0), (7, None, 0), (7, 99, 2), (None, 0, 0), (None, 7, 2),
+])
+def test_rng_seed_must_repeat_the_instance_seed(tmp_path, capsys, instance_seed, rng_seed, code):
+    cfg = json.loads(smoke_config(tmp_path).read_text())
+    cfg["instance"].pop("seed")
+    cfg["rng"].pop("seed")
+    if instance_seed is not None:
+        cfg["instance"]["seed"] = instance_seed
+    if rng_seed is not None:
+        cfg["rng"]["seed"] = rng_seed
+    path = tmp_path / "seeds.json"
+    path.write_text(dumps_canonical(cfg))
+    out = tmp_path / "w.json"
+    # the --seed override comes after the check, so it does not hide a mismatch
+    for extra in ([], ["--seed", "5"]):
+        assert main(["weight", "gen", "--config", str(path), "--out", str(out), *extra]) == code
+        err = capsys.readouterr().err
+        assert out.exists() == (code == 0)
+        if code:
+            assert err == (f"config violates schema: rng/seed {rng_seed} differs from instance/seed "
+                           f"{instance_seed or 0}, which alone keys the stream\n")
+
+
+_PARSER_ARGVS = [
+    ["--help"], ["-h"], *([name, "--help"] for name in cli._SUBCOMMANDS),
+    ["nope"], ["run", "--bogus"], ["cz"], ["cz", "explode"], ["check"], ["ru"],
+    ["weight", "gen", "--seed", "abc"], ["cover", "--threads", "0"], ["--config", "x.json", "run"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=" ".join)
+def test_help_and_usage_errors_print_what_the_full_parser_prints(capsys, argv):
+    code = main(argv)
+    lazy = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert code == (EXIT_USAGE if exc.value.code else 0)
+    assert (lazy.out, lazy.err) == (full.out, full.err)
+    assert full.out or full.err
+
+
+def test_no_subcommand_prints_the_full_usage(capsys):
+    assert main([]) == 2
+    lazy = capsys.readouterr()
+    cli.build_parser().print_usage(sys.stderr)
+    assert lazy.err == capsys.readouterr().err
+    assert "{run,space,weight,check,cz,cover,decay-table,sweep,examples}" in lazy.err
 
 
 @pytest.mark.parametrize("seed, code", [("-1", 2), (str(2**128), 2), ("0", 0), (str(2**128 - 1), 0)])
@@ -512,15 +565,13 @@ def test_out_path_that_is_a_file_is_rejected_before_any_work(tmp_path, monkeypat
 
 
 def test_run_writes_non_finite_csv_values(tmp_path):
-    cfg = json.loads(smoke_config(tmp_path).read_text())
-    cfg["instance"] = {
+    instance = {
         "kind": "two_level", "dimension": 2, "side": 12, "cell": 1.0, "metric": "chebyshev",
         "params": {"geometry": "grid_nd", "low": 1.0, "high": 10.0, "fraction": 0.5},
         "seed": 1,
     }
-    cfg["checks"] = [{"name": "jn_decay", "params": {"count": 5}}]
-    cfg_path = tmp_path / "inf.json"
-    cfg_path.write_text(dumps_canonical(cfg))
+    cfg_path = smoke_config(tmp_path, instance=instance,
+                            checks=[{"name": "jn_decay", "params": {"count": 5}}])
     out = tmp_path / "out"
     proc = run_cli("run", "--config", str(cfg_path), "--out", str(out))
     assert proc.returncode in (0, 1)
@@ -538,15 +589,12 @@ def test_run_writes_non_finite_csv_values(tmp_path):
 
 def _lognormal_2d_jn_decay(tmp_path) -> Path:
     """A 2-d side-12 Chebyshev lognormal run of jn_decay alone: C saturates to inf."""
-    cfg = json.loads(smoke_config(tmp_path).read_text())
-    cfg["instance"] = {
+    instance = {
         "kind": "lognormal", "dimension": 2, "side": 12, "cell": 1.0, "metric": "chebyshev",
         "params": {"geometry": "grid_nd", "mu": 0.0, "sigma": 0.25}, "seed": 1,
     }
-    cfg["checks"] = [{"name": "jn_decay", "params": {"count": 5}}]
-    path = tmp_path / "jn2d.json"
-    path.write_text(dumps_canonical(cfg))
-    return path
+    return smoke_config(tmp_path, instance=instance,
+                        checks=[{"name": "jn_decay", "params": {"count": 5}}])
 
 
 def test_check_without_evidence_exits_one(tmp_path, capsys):

@@ -13,6 +13,7 @@ from wgrkit import (
     build_family,
     cz_decompose,
     cz_nested,
+    doubling_profile,
     grid_1d,
     grid_nd,
     jn_constants,
@@ -359,6 +360,20 @@ def _closure_reference(family):
 def test_closure_ball_set_matches_per_center_construction(space, base, eta, sigma):
     family = build_family(space, base, eta=eta, sigma=sigma)
     assert closure_ball_set(space, family) == _closure_reference(family)
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+@pytest.mark.parametrize("mass", [None, [1.0, 1.01, 1.02]], ids=["uniform", "unequal"])
+def test_closure_profile_is_the_profile_of_the_closure_balls(mass, table_first):
+    grid = grid_1d(0.0, 96.0, 96)
+    space, fresh = (FiniteMetricMeasureSpace(np.resize(mass, 96) if mass else grid.mass,
+                                             coords=grid.coords, metric_kind="euclidean")
+                    for _ in range(2))
+    family = build_family(space, Ball(40, 9.6), eta=4.0, sigma=1.0)
+    if table_first:
+        czdecomp._FamilyAverages(space, np.ones(96), family)
+    expected = doubling_profile(fresh, closure_ball_set(fresh, family))
+    assert closure_profile(space, family).c_mu.hex() == expected.c_mu.hex()
 
 
 # -- the family sweep against the per-ball path -------------------------------

@@ -113,6 +113,9 @@ def test_ball_monotone_in_radius(center, r1, r2):
         grid_nd(2, 5, 1.0, "chebyshev"),
         FiniteMetricMeasureSpace([1.0, 0.5, 2.0, 0.25, 3.0], coords=[[0], [2], [1], [3], [2]],
                                  metric_kind="euclidean"),
+        # ids out of distance order, with masses whose sums round
+        *(FiniteMetricMeasureSpace(np.resize(m, 45), coords=((np.arange(45) * 7) % 45)[:, None] / 4,
+                                   metric_kind="euclidean") for m in ([0.1], [1.0, 1.01, 1.02])),
     ],
 )
 def test_ball_prefixes_lists_each_ball_as_a_prefix_of_one_distance_order(space):
@@ -124,9 +127,22 @@ def test_ball_prefixes_lists_each_ball_as_a_prefix_of_one_distance_order(space):
     for r, k in zip(radii, counts.tolist()):
         members = space.ball_members(center, r)
         assert sorted(order[:k].tolist()) == members.tolist()
-        assert space._mu[(center, r)] == space.set_measure(members)
+        assert space._mu[(center, r)].hex() == space.set_measure(members).hex()
+        assert space._mu[(center, r)].hex() == math.fsum(space.mass[members].tolist()).hex()
     with pytest.raises(WgrError):
         space.ball_prefixes(center, [1.0, -0.5])
+
+
+@pytest.mark.parametrize("masses", [[1e308], [1e308, 1.01e308]], ids=["uniform", "unequal"])
+def test_ball_prefixes_raises_overflow_where_set_measure_does(masses):
+    space = FiniteMetricMeasureSpace(np.resize(masses, 4), coords=np.arange(4.0)[:, None],
+                                     metric_kind="euclidean")
+    order, _ = space.ball_prefixes(0, [0.5])  # one point: no overflow
+    assert space._mu[(0, 0.5)] == space.mass[0]
+    with pytest.raises(OverflowError):
+        space.set_measure(order[:2])
+    with pytest.raises(OverflowError):
+        space.ball_prefixes(0, [0.5, 1.5])
 
 
 @pytest.mark.parametrize("kind", ["chebyshev", "table"])
@@ -305,6 +321,16 @@ def test_doubling_profile_empty_ball_error():
     sp = FiniteMetricMeasureSpace([1.0, 1.0], distance_matrix=[[0.0, 5.0], [5.0, 0.0]])
     with pytest.raises(EmptyBallError):
         doubling_profile(sp, [SimpleNamespace(center=0, radius=0.0), Ball(1, 1.0)])
+
+
+def test_doubling_profile_takes_center_radius_pairs_as_balls():
+    sp = grid_1d(0.0, 16.0, 16)
+    balls = [Ball(c, r) for c in (0, 5, 15) for r in (0.5, 1.5, 2.5, 6.0)]
+    pairs = [(b.center, b.radius) for b in balls]
+    assert doubling_profile(sp, pairs) == doubling_profile(sp, balls)
+    table = FiniteMetricMeasureSpace([1.0, 1.0], distance_matrix=[[0.0, 5.0], [5.0, 0.0]])
+    with pytest.raises(EmptyBallError, match=r"^ball \(center=0, radius=0.0\) is empty$"):
+        doubling_profile(table, [(1, 1.0), (0, 0.0), (1, 0.0)])
 
 
 def test_measure_ratio_bound_closed_ball_set():
@@ -579,3 +605,58 @@ def test_dist_block_without_coordinate_axes_is_zero(kind):
     assert space.dist_row(1).tolist() == [0.0, 0.0, 0.0]
     assert space.min_positive_distance() is None
     assert validate_metric(space) == []
+
+
+def _all_pairs_min_positive_distance(space, members=None):
+    """The all-pairs scan in row blocks that coordinate spaces used before the sweep."""
+    idx = None if members is None else np.asarray(members, dtype=int)
+    size = space.n_points if idx is None else idx.size
+    best = math.inf
+    for part in space_module.row_slices(size, size):
+        block = space.dist_block(part if idx is None else idx[part], idx)
+        best = min(best, float(np.min(block, where=block > 0.0, initial=math.inf)))
+    return None if size < 2 or best == math.inf else best
+
+
+#: Lattice spacings: plain, tiny, ones whose squares are subnormal (where a
+#: rounded square root drifts from the gap), subnormal gaps, and huge gaps
+#: whose squares overflow.
+_SWEEP_SCALES = [1.0, 0.3, 1e-3, 1.5e-162, 2.3e-162, 1e-160, 5e-324, 3e-322, 1e-310, 1e154]
+
+
+@st.composite
+def _sweep_case(draw):
+    """Points on a small lattice (duplicates and tied gaps), some jittered."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev"]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=30))
+    scale = draw(st.sampled_from(_SWEEP_SCALES))
+    lattice = st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)
+    jitter = st.sampled_from([0.0, 0.0, 0.25, 1.0 / 3.0, 0.1, 0.7071])
+    coords = [[scale * (k + draw(jitter)) for k in draw(lattice)] for _ in range(n)]
+    space = FiniteMetricMeasureSpace(np.ones(n), coords=np.reshape(coords, (n, dim)),
+                                     metric_kind=kind)
+    members = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), max_size=n)))
+    return space, members
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(_sweep_case())
+def test_closest_pair_sweep_matches_the_all_pairs_scan_bit_for_bit(case):
+    space, members = case
+    got = space.min_positive_distance(None if members is None else np.asarray(members, int))
+    expected = _all_pairs_min_positive_distance(space, members)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.hex() == expected.hex()
+
+
+def test_closest_pair_sweep_finds_a_pair_below_its_first_axis_gap():
+    # a gap of 2.3e-162 squares to a subnormal that rounds down, so that pair's
+    # computed distance is below its gap; it is two places apart in x order
+    coords = [[0.0, 0.0], [1e-162, 1.0], [2.3e-162, 0.0]]
+    space = FiniteMetricMeasureSpace(np.ones(3), coords=coords, metric_kind="euclidean")
+    got = space.min_positive_distance()
+    assert got == space.distance(0, 2) < 2.3e-162
+    assert got == _all_pairs_min_positive_distance(space)

@@ -7,6 +7,7 @@ ball that several measuring sets share are each computed once. The
 counts are exact and deterministic, so these tests guard the design
 against regressions.
 """
+import argparse
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -75,7 +76,9 @@ def test_functional_pass_computes_each_row_once(functional, row_calls):
 
 
 def test_min_positive_distance_reads_row_blocks_not_rows(row_calls, monkeypatch):
-    space = grid_nd(2, 20, 1.0, "chebyshev")
+    grid = grid_nd(2, 20, 1.0, "chebyshev")
+    # a table space scans all pairs; a coordinate space sweeps (see the next test)
+    space = FiniteMetricMeasureSpace(grid.mass, distance_matrix=grid.dist_block(slice(None)))
     block_shapes = []
     original = FiniteMetricMeasureSpace.dist_block
 
@@ -91,6 +94,23 @@ def test_min_positive_distance_reads_row_blocks_not_rows(row_calls, monkeypatch)
     # 400 x 400 distances in blocks of at most 2^14: ten blocks, then one
     assert block_shapes == [(40, 400)] * 10 + [(58, 58)]
     assert max(r * c for r, c in block_shapes) <= BLOCK_DISTANCES
+
+
+def test_closest_pair_sweep_reads_two_lags_of_a_1d_grid_not_all_pairs(row_calls, monkeypatch):
+    space = grid_1d(0.0, 4096.0, 4096)
+    sizes = []
+    original = FiniteMetricMeasureSpace._distances
+
+    def counting(self, here, there):
+        out = original(self, here, there)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "_distances", counting)
+    assert space.min_positive_distance() == 1.0
+    assert row_calls == []
+    # lag 1: first-axis bounds, then distances; at lag 2 every bound exceeds 1
+    assert sizes == [4095, 4095, 4094]
 
 
 def test_run_resolves_base_ball_once_and_never_repeats_a_row(row_calls, monkeypatch, tmp_path):
@@ -448,3 +468,19 @@ def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
     assert before and queries == []
     assert dict(sums) == before
     assert report.params["c_mu"] >= 1.0
+
+
+def test_a_subcommand_builds_the_root_parser_and_its_own_alone(monkeypatch, capsys):
+    built: list[str] = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog") or "")
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["examples", "list"]) == 0
+    assert built == ["wgrkit", "wgrkit examples"]
+    built.clear()
+    assert cli.main(["examples", "list", "--bogus"]) == 2  # a usage error: the full tree reports it
+    assert len(built) == 2 + 1 + len(cli._SUBCOMMANDS)
