@@ -60,13 +60,15 @@ def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) ->
     return sorted(grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallFamily:
     """All (center in B0) x (radius in grid) balls for one base ball.
 
     Members are listed canonically: center index ascending, then radius
     ascending. The caller declares that ``(1+eta) * sigma * r(B0)`` fits
     inside the populated region; the family itself does not re-check it.
+    Equality and hashing are by identity, as for :class:`~wgrkit.weights.Weight`:
+    a weight keys its CZ averages table by the family object.
     """
 
     base_ball: Ball

@@ -223,9 +223,10 @@ class RunContext:
     """The state of one invocation, shared by its subcommand and every check.
 
     The instance is built on construction. Its one Weight keeps the table
-    of ball sums and measured suprema that every check reads, so each family
-    ball's w(B), mu(B), w(S) and mu(S) is summed once per run. The base
-    ball, the family and the decay ball system are built on first use and
+    of ball sums and measured suprema that every check reads, and the CZ
+    averages table of the family, so each family ball's w(B), mu(B), w(S)
+    and mu(S) is summed once per run. The base ball, the family and the
+    decay ball system, built on that family, are built on first use and
     then shared; a build that raises is not kept, so each check needing it
     reports the same error.
     """
@@ -245,8 +246,7 @@ class RunContext:
 
     @cached_property
     def system(self) -> theorems.BallSystem:
-        return theorems.build_ball_system(self.space, self.base, self.sigma, self.eta,
-                                          _family=self.family)
+        return theorems.build_ball_system(self.space, self.family)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +528,14 @@ _CZ_PROPERTIES = {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
 
 def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
     space, w, family = ctx.space, ctx.w, ctx.family
-    # one averages table feeds the maximal function and every level; its sweep
-    # also measures the closure balls, so the closure profile reads the memo only
-    table = czdecomp._FamilyAverages(space, w, family)
+    # the maximal function builds the weight's averages table, which every level
+    # reads; its sweep also measures the closure balls, so it comes first and
+    # the closure profile reads the memo only
+    mf_max = float(czdecomp.maximal_function(space, w, family).max())
     profile = czdecomp.closure_profile(space, family)
     cz_cfg = ctx.cfg.get("cz", {})
     f_hat = _ball_average(space, as_values(w), family.hat_ball)
     alpha = czdecomp.jn_constants(profile, ctx.sigma, ctx.eta, 1.0).alpha
-    mf_max = float(czdecomp.maximal_function(space, w, family, _table=table).max())
 
     def level(key_abs, key_frac, default_frac):
         if key_abs in cz_cfg:
@@ -546,9 +546,7 @@ def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
     if nested:
         lo = level("level", "level_fraction", 0.1)
         hi = level("level_hi", "level_fraction_hi", 0.6)
-        dec_lo, dec_hi, mapping = czdecomp.cz_nested(
-            space, w, lo, hi, family, profile, _table=table
-        )
+        dec_lo, dec_hi, mapping = czdecomp.cz_nested(space, w, lo, hi, family, profile)
         write_json(
             _out_file(out),
             {
@@ -559,7 +557,7 @@ def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
         )
     else:
         lam = level("level", "level_fraction", 0.3)
-        dec = czdecomp.cz_decompose(space, w, lam, family, profile, _table=table)
+        dec = czdecomp.cz_decompose(space, w, lam, family, profile)
         write_json(_out_file(out), dec.to_json_obj(_CZ_PROPERTIES))
     return EXIT_OK
 

@@ -18,7 +18,7 @@ the cap ``eta r0 / (5 sigma)``; the admissibility precondition
     alpha = c_mu^2 (5 sigma)^D (1 + 1/eta)^D,   D = log2(c_mu)
 
 guarantees the cap whenever ``c_mu`` was measured over a ball set closed
-under the halving chains used here (see :func:`closure_ball_set`); an
+under the halving chains used here (see :func:`closure_keys`); an
 understated profile surfaces as a loud construction error with a witness,
 never as a silently wrong decomposition. Selection is Vitali-greedy in
 decreasing radius (ties by center index), so unaccepted candidates meet an
@@ -40,7 +40,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .weights import _avg, _ball_average, as_values
+from .weights import _avg, _ball_average, _weight, as_values
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,14 @@ def phi_sequence(a_const: float, eps: float, lambda0: float, m: int) -> list[flo
     return seq
 
 
-def maximal_function(
-    space: FiniteMetricMeasureSpace,
-    f,
-    family: BallFamily,
-    *,
-    _table: _FamilyAverages | None = None,
-) -> np.ndarray:
+def maximal_function(space: FiniteMetricMeasureSpace, f, family: BallFamily) -> np.ndarray:
     """Per point, the max of avg_B |f| over member balls containing it.
 
     Points in no member ball get 0; in particular the result vanishes
-    outside ``(1+eta) B0``. ``_table`` is an averages table already built
-    for ``f`` over ``family``.
+    outside ``(1+eta) B0``. The array is read-only: it is the averages
+    table's, which the weight keeps (see :func:`_averages`).
     """
-    return (_table or _FamilyAverages(space, f, family)).maximal
+    return _averages(space, f, family).maximal
 
 
 def level_set(mf: np.ndarray, lam: float, region: np.ndarray) -> np.ndarray:
@@ -131,24 +125,21 @@ def _chain_radii(family: BallFamily) -> list[float]:
     return sorted(radii)
 
 
-def closure_ball_set(space: FiniteMetricMeasureSpace, family: BallFamily) -> list[Ball]:
-    """Family balls plus their power-of-two dilates up to twice the hat radius.
+def closure_keys(family: BallFamily) -> list[tuple[int, float]]:
+    """Family balls plus their power-of-two dilates up to twice the hat radius,
+    as ``(center, radius)`` keys, center then radius ascending.
 
     Doubling ratios measured over this set dominate the halving chains that
     compare any family ball against the hat ball, which is what makes the
     admissibility constant ``alpha`` effective on discrete data.
     """
     radii = _chain_radii(family)
-    centers = sorted({b.center for b in family.members})
-    return [Ball(c, rho) for c in centers for rho in radii]
+    return [(c, rho) for c in sorted({b.center for b in family.members}) for rho in radii]
 
 
 def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
-    """:func:`doubling_profile` over :func:`closure_ball_set`, each ball as its
-    ``(center, radius)`` key, not a :class:`Ball`."""
-    radii = _chain_radii(family)
-    centers = sorted({b.center for b in family.members})
-    return doubling_profile(space, [(c, rho) for c in centers for rho in radii])
+    """:func:`doubling_profile` over :func:`closure_keys`."""
+    return doubling_profile(space, closure_keys(family))
 
 
 @dataclass(frozen=True)
@@ -197,12 +188,11 @@ class _FamilyAverages:
     order. The sweep also measures the center's closure balls and their
     doubles, so :func:`closure_profile` reads every measure from the memo.
     A ball's ``members`` is a prefix view of one array per center, listed in
-    distance order; every reader uses it as an index set.
+    distance order; every reader uses it as an index set. The table holds
+    no reference to its space or family, which key it weakly on the weight.
     """
 
     def __init__(self, space, f, family: BallFamily):
-        self.space = space
-        self.family = family
         self.values = np.abs(as_values(f))
         self.grid = list(family.radius_grid)
         by_center: dict[int, list[float]] = {}
@@ -236,6 +226,18 @@ class _FamilyAverages:
             tail_max = np.maximum.accumulate(avgs[::-1])[::-1]
             reach = np.repeat(tail_max, [k - j for j, k in zip([0, *ks], ks)])
             self.maximal[inside] = np.maximum(self.maximal[inside], reach)
+        self.maximal.setflags(write=False)
+
+
+def _averages(space: FiniteMetricMeasureSpace, f, family: BallFamily) -> _FamilyAverages:
+    """The averages table of ``f`` over ``family``, built on first use and then
+    kept by the weight's table on ``space``; a bare array gets a fresh one."""
+    w = _weight(f)
+    tables = w._sums(space).families
+    table = tables.get(family)
+    if table is None:
+        table = tables[family] = _FamilyAverages(space, w, family)
+    return table
 
 
 def _candidates(table: _FamilyAverages, lam: float, cap: float):
@@ -259,9 +261,9 @@ def _candidates(table: _FamilyAverages, lam: float, cap: float):
     return usable, oversized
 
 
-def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Ball]:
+def _greedy_disjoint(space, table: _FamilyAverages, candidates: list[Ball]) -> list[Ball]:
     order = sorted(candidates, key=lambda b: (-b.radius, b.center))
-    claimed = np.zeros(table.space.n_points, dtype=bool)
+    claimed = np.zeros(space.n_points, dtype=bool)
     accepted: list[Ball] = []
     for ball in order:
         members = table.members[(ball.center, ball.radius)]
@@ -271,8 +273,8 @@ def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Bal
     return accepted
 
 
-def _certify(table: _FamilyAverages, accepted: list[Ball]) -> list[BallCertificate]:
-    top = table.family.eta * table.family.base_ball.radius
+def _certify(family, table: _FamilyAverages, accepted: list[Ball]) -> list[BallCertificate]:
+    top = family.eta * family.base_ball.radius
     certs = []
     for ball in accepted:
         dil = {}
@@ -322,7 +324,6 @@ def cz_decompose(
     family: BallFamily,
     profile: DoublingProfile,
     *,
-    _table: _FamilyAverages | None = None,
     _restrict_to: list[np.ndarray] | None = None,
 ) -> CZDecomposition:
     """Stopping balls at level ``lam`` satisfying the four properties.
@@ -335,7 +336,7 @@ def cz_decompose(
     ``_restrict_to`` holds point masks of coarse 5-dilates: only candidates
     inside one of them stay usable.
     """
-    table = _table or _FamilyAverages(space, f, family)
+    table = _averages(space, f, family)
     hat_members = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
     f_hat = _ball_average(space, table.values, family.hat_ball, hat_members)
     alpha = jn_constants(profile, family.sigma, family.eta, 1.0).alpha
@@ -377,11 +378,11 @@ def cz_decompose(
             witness=(missing[0], oversized[:1]),
         )
 
-    accepted = _greedy_disjoint(table, usable)
+    accepted = _greedy_disjoint(space, table, usable)
     dec = CZDecomposition(
         level=float(lam),
         balls=accepted,
-        certificates=_certify(table, accepted),
+        certificates=_certify(family, table, accepted),
         cap_radius=cap,
     )
     _verify(space, table, lam, cap, dec, hat_members, mf)
@@ -395,8 +396,6 @@ def cz_nested(
     lam_hi: float,
     family: BallFamily,
     profile: DoublingProfile,
-    *,
-    _table: _FamilyAverages | None = None,
 ) -> tuple[CZDecomposition, CZDecomposition, list[int]]:
     """Decompositions at two levels with each fine ball in a coarse 5-dilate.
 
@@ -404,16 +403,16 @@ def cz_nested(
     contained in some coarse 5-dilate, and returns the containment map
     (index into the low-level balls, parallel to the high-level balls).
     Impossibility raises :class:`NestingError` with a witness point.
-    Both levels share one averages table, ``_table`` when given.
+    Both levels, and :func:`maximal_function`, read the one averages table
+    that the weight keeps for ``family``; a bare array gets one for this call.
     """
     if not lam_lo <= lam_hi:
         raise CZPreconditionError("need lam_lo <= lam_hi")
-    table = _table or _FamilyAverages(space, f, family)
-    dec_lo = cz_decompose(space, f, lam_lo, family, profile, _table=table)
+    f = _weight(f)
+    table = _averages(space, f, family)
+    dec_lo = cz_decompose(space, f, lam_lo, family, profile)
     five_masks = [space.ball_mask(b.center, 5.0 * b.radius) for b in dec_lo.balls]
-    dec_hi = cz_decompose(
-        space, f, lam_hi, family, profile, _table=table, _restrict_to=five_masks
-    )
+    dec_hi = cz_decompose(space, f, lam_hi, family, profile, _restrict_to=five_masks)
     mapping: list[int] = []
     for ball in dec_hi.balls:
         members = table.members[(ball.center, ball.radius)]

@@ -42,8 +42,8 @@ The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
 runs over finitely many balls it is a *lower* bound for the doubling
 constant of any continuum parent. The one override is
-``build_ball_system(..., profile=...)``, whose system the decay checkers
-read; reports always record the value they used.
+``build_ball_system(space, family, profile=...)``, whose system the decay
+checkers read; reports always record the value they used.
 """
 from __future__ import annotations
 

@@ -10,7 +10,8 @@ which value was used and which doubling constant entered the formulas.
 
 The implication checkers run over a ball family; the four decay checkers
 take one :class:`BallSystem` from :func:`build_ball_system` as their only
-geometry, so their sigma, eta and B0 cannot disagree with its constants.
+geometry. The system takes B0, sigma and eta from its family, so none of
+them can disagree with its measuring set or constants.
 
 Margins are judged with a relative tolerance against the RHS scale;
 margins within the tolerance band are flagged ``boundary``. A check whose
@@ -26,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .balls import Ball, BallFamily, build_family, dilate, five_r_cover, verify_cover
-from .czdecomp import JNConstants, closure_ball_set, jn_constants
+from .czdecomp import JNConstants, closure_keys, jn_constants
 from .errors import (
     DegenerateWeightError,
     DomainError,
@@ -294,7 +295,8 @@ def check_neg_osc_from_sublevel(
 @dataclass
 class BallSystem:
     """All ball machinery for decay checks over one base ball B0, and the
-    only geometry the decay checkers read: their space, B0, sigma and eta.
+    only geometry the decay checkers read: their space, and the family,
+    whose B0, sigma and eta the system reports as its own.
 
     ``measuring`` holds the family members plus the hat ball and the
     5-dilates of small members -- every ball whose sigma-dilate stays
@@ -305,28 +307,22 @@ class BallSystem:
     """
 
     space: FiniteMetricMeasureSpace
-    base_ball: Ball
-    sigma: float
-    eta: float
     family: BallFamily
     measuring: list[Ball]
     profile: DoublingProfile
     base_members: np.ndarray
     hat_members: np.ndarray
     sigma_hat_members: np.ndarray
+    base_ball = property(lambda self: self.family.base_ball)
+    sigma = property(lambda self: self.family.sigma)
+    eta = property(lambda self: self.family.eta)
 
 
 def build_ball_system(
-    space: FiniteMetricMeasureSpace,
-    base_ball: Ball,
-    sigma: float,
-    eta: float,
-    profile: DoublingProfile | None = None,
-    *,
-    _family: BallFamily | None = None,
+    space: FiniteMetricMeasureSpace, family: BallFamily, profile: DoublingProfile | None = None,
 ) -> BallSystem:
-    """The decay ball system of ``base_ball``; ``_family`` is its family, built already."""
-    family = _family or build_family(space, base_ball, eta, sigma)
+    """The decay ball system of ``family``, whose base ball, sigma and eta it takes."""
+    base_ball, sigma, eta = family.base_ball, family.sigma, family.eta
     measuring = list(family.members)
     measuring.append(family.hat_ball)
     lim = (sigma * (1.0 + eta) - 1.0) * base_ball.radius / (5.0 * sigma)
@@ -335,16 +331,10 @@ def build_ball_system(
     )
     measuring = sorted(set(measuring), key=lambda b: (b.center, b.radius))
     if profile is None:
-        profile_set = sorted(
-            set(measuring) | set(closure_ball_set(space, family)),
-            key=lambda b: (b.center, b.radius),
-        )
-        profile = doubling_profile(space, profile_set)
+        keys = {(b.center, b.radius) for b in measuring}.union(closure_keys(family))
+        profile = doubling_profile(space, sorted(keys))
     return BallSystem(
         space=space,
-        base_ball=base_ball,
-        sigma=sigma,
-        eta=eta,
         family=family,
         measuring=measuring,
         profile=profile,
@@ -507,11 +497,7 @@ def check_weak_rhi(
 
         (avg_B0 w^p)^(1/p) <= (C eps + 1) * avg over sigma*(1+eta)*B0 of w
     """
-    return _weak_rhi(system, _weight(w), p, eps)
-
-
-def _weak_rhi(system: BallSystem, w: Weight, p, eps) -> CheckReport:
-    base_ball, sigma, eta = system.base_ball, system.sigma, system.eta
+    base_ball, sigma, eta, w = system.base_ball, system.sigma, system.eta, _weight(w)
     c, eps, _, tracker = _decay_inputs("weak_rhi", system, w, eps, p=p)
     lhs = _power_mean(system, as_values(w), p)
     if eps == 0.0:
@@ -553,7 +539,8 @@ def check_cover_rhi(
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
 
     sub_systems = [
-        build_ball_system(space, b, sigma, eta, profile=system.profile) for b in cover
+        build_ball_system(space, build_family(space, b, eta, sigma), profile=system.profile)
+        for b in cover
     ]
     measured = eps is None
     if measured:
@@ -584,7 +571,7 @@ def check_cover_rhi(
     _require_osc_range(consts, eps, p)
     # every piece must satisfy the weak bound at the shared eps
     for sub in sub_systems:
-        piece = _weak_rhi(sub, w, p, eps)
+        piece = check_weak_rhi(sub, w, p, eps)
         if not piece.passed:
             tracker.add(-piece.margin, 0.0, sub.base_ball)
             return tracker.report(notes="a cover piece violates the weak bound")

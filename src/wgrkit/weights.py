@@ -43,9 +43,10 @@ from .util import fsum, weighted_sum
 class Weight:
     """Nonnegative values per point, sharing the space's index set.
 
-    A weight keeps one table of ball sums per space it is measured on, so
-    every call given the same Weight shares them; a space's table goes
-    with the space. Values and masses are frozen, so no table goes stale.
+    A weight keeps one table of ball sums per space it is measured on,
+    which also keeps its CZ averages table per family, so every call given
+    the same Weight shares them; a space's table goes with the space.
+    Values and masses are frozen, so no table goes stale.
     Equality and hashing are by identity, as the tables are.
     """
 
@@ -125,12 +126,16 @@ class _BallSums:
     (functional, parameter, factor) to a dict from ``(center, radius)`` to the
     ball's (ratio, skipped), so a ball that several ball lists share is
     evaluated once, and a functional run again over balls it has seen
-    evaluates none. Only floats are kept, never member arrays.
+    evaluates none. These hold floats only, never member arrays.
+    ``families`` maps a :class:`BallFamily`, weakly, to the weight's CZ
+    averages table over it (``czdecomp._averages``), so a family's table
+    goes with the family.
     """
 
     def __init__(self):
         self.balls: dict[tuple[int, float], float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
+        self.families: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _ball_map(

@@ -226,7 +226,7 @@ def decay_setup(weight_kind: str):
     space = grid_1d(0.0, float(n), n)
     base = Ball(n // 2, n / 4.0)
     sigma, eta = 1.25, 1.0
-    system = theorems.build_ball_system(space, base, sigma, eta)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     if weight_kind == "sin":
         w = Weight(1.0 + 0.001 * np.sin(2.0 * np.pi * space.coords[:, 0] / n))
     else:
@@ -319,7 +319,7 @@ def test_criterion_06_lognormal_nonvacuous_points():
     n, sigma, eta = 1024, 1.0, 15.0
     space = grid_1d(0.0, float(n), n)
     base = Ball(n // 2, 32.0)
-    system = theorems.build_ball_system(space, base, sigma, eta)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     values = np.ones(n)
     values[n // 2] = 1001.0
     w = Weight(values)
@@ -351,7 +351,7 @@ def test_criterion_07_power_bound_chain():
     space = grid_1d(0.0, float(n), n)
     base = Ball(n // 2, n / 4.0)
     sigma, eta = 1.25, 1.0
-    system = theorems.build_ball_system(space, base, sigma, eta)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     w = 1.0 + 0.001 * np.sin(2.0 * np.pi * space.coords[:, 0] / n)
     eps = wgr_epsilon(space, w, system.measuring, sigma=sigma).value
     consts = jn_constants(system.profile, sigma, eta, eps)

@@ -8,7 +8,10 @@ must equal the value recomputed from raw coordinates by
 ``tests/oracles.py``, with and without a shared table, in either order.
 """
 import gc
+import importlib
+import inspect
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wgrkit import Ball, theorems, weights
+from wgrkit import Ball, build_family, maximal_function, theorems, weights
 from wgrkit.errors import InvalidParameterError, NoDataError, WgrError
 from wgrkit.examples import random_weight
 from wgrkit.space import FiniteMetricMeasureSpace, grid_1d
@@ -405,7 +408,7 @@ def test_decay_checkers_report_the_same_with_a_filled_table(case, eta, p, suppli
     space, vals, balls, sigma = case
     base = balls[0]
     try:
-        system = theorems.build_ball_system(space, base, sigma, eta)
+        system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     except WgrError:
         return  # no family on this base ball: nothing to compare
     family = system.family
@@ -480,9 +483,43 @@ def test_one_weight_keeps_a_table_per_space():
     other = Weight(vals[::-1])
     assert wgr_epsilon(uniform, other, balls, sigma=2.0).value == wgr_epsilon(
         uniform, vals[::-1], balls, sigma=2.0).value
-    del space, alternating
+    # a CZ averages table keeps neither its space nor its family alive: the
+    # alternating space goes though its family stays, and uniform's family goes
+    spaces = (uniform, alternating)
+    families = [build_family(sp, Ball(4, 2.0), eta=1.0, sigma=1.0) for sp in spaces]
+    assert [maximal_function(sp, w, fam).tolist() for sp, fam in zip(spaces, families)] == [
+        maximal_function(sp, vals, fam).tolist() for sp, fam in zip(spaces, families)]
+    assert [len(w._tables[sp].families) for sp in spaces] == [1, 1]
+    kept, dropped = families[1], weakref.ref(families[0])
+    del space, alternating, spaces, families
     gc.collect()
     assert list(w._tables.keys()) == [uniform]
+    assert dropped() is None and len(w._tables[uniform].families) == 0
+    assert kept.members  # still alive
+
+
+def test_no_public_function_takes_a_private_keyword():
+    """No public function or method takes a private keyword through which a
+    table or geometry built elsewhere could be passed in unchecked; the one
+    left is ``cz_decompose``'s ``_restrict_to``, ``cz_nested``'s channel for
+    the fine level's coarse 5-dilates."""
+    private = set()
+    for name in ("space", "util", "weights", "balls", "czdecomp", "theorems", "examples", "cli"):
+        module = importlib.import_module(f"wgrkit.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                routines = {f"{attr}.{k}": getattr(obj, k) for k in vars(obj)
+                            if not k.startswith("_") or k == "__init__"}
+            else:
+                routines = {attr: obj}
+            for qualname, fn in routines.items():
+                if inspect.isfunction(fn) or inspect.ismethod(fn):
+                    private |= {(f"{name}.{qualname}", param)
+                                for param in inspect.signature(fn).parameters
+                                if param.startswith("_")}
+    assert private == {("czdecomp.cz_decompose", "_restrict_to")}
 
 
 def test_a_checker_given_a_bare_array_reads_one_table(monkeypatch):
@@ -490,7 +527,7 @@ def test_a_checker_given_a_bare_array_reads_one_table(monkeypatch):
     given a bare array it still evaluates each shared measuring ball once."""
     space = grid_1d(0.0, 64.0, 64)
     vals = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.001}, 1).values
-    system = theorems.build_ball_system(space, Ball(32, 14.0), 1.25, 1.0)
+    system = theorems.build_ball_system(space, build_family(space, Ball(32, 14.0), 1.0, 1.25))
     evaluated: list[tuple] = []
     original = weights._ball_map
 

@@ -1,5 +1,6 @@
 """Maximal function, stopping-time decomposition, constants, recursion."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from wgrkit import (
     wgr_epsilon,
 )
 from wgrkit import czdecomp
-from wgrkit.czdecomp import closure_ball_set, closure_profile
-from wgrkit.errors import CZPreconditionError
-from wgrkit.weights import _ball_average, average
+from wgrkit.czdecomp import closure_keys, closure_profile
+from wgrkit.errors import CZConstructionError, CZPreconditionError, NestingError
+from wgrkit.weights import Weight, _ball_average, average
 
 
 def spike_instance(seed: int, n: int = 512, n_spikes: int = 2):
@@ -271,7 +272,7 @@ def test_cz_contraction_between_levels():
     space = grid_1d(0.0, 512.0, 512)
     base = Ball(256, 51.0)
     sigma, eta = 1.0, 4.0
-    system = build_ball_system(space, base, sigma, eta)
+    system = build_ball_system(space, build_family(space, base, eta, sigma))
     family, profile = system.family, system.profile
 
     gen = philox(21)
@@ -314,6 +315,132 @@ def test_cz_json_shape():
     assert obj["balls"][0].keys() == {"center", "radius", "avg", "doubled_avg"}
 
 
+# -- error paths: every failure raises with its property and witness ---------
+
+
+def _over_cap_instance():
+    """(space, family, profile, f, lam): the profile understates c_mu as 1, so
+    the level lies below the true threshold and the points around the spike
+    at 28 are reachable only through radii over the cap."""
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.0)
+    f = np.ones(64)
+    f[28] = 5.0
+    f_hat = average(space, f, space.ball_members(32, 16.0))
+    lam = f_hat + 0.01 * (maximal_function(space, f, family).max() - f_hat)
+    return space, family, DoublingProfile.from_c_mu(1.0), f, lam
+
+
+def _spike_level():
+    """(space, family, profile, f, lam) with lam inside the admissible window."""
+    space, family, profile, f = spike_instance(7)
+    lo, hi = level_window(space, family, profile, f)
+    return space, family, profile, f, 0.5 * (lo + hi)
+
+
+def _superlevel(space, family, f, lam) -> set[int]:
+    hat = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
+    return set(level_set(maximal_function(space, f, family), lam, hat).tolist())
+
+
+def _cap(family) -> float:
+    return family.eta * family.base_ball.radius / (5.0 * family.sigma)
+
+
+def test_over_cap_candidate_raises_with_its_witness():
+    space, family, profile, f, lam = _over_cap_instance()
+    with pytest.raises(CZConstructionError) as err:
+        cz_decompose(space, f, lam, family, profile)
+    assert err.value.prop == "ii"
+    assert err.value.witness == (18, [Ball(25, 8.0)])
+    assert 18 in _superlevel(space, family, f, lam) and 8.0 > _cap(family)
+
+
+def test_restricted_level_without_a_candidate_raises_nesting_error():
+    space, family, profile, f, lam = _spike_level()
+    with pytest.raises(NestingError) as err:
+        cz_decompose(space, f, lam, family, profile,
+                     _restrict_to=[np.zeros(space.n_points, dtype=bool)])
+    assert err.value.witness == min(_superlevel(space, family, f, lam))
+
+
+def _break(prop, step, family, lam):
+    """A stand-in for the construction step ``step`` that breaks ``prop``."""
+    if prop == "disjoint":  # the first accepted ball twice
+        return lambda *args: step(*args)[:1] * 2
+    if prop == "i":  # the widest family ball at B0's center, which leaves E
+        return lambda *args: [Ball(family.base_ball.center, family.radius_grid[-1])]
+    if prop == "cover":  # no ball, so no 5-dilate covers E
+        return lambda *args: []
+    if prop == "ii":  # the over-cap candidates counted as usable
+        return lambda *args: (sum(step(*args), []), [])
+    if prop == "iii":  # each average lowered to the level
+        return lambda *args: [replace(c, average=lam) for c in step(*args)]
+    return lambda *args: [  # "iv": a dilate average above the level
+        replace(c, dilate_averages={2.0: 2.0 * lam}) for c in step(*args)]
+
+
+@pytest.mark.parametrize("prop,step", [
+    ("disjoint", "_greedy_disjoint"), ("i", "_greedy_disjoint"), ("cover", "_greedy_disjoint"),
+    ("ii", "_candidates"), ("iii", "_certify"), ("iv", "_certify"),
+])
+def test_verify_catches_each_broken_property(prop, step, monkeypatch):
+    """A construction broken on purpose never escapes: the re-verification
+    raises with the broken property and a witness."""
+    space, family, profile, f, lam = _over_cap_instance() if prop == "ii" else _spike_level()
+    monkeypatch.setattr(czdecomp, step, _break(prop, getattr(czdecomp, step), family, lam))
+    with pytest.raises(CZConstructionError) as err:
+        cz_decompose(space, f, lam, family, profile)
+    e_set, witness = _superlevel(space, family, f, lam), err.value.witness
+    if prop == "cover":  # the witness is a superlevel point outside every 5-dilate
+        assert err.value.prop == "i" and witness in e_set
+        return
+    assert err.value.prop == prop
+    inside = set(space.ball_members(witness.center, witness.radius).tolist()) <= e_set
+    assert inside == (prop != "i")
+    if prop == "ii":
+        assert witness.radius > _cap(family)
+
+
+# -- the weight keeps its CZ tables ---------------------------------------------
+
+
+def test_maximal_function_is_each_weights_own():
+    """Two weights on one family each get their own table and maximal function."""
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.5)
+    g_values = np.ones(64)
+    g_values[30] = 50.0
+    f, g = Weight(np.ones(64)), Weight(g_values)
+    mf, mg = maximal_function(space, f, family), maximal_function(space, g, family)
+    assert (mf.max(), mg.max()) == (1.0, 50.0)
+    assert mf.tolist() == oracles.maximal_function(space, f.values, family.members)
+    assert mg.tolist() == oracles.maximal_function(space, g_values, family.members)
+    assert not mg.flags.writeable  # the table's own array: no caller can corrupt it
+
+
+def test_one_weight_shares_one_table_across_the_cz_layer(monkeypatch):
+    space, family, profile, f = spike_instance(7)
+    lo, hi = level_window(space, family, profile, f)
+    builds = []
+    original = czdecomp._FamilyAverages.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(czdecomp._FamilyAverages, "__init__", counting)
+    w = Weight(f)
+    mf = maximal_function(space, w, family)
+    cz_decompose(space, w, 0.5 * (lo + hi), family, profile)
+    cz_nested(space, w, lo * 1.01, 0.5 * (lo + hi), family, profile)
+    assert len(builds) == 1
+    assert maximal_function(space, w, family) is mf
+    # a bare array gets a table of its own per call, shared by both nested levels
+    cz_nested(space, f, lo * 1.01, 0.5 * (lo + hi), family, profile)
+    assert len(builds) == 2
+
+
 from hypothesis import given, settings, strategies as st
 
 
@@ -335,16 +462,16 @@ def test_phi_sequence_closed_form_property(a_const, eps, lam0, m):
 def _closure_reference(family):
     """The per-center construction: every chain per center, deduplicated and sorted."""
     top = 2.0 * (1.0 + family.eta) * family.base_ball.radius
-    balls = []
+    keys = []
     for c in sorted({b.center for b in family.members}):
         for r in family.radius_grid:
             rho = r
             while True:
-                balls.append(Ball(c, rho))
+                keys.append((c, rho))
                 if rho >= top:
                     break
                 rho *= 2.0
-    return sorted(set(balls), key=lambda b: (b.center, b.radius))
+    return sorted(set(keys))
 
 
 @pytest.mark.parametrize(
@@ -358,8 +485,9 @@ def _closure_reference(family):
     ],
 )
 def test_closure_ball_set_matches_per_center_construction(space, base, eta, sigma):
+    """:func:`closure_keys` lists the closure ball set in the per-center order."""
     family = build_family(space, base, eta=eta, sigma=sigma)
-    assert closure_ball_set(space, family) == _closure_reference(family)
+    assert closure_keys(family) == _closure_reference(family)
 
 
 @pytest.mark.parametrize("table_first", [True, False])
@@ -371,8 +499,8 @@ def test_closure_profile_is_the_profile_of_the_closure_balls(mass, table_first):
                     for _ in range(2))
     family = build_family(space, Ball(40, 9.6), eta=4.0, sigma=1.0)
     if table_first:
-        czdecomp._FamilyAverages(space, np.ones(96), family)
-    expected = doubling_profile(fresh, closure_ball_set(fresh, family))
+        maximal_function(space, np.ones(96), family)
+    expected = doubling_profile(fresh, [Ball(c, r) for c, r in closure_keys(family)])
     assert closure_profile(space, family).c_mu.hex() == expected.c_mu.hex()
 
 
@@ -419,7 +547,7 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     mass, geometry, f = instance
     swept, per_ball = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(2))
     family = build_family(swept, Ball(center % swept.n_points, radius), eta=eta, sigma=1.0)
-    table = czdecomp._FamilyAverages(swept, f, family)
+    table = czdecomp._averages(swept, f, family)
 
     values = np.asarray(f)
     members, avg = {}, {}
@@ -438,8 +566,8 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     assert table.maximal.tobytes() == mf.tobytes()
     assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
     # every measure the sweep stored is the per-ball measure, closure balls included
-    closure = closure_ball_set(swept, family)
-    assert {(b.center, r) for b in closure for r in (b.radius, 2.0 * b.radius)} <= swept._mu.keys()
+    closure = closure_keys(family)
+    assert {(c, r) for c, rho in closure for r in (rho, 2.0 * rho)} <= swept._mu.keys()
     assert {k: mu.hex() for k, mu in swept._mu.items()} == {
         k: per_ball.ball_measure(*k).hex() for k in swept._mu
     }

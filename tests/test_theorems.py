@@ -36,7 +36,7 @@ def sin_system(n=128, sigma=1.25, eta=1.0):
     space = grid_1d(0.0, float(n), n)
     base = Ball(n // 2, n / 4.0)
     w = 1.0 + 0.001 * np.sin(2 * np.pi * space.coords[:, 0] / n)
-    system = theorems.build_ball_system(space, base, sigma, eta)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     return space, base, w, system
 
 
@@ -142,7 +142,7 @@ def test_jn_decay_near_constant_sin():
 def test_jn_decay_lognormal_inequality_holds():
     space = grid_1d(0.0, 128.0, 128)
     base = Ball(64, 32.0)
-    system = theorems.build_ball_system(space, base, 1.25, 1.0)
+    system = theorems.build_ball_system(space, build_family(space, base, 1.0, 1.25))
     gen = philox(17)
     from statistics import NormalDist
 
@@ -188,7 +188,7 @@ def test_threshold_error_on_sawyer():
     space, w = sawyer_strip(2, 16, 1.0)
     center = int(np.argmin(np.abs(space.coords[:, 0] - 0.5) + np.abs(space.coords[:, 1] - 0.5)))
     base = Ball(center, 2.0)
-    system = theorems.build_ball_system(space, base, 2.0, 1.0)
+    system = theorems.build_ball_system(space, build_family(space, base, 1.0, 2.0))
     with pytest.raises(ThresholdError):
         theorems.check_weak_rhi(system, w, 2.0)
 
@@ -221,7 +221,7 @@ def test_decay_checkers_take_their_geometry_from_the_system():
 
     space = grid_1d(0.0, 128.0, 128)
     w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.001}, seed=1)
-    system = theorems.build_ball_system(space, Ball(64, 24.0), 1.5, 1.0)
+    system = theorems.build_ball_system(space, build_family(space, Ball(64, 24.0), 1.0, 1.5))
     eps = wgr_epsilon(space, w, system.measuring, sigma=1.5).value
     assert eps > 0.0
     lambda0 = jn_constants(system.profile, 1.5, 1.0, eps).lambda0
@@ -241,7 +241,8 @@ def test_decay_checkers_take_their_geometry_from_the_system():
     assert reports["osc_power_bound"].witness == system.base_ball
     assert reports["weak_rhi"].witness == system.base_ball
     # the cover's eps is the max over the base system and every piece system
-    pieces = [theorems.build_ball_system(space, b, 1.5, 1.0, profile=system.profile)
+    pieces = [theorems.build_ball_system(space, build_family(space, b, 1.0, 1.5),
+                                         profile=system.profile)
               for b in theorems.five_r_cover(space, system.base_ball, 1.5, 1.0)]
     assert reports["cover_rhi"].params["eps"] == max(
         wgr_epsilon(space, w, s.measuring, sigma=1.5).value for s in [system, *pieces]
@@ -479,9 +480,22 @@ def test_rhi_equivalence_small_variance_holds():
 # -- weight validation at the entry of every functional and checker -------------
 
 
+def test_ball_system_takes_its_geometry_from_its_family():
+    """A system reports its family's base ball, sigma and eta, so its measuring
+    set and member arrays cannot belong to another geometry."""
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 8.0), eta=2.0, sigma=1.5)
+    system = theorems.build_ball_system(space, family)
+    assert system.family is family
+    assert (system.base_ball, system.sigma, system.eta) == (Ball(32, 8.0), 1.5, 2.0)
+    assert system.hat_members.tolist() == space.ball_members(32, 24.0).tolist()
+    assert system.sigma_hat_members.tolist() == space.ball_members(32, 36.0).tolist()
+    assert len(system.measuring) == 136  # 121 on the eta = 1 family
+
+
 def decay_system(space, family):
     """The decay ball system on ``family``'s base ball, sigma and eta."""
-    return theorems.build_ball_system(space, family.base_ball, family.sigma, family.eta)
+    return theorems.build_ball_system(space, family)
 
 
 #: name -> call(space, family, w); checkers get their constants supplied, so no
@@ -558,7 +572,7 @@ def test_jn_decay_with_infinite_constant_is_no_evidence():
     space = grid_nd(2, 16, 1.0, "chebyshev")
     w = random_weight(space, "two_level", {"low": 1.0, "high": 10.0, "fraction": 0.3}, 5)
     base = Ball(136, 3.5)
-    system = theorems.build_ball_system(space, base, 1.5, 1.0)
+    system = theorems.build_ball_system(space, build_family(space, base, 1.0, 1.5))
     eps = wgr_epsilon(space, w, system.measuring, sigma=1.5).value
     consts = jn_constants(system.profile, 1.5, 1.0, eps)
     assert system.profile.c_mu >= 9.0 and consts.c_final == np.inf  # the saturated constant

@@ -198,7 +198,7 @@ def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path):
     swept = Counter(int(c) for _, c, _ in sweeps)
     assert swept == Counter({c: 1 for c, _ in family_keys})
     # the family balls and the closure profile's balls come from the sweeps
-    closure = {(b.center, b.radius) for b in czdecomp.closure_ball_set(ctx.space, ctx.family)}
+    closure = set(czdecomp.closure_keys(ctx.family))
     closure |= {(c, 2.0 * r) for c, r in closure}
     queried = {(int(c), float(r)) for _, c, r in queries}
     assert not queried & (family_keys | closure)
@@ -217,14 +217,13 @@ def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
 def test_doubling_profile_measures_each_ball_once(monkeypatch):
     space = grid_1d(0.0, 64.0, 64)
     family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.5)
-    balls = czdecomp.closure_ball_set(space, family)
+    balls = czdecomp.closure_keys(family)
     queries: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
     doubling_profile(space, balls)
     keys = Counter((int(c), float(r)) for _, c, r in queries)
     assert max(keys.values()) == 1
-    expected = {(b.center, b.radius) for b in balls} | {(b.center, 2.0 * b.radius) for b in balls}
-    assert set(keys) == expected
+    assert set(keys) == set(balls) | {(c, 2.0 * r) for c, r in balls}
 
 
 def _decay_config(tmp_path, checks) -> dict:
@@ -265,7 +264,7 @@ def test_decay_checks_measure_the_base_eps_once(evaluated, tmp_path):
     geometry = cfg["geometry"]
     base = cli.resolve_base_ball(ctx.space, geometry)
     measuring = theorems.build_ball_system(
-        ctx.space, base, geometry["sigma"], geometry["eta"]
+        ctx.space, build_family(ctx.space, base, geometry["eta"], geometry["sigma"])
     ).measuring
     assert cli.cmd_run(ctx, tmp_path / "out") == 0
     # every check reads eps from the run's ratios: each measuring ball is evaluated once
@@ -357,9 +356,9 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     space = cli.RunContext(cfg).space
     sigma, eta = cfg["geometry"]["sigma"], cfg["geometry"]["eta"]
     base = cli.resolve_base_ball(space, cfg["geometry"])
-    system = theorems.build_ball_system(space, base, sigma, eta)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
     systems = [system] + [
-        theorems.build_ball_system(space, b, sigma, eta, profile=system.profile)
+        theorems.build_ball_system(space, build_family(space, b, eta, sigma), profile=system.profile)
         for b in five_r_cover(space, base, sigma, eta)
     ]
     b_keys = {(b.center, b.radius) for sys_ in systems for b in sys_.measuring}
@@ -382,7 +381,8 @@ def test_cover_rhi_evaluates_each_measuring_ball_once(evaluated, tmp_path):
                                    {"name": "cover_rhi", "params": {"p": 1.5}}])
     ctx = cli.RunContext(cfg)
     pieces = [
-        theorems.build_ball_system(ctx.space, b, ctx.sigma, ctx.eta, profile=ctx.system.profile)
+        theorems.build_ball_system(ctx.space, build_family(ctx.space, b, ctx.eta, ctx.sigma),
+                                   profile=ctx.system.profile)
         for b in five_r_cover(ctx.space, ctx.base, ctx.sigma, ctx.eta)
     ]
     listed = [(b.center, b.radius) for sys_ in [ctx.system, *pieces] for b in sys_.measuring]
