@@ -261,9 +261,9 @@ def _candidates(table: _FamilyAverages, lam: float, cap: float):
     return usable, oversized
 
 
-def _greedy_disjoint(space, table: _FamilyAverages, candidates: list[Ball]) -> list[Ball]:
+def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Ball]:
     order = sorted(candidates, key=lambda b: (-b.radius, b.center))
-    claimed = np.zeros(space.n_points, dtype=bool)
+    claimed = np.zeros(table.values.size, dtype=bool)
     accepted: list[Ball] = []
     for ball in order:
         members = table.members[(ball.center, ball.radius)]
@@ -378,7 +378,7 @@ def cz_decompose(
             witness=(missing[0], oversized[:1]),
         )
 
-    accepted = _greedy_disjoint(space, table, usable)
+    accepted = _greedy_disjoint(table, usable)
     dec = CZDecomposition(
         level=float(lam),
         balls=accepted,

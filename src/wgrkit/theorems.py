@@ -319,9 +319,15 @@ class BallSystem:
 
 
 def build_ball_system(
-    space: FiniteMetricMeasureSpace, family: BallFamily, profile: DoublingProfile | None = None,
+    space: FiniteMetricMeasureSpace, family: BallFamily | Ball,
+    sigma: float | None = None, eta: float | None = None, *, profile: DoublingProfile | None = None,
 ) -> BallSystem:
-    """The decay ball system of ``family``, whose base ball, sigma and eta it takes."""
+    """The decay ball system of ``family``, whose base ball, sigma and eta it takes;
+    ``build_ball_system(space, base_ball, sigma, eta)`` builds that family first."""
+    if isinstance(family, Ball):
+        family = build_family(space, family, eta, sigma)
+    elif (sigma, eta) != (None, None):
+        raise TypeError("build_ball_system: a BallFamily carries its own sigma and eta")
     base_ball, sigma, eta = family.base_ball, family.sigma, family.eta
     measuring = list(family.members)
     measuring.append(family.hat_ball)

@@ -1,4 +1,5 @@
 """CLI: exit codes, artifacts, schema validation, determinism."""
+import ast
 import csv
 import json
 import os
@@ -17,6 +18,7 @@ from wgrkit.util import dumps_canonical, sha256_file
 
 
 SRC = str(Path(cli.__file__).parents[1])
+ROOT = Path(__file__).parent.parent
 
 
 def child_env() -> dict:
@@ -205,6 +207,29 @@ def test_space_validate_unreadable_input_exits_two(tmp_path, capsys, content, ca
 def run_python(code: str) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that imports this checkout's wgrkit."""
     return subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+
+
+def _perfbench_snippet(name: str) -> str:
+    """The string constant ``name`` of perfbench/run.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("workload", ["functionals-2d", "decay-cover-1d", "cz-nested-1d"])
+def test_perfbench_info_snippet_runs_and_gives_the_recorded_sizes(workload, tmp_path):
+    """The benchmark's size probe calls the library directly; it still runs
+    and reports the sizes recorded for each workload's configuration."""
+    record = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"][workload]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(record["config"]))
+    proc = subprocess.run([sys.executable, "-c", _perfbench_snippet("INFO_SNIPPET"), str(cfg_path)],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    sizes = {k: record[k] for k in ("n_points", "family_balls", "measuring_balls")}
+    assert json.loads(proc.stdout) == sizes
 
 
 def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():

@@ -493,6 +493,26 @@ def test_ball_system_takes_its_geometry_from_its_family():
     assert len(system.measuring) == 136  # 121 on the eta = 1 family
 
 
+def test_ball_system_of_a_base_ball_is_the_system_of_its_family():
+    """``build_ball_system(space, base_ball, sigma, eta)`` builds the family
+    first; a family given with a sigma or eta, or a base ball without them,
+    is refused."""
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 8.0), eta=2.0, sigma=1.5)
+    by_family = theorems.build_ball_system(space, family)
+    by_ball = theorems.build_ball_system(space, Ball(32, 8.0), 1.5, 2.0)
+    assert (by_ball.base_ball, by_ball.sigma, by_ball.eta) == (Ball(32, 8.0), 1.5, 2.0)
+    assert by_ball.family.members == family.members
+    assert by_ball.measuring == by_family.measuring
+    assert by_ball.profile.c_mu == by_family.profile.c_mu
+    with pytest.raises(TypeError, match="carries its own"):
+        theorems.build_ball_system(space, family, 1.5, 1.0)
+    with pytest.raises(TypeError, match="carries its own"):
+        theorems.build_ball_system(space, family, eta=1.0)
+    with pytest.raises(TypeError):
+        theorems.build_ball_system(space, Ball(32, 8.0), 1.5)
+
+
 def decay_system(space, family):
     """The decay ball system on ``family``'s base ball, sigma and eta."""
     return theorems.build_ball_system(space, family)
