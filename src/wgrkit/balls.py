@@ -10,24 +10,30 @@ which is what makes stopping-time certificates checkable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyBallError, InvalidDilationError, InvalidParameterError
 from .space import FiniteMetricMeasureSpace
+from .util import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Ball:
-    """Open ball given by a center point id and a positive radius."""
+class Ball(NamedTuple("Ball", [("center", int), ("radius", float)])):
+    """Open ball given by a center point id and a positive radius.
 
-    center: int
-    radius: float
+    A ball is its ``(center, radius)`` key: it equals, hashes and sorts as
+    that tuple, so it can look up a table keyed by pairs.
+    """
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidParameterError(f"ball radius must be > 0, got {self.radius}")
+    __slots__ = ()
+
+    def __new__(cls, center: int, radius: float):
+        if not radius > 0:
+            raise InvalidParameterError(f"ball radius must be > 0, got {radius}")
+        return tuple.__new__(cls, (center, radius))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks the radius too
 
 
 def dilate(b: Ball, lam: float) -> Ball:
@@ -60,8 +66,7 @@ def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) ->
     return sorted(grid)
 
 
-@dataclass(frozen=True, eq=False)
-class BallFamily:
+class BallFamily(Frozen):
     """All (center in B0) x (radius in grid) balls for one base ball.
 
     Members are listed canonically: center index ascending, then radius
@@ -71,11 +76,10 @@ class BallFamily:
     a weight keys its CZ averages table by the family object.
     """
 
-    base_ball: Ball
-    eta: float
-    sigma: float
-    radius_grid: tuple[float, ...]
-    members: tuple[Ball, ...]
+    def __init__(self, base_ball: Ball, eta: float, sigma: float,
+                 radius_grid: tuple[float, ...], members: tuple[Ball, ...]):
+        self.__dict__.update(base_ball=base_ball, eta=eta, sigma=sigma,
+                             radius_grid=radius_grid, members=members)
 
     @property
     def hat_ball(self) -> Ball:

@@ -41,7 +41,7 @@ from .errors import LockError, SchemaError, WgrError
 from .examples import InstanceSpec, build_instance, list_instances
 from .space import FiniteMetricMeasureSpace, row_slices, validate_metric
 from .theorems import CheckReport
-from .util import dumps_canonical, sha256_file, write_csv, write_json
+from .util import dumps_canonical, sha256, sha256_file, write_csv, write_json
 from .weights import (  # CHECKS looks the functionals up here by name
     _ball_average,
     as_values,
@@ -416,9 +416,7 @@ class _OutputLock:
 
 
 def _config_digest(cfg: dict) -> str:
-    import hashlib  # loads OpenSSL, so only when hashing
-
-    return hashlib.sha256(dumps_canonical(cfg).encode()).hexdigest()
+    return sha256(dumps_canonical(cfg).encode()).hexdigest()
 
 
 def _reject_out(out: Path, directory: bool) -> None:

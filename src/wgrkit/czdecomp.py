@@ -33,7 +33,7 @@ dilate average does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
 from .weights import _avg, _ball_average, _weight, as_values
 
 
-@dataclass(frozen=True)
-class JNConstants:
+class JNConstants(NamedTuple):
     """Constant chain for the oscillation decay estimate.
 
     alpha    = c_mu^2 (5 sigma)^D (1 + 1/eta)^D
@@ -142,23 +141,21 @@ def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> Doub
     return doubling_profile(space, closure_keys(family))
 
 
-@dataclass(frozen=True)
-class BallCertificate:
+class BallCertificate(NamedTuple):
     """Stopping certificate: the ball average and its in-family dilate averages."""
 
     ball: Ball
     average: float
-    dilate_averages: dict[float, float] = field(default_factory=dict)
+    dilate_averages: dict[float, float]
 
 
-@dataclass
 class CZDecomposition:
     """Disjoint stopping balls at one level with their certificates."""
 
-    level: float
-    balls: list[Ball]
-    certificates: list[BallCertificate]
-    cap_radius: float
+    def __init__(self, level: float, balls: list[Ball], certificates: list[BallCertificate],
+                 cap_radius: float):
+        self.level, self.balls, self.certificates = level, balls, certificates
+        self.cap_radius = cap_radius
 
     def to_json_obj(self, properties: dict | None = None) -> dict:
         obj = {
@@ -266,7 +263,7 @@ def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Bal
     claimed = np.zeros(table.values.size, dtype=bool)
     accepted: list[Ball] = []
     for ball in order:
-        members = table.members[(ball.center, ball.radius)]
+        members = table.members[ball]
         if not claimed[members].any():
             accepted.append(ball)
             claimed[members] = True
@@ -284,7 +281,7 @@ def _certify(family, table: _FamilyAverages, accepted: list[Ball]) -> list[BallC
             if a is not None:
                 dil[tau] = a
             tau *= 2.0
-        certs.append(BallCertificate(ball, table.avg[(ball.center, ball.radius)], dil))
+        certs.append(BallCertificate(ball, table.avg[ball], dil))
     return certs
 
 
@@ -295,7 +292,7 @@ def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomp
     five = np.zeros(space.n_points, dtype=bool)
     for cert in dec.certificates:
         ball = cert.ball
-        members = table.members[(ball.center, ball.radius)]
+        members = table.members[ball]
         if claimed[members].any():
             raise CZConstructionError("selected balls overlap", prop="disjoint", witness=ball)
         claimed[members] = True
@@ -313,7 +310,7 @@ def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomp
     uncovered = [x for x in e_set if not five[x]]
     if uncovered:
         raise CZConstructionError(
-            "superlevel point outside all 5-dilates", prop="i", witness=uncovered[0]
+            "superlevel point outside all 5-dilates", prop="cover", witness=uncovered[0]
         )
 
 
@@ -356,14 +353,14 @@ def cz_decompose(
         keep = [
             ball
             for ball in usable
-            if any(m[table.members[(ball.center, ball.radius)]].all() for m in _restrict_to)
+            if any(m[table.members[ball]].all() for m in _restrict_to)
         ]
         dropped = len(keep) < len(usable)
         usable = keep
 
     covered = np.zeros(space.n_points, dtype=bool)
     for ball in usable:
-        covered[table.members[(ball.center, ball.radius)]] = True
+        covered[table.members[ball]] = True
     missing = [x for x in e_members.tolist() if not covered[x]]
     if missing:
         if dropped:
@@ -415,7 +412,7 @@ def cz_nested(
     dec_hi = cz_decompose(space, f, lam_hi, family, profile, _restrict_to=five_masks)
     mapping: list[int] = []
     for ball in dec_hi.balls:
-        members = table.members[(ball.center, ball.radius)]
+        members = table.members[ball]
         j = next((k for k, m in enumerate(five_masks) if m[members].all()), None)
         if j is None:
             raise NestingError("fine ball escaped every coarse 5-dilate", witness=ball)

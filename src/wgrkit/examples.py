@@ -11,7 +11,7 @@ Identical seeds reproduce identical values byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
 
 import numpy as np
 
@@ -106,22 +106,20 @@ def random_weight(space: FiniteMetricMeasureSpace, kind: str, params: dict, seed
     raise WgrError(f"unknown random weight kind {kind!r}")
 
 
-@dataclass
 class InstanceSpec:
-    """Declarative description of one (space, weight) instance."""
+    """Declarative description of one (space, weight) instance; equal by value."""
 
-    kind: str
-    dimension: int = 1
-    side: int = 16
-    cell: float = 1.0
-    metric: str = "chebyshev"
-    interval: tuple[float, float, int] = (0.0, 16.0, 16)
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+    def __init__(self, kind: str, dimension: int = 1, side: int = 16, cell: float = 1.0,
+                 metric: str = "chebyshev", interval: tuple[float, float, int] = (0.0, 16.0, 16),
+                 params: dict | None = None, seed: int = 0):
+        if kind not in INSTANCE_KINDS:
+            raise WgrError(f"unknown instance kind {kind!r}")
+        self.kind, self.dimension, self.side, self.cell = kind, dimension, side, cell
+        self.metric, self.interval, self.seed = metric, interval, seed
+        self.params = {} if params is None else params
 
-    def __post_init__(self):
-        if self.kind not in INSTANCE_KINDS:
-            raise WgrError(f"unknown instance kind {self.kind!r}")
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_json_obj(self) -> dict:
         return {
@@ -137,8 +135,7 @@ class InstanceSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InstanceSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        extra = set(obj) - set(inspect.signature(cls).parameters)
         if extra:
             raise WgrError(f"unknown instance fields: {sorted(extra)}")
         kwargs = dict(obj)

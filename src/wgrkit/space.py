@@ -47,9 +47,8 @@ checkers read; reports always record the value they used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +83,7 @@ def row_slices(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-@dataclass(frozen=True)
-class DoublingProfile:
+class DoublingProfile(NamedTuple):
     """Doubling constant measured over a finite ball set.
 
     ``dimension_d`` is exactly ``log2(c_mu)``.
@@ -101,8 +99,7 @@ class DoublingProfile:
         return cls(float(c_mu), math.log2(c_mu))
 
 
-@dataclass(frozen=True)
-class MetricViolation:
+class MetricViolation(NamedTuple):
     """One failed metric axiom; ``points`` names the offending tuple."""
 
     kind: str  # "diagonal" | "negative" | "asymmetry" | "triangle"

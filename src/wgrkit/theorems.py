@@ -21,7 +21,6 @@ compared sets are all empty (nothing exceeds the level anywhere) passes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -59,7 +58,6 @@ from .weights import (
 MARGIN_RTOL = 1e-9
 
 
-@dataclass
 class CheckReport:
     """Outcome of one inequality check.
 
@@ -69,16 +67,13 @@ class CheckReport:
     the tolerance recorded in ``params``.
     """
 
-    name: str
-    passed: bool
-    margin: float
-    witness: object = None
-    params: dict = field(default_factory=dict)
-    vacuous: bool = False
-    boundary: bool = False
-    margin_rel: float = math.inf
-    notes: str = ""
-    table: list[tuple] = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, margin: float, witness: object = None,
+                 params: dict | None = None, vacuous: bool = False, boundary: bool = False,
+                 margin_rel: float = math.inf, notes: str = "", table: list[tuple] | None = None):
+        self.name, self.passed, self.margin, self.witness = name, passed, margin, witness
+        self.params = {} if params is None else params
+        self.vacuous, self.boundary, self.margin_rel = vacuous, boundary, margin_rel
+        self.notes, self.table = notes, [] if table is None else table
 
     def to_json_obj(self) -> dict:
         witness = self.witness
@@ -292,7 +287,6 @@ def check_neg_osc_from_sublevel(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BallSystem:
     """All ball machinery for decay checks over one base ball B0, and the
     only geometry the decay checkers read: their space, and the family,
@@ -306,13 +300,13 @@ class BallSystem:
     power-of-two halving chains).
     """
 
-    space: FiniteMetricMeasureSpace
-    family: BallFamily
-    measuring: list[Ball]
-    profile: DoublingProfile
-    base_members: np.ndarray
-    hat_members: np.ndarray
-    sigma_hat_members: np.ndarray
+    def __init__(self, space: FiniteMetricMeasureSpace, family: BallFamily,
+                 measuring: list[Ball], profile: DoublingProfile, base_members: np.ndarray,
+                 hat_members: np.ndarray, sigma_hat_members: np.ndarray):
+        self.space, self.family, self.measuring, self.profile = space, family, measuring, profile
+        self.base_members, self.hat_members = base_members, hat_members
+        self.sigma_hat_members = sigma_hat_members
+
     base_ball = property(lambda self: self.family.base_ball)
     sigma = property(lambda self: self.family.sigma)
     eta = property(lambda self: self.family.eta)
@@ -335,10 +329,9 @@ def build_ball_system(
     measuring.extend(
         Ball(b.center, 5.0 * b.radius) for b in family.members if b.radius <= lim
     )
-    measuring = sorted(set(measuring), key=lambda b: (b.center, b.radius))
+    measuring = sorted(set(measuring))
     if profile is None:
-        keys = {(b.center, b.radius) for b in measuring}.union(closure_keys(family))
-        profile = doubling_profile(space, sorted(keys))
+        profile = doubling_profile(space, sorted(set(measuring).union(closure_keys(family))))
     return BallSystem(
         space=space,
         family=family,

@@ -12,9 +12,9 @@ that no process imports ``numpy.random``; tests pin both, bit for bit, to
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -89,6 +89,8 @@ def _csv_cell(v):
 
 def write_csv(path, header: list[str], rows) -> None:
     """RFC 4180 CSV with a header row; reals at 17 significant digits."""
+    import csv  # a command that writes no CSV loads neither csv nor _csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
@@ -96,14 +98,36 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow([_csv_cell(v) for v in row])
 
 
-def sha256_file(path) -> str:
-    import hashlib  # loads OpenSSL, so only when hashing
+def sha256(data: bytes = b""):
+    """A sha256 hash object over ``data``, from CPython's built-in module:
+    ``hashlib`` would load OpenSSL. Imported on first use."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256 as new
+        else:
+            from _sha256 import sha256 as new
+    except ImportError:  # an interpreter without them
+        from hashlib import sha256 as new
+    return new(data)
 
-    digest = hashlib.sha256()
+
+def sha256_file(path) -> str:
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+class Frozen:
+    """A record whose ``__init__`` sets its fields once, through ``__dict__``;
+    assigning or deleting one later raises AttributeError. Equality and
+    hashing stay by identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 _M64 = (1 << 64) - 1

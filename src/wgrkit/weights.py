@@ -23,7 +23,6 @@ under ``w -> c w`` and ``mass -> c mass``.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,11 +35,10 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import fsum, weighted_sum
+from .util import Frozen, fsum, weighted_sum
 
 
-@dataclass(frozen=True, eq=False)
-class Weight:
+class Weight(Frozen):
     """Nonnegative values per point, sharing the space's index set.
 
     A weight keeps one table of ball sums per space it is measured on,
@@ -50,19 +48,15 @@ class Weight:
     Equality and hashing are by identity, as the tables are.
     """
 
-    values: np.ndarray
-    _tables: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, values):
         # freeze a private copy: the caller's array stays writeable
-        values = np.array(self.values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 1:
             raise WgrError("weight values must be a 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise WgrError("weight values must be finite and nonnegative")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(values=values, _tables=weakref.WeakKeyDictionary())
 
     def _sums(self, space: FiniteMetricMeasureSpace) -> _BallSums:
         """This weight's table of ball sums on ``space``, made on first use."""
@@ -190,7 +184,6 @@ def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: f
     )[0]
 
 
-@dataclass
 class ConditionReport:
     """Supremum of per-ball ratios with the attaining witness.
 
@@ -198,10 +191,10 @@ class ConditionReport:
     order; ``skipped`` lists zero-denominator balls (their ratio is 0).
     """
 
-    value: float
-    witness_ball: Ball | None
-    per_ball: list[tuple[Ball, float]] = field(default_factory=list)
-    skipped: list[Ball] = field(default_factory=list)
+    def __init__(self, value: float, witness_ball: Ball | None,
+                 per_ball: list[tuple[Ball, float]], skipped: list[Ball]):
+        self.value, self.witness_ball = value, witness_ball
+        self.per_ball, self.skipped = per_ball, skipped
 
     @property
     def n_balls(self) -> int:
@@ -222,11 +215,8 @@ class ConditionReport:
         }
 
     def csv_rows(self) -> list[tuple]:
-        skipset = {(b.center, b.radius) for b in self.skipped}
-        return [
-            (b.center, b.radius, ratio, int((b.center, b.radius) in skipset))
-            for b, ratio in self.per_ball
-        ]
+        skipset = set(self.skipped)
+        return [(b.center, b.radius, ratio, int(b in skipset)) for b, ratio in self.per_ball]
 
 
 def family_balls(family) -> list[Ball]:
@@ -275,10 +265,9 @@ def _functional(
     factor = _resolve_sigma(family, sigma) if factor is None else factor
     w = _weight(w)
     memo = w._sums(space).ratios.setdefault((name, param, factor), {})
-    missing = {(b.center, b.radius): b for b in balls if (b.center, b.radius) not in memo}
-    found = _ball_map(space, w, list(missing.values()), factor, ratio)
-    memo.update(zip(missing, found))
-    results = [memo[(b.center, b.radius)] for b in balls]
+    missing = list(dict.fromkeys(b for b in balls if b not in memo))
+    memo.update(zip(missing, _ball_map(space, w, missing, factor, ratio)))
+    results = [memo[b] for b in balls]
     return _sup_report(balls, results)
 
 

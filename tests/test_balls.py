@@ -1,9 +1,12 @@
 """Ball dilation, families, and the greedy 5r cover."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import oracles
-from wgrkit import Ball, build_family, dilate, five_r_cover, grid_1d, verify_cover
+from wgrkit import Ball, Weight, build_family, dilate, five_r_cover, grid_1d, verify_cover
 from wgrkit.czdecomp import closure_profile
 from wgrkit.errors import EmptyBallError, InvalidDilationError, InvalidParameterError
 from wgrkit.space import grid_nd
@@ -24,8 +27,9 @@ def test_dilate_rejects_nonpositive():
 
 
 def test_ball_radius_positive():
-    with pytest.raises(InvalidParameterError):
-        Ball(0, 0.0)
+    for make in (lambda: Ball(0, 0.0), lambda: Ball(0, 1.0)._replace(radius=0.0)):
+        with pytest.raises(InvalidParameterError):
+            make()
 
 
 def test_build_family_grid_structure():
@@ -221,3 +225,27 @@ def test_verify_cover_matches_the_pairwise_scan_on_greedy_covers(space, sigma, e
     assert report == _pairwise_verify_cover(space, base, [*cover, extra], sigma, eta)
     assert [i for i, r in enumerate(report["rows"]) if not r["fifth_disjoint_ok"]] == [
         1, len(cover)]
+
+
+def test_records_are_frozen_and_weights_and_families_are_keys_by_identity():
+    space = grid_1d(0.0, 16.0, 16)
+    family = build_family(space, Ball(8, 4.0), eta=1.0, sigma=1.5)
+    w = Weight(np.ones(16))
+    fields = [(w, "values"), (Ball(1, 1.0), "radius")]
+    fields += [(family, f) for f in ("base_ball", "eta", "sigma", "radius_grid", "members")]
+    for obj, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    twin_w, twin_family = Weight(np.ones(16)), build_family(space, Ball(8, 4.0), eta=1.0, sigma=1.5)
+    assert w == w and w != twin_w and family == family and family != twin_family
+    table = weakref.WeakKeyDictionary({w: 1, twin_w: 2, family: 3, twin_family: 4})
+    assert [table[k] for k in (w, twin_w, family, twin_family)] == [1, 2, 3, 4]
+    del twin_w, twin_family
+    gc.collect()
+    assert len(table) == 2
+
+
+def test_balls_sort_by_center_then_radius():
+    balls = [Ball(2, 1.0), Ball(1, 3.0), Ball(2, 0.5), Ball(1, 1.0)]
+    assert sorted(balls) == [Ball(1, 1.0), Ball(1, 3.0), Ball(2, 0.5), Ball(2, 1.0)]
+    assert sorted(balls) == sorted(balls, key=lambda b: (b.center, b.radius))

@@ -254,10 +254,15 @@ def test_threads_flag_runs_in_one_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command, module", [(["cz", "nested"], "hashlib"), (["run"], "numpy.ma")])
+@pytest.mark.parametrize("command, module", [
+    (["cz", "nested"], "hashlib"), (["run"], "numpy.ma"), (["run"], "_hashlib"),
+    (["run"], "dataclasses"), (["cz", "nested"], "csv"),
+])
 def test_invocations_leave_unused_modules_unloaded(tmp_path, command, module):
     # a custom instance draws no random numbers, so nothing but a hash would
-    # load hashlib; np.unique would load numpy.ma for the cavalieri check
+    # load hashlib; np.unique would load numpy.ma for the cavalieri check. The
+    # manifest is hashed by the built-in sha256, as hashlib's loads OpenSSL
+    # (_hashlib); the records are built without dataclasses; cz writes no CSV
     if command[0] == "cz":
         cfg = _cz_spike_config(tmp_path)
     else:

@@ -1,4 +1,5 @@
 """Serialization and reduction helpers."""
+import hashlib
 import json
 import math
 
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import philox
+from wgrkit import cli
 from wgrkit.util import (
     dumps_canonical,
     format_real,
     fsum,
     philox_index,
     philox_uniforms,
+    sha256_file,
     weighted_sum,
 )
 
@@ -98,3 +101,19 @@ def test_philox_rejects_the_keys_numpy_rejects(seed):
 def test_philox_index_takes_n_from_one_to_two_to_the_32(n):
     with pytest.raises(ValueError):
         philox_index(0, n)
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
+def test_sha256_file_matches_hashlib(tmp_path, size):
+    """Sizes straddle the 64 KiB read chunk."""
+    data = bytes(i * 7 % 251 for i in range(size))
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_config_digest_matches_hashlib():
+    cfg = {"seed": 3, "sigma": 1.5, "name": "smoke", "checks": [{"name": "gr", "params": {"p": 2.0}}]}
+    text = '{"checks": [{"name": "gr", "params": {"p": 2}}], "name": "smoke", "seed": 3, "sigma": 1.5}'
+    assert dumps_canonical(cfg) == text
+    assert cli._config_digest(cfg) == hashlib.sha256(text.encode()).hexdigest()
