@@ -29,14 +29,17 @@ uncached. There are two ball queries:
 :meth:`~FiniteMetricMeasureSpace.ball_members` returns one ball's ids in
 ascending order, and :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
 the center's row once and returns that order with a count per radius, so
-the nested balls at one center are prefixes of one array. Beside the slot,
-a memo maps ``(center, r)`` to the float mu(B), which every layer reads;
-``ball_measure`` sums one ball on first use, ``ball_prefixes`` all the
-radii it sweeps. A space freezes private copies of its arrays, so it
-cannot go stale. On a space whose points share one mass m (every generated
-grid), k points measure ``k * m`` with no sum: that product and ``fsum`` of
-k copies of m are both the correctly rounded k*m, equal bit for bit. A
-product that overflows falls back to ``fsum``, which raises as before.
+the nested balls at one center are prefixes of one array. In front of the
+slot, a memo keeps the read-only ids of each ``ball_members`` query, so a
+pass over queried balls computes no row, up to :data:`MEMBER_MEMO_BYTES`
+of ids and array headers. A memo maps ``(center, r)`` to the float mu(B),
+which every layer reads; ``ball_measure`` sums one ball on first use, from
+an uncached query, ``ball_prefixes`` all the radii it sweeps. A space
+freezes private copies of its arrays, so it cannot go stale. On a space
+whose points share one mass m (every generated grid), k points measure
+``k * m`` with no sum: that product and ``fsum`` of k copies of m are both
+the correctly rounded k*m, equal bit for bit. A product that overflows
+falls back to ``fsum``, which raises as before.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -74,6 +77,10 @@ TRIANGLE_RTOL = 4.0 * np.finfo(float).eps
 
 #: Upper bound on the distances one block of an all-pairs scan holds.
 BLOCK_DISTANCES = 1 << 14
+
+#: Upper bound on the bytes one space's member memo holds: ids plus array headers.
+MEMBER_MEMO_BYTES = 1 << 20
+_ARRAY_HEADER_BYTES = np.empty(0, dtype=np.intp).__sizeof__()
 
 
 def row_slices(n_rows: int, n_cols: int) -> list[slice]:
@@ -153,6 +160,7 @@ class FiniteMetricMeasureSpace:
         # (center, row) of the last ball query
         self._row_slot: tuple[int, np.ndarray] | None = None
         self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
+        self._members, self._members_bytes = {}, 0  # (center, radius) -> ids, and their bytes
 
     # -- basic structure ---------------------------------------------------
 
@@ -221,8 +229,21 @@ class FiniteMetricMeasureSpace:
         return self._cached_row(center) < r
 
     def ball_members(self, center: int, r: float) -> np.ndarray:
-        """Point ids strictly inside B(center, r), ascending."""
-        return self.ball_mask(center, r).nonzero()[0]
+        """Point ids strictly inside B(center, r), ascending, read-only, memoized."""
+        ids = self._members.get((center, r))
+        if ids is None:
+            ids = self._ball_ids(center, r)
+            cost = ids.nbytes + _ARRAY_HEADER_BYTES
+            if self._members_bytes + cost <= MEMBER_MEMO_BYTES:
+                self._members[(center, r)] = ids
+                self._members_bytes += cost
+        return ids
+
+    def _ball_ids(self, center: int, r: float) -> np.ndarray:
+        """:meth:`ball_members` computed afresh, past the member memo."""
+        ids = self.ball_mask(center, r).nonzero()[0]
+        ids.setflags(False)  # write=False, passed positionally: the keyword costs a parse per call
+        return ids
 
     def ball_prefixes(self, center: int, radii) -> tuple[np.ndarray, np.ndarray]:
         """Every point id in ascending distance from ``center`` (ties by id),
@@ -272,7 +293,7 @@ class FiniteMetricMeasureSpace:
         mu = self._mu.get((center, r))
         if mu is None:
             if members is None:
-                members = self.ball_members(center, r)
+                members = self._ball_ids(center, r)
             mu = self._mu[(center, r)] = self.set_measure(members)
         return mu
 

@@ -21,7 +21,6 @@ compared sets are all empty (nothing exceeds the level anywhere) passes
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -40,8 +39,8 @@ from .weights import (
     _avg,
     _ball_average,
     _ball_map,
-    _neg_part_avg,
-    _pos_part,
+    _neg_terms,
+    _pos_terms,
     _resolve_sigma,
     _weight,
     as_values,
@@ -166,16 +165,16 @@ class _MarginTracker:
 
 
 def _implication(name, space, w, family, sigma, params: dict, key: str,
-                 functional: str, param, sides) -> CheckReport:
+                 functional: str, param, kernel) -> CheckReport:
     """The body the four implication checkers share.
 
     ``params[key]`` is the hypothesis constant. When it is None it is
     measured as the sup of the module-level ``functional`` at ``param``,
     whose pass reads the ratios the weight's table on ``space`` already
-    holds. One pass over B then feeds ``sides(constant, v, m, w(S), mu(S),
-    mu(B))`` -> (lhs, rhs, vacuous) to the tracker, reading the S side from
-    that table. A checker with a ``lambda`` needs constant < lambda < 1, and
-    is vacuous at 0.
+    holds. One :func:`~wgrkit.weights._ball_map` pass over B with the kernel
+    ``kernel(constant)``, whose ``finish`` returns (lhs, rhs, vacuous), then
+    feeds the tracker, reading the S side from that table. A checker with a
+    ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
     """
     balls, sigma, w = family_balls(family), _resolve_sigma(family, sigma), _weight(w)
     measured = params[key] is None
@@ -190,7 +189,7 @@ def _implication(name, space, w, family, sigma, params: dict, key: str,
         return tracker.report(notes="constant weight: oscillation constant is 0; vacuous")
     if lam is not None and not const < lam < 1.0:
         raise InvalidParameterError(f"need eps < lambda < 1, got eps={const}, lambda={lam}")
-    per_ball = _ball_map(space, w, balls, sigma, partial(sides, const))
+    per_ball = _ball_map(space, w, balls, sigma, kernel(const))
     for ball, (lhs, rhs, vacuous) in zip(balls, per_ball):
         tracker.add(lhs, rhs, ball, vacuous=vacuous)
     return tracker.report()
@@ -209,12 +208,13 @@ def check_superlevel_bound(
         w(B n {(1 - eps/lam) w >= w_S}) <= lam w(S)
     """
 
-    def sides(eps, v, m, w_s, mu_s, _):
-        level = (1.0 - eps / lam) * v >= _avg(w_s, mu_s)
-        return weighted_sum(v[level], m[level]), lam * w_s, not level.any()
+    def kernel(eps):
+        factor = 1.0 - eps / lam
+        return (lambda v, m, c: (v * m * (level := factor * v >= c), level),
+                lambda total, hit, w_s, mu_s, mu_b: (total, lam * w_s, not hit))
 
     return _implication("superlevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", "wgr_epsilon", None, sides)
+                        {"lambda": lam, "eps": eps}, "eps", "wgr_epsilon", None, kernel)
 
 
 def check_osc_from_superlevel(
@@ -231,12 +231,12 @@ def check_osc_from_superlevel(
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
 
-    def sides(beta, v, m, w_s, mu_s, _):
-        lhs = _pos_part(v, m, _avg(w_s, mu_s))
-        return lhs, (1.0 - alpha * (1.0 - beta)) * w_s, lhs == 0.0
+    def kernel(beta):
+        coeff = 1.0 - alpha * (1.0 - beta)
+        return _pos_terms, lambda total, hit, w_s, mu_s, mu_b: (total, coeff * w_s, total == 0.0)
 
     return _implication("osc_from_superlevel", space, w, family, sigma,
-                        {"alpha": alpha, "beta": beta}, "beta", "weak_ainfty_beta", alpha, sides)
+                        {"alpha": alpha, "beta": beta}, "beta", "weak_ainfty_beta", alpha, kernel)
 
 
 def check_sublevel_bound(
@@ -251,12 +251,13 @@ def check_sublevel_bound(
         mu(B n {w <= (1 - eps/lam) w_S}) <= lam mu(B)
     """
 
-    def sides(eps, v, m, w_s, mu_s, mu_b):
-        level = v <= (1.0 - eps / lam) * _avg(w_s, mu_s)
-        return fsum(m[level]), lam * mu_b, not level.any()
+    def kernel(eps):
+        factor = 1.0 - eps / lam
+        return (lambda v, m, c: (m * (level := v <= factor * c), level),
+                lambda total, hit, w_s, mu_s, mu_b: (total, lam * mu_b, not hit))
 
     return _implication("sublevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, sides)
+                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, kernel)
 
 
 def check_neg_osc_from_sublevel(
@@ -273,13 +274,13 @@ def check_neg_osc_from_sublevel(
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
 
-    def sides(alpha_m, v, m, w_s, mu_s, mu_b):
-        c = _avg(w_s, mu_s)
-        lhs = _neg_part_avg(v, m, c, mu_b)
-        return lhs, (1.0 - (1.0 - alpha_m) * beta) * c, lhs == 0.0
+    def kernel(alpha_m):
+        coeff = 1.0 - (1.0 - alpha_m) * beta
+        return _neg_terms, lambda total, hit, w_s, mu_s, mu_b: (
+            lhs := _avg(total, mu_b), coeff * _avg(w_s, mu_s), lhs == 0.0)
 
     return _implication("neg_osc_from_sublevel", space, w, family, sigma,
-                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, sides)
+                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -707,16 +708,15 @@ def cavalieri_check(
     values = as_values(f)
     region = np.arange(space.n_points) if region is None else np.asarray(region)
     direct = weighted_sum(values[region] ** p, space.mass[region])
-    # sorted distinct positive levels; np.unique would import numpy.ma
-    levels = np.sort(values[region])
-    fresh = np.ones(levels.size, dtype=bool)
-    fresh[1:] = levels[1:] != levels[:-1]
-    levels = levels[fresh & (levels > 0.0)]
-    pieces = []
-    prev = 0.0
-    for level in levels:
-        above = region[values[region] >= level]  # mu({f > t}) for t in [prev, level)
-        pieces.append(space.set_measure(above) * (level**p - prev**p))
+    order = region[np.argsort(values[region], kind="stable")]  # by ascending value
+    ranked = values[order]
+    fresh = np.ones(ranked.size, dtype=bool)
+    fresh[1:] = ranked[1:] != ranked[:-1]
+    pieces, prev = [], 0.0
+    for i in np.flatnonzero(fresh & (ranked > 0.0)).tolist():  # each distinct positive level
+        level = ranked[i]  # a numpy float, so level**p stays the same operation
+        # mu({f > t}) for t in [prev, level): the suffix from the level's first index
+        pieces.append(space.set_measure(order[i:]) * (level**p - prev**p))
         prev = level
     layered = fsum(pieces)
     scale = max(abs(direct), abs(layered), 1e-300)

@@ -88,14 +88,15 @@ def _csv_cell(v):
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV with a header row; reals at 17 significant digits."""
+    """RFC 4180 CSV with a header row; reals at 17 significant digits,
+    a finite Python float formatted inline, as ``_csv_cell`` would."""
     import csv  # a command that writes no CSV loads neither csv nor _csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows([format(v, ".17g") if type(v) is float and math.isfinite(v)
+                          else _csv_cell(v) for v in row] for row in rows)
 
 
 def sha256(data: bytes = b""):

@@ -19,10 +19,16 @@ average vanishes while the numerator also vanishes is recorded in
 reference is impossible because the numerator is dominated by ``w(S)``.
 All ratios accumulate through compensated summation and are homogeneous
 under ``w -> c w`` and ``mass -> c mass``.
+
+Each functional and implication checker is one array pass of a kernel over
+its balls: elementwise terms, an ``fsum`` and a ``finish`` per ball, with
+the bits of a ball-by-ball evaluation (see :func:`_ball_map`).
 """
 from __future__ import annotations
 
+import math
 import weakref
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import Frozen, fsum, weighted_sum
+from .util import Frozen, weighted_sum
 
 
 class Weight(Frozen):
@@ -99,18 +105,6 @@ def _ball_average(space: FiniteMetricMeasureSpace, values: np.ndarray, ball: Bal
     return _avg(_induced(space, values, members), space.ball_measure(c, r, members))
 
 
-def _pos_part(v: np.ndarray, m: np.ndarray, c: float) -> float:
-    """int_B (w - c)_+ dmu from B's values ``v`` and masses ``m``."""
-    return weighted_sum(np.maximum(v - c, 0.0), m)
-
-
-def _neg_part_avg(v: np.ndarray, m: np.ndarray, c: float, mu_b: float) -> float:
-    """avg_B (w - c)_- from B's values, masses and measure."""
-    if mu_b <= 0.0:
-        raise EmptyAverageError("negative oscillation over an empty ball")
-    return weighted_sum(np.maximum(c - v, 0.0), m) / mu_b
-
-
 class _BallSums:
     """Ball sums of one weight on one space, kept by the :class:`Weight`.
 
@@ -132,29 +126,86 @@ class _BallSums:
         self.families: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _ball_map(
-    space: FiniteMetricMeasureSpace, w: Weight, balls: list[Ball], factor: float, ratio,
-) -> list:
-    """``ratio(v, m, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
+#: Upper bound on the member ids one block of a ball pass holds, B's and S's together.
+BLOCK_MEMBERS = 1 << 14
 
-    ``v`` and ``m`` are the values and masses of B's points in index order.
-    w(S) comes from the weight's table on ``space`` when an earlier ball
-    stored it; otherwise it is summed here, once, and stored at once. mu(S)
-    and mu(B) are read from the space's memo.
+
+def _ball_map(
+    space: FiniteMetricMeasureSpace, w: Weight, balls: list[Ball], factor: float, kernel,
+) -> list:
+    """``finish(total, hit, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
+
+    ``kernel`` is ``(terms, finish)``. Blocks of balls hold at most
+    :data:`BLOCK_MEMBERS` ids, or one ball. ``terms(v, m, c)`` is elementwise
+    over the values and masses of a block's points, ball after ball, with
+    c = w(S)/mu(S) of each point's ball; it returns the term array and a
+    boolean level, or None. ``total`` is the ``fsum`` of a ball's terms,
+    ``hit`` whether its level holds at any of its points. w(S) comes from
+    the weight's table on ``space``, else is summed once per dilate and
+    stored; mu(S) and mu(B) come from the space's memo. The bits are those
+    of a ball-by-ball pass: each term is the same IEEE operation on the
+    same operands, numpy's float division is Python's, and ``fsum`` is
+    correctly rounded, so neither term order nor +0.0 terms change a sum.
     """
-    values, sums = w.values, w._sums(space)
-    out = []
-    for ball in balls:
-        key_b, key_s = (ball.center, ball.radius), (ball.center, factor * ball.radius)
-        members = space.ball_members(*key_b)
-        w_s, s_members = sums.balls.get(key_s), None
-        if w_s is None:
-            s_members = members if key_s == key_b else space.ball_members(*key_s)
-            w_s = sums.balls[key_s] = _induced(space, values, s_members)
-        mu_s = space.ball_measure(*key_s, members=s_members)
-        mu_b = space.ball_measure(*key_b, members=members)
-        out.append(ratio(values[members], space.mass[members], w_s, mu_s, mu_b))
+    sums, memo, out = w._sums(space), space._mu, []
+    block, pending, held = [], {}, 0
+    for c, r in balls:
+        key_s = (c, factor * r)
+        members, s_ids = space.ball_members(c, r), None
+        if key_s not in pending and key_s not in sums.balls:
+            s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
+        size = members.size + (0 if s_ids is None else s_ids.size)
+        if block and held + size > BLOCK_MEMBERS:
+            out += _block(space, w.values, sums, block, pending, kernel)
+            block, pending, held = [], {}, 0
+        if s_ids is not None:
+            pending[key_s] = s_ids
+        # read first, as doubling_profile does: no call per hit
+        mu_s = memo.get(key_s) or space.ball_measure(*key_s, members=s_ids)
+        mu_b = memo.get((c, r)) or space.ball_measure(c, r, members=members)
+        block.append((members, key_s, mu_s, mu_b))
+        held += size
+    if block:
+        out += _block(space, w.values, sums, block, pending, kernel)
     return out
+
+
+def _fsums(terms: np.ndarray, sizes) -> list[float]:
+    """The ``fsum`` of each consecutive run of ``sizes`` entries of ``terms``."""
+    view, bounds = memoryview(terms), [0, *accumulate(sizes)]
+    return [math.fsum(view[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _block(space, values, sums: _BallSums, block: list, pending: dict, kernel) -> list:
+    """One block of :func:`_ball_map`: the pending w(S) into the table, then
+    each ball's total and hit, handed to ``finish``."""
+    terms, finish = kernel
+    s_sizes, sizes = [s.size for s in pending.values()], [b[0].size for b in block]
+    ids = np.concatenate([*pending.values(), *(b[0] for b in block)])
+    v, m, cut = values[ids], space.mass[ids], sum(s_sizes)
+    sums.balls.update(zip(pending, _fsums(v[:cut] * m[:cut], s_sizes)))
+    w_s = [sums.balls[key_s] for _, key_s, _, _ in block]
+    # mu(S) = 0 only for an empty S, whose B inside it is empty too: no term reads c
+    c = [ws / mu_s if mu_s > 0.0 else math.nan for ws, (_, _, mu_s, _) in zip(w_s, block)]
+    t, level = terms(v[cut:], m[cut:], np.repeat(c, sizes))
+    hits = [None] * len(block)
+    if level is not None:  # a ball hits iff the count of level points grows across it
+        seen = np.concatenate(([0], np.cumsum(level)))[[0, *accumulate(sizes)]]
+        hits = (seen[1:] > seen[:-1]).tolist()
+    return [finish(total, hit, ws, mu_s, mu_b)
+            for total, hit, ws, (_, _, mu_s, mu_b) in zip(_fsums(t, sizes), hits, w_s, block)]
+
+
+def _pos_terms(v, m, c):  # int_B (w - c)_+ dmu
+    return np.maximum(v - c, 0.0) * m, None
+
+
+def _neg_terms(v, m, c):  # int_B (w - c)_- dmu
+    return np.maximum(c - v, 0.0) * m, None
+
+
+def _over_w_s(total, _, w_s, mu_s, mu_b):  # a ball of w(S) = 0 is skipped
+    return (0.0, True) if w_s <= 0.0 else (total / w_s, False)
 
 
 def induced_measure(space: FiniteMetricMeasureSpace, w, members) -> float:
@@ -170,17 +221,14 @@ def average(space: FiniteMetricMeasureSpace, w, members) -> float:
 
 def pos_oscillation(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """int_B (w - w_S)_+ dmu with S = sigma B."""
-    return _ball_map(
-        space, _weight(w), [ball], sigma,
-        lambda v, m, w_s, mu_s, _: _pos_part(v, m, _avg(w_s, mu_s)),
-    )[0]
+    return _ball_map(space, _weight(w), [ball], sigma, (_pos_terms, lambda total, *_: total))[0]
 
 
 def neg_oscillation_avg(space: FiniteMetricMeasureSpace, w, ball: Ball, sigma: float) -> float:
     """avg_B (w - w_S)_- with S = sigma B."""
     return _ball_map(
         space, _weight(w), [ball], sigma,
-        lambda v, m, w_s, mu_s, mu_b: _neg_part_avg(v, m, _avg(w_s, mu_s), mu_b),
+        (_neg_terms, lambda total, hit, w_s, mu_s, mu_b: _avg(total, mu_b)),
     )[0]
 
 
@@ -253,20 +301,20 @@ def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> Conditi
 
 
 def _functional(
-    name: str, param, space, w, family, sigma, ratio, *, factor: float | None = None,
+    name: str, param, space, w, family, sigma, kernel, *, factor: float | None = None,
 ) -> ConditionReport:
-    """The sup report of ``ratio`` over one pass, with S = sigma B unless ``factor``.
+    """The sup report of ``kernel`` over one pass, with S = sigma B unless ``factor``.
 
-    A ratio returns ``(ratio, skipped)``. Each distinct ball is evaluated
-    once, and only if the weight's table on ``space`` holds no ratio for it;
-    the new ratios are recorded there.
+    The kernel's ``finish`` returns ``(ratio, skipped)``. Each distinct ball
+    is evaluated once, and only if the weight's table on ``space`` holds no
+    ratio for it; the new ratios are recorded there.
     """
     balls = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
     w = _weight(w)
     memo = w._sums(space).ratios.setdefault((name, param, factor), {})
     missing = list(dict.fromkeys(b for b in balls if b not in memo))
-    memo.update(zip(missing, _ball_map(space, w, missing, factor, ratio)))
+    memo.update(zip(missing, _ball_map(space, w, missing, factor, kernel)))
     results = [memo[b] for b in balls]
     return _sup_report(balls, results)
 
@@ -279,12 +327,8 @@ def wgr_epsilon(
     Every functional reads and fills the table of ball sums that ``w`` keeps
     for ``space``; a bare array starts with an empty one.
     """
-
-    def ratio(v, m, w_s, mu_s, _):
-        return (0.0, True) if w_s <= 0.0 else (_pos_part(v, m, _avg(w_s, mu_s)) / w_s, False)
-
     return _functional(
-        "wgr_epsilon", None, space, w, family, sigma, ratio
+        "wgr_epsilon", None, space, w, family, sigma, (_pos_terms, _over_w_s)
     )
 
 
@@ -293,12 +337,12 @@ def wgr_minus_epsilon(
 ) -> ConditionReport:
     """sup_B avg_B (w - w_S)_- / w_S, the negative-part condition."""
 
-    def ratio(v, m, w_s, mu_s, mu_b):
+    def finish(total, _, w_s, mu_s, mu_b):
         c = _avg(w_s, mu_s)
-        return (0.0, True) if c <= 0.0 else (_neg_part_avg(v, m, c, mu_b) / c, False)
+        return (0.0, True) if c <= 0.0 else (_avg(total, mu_b) / c, False)
 
     return _functional(
-        "wgr_minus_epsilon", None, space, w, family, sigma, ratio
+        "wgr_minus_epsilon", None, space, w, family, sigma, (_neg_terms, finish)
     )
 
 
@@ -306,15 +350,9 @@ def gr_epsilon(
     space: FiniteMetricMeasureSpace, w, ball_set,
 ) -> ConditionReport:
     """sup_B int_B |w - w_B| dmu / w(B), the absolute-oscillation condition."""
-
-    def ratio(v, m, w_b, mu_b, _):  # factor 1: the reference ball is B
-        if w_b <= 0.0:
-            return 0.0, True
-        return weighted_sum(np.abs(v - w_b / mu_b), m) / w_b, False
-
-    return _functional(
-        "gr_epsilon", None, space, w, ball_set, None, ratio,
-        factor=1.0,
+    return _functional(  # factor 1: the reference ball is B, and c is w_B
+        "gr_epsilon", None, space, w, ball_set, None,
+        (lambda v, m, c: (np.abs(v - c) * m, None), _over_w_s), factor=1.0,
     )
 
 
@@ -324,15 +362,9 @@ def weak_ainfty_beta(
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
-
-    def ratio(v, m, w_s, mu_s, _):
-        if w_s <= 0.0:
-            return 0.0, True
-        level = alpha * v >= w_s / mu_s
-        return weighted_sum(v[level], m[level]) / w_s, False
-
     return _functional(
-        "weak_ainfty_beta", alpha, space, w, family, sigma, ratio
+        "weak_ainfty_beta", alpha, space, w, family, sigma,
+        (lambda v, m, c: (v * m * (alpha * v >= c), None), _over_w_s),
     )
 
 
@@ -343,13 +375,10 @@ def sublevel_alpha(
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
 
-    def ratio(v, m, w_s, mu_s, mu_b):
-        if w_s <= 0.0:
-            return 0.0, True
-        return fsum(m[v <= beta * (w_s / mu_s)]) / mu_b, False
-
     return _functional(
-        "sublevel_alpha", beta, space, w, family, sigma, ratio
+        "sublevel_alpha", beta, space, w, family, sigma,
+        (lambda v, m, c: (m * (v <= beta * c), None),
+         lambda total, _, w_s, mu_s, mu_b: (0.0, True) if w_s <= 0.0 else (total / mu_b, False)),
     )
 
 
@@ -376,12 +405,12 @@ def rhi_constant(
     elif rhs_ball != "sigma_dilate":
         raise InvalidParameterError(f"unknown rhs_ball {rhs_ball!r}")
 
-    def ratio(v, m, w_r, mu_r, mu_b):
+    def finish(total, _, w_r, mu_r, mu_b):
         if w_r <= 0.0:
             return 0.0, True
-        return (weighted_sum(v**p, m) / mu_b) ** (1.0 / p) / (w_r / mu_r), False
+        return (total / mu_b) ** (1.0 / p) / (w_r / mu_r), False
 
     return _functional(
-        "rhi_constant", p, space, w, family, None, ratio,
-        factor=factor,
+        "rhi_constant", p, space, w, family, None,
+        (lambda v, m, c: (v**p * m, None), finish), factor=factor,
     )

@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from wgrkit import Ball, build_family, maximal_function, theorems, weights
-from wgrkit.errors import InvalidParameterError, NoDataError, WgrError
+from wgrkit.errors import EmptyAverageError, InvalidParameterError, NoDataError, WgrError
 from wgrkit.examples import random_weight
 from wgrkit.space import FiniteMetricMeasureSpace, grid_1d
 from wgrkit.weights import (
     Weight,
     gr_epsilon,
+    neg_oscillation_avg,
+    pos_oscillation,
     rhi_constant,
     sublevel_alpha,
     weak_ainfty_beta,
@@ -350,6 +352,135 @@ def test_functionals_and_checkers_match_oracles(
     else:
         run_functionals()
         run_checkers()
+
+
+def _o_rhi_numpy_power(vals, p, factor):
+    """``_o_rhi`` with w^p from numpy's elementwise power, the pass's own
+    operation: numpy's power and the C library's may differ in the last bit."""
+    powers = np.asarray(vals, dtype=float) ** p
+
+    def ratio(space, _, ball, __):
+        w_r, mu_r = _ref(space, vals, ball, factor)
+        if w_r <= 0.0:
+            return 0.0, True
+        members = oracles.ball(space, ball.center, ball.radius)
+        mean_p = math.fsum(
+            float(powers[j]) * float(space.mass[j]) for j in members
+        ) / oracles.measure(space, members)
+        return mean_p ** (1.0 / p) / (w_r / mu_r), False
+
+    return ratio
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_instance(),
+    zeros=st.tuples(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=5)),
+    block=st.sampled_from([1, 2, 3, 5, 8, weights.BLOCK_MEMBERS]),
+    alpha=st.sampled_from([0.25, 0.5, 0.75]),
+    beta=st.sampled_from([0.25, 0.5, 0.75]),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    const=st.floats(min_value=0.01, max_value=0.9),
+    u=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_array_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, beta, p, const, u):
+    """Every per-ball ratio of the six functionals, ``pos_oscillation``,
+    ``neg_oscillation_avg`` and every side of the four implication checkers
+    equals the oracle's bit for bit, with a zero-weight stretch and with
+    blocks small enough that one ball list spans several."""
+    space, vals, balls, sigma = case
+    start, length = zeros
+    vals = vals.copy()
+    vals[start:start + length] = 0.0  # a zero stretch: some dilates weigh nothing
+    lam = const + (1.0 - const) * u
+    ratios = {
+        "wgr": (lambda: wgr_epsilon(space, vals, balls, sigma=sigma), _o_wgr),
+        "wgr_minus": (lambda: wgr_minus_epsilon(space, vals, balls, sigma=sigma), _o_wgr_minus),
+        "gr": (lambda: gr_epsilon(space, vals, balls), _o_gr),
+        "weak_ainfty": (lambda: weak_ainfty_beta(space, vals, balls, alpha, sigma=sigma),
+                        _o_weak_ainfty(alpha)),
+        "sublevel": (lambda: sublevel_alpha(space, vals, balls, beta, sigma=sigma),
+                     _o_sublevel(beta)),
+        "rhi": (lambda: rhi_constant(space, vals, balls, p, sigma=sigma),
+                _o_rhi_numpy_power(vals, p, sigma)),
+    }
+    checkers = {
+        "superlevel_bound": (lambda: theorems.check_superlevel_bound(
+            space, vals, balls, lam, eps=const, sigma=sigma), _o_superlevel_sides(lam, const)),
+        "osc_from_superlevel": (lambda: theorems.check_osc_from_superlevel(
+            space, vals, balls, alpha, beta=const, sigma=sigma),
+            _o_osc_from_superlevel_sides(alpha, const)),
+        "sublevel_bound": (lambda: theorems.check_sublevel_bound(
+            space, vals, balls, lam, eps=const, sigma=sigma), _o_sublevel_sides(lam, const)),
+        "neg_osc_from_sublevel": (lambda: theorems.check_neg_osc_from_sublevel(
+            space, vals, balls, beta, alpha_m=const, sigma=sigma), _o_neg_osc_sides(beta, const)),
+    }
+    blocks = []
+    original_block = weights._block
+
+    def counting(*args):
+        blocks.append(args[3])
+        return original_block(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "BLOCK_MEMBERS", block)
+        patch.setattr(weights, "_block", counting)
+        for name, (call, ratio) in ratios.items():
+            rows = [ratio(space, vals, b, sigma) for b in balls]
+            if all(skip for _, skip in rows):
+                with pytest.raises(NoDataError):
+                    call()
+                continue
+            rep = call()
+            assert rep.per_ball == [(b, r) for b, (r, _) in zip(balls, rows)], name
+            assert rep.skipped == [b for b, (_, skip) in zip(balls, rows) if skip], name
+        for ball in balls:
+            assert pos_oscillation(space, vals, ball, sigma) == oracles.pos_osc(
+                space, vals, ball.center, ball.radius, sigma)
+            assert neg_oscillation_avg(space, vals, ball, sigma) == oracles.neg_osc_avg(
+                space, vals, ball.center, ball.radius, sigma)
+        for name, (call, oracle_sides) in checkers.items():
+            with _recorded_sides() as sides:
+                call()
+            assert sides == [(b, *oracle_sides(space, vals, b, sigma)) for b in balls], name
+    # a block holds at most ``block`` ids unless one ball alone holds more
+    assert all(len(each) == 1 or sum(m.size for m, *_ in each) <= block for each in blocks)
+    if block == 1:
+        assert all(len(each) == 1 for each in blocks)
+
+
+def test_a_superlevel_on_zero_values_alone_is_not_vacuous():
+    """A dilate of zero weight puts every point of B on the superlevel set;
+    with B's values all zero the left side is 0 and the ball is no vacuous pass."""
+    space = grid_1d(0.0, 8.0, 8)
+    vals = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 2.0])
+    balls = [Ball(1, 1.0), Ball(6, 2.0)]
+    with _recorded_sides() as sides:
+        theorems.check_superlevel_bound(space, vals, balls, 0.9, eps=0.5, sigma=2.0)
+    assert sides[0] == (balls[0], 0.0, 0.0, False)
+    assert sides == [(b, *_o_superlevel_sides(0.9, 0.5)(space, vals, b, 2.0)) for b in balls]
+    with _recorded_sides() as sides:
+        theorems.check_sublevel_bound(space, vals, balls, 0.9, eps=0.5, sigma=2.0)
+    assert sides == [(b, *_o_sublevel_sides(0.9, 0.5)(space, vals, b, 2.0)) for b in balls]
+    assert sides[0][1:] == (1.0, 0.9, False)  # B(1, 1) is its center alone
+
+
+def test_an_empty_ball_is_a_vacuous_comparison():
+    """On a distance table whose diagonal is not 0 a ball can miss its center
+    and be empty, with an empty dilate: its sides are zero and vacuous, and
+    an average over it still raises."""
+    table = [[5.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    space = FiniteMetricMeasureSpace([1.0, 1.0, 1.0], distance_matrix=table)
+    vals = np.array([1.0, 2.0, 3.0])
+    balls = [Ball(0, 0.5), Ball(1, 1.5)]
+    assert pos_oscillation(space, vals, balls[0], 2.0) == 0.0
+    with pytest.raises(EmptyAverageError):
+        neg_oscillation_avg(space, vals, balls[0], 2.0)
+    assert wgr_epsilon(space, vals, balls, sigma=2.0).skipped == [balls[0]]
+    for check in (theorems.check_superlevel_bound, theorems.check_sublevel_bound):
+        with _recorded_sides() as sides:
+            check(space, vals, balls, 0.9, eps=0.5, sigma=2.0)
+        assert sides[0] == (balls[0], 0.0, 0.0, True)
 
 
 def test_shared_table_reuses_a_measured_constant(monkeypatch):

@@ -431,6 +431,44 @@ def test_ball_queries_interleaved_match_oracle(case):
         assert space.ball_measure(center, r) == oracles.measure(space, expected)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_space_and_queries(), st.integers(min_value=0, max_value=4))
+def test_member_memo_answers_stay_correct_past_its_bound(case, room):
+    """Every answer is read-only and equals the strict comparison of the
+    center's row; the memo never holds more than its bound, and each entry
+    is charged its ids and one array header."""
+    space, queries = case
+    header = space_module._ARRAY_HEADER_BYTES
+    bound = room * (16 + header)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "MEMBER_MEMO_BYTES", bound)
+        for center, r in queries + queries[::-1]:
+            ids = space.ball_members(center, r)
+            assert not ids.flags.writeable
+            assert ids.tolist() == np.flatnonzero(space.dist_row(center) < r).tolist()
+            assert space._members_bytes <= bound
+    assert space._members_bytes == sum(ids.nbytes + header for ids in space._members.values())
+
+
+def test_member_memo_stops_growing_at_its_bound(monkeypatch):
+    space = grid_1d(0.0, 16.0, 16)
+    header = space_module._ARRAY_HEADER_BYTES
+    # room for the 3-point ball and the 1-point ball, not for the 5-point one
+    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", 4 * 8 + 2 * header)
+    three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
+    five = space.ball_members(8, 2.5)
+    assert (three.tolist(), one.tolist(), five.tolist()) == ([7, 8, 9], [2], [6, 7, 8, 9, 10])
+    assert set(space._members) == {(8, 1.5), (2, 0.5)}
+    assert space._members_bytes == 4 * 8 + 2 * header
+    # a held ball is the memo's array; one past the bound is computed afresh
+    assert space.ball_members(8, 1.5) is three
+    again = space.ball_members(8, 2.5)
+    assert again is not five and again.tolist() == five.tolist() and not again.flags.writeable
+    # measuring a ball leaves the memo as it is
+    assert space.ball_measure(4, 3.5) == 7.0
+    assert set(space._members) == {(8, 1.5), (2, 0.5)}
+
+
 @st.composite
 def _space_and_balls(draw):
     """A small space and a ball list with ratio-2 chains and exact-distance radii.

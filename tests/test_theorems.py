@@ -1,6 +1,9 @@
 """Inequality checkers, special-function oracles, constants chain."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -30,6 +33,7 @@ from wgrkit.errors import (
     WgrError,
 )
 from wgrkit.examples import sawyer_strip
+from wgrkit.space import FiniteMetricMeasureSpace
 
 
 def sin_system(n=128, sigma=1.25, eta=1.0):
@@ -379,6 +383,43 @@ def test_cavalieri_random_weights():
         for p in (1.7, 2.0, 3.0):
             rep = theorems.cavalieri_check(space, w, p)
             assert rep.passed, (seed, p, rep.margin_rel)
+
+
+def _layered_by_level_scan(space, values, p, region):
+    """The layer-cake sum with one scan of the region per distinct positive level."""
+    levels = sorted({v for v in values[region].tolist() if v > 0.0})
+    pieces, prev = [], 0.0
+    for level in np.array(levels):  # numpy floats, as the checker's levels are
+        above = region[values[region] >= level]
+        pieces.append(space.set_measure(above) * (level**p - prev**p))
+        prev = level
+    return math.fsum(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=12),
+    uniform=st.booleans(),
+    p=st.sampled_from([0.5, 1.0, 1.7, 2.0, 3.0]),
+)
+def test_cavalieri_sorted_suffixes_match_the_per_level_scan(data, n, uniform, p):
+    """Ties, zeros, unequal masses and a region subset in any order: the
+    layered sum is the per-level scan's, bit for bit."""
+    mass = np.full(n, 0.75) if uniform else np.array(
+        data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    space = FiniteMetricMeasureSpace(mass, coords=np.arange(n, dtype=float)[:, None],
+                                     metric_kind="euclidean")
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e-3, 7.0]) | st.floats(0.0, 50.0),
+        min_size=n, max_size=n)))
+    region = None
+    if data.draw(st.booleans()):
+        region = data.draw(st.permutations(range(n)).flatmap(
+            lambda ids: st.integers(1, n).map(lambda k: ids[:k])))
+    rep = theorems.cavalieri_check(space, values, p, region)
+    ids = np.arange(n) if region is None else np.asarray(region)
+    assert rep.params["layered"].hex() == _layered_by_level_scan(space, values, p, ids).hex()
 
 
 # -- asymptotics -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import philox
 from wgrkit import cli
 from wgrkit.util import (
+    _csv_cell,
     dumps_canonical,
     format_real,
     fsum,
@@ -17,6 +18,7 @@ from wgrkit.util import (
     philox_uniforms,
     sha256_file,
     weighted_sum,
+    write_csv,
 )
 
 
@@ -31,6 +33,44 @@ def test_format_real_rejects_non_finite():
         format_real(math.nan)
     with pytest.raises(ValueError):
         format_real(math.inf)
+
+
+def _write_csv_cell_by_cell(path, header, rows):
+    """``write_csv`` with every cell through ``_csv_cell`` and one ``writerow`` per row."""
+    import csv
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
+
+
+_CSV_ROWS = [
+    (3, 0.1, np.float64(0.1), "a,b"),
+    (-7, -0.0, np.float64(-2.5e-300), 'say "x"'),
+    (np.int64(12), 1e300, np.float32(0.1), ""),
+    (True, 5e-324, math.inf, None),
+    (0, 123456789.123, -math.inf, "z"),
+    (1, 2.0 / 3.0, math.nan, np.float64(math.inf)),
+]
+
+_CSV_GOLDEN = (
+    b"i,x,y,s\r\n"
+    b"3,0.10000000000000001,0.10000000000000001,\"a,b\"\r\n"
+    b"-7,-0,-2.5e-300,\"say \"\"x\"\"\"\r\n"
+    b"12,1.0000000000000001e+300,0.10000000149011612,\r\n"
+    b"True,4.9406564584124654e-324,inf,\r\n"
+    b"0,123456789.123,-inf,z\r\n"
+    b"1,0.66666666666666663,nan,inf\r\n"
+)
+
+
+def test_write_csv_bytes_match_the_cell_by_cell_writer(tmp_path):
+    write_csv(tmp_path / "fast.csv", ["i", "x", "y", "s"], _CSV_ROWS)
+    _write_csv_cell_by_cell(tmp_path / "slow.csv", ["i", "x", "y", "s"], _CSV_ROWS)
+    assert (tmp_path / "fast.csv").read_bytes() == _CSV_GOLDEN
+    assert (tmp_path / "slow.csv").read_bytes() == _CSV_GOLDEN
 
 
 def test_dumps_canonical_sorted_and_parseable():

@@ -75,6 +75,26 @@ def test_functional_pass_computes_each_row_once(functional, row_calls):
     assert max(Counter(row_calls).values()) == 1
 
 
+def test_a_second_functional_over_a_family_computes_no_row(row_calls):
+    """The first pass fills the member memo; later passes over the same
+    family read B and S from it, or w(S) from the weight's table."""
+    space = grid_nd(2, 12, 1.0, "chebyshev")
+    family = build_family(space, Ball(78, 3.0), eta=1.0, sigma=1.5)
+    w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.4}, 3)
+    row_calls.clear()
+    wgr_epsilon(space, w, family)
+    assert set(row_calls) == {b.center for b in family.members}
+    row_calls.clear()
+    wgr_minus_epsilon(space, w, family)
+    gr_epsilon(space, w, family)
+    sublevel_alpha(space, w, family, 0.5)
+    rhi_constant(space, w, family, 2.0)
+    # a fresh weight sums w(S) again, from the memo's ids
+    weak_ainfty_beta(space, random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.4}, 4),
+                     family, 0.5)
+    assert row_calls == []
+
+
 def test_min_positive_distance_reads_row_blocks_not_rows(row_calls, monkeypatch):
     grid = grid_nd(2, 20, 1.0, "chebyshev")
     # a table space scans all pairs; a coordinate space sweeps (see the next test)
@@ -219,7 +239,8 @@ def test_doubling_profile_measures_each_ball_once(monkeypatch):
     family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.5)
     balls = czdecomp.closure_keys(family)
     queries: list[tuple] = []
-    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
+    # a measure the mu(B) memo lacks is summed from an uncached query
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "_ball_ids", queries)
     doubling_profile(space, balls)
     keys = Counter((int(c), float(r)) for _, c, r in queries)
     assert max(keys.values()) == 1
@@ -328,11 +349,12 @@ def test_family_checks_share_one_table_of_ball_sums(evaluated, monkeypatch, tmp_
 
 
 @contextmanager
-def _queries_inside(monkeypatch, owner, name):
-    """The (center, radius) of every ball query made inside ``owner.name``."""
+def _queries_inside(monkeypatch, owner, name, query_name="ball_members"):
+    """The (center, radius) of every ball query made inside ``owner.name``;
+    ``query_name="_ball_ids"`` lists every query computed, not read from the member memo."""
     inside, queries = [], []
     original_pass = getattr(owner, name)
-    original_query = FiniteMetricMeasureSpace.ball_members
+    original_query = getattr(FiniteMetricMeasureSpace, query_name)
 
     def flagged(*args, **kwargs):
         inside.append(None)
@@ -347,7 +369,7 @@ def _queries_inside(monkeypatch, owner, name):
         return original_query(self, center, r)
 
     monkeypatch.setattr(owner, name, flagged)
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, query_name, query)
     yield queries
 
 
@@ -421,11 +443,11 @@ def _ball_sums(monkeypatch):
     """A Counter of the mass sums over each ball's ids, by (center, radius).
 
     A sum is attributed to a ball when ``set_measure`` receives the very id
-    array that a ball query returned; every returned array is kept alive,
-    so no id is reused.
+    array that a ball query computed, through ``ball_members`` or past its
+    memo; every computed array is kept alive, so no id is reused.
     """
     queried, held, sums = {}, [], Counter()
-    original_query = FiniteMetricMeasureSpace.ball_members
+    original_query = FiniteMetricMeasureSpace._ball_ids
     original_sum = FiniteMetricMeasureSpace.set_measure
 
     def query(self, center, r):
@@ -439,7 +461,7 @@ def _ball_sums(monkeypatch):
             sums[queried[id(members)]] += 1
         return original_sum(self, members)
 
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "_ball_ids", query)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", measure)
     yield sums
 
@@ -456,7 +478,7 @@ def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
     cfg = cli.load_config(str(SMOKE))
     names = [entry["name"] for entry in cfg["checks"]]
     assert names.index("jn_decay") < names.index("rhi_equivalence_observed")
-    with _queries_inside(monkeypatch, theorems, "doubling_profile") as queries, \
+    with _queries_inside(monkeypatch, theorems, "doubling_profile", "_ball_ids") as queries, \
             _ball_sums(monkeypatch) as sums:
         ctx = cli.RunContext(cfg)
         for entry in cfg["checks"][:names.index("rhi_equivalence_observed")]:
