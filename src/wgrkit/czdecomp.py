@@ -40,6 +40,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
+from .util import exact_prefix_sums
 from .weights import _avg, _ball_average, _weight, as_values
 
 
@@ -180,13 +181,15 @@ class _FamilyAverages:
     and ``maximal``, the maximal function of |f| over the family (see
     :func:`maximal_function`).
 
-    The balls at one center are nested, so one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
-    sweep per center gives each ball as a prefix of that center's distance
-    order. The sweep also measures the center's closure balls and their
-    doubles, so :func:`closure_profile` reads every measure from the memo.
-    A ball's ``members`` is a prefix view of one array per center, listed in
-    distance order; every reader uses it as an index set. The table holds
-    no reference to its space or family, which key it weakly on the weight.
+    On a line with finite products, one :meth:`~FiniteMetricMeasureSpace.ball_spans`
+    batch finds and measures every family ball, closure ball and double:
+    ``members`` is a ball's slice, w(B) a span of one exact prefix table of
+    the products. Elsewhere one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
+    sweep per center, which measures its closure balls too, gives each ball
+    as a prefix view of one distance order, and w(B) is an ``fsum`` over it.
+    Either w(B) has ``fsum``'s bits, and :func:`closure_profile` reads only
+    the memo. The table holds no reference to its space or family, which
+    key it weakly on the weight.
     """
 
     def __init__(self, space, f, family: BallFamily):
@@ -198,31 +201,43 @@ class _FamilyAverages:
         self.centers = sorted(by_center)
         chain = _chain_radii(family)
         closure = {*chain, *(2.0 * rho for rho in chain)}
-        # w(B) sums the same once-rounded products as weights._induced; fsum
-        # is correctly rounded, so the distance order gives the same bits
+        # w(B) sums the same once-rounded products as weights._induced
         products = self.values * space.mass
         self.avg: dict[tuple[int, float], float] = {}
-        self.members: dict[tuple[int, float], np.ndarray] = {}
+        self.members: dict[tuple[int, float], slice | np.ndarray] = {}
         self.maximal = np.zeros(space.n_points)
+        line, memo = space.is_line and np.isfinite(products).all(), space._mu
+        if line:
+            keys = [(c, r) for c, radii in by_center.items() for r in closure.union(radii)]
+            spans = dict(zip(keys, zip(*(e.tolist() for e in space.ball_spans(*zip(*keys))))))
+            prefix, scale = exact_prefix_sums(products)
         for c, radii in by_center.items():
-            swept = sorted(closure.union(radii))
-            order, counts = space.ball_prefixes(c, swept)
-            count = dict(zip(swept, counts.tolist()))
             ascending = sorted(radii)
-            ks = [count[r] for r in ascending]
-            # a copy, so the center's full order is not kept alive by the views
-            inside = order[: ks[-1]].copy()
-            p = memoryview(products[inside])
-            for r, k in zip(ascending, ks):
-                self.members[(c, r)] = inside[:k]
-                if k:
-                    self.avg[(c, r)] = _avg(math.fsum(p[:k]), space._mu[(c, r)])
-            # the point of distance rank i lies in every ball of count > i, so it
-            # takes the largest average over the radii from the first such ball up
-            avgs = [self.avg.get((c, r), 0.0) for r in ascending]
-            tail_max = np.maximum.accumulate(avgs[::-1])[::-1]
-            reach = np.repeat(tail_max, [k - j for j, k in zip([0, *ks], ks)])
-            self.maximal[inside] = np.maximum(self.maximal[inside], reach)
+            if line:
+                ends = [spans[(c, r)] for r in ascending]
+                sums = [(prefix[b] - prefix[a]) / scale for a, b in ends]
+                self.members.update({(c, r): slice(*ab) for r, ab in zip(ascending, ends)})
+                outer = slice(*ends[-1])
+            else:
+                swept = sorted(closure.union(radii))
+                order, counts = space.ball_prefixes(c, swept)
+                count = dict(zip(swept, counts.tolist()))
+                ends = [(0, count[r]) for r in ascending]
+                # a copy, so the center's full order is not kept alive by the views
+                outer = order[: ends[-1][1]].copy()
+                p = memoryview(products[outer])
+                sums = [math.fsum(p[:b]) for _, b in ends]
+                self.members.update({(c, r): outer[:b] for r, (_, b) in zip(ascending, ends)})
+            # a point takes the largest average over the balls that hold it: paint
+            # the balls from the outermost in, each with the running maximum
+            first, t = ends[-1][0], 0.0
+            reach = np.empty(ends[-1][1] - first)
+            for r, (a, b), w in zip(ascending[::-1], ends[::-1], sums[::-1]):
+                if b > a:
+                    avg = self.avg[(c, r)] = _avg(w, memo.get((c, r)) or space.ball_measure(c, r))
+                    t = max(t, avg)
+                reach[a - first:b - first] = t
+            self.maximal[outer] = np.maximum(self.maximal[outer], reach)
         self.maximal.setflags(write=False)
 
 
@@ -287,7 +302,7 @@ def _certify(family, table: _FamilyAverages, accepted: list[Ball]) -> list[BallC
 
 def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomposition,
             region: np.ndarray, mf: np.ndarray) -> None:
-    claimed = np.zeros(space.n_points, dtype=bool)
+    claimed, ids = np.zeros(space.n_points, dtype=bool), np.arange(space.n_points)
     e_set = set(level_set(mf, lam, region).tolist())
     five = np.zeros(space.n_points, dtype=bool)
     for cert in dec.certificates:
@@ -296,7 +311,7 @@ def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomp
         if claimed[members].any():
             raise CZConstructionError("selected balls overlap", prop="disjoint", witness=ball)
         claimed[members] = True
-        if not set(members.tolist()) <= e_set:
+        if not set(ids[members].tolist()) <= e_set:
             raise CZConstructionError(
                 "selected ball leaves the superlevel region", prop="i", witness=ball
             )

@@ -25,21 +25,25 @@ of the most recently queried center, so a layer that walks its balls
 center by center (every family, measuring set and closure set is listed
 center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
-uncached. There are two ball queries:
+uncached. There are three ball queries:
 :meth:`~FiniteMetricMeasureSpace.ball_members` returns one ball's ids in
-ascending order, and :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
+ascending order; :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
 the center's row once and returns that order with a count per radius, so
-the nested balls at one center are prefixes of one array. In front of the
+the nested balls at one center are prefixes of one array; on a *line*, 1-d
+coordinates in id order, :meth:`~FiniteMetricMeasureSpace.ball_spans`
+gives a batch of balls as id spans with no distance row. In front of the
 slot, a memo keeps the read-only ids of each ``ball_members`` query, so a
 pass over queried balls computes no row, up to :data:`MEMBER_MEMO_BYTES`
-of ids and array headers. A memo maps ``(center, r)`` to the float mu(B),
-which every layer reads; ``ball_measure`` sums one ball on first use, from
-an uncached query, ``ball_prefixes`` all the radii it sweeps. A space
-freezes private copies of its arrays, so it cannot go stale. On a space
-whose points share one mass m (every generated grid), k points measure
-``k * m`` with no sum: that product and ``fsum`` of k copies of m are both
-the correctly rounded k*m, equal bit for bit. A product that overflows
-falls back to ``fsum``, which raises as before.
+of arrays, keys and dict slots. A memo maps ``(center, r)`` to the float
+mu(B), which every layer reads; ``ball_measure`` sums one ball on first
+use, from an uncached query, ``ball_prefixes`` all the radii it sweeps, and
+on a line :func:`doubling_profile` and the CZ table a batch of spans. A
+space freezes private copies of its arrays, so it cannot go stale. On a
+space whose points share one mass m (every generated grid), k points
+measure ``k * m`` with no sum: that product and ``fsum`` of k copies of m
+are both the correctly rounded k*m, equal bit for bit. A product that
+overflows falls back to ``fsum``, which raises as before. On a line,
+unequal masses are read from one exact prefix table, with ``fsum``'s bits.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -51,6 +55,7 @@ checkers read; reports always record the value they used.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +66,7 @@ from .errors import (
     TooLargeError,
     WgrError,
 )
-from .util import fsum
+from .util import exact_prefix_sums, fsum
 
 METRIC_KINDS = ("euclidean", "chebyshev", "table")
 
@@ -78,9 +83,12 @@ TRIANGLE_RTOL = 4.0 * np.finfo(float).eps
 #: Upper bound on the distances one block of an all-pairs scan holds.
 BLOCK_DISTANCES = 1 << 14
 
-#: Upper bound on the bytes one space's member memo holds: ids plus array headers.
+#: Upper bound on the bytes one space's member memo holds: arrays, keys and dict slots.
 MEMBER_MEMO_BYTES = 1 << 20
-_ARRAY_HEADER_BYTES = np.empty(0, dtype=np.intp).__sizeof__()
+#: What a memo entry costs besides its arrays, at most: the key tuple, its center and radius
+#: (numpy scalars are the largest), and the dict's table, at its first table's share per entry.
+_ENTRY_BYTES = (sys.getsizeof((0, 0.0)) + 2 * sys.getsizeof(np.float64(0.0))
+                + sys.getsizeof({0: 0}) - sys.getsizeof({}))
 
 
 def row_slices(n_rows: int, n_cols: int) -> list[slice]:
@@ -157,10 +165,14 @@ class FiniteMetricMeasureSpace:
             self._dist = dist
             self._dist.setflags(write=False)
             self.metric_kind = "table"
+        # a line, 1-d coordinates in id order, where every ball is an id span (see ball_spans)
+        x = None if coords is None or coords.shape[1] != 1 else coords[:, 0]
+        self.is_line = x is not None and bool((x[1:] >= x[:-1]).all())
         # (center, row) of the last ball query
         self._row_slot: tuple[int, np.ndarray] | None = None
         self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
         self._members, self._members_bytes = {}, 0  # (center, radius) -> ids, and their bytes
+        self._mass_sums = None  # exact_prefix_sums of unequal masses, made on first use
 
     # -- basic structure ---------------------------------------------------
 
@@ -233,7 +245,7 @@ class FiniteMetricMeasureSpace:
         ids = self._members.get((center, r))
         if ids is None:
             ids = self._ball_ids(center, r)
-            cost = ids.nbytes + _ARRAY_HEADER_BYTES
+            cost = sum(a.__sizeof__() for a in (ids, ids.base) if a is not None) + _ENTRY_BYTES
             if self._members_bytes + cost <= MEMBER_MEMO_BYTES:
                 self._members[(center, r)] = ids
                 self._members_bytes += cost
@@ -267,6 +279,49 @@ class FiniteMetricMeasureSpace:
                 # where k * m overflows, set_measure's fsum raises OverflowError
                 memo[(center, r)] = mu if mu != math.inf else self.set_measure(order[:k])
         return order, counts
+
+    def ball_spans(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """On a line, the ends ``lo, hi`` of each ``B(center, r)``, whose ids are
+        ``lo..hi-1``. ``searchsorted`` on ``nextafter``-padded bounds places each
+        end, which then steps by the computed distance, monotone on each side of
+        the center, until no end moves. The memo gains each mu(B) it lacks: ``k * m``
+        on a uniform mass m, else a span of the masses' exact prefix table; one that
+        overflows stays out, for :meth:`ball_measure` to raise."""
+        if not self.is_line:
+            raise WgrError("ball spans need 1-d coordinates in id order")
+        c, r = np.asarray(centers, dtype=np.intp), np.asarray(radii, dtype=float)
+        n, x, m = self.n_points, self._coords[:, 0], self._common_mass
+        if not (r >= 0.0).all():
+            raise WgrError("ball radius must be >= 0")
+        if c.size and not 0 <= c.min() <= c.max() < n:
+            raise IndexError("ball center outside the space")
+        here = self._coords[c]
+
+        def inside(ids):
+            return self._distances(here, self._coords[ids.clip(0, n - 1)]) < r
+
+        with np.errstate(over="ignore"):
+            lo = np.searchsorted(x, np.nextafter(x[c] - r, -np.inf), "left").clip(0, c + 1)
+            hi = np.searchsorted(x, np.nextafter(x[c] + r, np.inf), "right").clip(c, n)
+            while True:  # lo stays in 0..c+1 and hi in c..n; B is empty where lo passes hi
+                lo_step = ((lo <= c) & ~inside(lo)).astype(np.intp) - ((lo > 0) & inside(lo - 1))
+                hi_step = ((hi < n) & inside(hi)).astype(np.intp) - ((hi > c) & ~inside(hi - 1))
+                if not (lo_step.any() or hi_step.any()):
+                    break
+                lo, hi = lo + lo_step, hi + hi_step
+        lo = np.minimum(lo, hi)
+        if m is None and self._mass_sums is None:
+            self._mass_sums = exact_prefix_sums(self._mass)
+        memo, sums = self._mu, self._mass_sums
+        for key, a, b in zip(zip(c.tolist(), r.tolist()), lo.tolist(), hi.tolist()):
+            if key not in memo:
+                try:
+                    mu = (b - a) * m if m is not None else (sums[0][b] - sums[0][a]) / sums[1]
+                except OverflowError:
+                    continue
+                if mu != math.inf:
+                    memo[key] = mu
+        return lo, hi
 
     def set_measure(self, members) -> float:
         """Total mass of a point subset; the empty set has measure 0.
@@ -443,12 +498,22 @@ def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfi
     The profile is relative to the ball set: a richer set can only increase
     it. Every ball must be nonempty. Measures come from the space's memo,
     so on a ratio-2 chain the double of one ball, the next ball, is summed once.
+    On a line, at the first ball or double the memo lacks, every one it lacks
+    from there on is measured in one :meth:`~FiniteMetricMeasureSpace.ball_spans` call.
     """
-    c_mu, memo = 1.0, space._mu  # read first, as ball_measure does: no call per hit
-    for ball in ball_set:
-        c, r = ball if isinstance(ball, tuple) else (ball.center, ball.radius)
-        m1 = memo.get((c, r)) or space.ball_measure(c, r)
+    c_mu, memo, batch = 1.0, space._mu, space.is_line  # read first, as ball_measure does
+    keys = [ball if isinstance(ball, tuple) else (ball.center, ball.radius) for ball in ball_set]
+    for i, (c, r) in enumerate(keys):
+        m1, m2 = memo.get((c, r)), memo.get((c, 2.0 * r))
+        if batch and (m1 is None or m2 is None):
+            batch = False  # a key that cannot be measured is left to ball_measure, to raise in turn
+            rest = np.array(keys[i:], dtype=float).reshape(-1, 2)
+            rest = np.concatenate([rest, rest * (1.0, 2.0)])  # each ball and its double
+            ok = (0.0 <= rest[:, 0]) & (rest[:, 0] < space.n_points) & (rest[:, 1] >= 0.0)
+            space.ball_spans(*rest[ok].T)
+            m1, m2 = memo.get((c, r)), memo.get((c, 2.0 * r))
+        m1 = m1 or space.ball_measure(c, r)
         if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0
             raise EmptyBallError(f"ball (center={c}, radius={r}) is empty")
-        c_mu = max(c_mu, (memo.get((c, 2.0 * r)) or space.ball_measure(c, 2.0 * r)) / m1)
+        c_mu = max(c_mu, (m2 or space.ball_measure(c, 2.0 * r)) / m1)
     return DoublingProfile.from_c_mu(c_mu)

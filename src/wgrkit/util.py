@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +30,19 @@ def fsum(values) -> float:
 def weighted_sum(values: np.ndarray, mass: np.ndarray) -> float:
     """Compensated sum of values*mass, elementwise products rounded once."""
     return math.fsum((np.asarray(values, dtype=float) * mass).tolist())
+
+
+def exact_prefix_sums(values) -> tuple[list[int], int]:
+    """Exact prefix sums of finite doubles: ints ``prefix`` and ``scale`` with
+    ``sum(values[a:b]) == (prefix[b] - prefix[a]) / scale`` before rounding.
+    Int true division rounds that quotient once, half to even, as ``fsum``
+    rounds the sum, so the bits are ``fsum``'s; on nonnegative values both
+    raise ``OverflowError`` past the largest double. (``fsum`` also raises
+    when partial sums of mixed signs overflow.)"""
+    mant, expo = np.frexp(np.asarray(values, dtype=float))
+    low = min(int(expo.min()) - 53, 0) if expo.size else 0
+    shifted = zip((mant * 2.0**53).astype(np.int64).tolist(), (expo - (53 + low)).tolist())
+    return list(accumulate((m << s for m, s in shifted), initial=0)), 1 << -low
 
 
 def format_real(x: float) -> str:
@@ -88,15 +102,16 @@ def _csv_cell(v):
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV with a header row; reals at 17 significant digits,
-    a finite Python float formatted inline, as ``_csv_cell`` would."""
+    """RFC 4180 CSV with a header row; reals at 17 significant digits, a
+    Python int or finite float formatted inline, as ``_csv_cell`` would."""
     import csv  # a command that writes no CSV loads neither csv nor _csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        writer.writerows([format(v, ".17g") if type(v) is float and math.isfinite(v)
-                          else _csv_cell(v) for v in row] for row in rows)
+        writer.writerows([v if type(v) is int else format(v, ".17g")
+                          if type(v) is float and math.isfinite(v) else _csv_cell(v)
+                          for v in row] for row in rows)
 
 
 def sha256(data: bytes = b""):

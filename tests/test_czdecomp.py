@@ -440,7 +440,7 @@ def test_one_weight_shares_one_table_across_the_cz_layer(monkeypatch):
     assert len(builds) == 2
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 
 @settings(max_examples=30, deadline=None)
@@ -508,8 +508,9 @@ def test_closure_profile_is_the_profile_of_the_closure_balls(mass, table_first):
 
 @st.composite
 def _small_spaces(draw):
-    """(mass, geometry keywords, f >= 0): a small space with tied distances."""
-    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table"]))
+    """(mass, geometry keywords, f >= 0): a small space with tied distances.
+    A line, sorted 1-d coordinates with duplicates, takes unequal masses."""
+    kind = draw(st.sampled_from(["euclidean", "chebyshev", "table", "line"]))
     if kind == "table":
         # shortest paths over integer edge lengths: a metric full of ties
         n = draw(st.integers(3, 10))
@@ -520,13 +521,18 @@ def _small_spaces(draw):
         for k in range(n):
             d = np.minimum(d, d[:, k, None] + d[None, k, :])
         geometry = {"distance_matrix": d}
+    elif kind == "line":
+        xs = sorted(draw(st.lists(st.integers(0, 11), min_size=3, max_size=12)))
+        n = len(xs)
+        geometry = {"coords": [[x] for x in xs],
+                    "metric_kind": draw(st.sampled_from(["euclidean", "chebyshev"]))}
     else:
         dim, side = draw(st.sampled_from([(1, 12), (2, 4)]))
         point = st.tuples(*[st.integers(0, side - 1)] * dim)
         coords = draw(st.lists(point, min_size=3, max_size=12, unique=True))
         n = len(coords)
         geometry = {"coords": coords, "metric_kind": kind}
-    if draw(st.booleans()):
+    if kind != "line" and draw(st.booleans()):
         mass = [1.0 / 3.0] * n
     else:
         masses = st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0, 3.0])
@@ -547,6 +553,8 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     swept, per_ball = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(2))
     family = build_family(swept, Ball(center % swept.n_points, radius), eta=eta, sigma=1.0)
     table = czdecomp._averages(swept, f, family)
+    # a line takes the span path, its members slices; every other space the sweep
+    assert all(isinstance(v, slice) == swept.is_line for v in table.members.values())
 
     values = np.asarray(f)
     members, avg = {}, {}
@@ -560,7 +568,8 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     for key, a in avg.items():
         np.maximum.at(mf, list(members[key]), float.fromhex(a))
 
-    assert {k: set(v.tolist()) for k, v in table.members.items()} == members
+    ids = np.arange(swept.n_points)
+    assert {k: set(ids[v].tolist()) for k, v in table.members.items()} == members
     assert {k: v.hex() for k, v in table.avg.items()} == avg
     assert table.maximal.tobytes() == mf.tobytes()
     assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
@@ -569,4 +578,56 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     assert {(c, r) for c, rho in closure for r in (rho, 2.0 * rho)} <= swept._mu.keys()
     assert {k: mu.hex() for k, mu in swept._mu.items()} == {
         k: per_ball.ball_measure(*k).hex() for k in swept._mu
+    }
+
+
+@st.composite
+def _line_and_shuffle(draw):
+    """A line with unequal masses, a weight, and a permutation that unsorts it."""
+    xs = sorted(draw(st.lists(st.integers(0, 15), min_size=3, max_size=14)))
+    n = len(xs)
+    assume(xs[0] < xs[-1])
+    perm = draw(st.permutations(range(n)))
+    assume(any(xs[a] > xs[b] for a, b in zip(perm, perm[1:])))
+    mass = draw(st.lists(st.sampled_from([0.1, 0.25, 1.0 / 3.0, 1.0, 3.0]), min_size=n, max_size=n))
+    f = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    return np.array(xs, float), np.array(mass), np.array(f), np.array(perm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_line_and_shuffle(),
+    kind=st.sampled_from(["euclidean", "chebyshev"]),
+    center=st.integers(0, 13),
+    radius=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_line_spans_and_the_sweep_of_its_shuffle_agree_bit_for_bit(case, kind, center, radius, eta):
+    """Point ``i`` of the shuffled space is point ``perm[i]`` of the line: the
+    line's tables, taken through the spans, and the shuffle's, through the
+    sweep, are the same up to that relabelling."""
+    xs, mass, f, perm = case
+    inv = np.argsort(perm)
+    line = FiniteMetricMeasureSpace(mass, coords=xs[:, None], metric_kind=kind)
+    shuffled = FiniteMetricMeasureSpace(mass[perm], coords=xs[perm][:, None], metric_kind=kind)
+    assert line.is_line and not shuffled.is_line
+    c = center % line.n_points
+    spans = czdecomp._averages(line, f, build_family(line, Ball(c, radius), eta=eta, sigma=1.0))
+    shuffled_family = build_family(shuffled, Ball(int(inv[c]), radius), eta=eta, sigma=1.0)
+    sweep = czdecomp._averages(shuffled, f[perm], shuffled_family)
+    assert all(isinstance(v, slice) for v in spans.members.values())
+    assert not any(isinstance(v, slice) for v in sweep.members.values())
+
+    def relabel(table):
+        return {(int(inv[c]), r): v for (c, r), v in table.items()}
+
+    assert {k: v.hex() for k, v in relabel(spans.avg).items()} == {
+        k: v.hex() for k, v in sweep.avg.items()
+    }
+    assert {k: sorted(inv[v].tolist()) for k, v in relabel(spans.members).items()} == {
+        k: sorted(v.tolist()) for k, v in sweep.members.items()
+    }
+    assert spans.maximal[perm].tobytes() == sweep.maximal.tobytes()
+    assert {k: v.hex() for k, v in relabel(line._mu).items()} == {
+        k: v.hex() for k, v in shuffled._mu.items()
     }

@@ -1,5 +1,6 @@
 """Space construction, balls, measures, doubling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,10 +437,9 @@ def test_ball_queries_interleaved_match_oracle(case):
 def test_member_memo_answers_stay_correct_past_its_bound(case, room):
     """Every answer is read-only and equals the strict comparison of the
     center's row; the memo never holds more than its bound, and each entry
-    is charged its ids and one array header."""
+    is charged its arrays, key and dict slot."""
     space, queries = case
-    header = space_module._ARRAY_HEADER_BYTES
-    bound = room * (16 + header)
+    bound = room * 600
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(space_module, "MEMBER_MEMO_BYTES", bound)
         for center, r in queries + queries[::-1]:
@@ -447,19 +447,26 @@ def test_member_memo_answers_stay_correct_past_its_bound(case, room):
             assert not ids.flags.writeable
             assert ids.tolist() == np.flatnonzero(space.dist_row(center) < r).tolist()
             assert space._members_bytes <= bound
-    assert space._members_bytes == sum(ids.nbytes + header for ids in space._members.values())
+    assert space._members_bytes == sum(
+        ids.__sizeof__() + ids.base.__sizeof__() + space_module._ENTRY_BYTES
+        for ids in space._members.values()
+    )
 
 
 def test_member_memo_stops_growing_at_its_bound(monkeypatch):
     space = grid_1d(0.0, 16.0, 16)
-    header = space_module._ARRAY_HEADER_BYTES
+    three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
+    held = space._members_bytes
+    assert held == 2 * space_module._ENTRY_BYTES + sum(
+        ids.__sizeof__() + ids.base.__sizeof__() for ids in (three, one))
+    space = grid_1d(0.0, 16.0, 16)
     # room for the 3-point ball and the 1-point ball, not for the 5-point one
-    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", 4 * 8 + 2 * header)
+    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", held)
     three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
     five = space.ball_members(8, 2.5)
     assert (three.tolist(), one.tolist(), five.tolist()) == ([7, 8, 9], [2], [6, 7, 8, 9, 10])
     assert set(space._members) == {(8, 1.5), (2, 0.5)}
-    assert space._members_bytes == 4 * 8 + 2 * header
+    assert space._members_bytes == held
     # a held ball is the memo's array; one past the bound is computed afresh
     assert space.ball_members(8, 1.5) is three
     again = space.ball_members(8, 2.5)
@@ -467,6 +474,25 @@ def test_member_memo_stops_growing_at_its_bound(monkeypatch):
     # measuring a ball leaves the memo as it is
     assert space.ball_measure(4, 3.5) == 7.0
     assert set(space._members) == {(8, 1.5), (2, 0.5)}
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_member_memo_charges_bound_the_real_bytes_of_its_entries(n):
+    """What the memo charges covers what its entries allocate, measured by
+    tracemalloc after each entry: the ids and the array they view, the key
+    and its radius, and the dict's table, first table included."""
+    space = grid_1d(0.0, float(n), n)
+    center = n // 2
+    space.ball_mask(center, 1.0)  # the row slot is filled before tracing
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(n // 2):
+            space.ball_members(center, k + 0.5)
+            assert tracemalloc.get_traced_memory()[0] - start <= space._members_bytes
+    finally:
+        tracemalloc.stop()
+    assert len(space._members) == n // 2
 
 
 @st.composite
@@ -698,3 +724,149 @@ def test_closest_pair_sweep_finds_a_pair_below_its_first_axis_gap():
     got = space.min_positive_distance()
     assert got == space.distance(0, 2) < 2.3e-162
     assert got == _all_pairs_min_positive_distance(space)
+
+
+# -- line spaces -----------------------------------------------------------------
+
+
+def _spans_match_rows(space, centers, radii):
+    """Every span of ``ball_spans`` is the strict comparison of its center's row."""
+    lo, hi = space.ball_spans(centers, radii)
+    for c, r, a, b in zip(centers, radii, lo.tolist(), hi.tolist()):
+        assert list(range(a, b)) == np.flatnonzero(space.dist_row(c) < r).tolist(), (c, r)
+
+
+def _every_ball(space):
+    """Each center with radius 0, inf, each computed distance from it and the
+    doubles next to that distance on either side."""
+    centers, radii = [], []
+    for c in range(space.n_points):
+        row = space.dist_row(c).tolist()
+        for d in {0.0, math.inf, *row}:
+            for r in {d, math.nextafter(d, math.inf), math.nextafter(d, 0.0)}:
+                centers.append(c)
+                radii.append(r)
+    return centers, radii
+
+
+#: Pinned line spaces: duplicates, negative and huge coordinates, subnormal
+#: gaps, gaps whose squares underflow to zero or overflow to inf, and
+#: differences beyond the largest double.
+_LINES = {
+    "duplicates": [-1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 3.5],
+    "negative-and-huge": [-1e300, -3.0, -2.5, 7.0, 1e300],
+    "subnormal-gaps": [0.0, 5e-324, 1e-323, 1e-323, 2.5e-323, 1e-310],
+    "squares-underflow": [0.0, 1e-170, 1.5e-162, 2.3e-162, 1e-160],
+    "squares-overflow": [-1e154, 0.0, 1e154, 1.5e154, 1e155],
+    "past-the-largest-double": [-1.7e308, -1.0, 0.0, 1e308, 1.7e308],
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["euclidean", "chebyshev"])
+@pytest.mark.parametrize("xs", list(_LINES.values()), ids=list(_LINES))
+def test_ball_spans_match_the_rows_on_pinned_lines(xs, kind):
+    space = FiniteMetricMeasureSpace(np.ones(len(xs)), coords=np.array(xs)[:, None],
+                                     metric_kind=kind)
+    assert space.is_line
+    _spans_match_rows(space, *_every_ball(space))
+
+
+def test_ball_spans_on_duplicates_radius_zero_and_an_exact_distance():
+    space = FiniteMetricMeasureSpace(np.ones(6), coords=[[0.0], [1.0], [1.0], [1.0], [2.0], [3.0]],
+                                     metric_kind="euclidean")
+    lo, hi = space.ball_spans([2, 2, 2, 0], [0.0, 5e-324, 1.0, 2.0])
+    # r = 0 is empty; the smallest radius holds the duplicates; the open ball
+    # excludes the points at exactly its radius
+    assert list(zip(lo.tolist(), hi.tolist())) == [(2, 2), (1, 4), (1, 4), (0, 4)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["euclidean", "chebyshev"]),
+    st.sampled_from([1.0, 0.1, 1.0 / 3.0, 5e-324, 1e-310, 1.5e-162, 1e154, 4e307]),
+    st.sampled_from([0.0, -7.25, 1e6, -1e300]),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=12),
+)
+def test_ball_spans_match_the_rows_on_lines(kind, scale, offset, ks):
+    xs = [offset + scale * k for k in sorted(ks)]  # rounding is monotone: still sorted
+    space = FiniteMetricMeasureSpace(np.ones(len(xs)), coords=np.array(xs)[:, None],
+                                     metric_kind=kind)
+    assert space.is_line
+    _spans_match_rows(space, *_every_ball(space))
+
+
+def test_ball_spans_need_a_line_a_valid_center_and_nonnegative_radii():
+    line = grid_1d(0.0, 4.0, 4)
+    assert line.is_line
+    unsorted = FiniteMetricMeasureSpace(np.ones(3), coords=[[0.0], [2.0], [1.0]],
+                                        metric_kind="euclidean")
+    table = FiniteMetricMeasureSpace([1.0, 1.0], distance_matrix=[[0.0, 1.0], [1.0, 0.0]])
+    for space in (unsorted, table, grid_nd(2, 2, 1.0, "chebyshev")):
+        assert not space.is_line
+        with pytest.raises(WgrError):
+            space.ball_spans([0], [1.0])
+    with pytest.raises(WgrError):
+        line.ball_spans([0, 1], [1.0, -0.5])
+    for center in (-1, 4):
+        with pytest.raises(IndexError):
+            line.ball_spans([center], [1.0])
+    lo, hi = line.ball_spans([], [])
+    assert lo.size == hi.size == 0
+
+
+@st.composite
+def _line_and_balls(draw):
+    """A line with duplicates and unequal masses, and balls in ratio-2 chains."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    xs = sorted(draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n)))
+    masses = st.sampled_from([0.1, 1.0 / 3.0, 1.0, 3.0])
+    mass = draw(st.one_of(st.just([0.1] * n), st.lists(masses, min_size=n, max_size=n)))
+    space = FiniteMetricMeasureSpace(mass, coords=np.array(xs, float)[:, None],
+                                     metric_kind=draw(st.sampled_from(["euclidean", "chebyshev"])))
+    balls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        center = draw(st.integers(min_value=0, max_value=n - 1))
+        r = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            balls.append((center, r))
+            r *= 2.0
+    return space, balls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_line_and_balls())
+def test_doubling_profile_on_a_line_measures_in_one_batch_with_the_fsum_bits(case):
+    space, balls = case
+    spans = []
+    with pytest.MonkeyPatch.context() as patch:
+        original = FiniteMetricMeasureSpace.ball_spans
+        patch.setattr(FiniteMetricMeasureSpace, "ball_spans",
+                      lambda sp, c, r: spans.append(list(zip(c, r))) or original(sp, c, r))
+        try:
+            c_mu = doubling_profile(space, balls).c_mu
+        except EmptyBallError:
+            c_mu = None
+    ratios = []
+    for c, r in balls:
+        m1 = oracles.measure(space, oracles.ball(space, c, r))
+        if m1 == 0.0:
+            break
+        ratios.append(oracles.measure(space, oracles.ball(space, c, 2.0 * r)) / m1)
+    assert c_mu == (None if len(ratios) < len(balls) else max([1.0, *ratios]))
+    # one batch of every ball and double
+    assert len(spans) == 1
+    assert set(spans[0]) == {k for c, r in balls for k in ((c, r), (c, 2.0 * r))}
+    for (c, r), mu in space._mu.items():
+        ids = np.flatnonzero(space.dist_row(c) < r)
+        assert mu.hex() == math.fsum(space.mass[ids].tolist()).hex()
+
+
+@pytest.mark.parametrize("masses", [[1e308], [1e308, 1.01e308]], ids=["uniform", "unequal"])
+def test_doubling_profile_on_a_line_raises_overflow_where_set_measure_does(masses):
+    space = FiniteMetricMeasureSpace(np.resize(masses, 4), coords=np.arange(4.0)[:, None],
+                                     metric_kind="euclidean")
+    with pytest.raises(OverflowError):
+        doubling_profile(space, [(0, 1.0)])  # one point, and two in its double
+    assert (0, 1.0) in space._mu and (0, 2.0) not in space._mu

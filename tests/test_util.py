@@ -12,6 +12,7 @@ from wgrkit import cli
 from wgrkit.util import (
     _csv_cell,
     dumps_canonical,
+    exact_prefix_sums,
     format_real,
     fsum,
     philox_index,
@@ -94,6 +95,68 @@ def test_fsum_matches_math_fsum():
     data = philox_uniforms(0, 1000) * 1e6
     assert fsum(data) == math.fsum(data.tolist())
     assert weighted_sum(data, np.ones(1000)) == math.fsum(data.tolist())
+
+
+def _span_sums_match_fsum(values):
+    """Every span of the exact prefix table has fsum's bits, or its OverflowError."""
+    prefix, scale = exact_prefix_sums(values)
+    for a in range(len(values) + 1):
+        for b in range(a, len(values) + 1):
+            try:
+                expected = math.fsum(values[a:b]).hex()
+            except OverflowError:
+                expected = "OverflowError"
+            try:
+                got = ((prefix[b] - prefix[a]) / scale).hex()
+            except OverflowError:
+                got = "OverflowError"
+            assert got == expected, (values[a:b], got, expected)
+
+
+_MAX = 1.7976931348623157e308
+_HALF_ULP_OF_MAX = 2.0**970
+
+#: Pinned sums: zeros of both signs, subnormals and their carry into the
+#: normal range, exact half-ulp ties that round down and up to even, and
+#: sums at the largest double: below, at and past its rounding threshold.
+_PINNED_SUMS = {
+    "zeros": [0.0, -0.0, -0.0, 0.0],
+    "subnormals": [5e-324, 5e-324, 2.0**-1073, 2.2250738585072009e-308, 5e-324],
+    "tie-to-even-down": [1.0, 2.0**-53, 0.0],
+    "tie-to-even-up": [1.0 + 2.0**-52, 2.0**-53],
+    "tie-split-over-terms": [1.0, 2.0**-54, 2.0**-54, 2.0**-80],
+    "below-the-largest-double": [_MAX, 2.0**969, 2.0**968],
+    "the-largest-double-tie": [_MAX, _HALF_ULP_OF_MAX],
+    "past-the-largest-double": [_MAX, _MAX, 1.0],
+    "mixed-signs": [1e16, 1.0, -1e16, 3.0, -2.0**-60],
+}
+
+
+@pytest.mark.parametrize("values", list(_PINNED_SUMS.values()), ids=list(_PINNED_SUMS))
+def test_exact_prefix_sums_equal_fsum_on_pinned_sums(values):
+    _span_sums_match_fsum(values)
+
+
+def test_exact_prefix_sums_of_nothing_and_of_zeros():
+    assert exact_prefix_sums([]) == ([0], 1)
+    prefix, scale = exact_prefix_sums([0.0, -0.0])
+    assert prefix == [0, 0, 0] and (prefix[2] - prefix[0]) / scale == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0**-53, _HALF_ULP_OF_MAX, _MAX]),
+), max_size=10))
+def test_exact_prefix_sums_equal_fsum_on_nonnegative_values(values):
+    _span_sums_match_fsum(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=10))
+def test_exact_prefix_sums_equal_fsum_on_mixed_signs_short_of_overflow(values):
+    # fsum also raises when partial sums of mixed signs overflow; these cannot
+    _span_sums_match_fsum(values)
 
 
 def test_philox_stream_reproducible():

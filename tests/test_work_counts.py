@@ -206,7 +206,13 @@ def test_cz_builds_one_family_table_and_one_maximal_function(nested, monkeypatch
 
 
 @pytest.mark.parametrize("nested", [True, False])
-def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path):
+def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path, row_calls):
+    """On a 2-d grid the averages table sweeps each family center once, and
+    the closure profile reads the measures that sweep stored. On a line the
+    table takes every family and closure ball as a span: no sweep, no ball
+    query and no distance row for any of them."""
+    grid = grid_nd(2, 12, 1.0, "chebyshev")
+    grid_family = build_family(grid, Ball(78, 2.5), eta=1.0, sigma=1.0)
     cfg = _cz_config(tmp_path)
     ctx = cli.RunContext(cfg)
     family_keys = {(b.center, b.radius) for b in ctx.family.members}
@@ -214,14 +220,31 @@ def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path):
     queries: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_prefixes", sweeps)
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
-    assert cli.cmd_cz(ctx, tmp_path / "cz_out.json", nested=nested) == 0
+
+    w = random_weight(grid, "lognormal", {"mu": 0.0, "sigma": 0.4}, 3)
+    czdecomp.maximal_function(grid, w, grid_family)
+    czdecomp.closure_profile(grid, grid_family)
     swept = Counter(int(c) for _, c, _ in sweeps)
-    assert swept == Counter({c: 1 for c, _ in family_keys})
-    # the family balls and the closure profile's balls come from the sweeps
+    assert swept == Counter({b.center: 1 for b in grid_family.members})
+    closure = set(czdecomp.closure_keys(grid_family))
+    closure |= {(c, 2.0 * r) for c, r in closure}
+    assert not {(int(c), float(r)) for _, c, r in queries} & (set(grid_family.members) | closure)
+
+    sweeps.clear()
+    queries.clear()
+    row_calls.clear()
+    assert ctx.space.is_line
+    assert cli.cmd_cz(ctx, tmp_path / "cz_out.json", nested=nested) == 0
+    assert sweeps == []
     closure = set(czdecomp.closure_keys(ctx.family))
     closure |= {(c, 2.0 * r) for c, r in closure}
     queried = {(int(c), float(r)) for _, c, r in queries}
     assert not queried & (family_keys | closure)
+    # the rows computed are the base ball's and the 5-dilates' of the stopping balls
+    out = json.loads((tmp_path / "cz_out.json").read_text())
+    levels = [out["low"], out["high"]] if nested else [out]
+    stopping = {b["center"] for level in levels for b in level["balls"]}
+    assert set(row_calls) <= {ctx.family.base_ball.center} | stopping
 
 
 def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
@@ -235,16 +258,27 @@ def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
 
 
 def test_doubling_profile_measures_each_ball_once(monkeypatch):
-    space = grid_1d(0.0, 64.0, 64)
-    family = build_family(space, Ball(32, 8.0), eta=1.0, sigma=1.5)
-    balls = czdecomp.closure_keys(family)
+    """Off a line each ball and double is summed once, from an uncached
+    query; on a line all of them are measured in one batch of spans."""
     queries: list[tuple] = []
+    spans: list[tuple] = []
     # a measure the mu(B) memo lacks is summed from an uncached query
     _counting(monkeypatch, FiniteMetricMeasureSpace, "_ball_ids", queries)
-    doubling_profile(space, balls)
-    keys = Counter((int(c), float(r)) for _, c, r in queries)
-    assert max(keys.values()) == 1
-    assert set(keys) == set(balls) | {(c, 2.0 * r) for c, r in balls}
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_spans", spans)
+    for space in (grid_nd(2, 8, 1.0, "euclidean"), grid_1d(0.0, 64.0, 64)):
+        family = build_family(space, Ball(space.n_points // 2, 3.0), eta=1.0, sigma=1.5)
+        balls = czdecomp.closure_keys(family)
+        queries.clear()
+        doubling_profile(space, balls)
+        expected = set(balls) | {(c, 2.0 * r) for c, r in balls}
+        if space.is_line:
+            assert queries == [] and len(spans) == 1
+            _, centers, radii = spans[0]
+            assert set(zip(centers, radii)) == expected
+        else:
+            keys = Counter((int(c), float(r)) for _, c, r in queries)
+            assert max(keys.values()) == 1
+            assert set(keys) == expected
 
 
 def _decay_config(tmp_path, checks) -> dict:
