@@ -453,7 +453,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
             name, params = entry["name"], entry.get("params", {})
             try:
                 report, extra_tables = run_check(name, ctx, params)
-            except WgrError as exc:
+            except (WgrError, OverflowError) as exc:  # OverflowError: a sum past the largest double
                 report = CheckReport(
                     name=name, passed=False, margin=float("-inf"),
                     params={"error": type(exc).__name__},
@@ -738,7 +738,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except WgrError as exc:
+    except (WgrError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -40,7 +40,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .util import exact_prefix_sums
+from .util import span_sum
 from .weights import _avg, _ball_average, _weight, as_values
 
 
@@ -181,10 +181,10 @@ class _FamilyAverages:
     and ``maximal``, the maximal function of |f| over the family (see
     :func:`maximal_function`).
 
-    On a line with finite products, one :meth:`~FiniteMetricMeasureSpace.ball_spans`
+    On a line with a prefix table of the products, one :meth:`~FiniteMetricMeasureSpace.ball_spans`
     batch finds and measures every family ball, closure ball and double:
-    ``members`` is a ball's slice, w(B) a span of one exact prefix table of
-    the products. Elsewhere one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
+    ``members`` is a ball's slice, w(B) a span of the weight's table, the one
+    the ball pass reads. Elsewhere one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
     sweep per center, which measures its closure balls too, gives each ball
     as a prefix view of one distance order, and w(B) is an ``fsum`` over it.
     Either w(B) has ``fsum``'s bits, and :func:`closure_profile` reads only
@@ -206,16 +206,15 @@ class _FamilyAverages:
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], slice | np.ndarray] = {}
         self.maximal = np.zeros(space.n_points)
-        line, memo = space.is_line and np.isfinite(products).all(), space._mu
-        if line:
+        table, memo = f._span_sums(space) if space.is_line else None, space._mu
+        if table is not None:
             keys = [(c, r) for c, radii in by_center.items() for r in closure.union(radii)]
             spans = dict(zip(keys, zip(*(e.tolist() for e in space.ball_spans(*zip(*keys))))))
-            prefix, scale = exact_prefix_sums(products)
         for c, radii in by_center.items():
             ascending = sorted(radii)
-            if line:
+            if table is not None:
                 ends = [spans[(c, r)] for r in ascending]
-                sums = [(prefix[b] - prefix[a]) / scale for a, b in ends]
+                sums = [span_sum(*table, a, b) for a, b in ends]
                 self.members.update({(c, r): slice(*ab) for r, ab in zip(ascending, ends)})
                 outer = slice(*ends[-1])
             else:

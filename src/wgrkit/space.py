@@ -31,13 +31,14 @@ ascending order; :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
 the center's row once and returns that order with a count per radius, so
 the nested balls at one center are prefixes of one array; on a *line*, 1-d
 coordinates in id order, :meth:`~FiniteMetricMeasureSpace.ball_spans`
-gives a batch of balls as id spans with no distance row. In front of the
-slot, a memo keeps the read-only ids of each ``ball_members`` query, so a
-pass over queried balls computes no row, up to :data:`MEMBER_MEMO_BYTES`
-of arrays, keys and dict slots. A memo maps ``(center, r)`` to the float
-mu(B), which every layer reads; ``ball_measure`` sums one ball on first
-use, from an uncached query, ``ball_prefixes`` all the radii it sweeps, and
-on a line :func:`doubling_profile` and the CZ table a batch of spans. A
+gives a batch of balls as id spans with no distance row; there the ball
+pass (``weights._ball_map``), the CZ table and :func:`doubling_profile` read
+it. In front of the slot, a memo keeps the read-only ids of each
+``ball_members`` query, so a pass over queried balls computes no row, up to
+:data:`MEMBER_MEMO_BYTES` of arrays, keys and the dict's table as inserts
+grow it. A memo maps ``(center, r)`` to the float mu(B), which every layer
+reads; ``ball_measure`` sums one ball on first use, from an uncached query,
+``ball_prefixes`` all the radii it sweeps, and ``ball_spans`` its batch. A
 space freezes private copies of its arrays, so it cannot go stale. On a
 space whose points share one mass m (every generated grid), k points
 measure ``k * m`` with no sum: that product and ``fsum`` of k copies of m
@@ -66,7 +67,7 @@ from .errors import (
     TooLargeError,
     WgrError,
 )
-from .util import exact_prefix_sums, fsum
+from .util import exact_prefix_sums, fsum, span_sum
 
 METRIC_KINDS = ("euclidean", "chebyshev", "table")
 
@@ -83,12 +84,10 @@ TRIANGLE_RTOL = 4.0 * np.finfo(float).eps
 #: Upper bound on the distances one block of an all-pairs scan holds.
 BLOCK_DISTANCES = 1 << 14
 
-#: Upper bound on the bytes one space's member memo holds: arrays, keys and dict slots.
+#: Upper bound on the bytes one space's member memo holds: arrays, keys and the dict's table.
 MEMBER_MEMO_BYTES = 1 << 20
-#: What a memo entry costs besides its arrays, at most: the key tuple, its center and radius
-#: (numpy scalars are the largest), and the dict's table, at its first table's share per entry.
-_ENTRY_BYTES = (sys.getsizeof((0, 0.0)) + 2 * sys.getsizeof(np.float64(0.0))
-                + sys.getsizeof({0: 0}) - sys.getsizeof({}))
+#: A memo key's bytes, at most: the tuple, its center and radius (numpy scalars are the largest).
+_KEY_BYTES = sys.getsizeof((0, 0.0)) + 2 * sys.getsizeof(np.float64(0.0))
 
 
 def row_slices(n_rows: int, n_cols: int) -> list[slice]:
@@ -171,7 +170,8 @@ class FiniteMetricMeasureSpace:
         # (center, row) of the last ball query
         self._row_slot: tuple[int, np.ndarray] | None = None
         self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
-        self._members, self._members_bytes = {}, 0  # (center, radius) -> ids, and their bytes
+        # (center, radius) -> ids, their bytes, and how far the next insert grows the table if known
+        self._members, self._members_bytes, self._members_grow = {}, 0, 0
         self._mass_sums = None  # exact_prefix_sums of unequal masses, made on first use
 
     # -- basic structure ---------------------------------------------------
@@ -242,13 +242,19 @@ class FiniteMetricMeasureSpace:
 
     def ball_members(self, center: int, r: float) -> np.ndarray:
         """Point ids strictly inside B(center, r), ascending, read-only, memoized."""
-        ids = self._members.get((center, r))
+        memo, ids = self._members, self._members.get((center, r))
         if ids is None:
             ids = self._ball_ids(center, r)
-            cost = sum(a.__sizeof__() for a in (ids, ids.base) if a is not None) + _ENTRY_BYTES
-            if self._members_bytes + cost <= MEMBER_MEMO_BYTES:
-                self._members[(center, r)] = ids
-                self._members_bytes += cost
+            cost = sum(a.__sizeof__() for a in (ids, ids.base) if a is not None) + _KEY_BYTES
+            if self._members_bytes + cost + self._members_grow <= MEMBER_MEMO_BYTES:
+                before = sys.getsizeof(memo)
+                memo[(center, r)] = ids
+                grow = sys.getsizeof(memo) - before  # the dict's table, as the insert grew it
+                if self._members_bytes + cost + grow <= MEMBER_MEMO_BYTES:
+                    self._members_bytes, self._members_grow = self._members_bytes + cost + grow, 0
+                else:  # undone, in a copy sized as the table was; this growth is now known
+                    del memo[(center, r)]
+                    self._members, self._members_grow = dict(memo), grow
         return ids
 
     def _ball_ids(self, center: int, r: float) -> np.ndarray:
@@ -309,18 +315,14 @@ class FiniteMetricMeasureSpace:
                 if not (lo_step.any() or hi_step.any()):
                     break
                 lo, hi = lo + lo_step, hi + hi_step
-        lo = np.minimum(lo, hi)
-        if m is None and self._mass_sums is None:
-            self._mass_sums = exact_prefix_sums(self._mass)
-        memo, sums = self._mu, self._mass_sums
-        for key, a, b in zip(zip(c.tolist(), r.tolist()), lo.tolist(), hi.tolist()):
-            if key not in memo:
-                try:
-                    mu = (b - a) * m if m is not None else (sums[0][b] - sums[0][a]) / sums[1]
-                except OverflowError:
-                    continue
-                if mu != math.inf:
-                    memo[key] = mu
+            lo = np.minimum(lo, hi)
+            if m is None and self._mass_sums is None:
+                self._mass_sums = exact_prefix_sums(self._mass)
+            # k * m in float64 is Python's k * m; a measure stored again has the same bits
+            mus = ((hi - lo) * m).tolist() if m is not None else [
+                span_sum(*self._mass_sums, None, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        self._mu.update({key: mu for key, mu in zip(zip(c.tolist(), r.tolist()), mus)
+                         if mu != math.inf})
         return lo, hi
 
     def set_measure(self, members) -> float:

@@ -41,8 +41,10 @@ from .weights import (
     _ball_map,
     _neg_terms,
     _pos_terms,
+    _ratios,
     _resolve_sigma,
     _weight,
+    _WGR,
     as_values,
     family_balls,
     rhi_constant,
@@ -528,7 +530,8 @@ def check_cover_rhi(
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
     Every eps is read through the weight's one table of ball sums on the
-    space, so a dilate shared by the base and piece systems is summed once.
+    space, so a dilate shared by the base and piece systems is summed once;
+    one pass fills the ratios of every system's balls before each takes its sup.
     """
     space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
     if not sigma > 1.0:
@@ -542,9 +545,11 @@ def check_cover_rhi(
         build_ball_system(space, build_family(space, b, eta, sigma), profile=system.profile)
         for b in cover
     ]
-    measured = eps is None
+    measured, systems = eps is None, [system, *sub_systems]
     if measured:
-        eps = max(_system_eps(each, w) for each in [system, *sub_systems])
+        union = sorted({b for each in systems for b in each.measuring})  # filled with no sup
+        _ratios("wgr_epsilon", None, space, w, union, float(sigma), _WGR)
+        eps = max(_system_eps(each, w) for each in systems)
     params = {
         "sigma": sigma,
         "eta": eta,

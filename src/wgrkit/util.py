@@ -45,6 +45,15 @@ def exact_prefix_sums(values) -> tuple[list[int], int]:
     return list(accumulate((m << s for m, s in shifted), initial=0)), 1 << -low
 
 
+def span_sum(prefix: list[int], scale: int, terms, a: int, b: int) -> float:
+    """``fsum(terms[a:b])`` from the :func:`exact_prefix_sums` of ``terms``, with its bits; past
+    the largest double, ``fsum``'s own OverflowError, or inf when ``terms`` is None."""
+    try:
+        return (prefix[b] - prefix[a]) / scale
+    except OverflowError:
+        return math.inf if terms is None else math.fsum(terms[a:b].tolist())
+
+
 def format_real(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"non-finite real in output: {x!r}")

@@ -22,7 +22,9 @@ under ``w -> c w`` and ``mass -> c mass``.
 
 Each functional and implication checker is one array pass of a kernel over
 its balls: elementwise terms, an ``fsum`` and a ``finish`` per ball, with
-the bits of a ball-by-ball evaluation (see :func:`_ball_map`).
+the bits of a ball-by-ball evaluation (see :func:`_ball_map`). On a line a
+pass takes B and S as id spans and w(S) from the weight's exact prefix table
+of ``values * mass``, which the CZ averages table reads too.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import Frozen, weighted_sum
+from .util import Frozen, exact_prefix_sums, span_sum, weighted_sum
 
 
 class Weight(Frozen):
@@ -67,6 +69,17 @@ class Weight(Frozen):
     def _sums(self, space: FiniteMetricMeasureSpace) -> _BallSums:
         """This weight's table of ball sums on ``space``, made on first use."""
         return self._tables.setdefault(space, _BallSums())
+
+    def _span_sums(self, space: FiniteMetricMeasureSpace):
+        """``(prefix, scale, products)`` for :func:`~wgrkit.util.span_sum`, the products ``values *
+        mass`` on ``space``; made once, None where one is not finite, or -0.0, which fsum keeps."""
+        sums = self._sums(space)
+        if sums.prefix is None:
+            with np.errstate(over="ignore"):  # an overflow means no table, and no warning
+                products = self.values * space.mass
+            ok = np.isfinite(products).all() and not np.signbit(products).any()
+            sums.prefix = (*exact_prefix_sums(products), products) if ok else ()
+        return sums.prefix or None
 
 
 def _weight(w) -> Weight:
@@ -117,13 +130,14 @@ class _BallSums:
     evaluates none. These hold floats only, never member arrays.
     ``families`` maps a :class:`BallFamily`, weakly, to the weight's CZ
     averages table over it (``czdecomp._averages``), so a family's table
-    goes with the family.
+    goes with the family; ``prefix`` is :meth:`Weight._span_sums`'s table, or ``()``.
     """
 
     def __init__(self):
         self.balls: dict[tuple[int, float], float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
         self.families: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.prefix = None
 
 
 #: Upper bound on the member ids one block of a ball pass holds, B's and S's together.
@@ -146,15 +160,27 @@ def _ball_map(
     of a ball-by-ball pass: each term is the same IEEE operation on the
     same operands, numpy's float division is Python's, and ``fsum`` is
     correctly rounded, so neither term order nor +0.0 terms change a sum.
+    B and S are id arrays from ``ball_members``, but on a line with a prefix
+    table (:meth:`Weight._span_sums`) spans from one ``ball_spans`` call, and
+    a block's ids one expression over its B's, with no array per ball.
     """
     sums, memo, out = w._sums(space), space._mu, []
+    table = w._span_sums(space) if space.is_line and balls else None
+    if table is not None:
+        need = [k for k in dict.fromkeys((c, factor * r) for c, r in balls) if k not in sums.balls]
+        lo, hi = (e.tolist() for e in space.ball_spans(*zip(*need, *balls)))
+        sums.balls.update((k, span_sum(*table, a, b)) for k, a, b in zip(need, lo, hi))
+        spans = map(range, lo[len(need):], hi[len(need):])
     block, pending, held = [], {}, 0
     for c, r in balls:
-        key_s = (c, factor * r)
-        members, s_ids = space.ball_members(c, r), None
-        if key_s not in pending and key_s not in sums.balls:
-            s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
-        size = members.size + (0 if s_ids is None else s_ids.size)
+        key_s, s_ids = (c, factor * r), None
+        if table is not None:
+            members = next(spans)
+        else:
+            members = space.ball_members(c, r)
+            if key_s not in pending and key_s not in sums.balls:
+                s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
+        size = len(members) + (0 if s_ids is None else len(s_ids))
         if block and held + size > BLOCK_MEMBERS:
             out += _block(space, w.values, sums, block, pending, kernel)
             block, pending, held = [], {}, 0
@@ -180,8 +206,12 @@ def _block(space, values, sums: _BallSums, block: list, pending: dict, kernel) -
     """One block of :func:`_ball_map`: the pending w(S) into the table, then
     each ball's total and hit, handed to ``finish``."""
     terms, finish = kernel
-    s_sizes, sizes = [s.size for s in pending.values()], [b[0].size for b in block]
-    ids = np.concatenate([*pending.values(), *(b[0] for b in block)])
+    s_sizes, sizes = [len(s) for s in pending.values()], [len(b[0]) for b in block]
+    if isinstance(block[0][0], range):  # spans, with no S pending: no id array per ball
+        ids = np.repeat(np.subtract([b[0].start for b in block], np.cumsum(sizes) - sizes),
+                        sizes) + np.arange(sum(sizes))
+    else:
+        ids = np.concatenate([*pending.values(), *(b[0] for b in block)])
     v, m, cut = values[ids], space.mass[ids], sum(s_sizes)
     sums.balls.update(zip(pending, _fsums(v[:cut] * m[:cut], s_sizes)))
     w_s = [sums.balls[key_s] for _, key_s, _, _ in block]
@@ -305,18 +335,25 @@ def _functional(
 ) -> ConditionReport:
     """The sup report of ``kernel`` over one pass, with S = sigma B unless ``factor``.
 
-    The kernel's ``finish`` returns ``(ratio, skipped)``. Each distinct ball
-    is evaluated once, and only if the weight's table on ``space`` holds no
-    ratio for it; the new ratios are recorded there.
+    The kernel's ``finish`` returns ``(ratio, skipped)``.
     """
     balls = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
-    w = _weight(w)
+    memo = _ratios(name, param, space, _weight(w), balls, factor, kernel)
+    return _sup_report(balls, [memo[b] for b in balls])
+
+
+def _ratios(name: str, param, space, w: Weight, balls, factor: float, kernel) -> dict:
+    """The weight's ratios on ``space`` for ``(name, param, factor)``, holding every ball of
+    ``balls``: each distinct ball it lacks is evaluated once, in one pass, and recorded."""
     memo = w._sums(space).ratios.setdefault((name, param, factor), {})
     missing = list(dict.fromkeys(b for b in balls if b not in memo))
     memo.update(zip(missing, _ball_map(space, w, missing, factor, kernel)))
-    results = [memo[b] for b in balls]
-    return _sup_report(balls, results)
+    return memo
+
+
+_WGR = (_pos_terms, _over_w_s)  # the kernel of wgr_epsilon, whose ratios _ratios also fills
+
 
 
 def wgr_epsilon(
@@ -327,9 +364,7 @@ def wgr_epsilon(
     Every functional reads and fills the table of ball sums that ``w`` keeps
     for ``space``; a bare array starts with an empty one.
     """
-    return _functional(
-        "wgr_epsilon", None, space, w, family, sigma, (_pos_terms, _over_w_s)
-    )
+    return _functional("wgr_epsilon", None, space, w, family, sigma, _WGR)
 
 
 def wgr_minus_epsilon(

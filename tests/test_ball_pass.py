@@ -22,6 +22,7 @@ import oracles
 from wgrkit import Ball, build_family, maximal_function, theorems, weights
 from wgrkit.errors import EmptyAverageError, InvalidParameterError, NoDataError, WgrError
 from wgrkit.examples import random_weight
+from wgrkit.balls import five_r_cover
 from wgrkit.space import FiniteMetricMeasureSpace, grid_1d
 from wgrkit.weights import (
     Weight,
@@ -72,6 +73,28 @@ def _instance(draw):
         if draw(st.booleans()):
             r = oracles.distance(space, center, draw(st.integers(min_value=0, max_value=n - 1)))
         if r <= 0.0:
+            r = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+        balls.append(Ball(center, r))
+    sigma = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    return space, values, balls, sigma
+
+
+@st.composite
+def _line_instance(draw):
+    """A line, 1-d coordinates in id order: duplicate coordinates, unequal masses,
+    some zero weights, and radii often exactly a pairwise distance."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    coords = sorted(draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)))
+    mass = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n))
+    space = FiniteMetricMeasureSpace(mass, coords=[[x] for x in coords],
+                                     metric_kind=draw(st.sampled_from(["euclidean", "chebyshev"])))
+    values = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=20.0)), min_size=n, max_size=n)))
+    balls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        center = draw(st.integers(min_value=0, max_value=n - 1))
+        r = oracles.distance(space, center, draw(st.integers(min_value=0, max_value=n - 1)))
+        if r <= 0.0 or draw(st.booleans()):
             r = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
         balls.append(Ball(center, r))
     sigma = draw(st.sampled_from([1.0, 1.5, 2.0]))
@@ -388,6 +411,43 @@ def test_array_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, b
     ``neg_oscillation_avg`` and every side of the four implication checkers
     equals the oracle's bit for bit, with a zero-weight stretch and with
     blocks small enough that one ball list spans several."""
+    assert not case[0].is_line  # two axes or a table: each ball's ids are queried
+    _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_line_instance(),
+    zeros=st.tuples(st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=6)),
+    block=st.sampled_from([1, 2, 3, 5, 8, weights.BLOCK_MEMBERS]),
+    alpha=st.sampled_from([0.25, 0.5, 0.75]),
+    beta=st.sampled_from([0.25, 0.5, 0.75]),
+    p=st.sampled_from([1.5, 2.0, 3.0]),
+    const=st.floats(min_value=0.01, max_value=0.9),
+    u=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_line_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, beta, p, const, u):
+    """The same on a line, where every pass gathers B and S as id spans and reads
+    w(S) from the weight's prefix table: no ball's ids are queried, and each
+    block's balls are spans."""
+    space = case[0]
+    assert space.is_line
+    queried = []
+    original = FiniteMetricMeasureSpace._ball_ids
+
+    def query(self, center, r):
+        queried.append((center, r))
+        return original(self, center, r)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteMetricMeasureSpace, "_ball_ids", query)
+        blocks = _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u)
+    assert blocks and all(isinstance(m, range) for each in blocks for m, *_ in each)
+    assert queried == []
+
+
+def _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u):
+    """The body of the two tests above; returns the blocks of every pass."""
     space, vals, balls, sigma = case
     start, length = zeros
     vals = vals.copy()
@@ -444,9 +504,45 @@ def test_array_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, b
                 call()
             assert sides == [(b, *oracle_sides(space, vals, b, sigma)) for b in balls], name
     # a block holds at most ``block`` ids unless one ball alone holds more
-    assert all(len(each) == 1 or sum(m.size for m, *_ in each) <= block for each in blocks)
+    assert all(len(each) == 1 or sum(len(m) for m, *_ in each) <= block for each in blocks)
     if block == 1:
         assert all(len(each) == 1 for each in blocks)
+    return blocks
+
+
+def test_line_dilate_sums_keep_the_sign_of_fsum():
+    """w(S) on a line has ``fsum``'s bits, the sign of a zero too: a weight with
+    -0.0 values, whose ``fsum`` over them is -0.0, gets no prefix table."""
+    space = grid_1d(0.0, 12.0, 12)
+    for zero in (0.0, -0.0):
+        vals = np.array([2.0] * 4 + [zero] * 6 + [1.0] * 2)
+        w = Weight(vals)
+        wgr_epsilon(space, w, [Ball(c, 1.0) for c in range(12)], sigma=2.0)
+        assert (w._span_sums(space) is None) is (math.copysign(1.0, zero) < 0)
+        for (c, r), w_s in w._sums(space).balls.items():
+            ids = oracles.ball(space, c, r)
+            assert np.float64(w_s).tobytes() == np.float64(
+                math.fsum(vals[j] * space.mass[j] for j in ids)).tobytes()
+
+
+def test_a_cover_piece_whose_balls_are_all_skipped_raises_no_data():
+    """The cover's one ratio pass fills every system's balls, but each eps is the
+    sup over its own system: a piece on a zero stretch has none, and the check
+    raises as each system's own pass would."""
+    space, sigma, eta = grid_1d(0.0, 64.0, 64), 1.25, 1.0
+    base = Ball(32, 20.0)
+    piece = five_r_cover(space, base, sigma, eta)[0]
+    vals = np.ones(64)
+    vals[max(0, piece.center - 10):piece.center + 11] = 0.0
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
+    w = Weight(vals)
+    assert wgr_epsilon(space, w, system.measuring, sigma=sigma).n_skipped < len(system.measuring)
+    with pytest.raises(NoDataError):
+        wgr_epsilon(space, Weight(vals), theorems.build_ball_system(
+            space, build_family(space, piece, eta, sigma), profile=system.profile).measuring,
+            sigma=sigma)
+    with pytest.raises(NoDataError):
+        theorems.check_cover_rhi(system, w, 1.5)
 
 
 def test_a_superlevel_on_zero_values_alone_is_not_vacuous():

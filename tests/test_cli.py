@@ -397,6 +397,39 @@ def test_custom_weight_of_the_wrong_length_exits_one(tmp_path, capsys, n_values)
     assert not (tmp_path / "run").exists()
 
 
+def test_sums_past_the_largest_double_fail_their_checks_alone(tmp_path, capsys):
+    """Every value 1.5e308, so each ball sum overflows: on a line (spans of the
+    prefix table) and on its reversed copy, which is not one (fsum over queried
+    ids), each check reports the same OverflowError, byte for byte, and the run
+    writes its manifest; the single-check subcommand exits 1 with the error, and
+    no traceback is printed."""
+    reports = []
+    for reverse in (False, True):
+        points = [[i + 0.5] for i in range(16)][::-1 if reverse else 1]
+        space = {"points": points, "distance_matrix": None, "mass": [1.0] * 16,
+                 "metric_kind": "euclidean"}
+        cfg = smoke_config(
+            tmp_path,
+            instance={"kind": "custom", "params": {"space": space, "weight": [1.5e308] * 16}},
+            geometry={"sigma": 1.5, "eta": 1.0,
+                      "base_ball": {"center": 7 if reverse else 8, "radius": 4.0}},
+            checks=[{"name": "wgr", "params": {}}, {"name": "gr", "params": {}}],
+        )
+        assert cli.RunContext(cli.load_config(str(cfg))).space.is_line is not reverse
+        out = tmp_path / f"run{int(reverse)}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("FAILED checks; first failing report: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["check_gr.json", "check_wgr.json"]
+        reports.append([(out / f"check_{name}.json").read_bytes() for name in ("wgr", "gr")])
+        assert main(["check", "wgr", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 1
+        assert capsys.readouterr().err == "OverflowError: intermediate overflow in fsum\n"
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0][0])
+    assert (report["passed"], report["params"], report["notes"]) == (
+        False, {"error": "OverflowError"}, "intermediate overflow in fsum")
+
+
 def test_check_subcommand(tmp_path):
     cfg = smoke_config(tmp_path)
     out = tmp_path / "single"

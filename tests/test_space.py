@@ -1,5 +1,6 @@
 """Space construction, balls, measures, doubling."""
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -437,7 +438,7 @@ def test_ball_queries_interleaved_match_oracle(case):
 def test_member_memo_answers_stay_correct_past_its_bound(case, room):
     """Every answer is read-only and equals the strict comparison of the
     center's row; the memo never holds more than its bound, and each entry
-    is charged its arrays, key and dict slot."""
+    is charged its arrays and key, and the dict's table its inserts grew."""
     space, queries = case
     bound = room * 600
     with pytest.MonkeyPatch.context() as patch:
@@ -448,17 +449,18 @@ def test_member_memo_answers_stay_correct_past_its_bound(case, room):
             assert ids.tolist() == np.flatnonzero(space.dist_row(center) < r).tolist()
             assert space._members_bytes <= bound
     assert space._members_bytes == sum(
-        ids.__sizeof__() + ids.base.__sizeof__() + space_module._ENTRY_BYTES
+        ids.__sizeof__() + ids.base.__sizeof__() + space_module._KEY_BYTES
         for ids in space._members.values()
-    )
+    ) + sys.getsizeof(space._members) - sys.getsizeof({})
 
 
 def test_member_memo_stops_growing_at_its_bound(monkeypatch):
     space = grid_1d(0.0, 16.0, 16)
     three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
     held = space._members_bytes
-    assert held == 2 * space_module._ENTRY_BYTES + sum(
-        ids.__sizeof__() + ids.base.__sizeof__() for ids in (three, one))
+    assert held == 2 * space_module._KEY_BYTES + sum(
+        ids.__sizeof__() + ids.base.__sizeof__() for ids in (three, one)
+    ) + sys.getsizeof(space._members) - sys.getsizeof({})
     space = grid_1d(0.0, 16.0, 16)
     # room for the 3-point ball and the 1-point ball, not for the 5-point one
     monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", held)
@@ -474,6 +476,21 @@ def test_member_memo_stops_growing_at_its_bound(monkeypatch):
     # measuring a ball leaves the memo as it is
     assert space.ball_measure(4, 3.5) == 7.0
     assert set(space._members) == {(8, 1.5), (2, 0.5)}
+
+
+def test_member_memo_undoes_an_insert_whose_table_growth_passes_its_bound(monkeypatch):
+    """An entry whose arrays and key fit, but not with the table its insert grew,
+    is undone and the table shrunk back, and the growth is remembered."""
+    space = grid_1d(0.0, 16.0, 16)
+    ids = space.ball_members(8, 1.5)
+    cost = ids.__sizeof__() + ids.base.__sizeof__() + space_module._KEY_BYTES
+    space = grid_1d(0.0, 16.0, 16)
+    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", cost)
+    assert space.ball_members(8, 1.5).tolist() == [7, 8, 9]
+    assert space._members == {} and space._members_bytes == 0
+    assert sys.getsizeof(space._members) == sys.getsizeof({}) < space._members_grow
+    assert space.ball_members(2, 0.5).tolist() == [2]
+    assert space._members == {} and space._members_bytes == 0
 
 
 @pytest.mark.parametrize("n", [16, 512])

@@ -382,13 +382,21 @@ def test_family_checks_share_one_table_of_ball_sums(evaluated, monkeypatch, tmp_
         assert [v for k, v in report["params"].items() if k.endswith("_measured")] == [True]
 
 
+def _span_keys(centers, radii) -> list[tuple[int, float]]:
+    """The (center, radius) of each entry of one ``ball_spans`` call, in order."""
+    return list(zip(np.asarray(centers, dtype=np.intp).tolist(),
+                    np.asarray(radii, dtype=float).tolist()))
+
+
 @contextmanager
 def _queries_inside(monkeypatch, owner, name, query_name="ball_members"):
-    """The (center, radius) of every ball query made inside ``owner.name``;
-    ``query_name="_ball_ids"`` lists every query computed, not read from the member memo."""
+    """The (center, radius) of every ball query made inside ``owner.name``, and of
+    each entry of its ``ball_spans`` calls, ball by ball; ``query_name="_ball_ids"``
+    lists every query computed, not read from the member memo."""
     inside, queries = [], []
     original_pass = getattr(owner, name)
     original_query = getattr(FiniteMetricMeasureSpace, query_name)
+    original_spans = FiniteMetricMeasureSpace.ball_spans
 
     def flagged(*args, **kwargs):
         inside.append(None)
@@ -402,8 +410,14 @@ def _queries_inside(monkeypatch, owner, name, query_name="ball_members"):
             queries.append((int(center), float(r)))
         return original_query(self, center, r)
 
+    def spans(self, centers, radii):
+        if inside:
+            queries.extend(_span_keys(centers, radii))
+        return original_spans(self, centers, radii)
+
     monkeypatch.setattr(owner, name, flagged)
     monkeypatch.setattr(FiniteMetricMeasureSpace, query_name, query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", spans)
     yield queries
 
 
@@ -424,12 +438,32 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
     )
     shared = [key for key, n in dilates.items() if n > 1]
     assert len(systems) > 2 and shared  # the pieces overlap, so the test has teeth
-    with _queries_inside(monkeypatch, theorems, "wgr_epsilon") as queries:
+    assert space.is_line  # so each pass spans its balls: a dilate is spanned and summed once
+    with _queries_inside(monkeypatch, weights, "_ball_map") as queries:
         assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     counts = Counter(queries)
     assert [key for key in dilates if counts[key] != 1] == []
     report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
     assert report["params"]["eps_measured"] is True
+
+
+def test_a_second_pass_on_a_line_spans_no_dilate_the_first_summed(monkeypatch):
+    """On a line, a pass spans each B it evaluates, and each S only if the
+    weight's table lacks w(S): a second functional at the same sigma spans
+    its balls alone, and one at another sigma its new dilates too."""
+    space = grid_1d(0.0, 64.0, 64)
+    family = build_family(space, Ball(32, 16.0), eta=1.0, sigma=1.5)
+    balls = [(b.center, b.radius) for b in family.members]
+    w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.5}, seed=3)
+    spans: list[tuple] = []
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_spans", spans)
+    wgr_epsilon(space, w, family)
+    dilates = {(c, 1.5 * r) for c, r in balls}
+    assert len(spans) == 1 and set(_span_keys(*spans[0][1:])) == set(balls) | dilates
+    weak_ainfty_beta(space, w, family, 0.5)
+    assert len(spans) == 2 and _span_keys(*spans[1][1:]) == balls
+    sublevel_alpha(space, w, family, 0.5, sigma=2.0)
+    assert set(_span_keys(*spans[2][1:])) == set(balls) | {(c, 2.0 * r) for c, r in balls}
 
 
 def test_cover_rhi_evaluates_each_measuring_ball_once(evaluated, tmp_path):
@@ -478,11 +512,13 @@ def _ball_sums(monkeypatch):
 
     A sum is attributed to a ball when ``set_measure`` receives the very id
     array that a ball query computed, through ``ball_members`` or past its
-    memo; every computed array is kept alive, so no id is reused.
+    memo; every computed array is kept alive, so no id is reused. A
+    ``ball_spans`` call sums each entry the mu(B) memo lacked, ball by ball.
     """
     queried, held, sums = {}, [], Counter()
     original_query = FiniteMetricMeasureSpace._ball_ids
     original_sum = FiniteMetricMeasureSpace.set_measure
+    original_spans = FiniteMetricMeasureSpace.ball_spans
 
     def query(self, center, r):
         out = original_query(self, center, r)
@@ -495,8 +531,15 @@ def _ball_sums(monkeypatch):
             sums[queried[id(members)]] += 1
         return original_sum(self, members)
 
+    def spans(self, centers, radii):
+        fresh = {key for key in _span_keys(centers, radii) if key not in self._mu}
+        out = original_spans(self, centers, radii)
+        sums.update(key for key in fresh if key in self._mu)
+        return out
+
     monkeypatch.setattr(FiniteMetricMeasureSpace, "_ball_ids", query)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", measure)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", spans)
     yield sums
 
 
