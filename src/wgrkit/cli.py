@@ -35,23 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, czdecomp, theorems
+from . import __version__, czdecomp, theorems, weights
 from .balls import Ball, BallFamily, build_family, five_r_cover, verify_cover
 from .errors import LockError, SchemaError, WgrError
 from .examples import InstanceSpec, build_instance, list_instances
 from .space import FiniteMetricMeasureSpace, row_slices, validate_metric
 from .theorems import CheckReport
 from .util import dumps_canonical, sha256, sha256_file, write_csv, write_json
-from .weights import (  # CHECKS looks the functionals up here by name
-    _ball_average,
-    as_values,
-    gr_epsilon,
-    rhi_constant,
-    sublevel_alpha,
-    weak_ainfty_beta,
-    wgr_epsilon,
-    wgr_minus_epsilon,
-)
+from .weights import _ball_average, as_values, rhi_constant, wgr_epsilon
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,12 +277,11 @@ class _Params(dict):
 
 
 def _functional(name: str, spec: dict):
-    """Entry of the functional ``name`` over the run's family: its supremum as
-    an observational report, plus the per-ball CSV."""
+    """Entry of the functional ``weights.<name>`` over the run's family: its
+    supremum as an observational report, plus the per-ball CSV."""
 
     def check(ctx, params):
-        measure = globals()[name]  # looked up per call, so it can be wrapped
-        rep = measure(ctx.space, ctx.w, ctx.family, *params.args(spec))
+        rep = getattr(weights, name)(ctx.space, ctx.w, ctx.family, *params.args(spec))
         return CheckReport(
             name=params.check, passed=True, margin=rep.value, witness=rep.witness_ball,
             params=rep.summary_obj(), notes="functional supremum; observational",
@@ -442,6 +432,20 @@ def _out_file(out: Path) -> Path:
     return out
 
 
+def _write_check(out_dir: Path, name: str, report: CheckReport, tables: dict, formats) -> list:
+    """Write the check ``name``'s JSON report and CSV tables, those of the
+    ``formats`` named, into ``out_dir``; returns the paths written."""
+    paths = []
+    if "json" in formats:
+        paths.append(out_dir / f"check_{name}.json")
+        write_json(paths[-1], report.to_json_obj())
+    if "csv" in formats:
+        for table_name, (header, rows) in tables.items():
+            paths.append(out_dir / f"check_{name}_{table_name}.csv")
+            write_csv(paths[-1], header, rows)
+    return paths
+
+
 def cmd_run(ctx: RunContext, out_dir: Path) -> int:
     ctx.base  # a base ball that does not resolve exits 2 before the directory exists
     _make_out_dir(out_dir)
@@ -460,15 +464,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
                     notes=str(exc),
                 )
                 extra_tables = {}
-            if "json" in formats:
-                path = out_dir / f"check_{name}.json"
-                write_json(path, report.to_json_obj())
-                outputs.append(path)
-            if "csv" in formats:
-                for table_name, (header, rows) in extra_tables.items():
-                    path = out_dir / f"check_{name}_{table_name}.csv"
-                    write_csv(path, header, rows)
-                    outputs.append(path)
+            outputs += _write_check(out_dir, name, report, extra_tables, formats)
             if not report.passed:
                 failed.append(str(out_dir / f"check_{name}.json"))
         manifest = {
@@ -617,9 +613,7 @@ def cmd_check(ctx: RunContext, name: str, out_dir: Path) -> int:
     ctx.base  # a base ball that does not resolve fails every check, as in run
     report, tables = run_check(name, ctx, _check_params(ctx.cfg, name))
     _make_out_dir(out_dir)
-    write_json(out_dir / f"check_{name}.json", report.to_json_obj())
-    for table_name, (header, rows) in tables.items():
-        write_csv(out_dir / f"check_{name}_{table_name}.csv", header, rows)
+    _write_check(out_dir, name, report, tables, ("json", "csv"))
     print(f"{name}: {'PASS' if report.passed else 'FAIL'}"
           f"{' (vacuous)' if report.vacuous else ''}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -44,7 +44,8 @@ from .util import span_sum
 from .weights import _avg, _ball_average, _weight, as_values
 
 
-class JNConstants(NamedTuple):
+class JNConstants(NamedTuple("JNConstants", [(k, float) for k in (
+        "alpha", "a_const", "lambda0", "c0", "c_final", "eps")])):
     """Constant chain for the oscillation decay estimate.
 
     alpha    = c_mu^2 (5 sigma)^D (1 + 1/eta)^D
@@ -54,12 +55,7 @@ class JNConstants(NamedTuple):
     c_final  = c_mu^2 c0 / (alpha sigma^D)
     """
 
-    alpha: float
-    a_const: float
-    lambda0: float
-    c0: float
-    c_final: float
-    eps: float
+    __slots__ = ()
 
 
 def jn_constants(profile: DoublingProfile, sigma: float, eta: float, eps: float) -> JNConstants:
@@ -142,12 +138,11 @@ def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> Doub
     return doubling_profile(space, closure_keys(family))
 
 
-class BallCertificate(NamedTuple):
+class BallCertificate(NamedTuple("BallCertificate", [
+        ("ball", Ball), ("average", float), ("dilate_averages", dict)])):
     """Stopping certificate: the ball average and its in-family dilate averages."""
 
-    ball: Ball
-    average: float
-    dilate_averages: dict[float, float]
+    __slots__ = ()
 
 
 class CZDecomposition:
@@ -329,13 +324,7 @@ def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomp
 
 
 def cz_decompose(
-    space: FiniteMetricMeasureSpace,
-    f,
-    lam: float,
-    family: BallFamily,
-    profile: DoublingProfile,
-    *,
-    _restrict_to: list[np.ndarray] | None = None,
+    space: FiniteMetricMeasureSpace, f, lam: float, family: BallFamily, profile: DoublingProfile,
 ) -> CZDecomposition:
     """Stopping balls at level ``lam`` satisfying the four properties.
 
@@ -343,9 +332,16 @@ def cz_decompose(
     ``lam >= alpha * avg(f over (1+eta) B0)``. Postconditions are verified
     before returning; a failure raises :class:`CZConstructionError` with
     the violated property and a witness.
+    """
+    return _decompose(space, f, lam, family, profile, None)
 
-    ``_restrict_to`` holds point masks of coarse 5-dilates: only candidates
-    inside one of them stay usable.
+
+def _decompose(space, f, lam: float, family: BallFamily, profile: DoublingProfile,
+               restrict_to: list[np.ndarray] | None) -> CZDecomposition:
+    """The body of :func:`cz_decompose`. ``restrict_to``, unless None, holds
+    point masks of coarse 5-dilates: only candidates inside one of them stay
+    usable, and a superlevel point none of those covers raises
+    :class:`NestingError`. :func:`cz_nested` builds its fine level here.
     """
     table = _averages(space, f, family)
     hat_members = space.ball_members(family.hat_ball.center, family.hat_ball.radius)
@@ -363,12 +359,8 @@ def cz_decompose(
     cap = family.eta * family.base_ball.radius / (5.0 * family.sigma)
     usable, oversized = _candidates(table, lam, cap)
     dropped = False
-    if _restrict_to is not None:
-        keep = [
-            ball
-            for ball in usable
-            if any(m[table.members[ball]].all() for m in _restrict_to)
-        ]
+    if restrict_to is not None:
+        keep = [ball for ball in usable if any(m[table.members[ball]].all() for m in restrict_to)]
         dropped = len(keep) < len(usable)
         usable = keep
 
@@ -410,12 +402,14 @@ def cz_nested(
 ) -> tuple[CZDecomposition, CZDecomposition, list[int]]:
     """Decompositions at two levels with each fine ball in a coarse 5-dilate.
 
-    Builds the coarse (low) level first, restricts fine candidates to balls
-    contained in some coarse 5-dilate, and returns the containment map
-    (index into the low-level balls, parallel to the high-level balls).
-    Impossibility raises :class:`NestingError` with a witness point.
-    Both levels, and :func:`maximal_function`, read the one averages table
-    that the weight keeps for ``family``; a bare array gets one for this call.
+    Builds the coarse (low) level with :func:`cz_decompose`, then the fine
+    level with its candidates restricted to balls contained in some coarse
+    5-dilate, and returns the containment map (index into the low-level
+    balls, parallel to the high-level balls), checked once more as the
+    nesting postcondition. Impossibility raises :class:`NestingError` with a
+    witness. Both levels, and :func:`maximal_function`, read the one averages
+    table that the weight keeps for ``family``; a bare array gets one for
+    this call.
     """
     if not lam_lo <= lam_hi:
         raise CZPreconditionError("need lam_lo <= lam_hi")
@@ -423,7 +417,7 @@ def cz_nested(
     table = _averages(space, f, family)
     dec_lo = cz_decompose(space, f, lam_lo, family, profile)
     five_masks = [space.ball_mask(b.center, 5.0 * b.radius) for b in dec_lo.balls]
-    dec_hi = cz_decompose(space, f, lam_hi, family, profile, _restrict_to=five_masks)
+    dec_hi = _decompose(space, f, lam_hi, family, profile, five_masks)
     mapping: list[int] = []
     for ball in dec_hi.balls:
         members = table.members[ball]

@@ -97,14 +97,13 @@ def row_slices(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-class DoublingProfile(NamedTuple):
+class DoublingProfile(NamedTuple("DoublingProfile", [("c_mu", float), ("dimension_d", float)])):
     """Doubling constant measured over a finite ball set.
 
     ``dimension_d`` is exactly ``log2(c_mu)``.
     """
 
-    c_mu: float
-    dimension_d: float
+    __slots__ = ()
 
     @classmethod
     def from_c_mu(cls, c_mu: float) -> "DoublingProfile":
@@ -113,12 +112,12 @@ class DoublingProfile(NamedTuple):
         return cls(float(c_mu), math.log2(c_mu))
 
 
-class MetricViolation(NamedTuple):
+class MetricViolation(NamedTuple("MetricViolation", [
+        ("kind", str),  # "diagonal" | "negative" | "asymmetry" | "triangle"
+        ("points", tuple), ("deficit", float)])):
     """One failed metric axiom; ``points`` names the offending tuple."""
 
-    kind: str  # "diagonal" | "negative" | "asymmetry" | "triangle"
-    points: tuple
-    deficit: float
+    __slots__ = ()
 
 
 class FiniteMetricMeasureSpace:

@@ -135,29 +135,15 @@ class _MarginTracker:
         return gap
 
     def report(self, notes: str = "", table=None) -> CheckReport:
+        """The report so far; with nothing compared, a vacuous pass by construction."""
         tol = self.params["tolerance"]
-        vacuous = self.n_compared > 0 and self.n_vacuous == self.n_compared
-        if self.n_compared == 0:
-            # nothing to compare: vacuous by construction
-            return CheckReport(
-                self.name, True, math.inf, None, self.params, True, False, math.inf, notes,
-                table or [],
-            )
-        passed = self.margin_rel >= -tol
-        boundary = abs(self.margin_rel) <= tol
-        self.params["n_compared"] = self.n_compared
-        self.params["n_vacuous"] = self.n_vacuous
+        if self.n_compared:
+            self.params.update(n_compared=self.n_compared, n_vacuous=self.n_vacuous)
         return CheckReport(
-            self.name,
-            passed,
-            self.margin,
-            self.witness,
-            self.params,
-            vacuous,
-            boundary,
-            self.margin_rel,
-            notes,
-            table or [],
+            self.name, passed=self.margin_rel >= -tol, margin=self.margin, witness=self.witness,
+            params=self.params, vacuous=self.n_vacuous == self.n_compared,
+            boundary=abs(self.margin_rel) <= tol, margin_rel=self.margin_rel, notes=notes,
+            table=table or [],
         )
 
 
@@ -167,23 +153,24 @@ class _MarginTracker:
 
 
 def _implication(name, space, w, family, sigma, params: dict, key: str,
-                 functional: str, param, kernel) -> CheckReport:
+                 functional, param, kernel) -> CheckReport:
     """The body the four implication checkers share.
 
     ``params[key]`` is the hypothesis constant. When it is None it is
-    measured as the sup of the module-level ``functional`` at ``param``,
-    whose pass reads the ratios the weight's table on ``space`` already
-    holds. One :func:`~wgrkit.weights._ball_map` pass over B with the kernel
-    ``kernel(constant)``, whose ``finish`` returns (lhs, rhs, vacuous), then
-    feeds the tracker, reading the S side from that table. A checker with a
-    ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
+    measured as the sup of ``functional`` at ``param``: the weights
+    functional itself, which each checker names in its own body so the name
+    resolves at call time. Its pass reads the ratios the weight's table on
+    ``space`` already holds. One :func:`~wgrkit.weights._ball_map` pass over
+    B with the kernel ``kernel(constant)``, whose ``finish`` returns (lhs,
+    rhs, vacuous), then feeds the tracker, reading the S side from that
+    table. A checker with a ``lambda`` needs constant < lambda < 1, and is
+    vacuous at 0.
     """
     balls, sigma, w = family_balls(family), _resolve_sigma(family, sigma), _weight(w)
     measured = params[key] is None
     if measured:
-        measure = globals()[functional]  # looked up per call, so it can be wrapped
         args = () if param is None else (param,)
-        params[key] = measure(space, w, balls, *args, sigma=sigma).value
+        params[key] = functional(space, w, balls, *args, sigma=sigma).value
     const = params[key]
     tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
     lam = params.get("lambda")
@@ -216,7 +203,7 @@ def check_superlevel_bound(
                 lambda total, hit, w_s, mu_s, mu_b: (total, lam * w_s, not hit))
 
     return _implication("superlevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", "wgr_epsilon", None, kernel)
+                        {"lambda": lam, "eps": eps}, "eps", wgr_epsilon, None, kernel)
 
 
 def check_osc_from_superlevel(
@@ -238,7 +225,7 @@ def check_osc_from_superlevel(
         return _pos_terms, lambda total, hit, w_s, mu_s, mu_b: (total, coeff * w_s, total == 0.0)
 
     return _implication("osc_from_superlevel", space, w, family, sigma,
-                        {"alpha": alpha, "beta": beta}, "beta", "weak_ainfty_beta", alpha, kernel)
+                        {"alpha": alpha, "beta": beta}, "beta", weak_ainfty_beta, alpha, kernel)
 
 
 def check_sublevel_bound(
@@ -259,7 +246,7 @@ def check_sublevel_bound(
                 lambda total, hit, w_s, mu_s, mu_b: (total, lam * mu_b, not hit))
 
     return _implication("sublevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", "wgr_minus_epsilon", None, kernel)
+                        {"lambda": lam, "eps": eps}, "eps", wgr_minus_epsilon, None, kernel)
 
 
 def check_neg_osc_from_sublevel(
@@ -282,7 +269,7 @@ def check_neg_osc_from_sublevel(
             lhs := _avg(total, mu_b), coeff * _avg(w_s, mu_s), lhs == 0.0)
 
     return _implication("neg_osc_from_sublevel", space, w, family, sigma,
-                        {"beta": beta, "alpha": alpha_m}, "alpha", "sublevel_alpha", beta, kernel)
+                        {"beta": beta, "alpha": alpha_m}, "alpha", sublevel_alpha, beta, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -727,9 +727,8 @@ def test_one_weight_keeps_a_table_per_space():
 
 def test_no_public_function_takes_a_private_keyword():
     """No public function or method takes a private keyword through which a
-    table or geometry built elsewhere could be passed in unchecked; the one
-    left is ``cz_decompose``'s ``_restrict_to``, ``cz_nested``'s channel for
-    the fine level's coarse 5-dilates."""
+    table or geometry built elsewhere could be passed in unchecked; none is
+    left, ``cz_nested`` builds its fine level through ``czdecomp._decompose``."""
     private = set()
     for name in ("space", "util", "weights", "balls", "czdecomp", "theorems", "examples", "cli"):
         module = importlib.import_module(f"wgrkit.{name}")
@@ -746,7 +745,7 @@ def test_no_public_function_takes_a_private_keyword():
                     private |= {(f"{name}.{qualname}", param)
                                 for param in inspect.signature(fn).parameters
                                 if param.startswith("_")}
-    assert private == {("czdecomp.cz_decompose", "_restrict_to")}
+    assert private == set()
 
 
 def test_a_checker_given_a_bare_array_reads_one_table(monkeypatch):

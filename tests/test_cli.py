@@ -232,6 +232,49 @@ def test_perfbench_info_snippet_runs_and_gives_the_recorded_sizes(workload, tmp_
     assert json.loads(proc.stdout) == sizes
 
 
+def test_perfbench_tracer_sees_the_functionals_each_check_measures_and_the_coarse_cz_level(
+        tmp_path):
+    """The benchmark's tracer rebinds each public function in every module that
+    holds it. A check reaches its functional, a checker the functional that
+    measures its constant, and ``cz_nested`` its coarse level through those
+    names, so each call is a span under its caller and the per-layer metrics
+    count it."""
+    run_cfg = smoke_config(tmp_path, checks=[
+        {"name": "wgr", "params": {}},
+        {"name": "superlevel_bound", "params": {"lambda": 0.9}},
+        {"name": "sublevel_bound", "params": {"lambda": 0.9}},
+    ])
+    record = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    cz_cfg = tmp_path / "cz.json"
+    cz_cfg.write_text(json.dumps(record["cz-nested-1d"]["config"]))
+    spans_path = tmp_path / "spans.json"
+    code = (
+        "import tracer\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "from wgrkit import cli\n"
+        f"assert cli.main(['run', '--config', {str(run_cfg)!r},"
+        f" '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        f"assert cli.main(['cz', 'nested', '--config', {str(cz_cfg)!r},"
+        f" '--out', {str(tmp_path / 'cz_out.json')!r}]) == 0\n"
+        f"t.dump({str(spans_path)!r})\n"
+    )
+    env = child_env()
+    env.update(PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), env["PYTHONPATH"]]),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    # (name, parent's name, the check its parent runs, if it runs one)
+    edges = [(name, spans[parent][0], (spans[parent][4] or {}).get("check"))
+             for name, _, _, parent, _ in spans if parent >= 0]
+    assert ("weights.wgr_epsilon", "cli.run_check", "wgr") in edges
+    assert ("weights.wgr_epsilon", "theorems.check_superlevel_bound", None) in edges
+    assert ("weights.wgr_minus_epsilon", "theorems.check_sublevel_bound", None) in edges
+    assert [e for e in edges if e[0] == "czdecomp.cz_decompose"] == [
+        ("czdecomp.cz_decompose", "czdecomp.cz_nested", None)]
+
+
 def test_importing_the_cli_loads_neither_the_thread_pool_nor_statistics():
     proc = run_python(
         "import sys, wgrkit.cli\n"
@@ -600,6 +643,26 @@ def test_base_ball_center_out_of_range_exits_two(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert "500" in proc.stderr and "96" in proc.stderr
     assert not out.exists()  # no manifest, and no half-written output directory
+
+
+@pytest.mark.parametrize("formats", [["json"], ["csv"], ["json", "csv"]])
+def test_run_writes_and_hashes_the_formats_named_and_check_writes_both(tmp_path, capsys, formats):
+    cfg = smoke_config(tmp_path, output={"directory": str(tmp_path / "out"), "formats": formats})
+    assert main(["run", "--config", str(cfg)]) == 0
+    names = ["superlevel_bound", "osc_from_superlevel", "neg_osc_from_sublevel", "cavalieri", "wgr"]
+    expected = {f"check_{n}.json" for n in names if "json" in formats}
+    expected |= {"check_wgr_per_ball.csv"} if "csv" in formats else set()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"].keys() == expected
+    assert {p.name for p in (tmp_path / "out").iterdir()} == expected | {"manifest.json"}
+    capsys.readouterr()
+    assert main(["check", "wgr", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().out == "wgr: PASS\n"
+    assert {p.name for p in (tmp_path / "one").iterdir()} == {"check_wgr.json",
+                                                              "check_wgr_per_ball.csv"}
+    if "json" in formats:  # the same report from either subcommand
+        assert (tmp_path / "one" / "check_wgr.json").read_bytes() == (
+            tmp_path / "out" / "check_wgr.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", [["run"], ["check", "wgr"]])

@@ -358,8 +358,7 @@ def test_over_cap_candidate_raises_with_its_witness():
 def test_restricted_level_without_a_candidate_raises_nesting_error():
     space, family, profile, f, lam = _spike_level()
     with pytest.raises(NestingError) as err:
-        cz_decompose(space, f, lam, family, profile,
-                     _restrict_to=[np.zeros(space.n_points, dtype=bool)])
+        czdecomp._decompose(space, f, lam, family, profile, [np.zeros(space.n_points, dtype=bool)])
     assert err.value.witness == min(_superlevel(space, family, f, lam))
 
 

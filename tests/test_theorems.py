@@ -52,6 +52,11 @@ def test_superlevel_bound_constant_weight_vacuous():
     rep = theorems.check_superlevel_bound(space, np.full(space.n_points, 2.0), family, lam=0.5)
     assert rep.passed and rep.vacuous
     assert "constant" in rep.notes
+    # nothing compared: the tracker's start values, and no n_compared/n_vacuous
+    obj = rep.to_json_obj()
+    assert obj["params"].keys() == {"tolerance", "sigma", "lambda", "eps", "eps_measured"}
+    assert (obj["boundary"], obj["margin"], obj["margin_rel"], obj["witness"]) == (
+        False, "inf", None, None)
 
 
 def test_superlevel_bound_random_instances():
