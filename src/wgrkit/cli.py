@@ -451,7 +451,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
     _make_out_dir(out_dir)
     formats = ctx.cfg["output"].get("formats", ["json", "csv"])
     with _OutputLock(out_dir):
-        failed: list[str] = []
+        failed: list[tuple[str, CheckReport]] = []
         outputs: list[Path] = []
         for entry in ctx.cfg["checks"]:
             name, params = entry["name"], entry.get("params", {})
@@ -466,7 +466,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
                 extra_tables = {}
             outputs += _write_check(out_dir, name, report, extra_tables, formats)
             if not report.passed:
-                failed.append(str(out_dir / f"check_{name}.json"))
+                failed.append((name, report))
         manifest = {
             "config_sha256": _config_digest(ctx.cfg),
             "package_version": __version__,
@@ -478,7 +478,11 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
         }
         write_json(out_dir / "manifest.json", manifest)
     if failed:
-        print(f"FAILED checks; first failing report: {failed[0]}", file=sys.stderr)
+        name, report = failed[0]
+        error = report.params.get("error")  # without json, no file holds the reason: the line does
+        why = f"{error}: {report.notes}" if error else report.notes or f"margin {report.margin!r}"
+        print("FAILED checks; " + (f"first failing report: {out_dir / f'check_{name}.json'}"
+              if "json" in formats else f"first failing check: {name}: {why}"), file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -26,18 +26,17 @@ center by center (every family, measuring set and closure set is listed
 center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
 uncached. There are three ball queries:
-:meth:`~FiniteMetricMeasureSpace.ball_members` returns one ball's ids in
-ascending order; :meth:`~FiniteMetricMeasureSpace.ball_prefixes` sorts
-the center's row once and returns that order with a count per radius, so
-the nested balls at one center are prefixes of one array; on a *line*, 1-d
-coordinates in id order, :meth:`~FiniteMetricMeasureSpace.ball_spans`
+:meth:`~FiniteMetricMeasureSpace.ball_members` computes one ball's ids in
+ascending order, read-only, at every call; :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
+sorts the center's row once and returns that order with a count per
+radius, so the nested balls at one center are prefixes of one array; on a
+*line*, 1-d coordinates in id order, :meth:`~FiniteMetricMeasureSpace.ball_spans`
 gives a batch of balls as id spans with no distance row; there the ball
 pass (``weights._ball_map``), the CZ table and :func:`doubling_profile` read
-it. In front of the slot, a memo keeps the read-only ids of each
-``ball_members`` query, so a pass over queried balls computes no row, up to
-:data:`MEMBER_MEMO_BYTES` of arrays, keys and the dict's table as inserts
-grow it. A memo maps ``(center, r)`` to the float mu(B), which every layer
-reads; ``ball_measure`` sums one ball on first use, from an uncached query,
+it. The space keeps no ids: off a line, each weight's table keeps the ids
+of the balls its last pass walked, for the next pass (``weights._BallSums``).
+A memo maps ``(center, r)`` to the float mu(B), which every layer reads;
+``ball_measure`` sums one ball on first use, from one query,
 ``ball_prefixes`` all the radii it sweeps, and ``ball_spans`` its batch. A
 space freezes private copies of its arrays, so it cannot go stale. On a
 space whose points share one mass m (every generated grid), k points
@@ -56,7 +55,6 @@ checkers read; reports always record the value they used.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -83,11 +81,6 @@ TRIANGLE_RTOL = 4.0 * np.finfo(float).eps
 
 #: Upper bound on the distances one block of an all-pairs scan holds.
 BLOCK_DISTANCES = 1 << 14
-
-#: Upper bound on the bytes one space's member memo holds: arrays, keys and the dict's table.
-MEMBER_MEMO_BYTES = 1 << 20
-#: A memo key's bytes, at most: the tuple, its center and radius (numpy scalars are the largest).
-_KEY_BYTES = sys.getsizeof((0, 0.0)) + 2 * sys.getsizeof(np.float64(0.0))
 
 
 def row_slices(n_rows: int, n_cols: int) -> list[slice]:
@@ -169,8 +162,6 @@ class FiniteMetricMeasureSpace:
         # (center, row) of the last ball query
         self._row_slot: tuple[int, np.ndarray] | None = None
         self._mu: dict[tuple[int, float], float] = {}  # (center, radius) -> mu(B)
-        # (center, radius) -> ids, their bytes, and how far the next insert grows the table if known
-        self._members, self._members_bytes, self._members_grow = {}, 0, 0
         self._mass_sums = None  # exact_prefix_sums of unequal masses, made on first use
 
     # -- basic structure ---------------------------------------------------
@@ -240,24 +231,7 @@ class FiniteMetricMeasureSpace:
         return self._cached_row(center) < r
 
     def ball_members(self, center: int, r: float) -> np.ndarray:
-        """Point ids strictly inside B(center, r), ascending, read-only, memoized."""
-        memo, ids = self._members, self._members.get((center, r))
-        if ids is None:
-            ids = self._ball_ids(center, r)
-            cost = sum(a.__sizeof__() for a in (ids, ids.base) if a is not None) + _KEY_BYTES
-            if self._members_bytes + cost + self._members_grow <= MEMBER_MEMO_BYTES:
-                before = sys.getsizeof(memo)
-                memo[(center, r)] = ids
-                grow = sys.getsizeof(memo) - before  # the dict's table, as the insert grew it
-                if self._members_bytes + cost + grow <= MEMBER_MEMO_BYTES:
-                    self._members_bytes, self._members_grow = self._members_bytes + cost + grow, 0
-                else:  # undone, in a copy sized as the table was; this growth is now known
-                    del memo[(center, r)]
-                    self._members, self._members_grow = dict(memo), grow
-        return ids
-
-    def _ball_ids(self, center: int, r: float) -> np.ndarray:
-        """:meth:`ball_members` computed afresh, past the member memo."""
+        """Point ids strictly inside B(center, r), ascending, read-only."""
         ids = self.ball_mask(center, r).nonzero()[0]
         ids.setflags(False)  # write=False, passed positionally: the keyword costs a parse per call
         return ids
@@ -345,11 +319,11 @@ class FiniteMetricMeasureSpace:
 
     def ball_measure(self, center: int, r: float, members=None) -> float:
         """mu(B(center, r)) from the memo, summed on first use; ``members``,
-        the ball's ids when the caller holds them, spares a second query."""
+        the ball's ids when the caller holds them, spares the query."""
         mu = self._mu.get((center, r))
         if mu is None:
             if members is None:
-                members = self._ball_ids(center, r)
+                members = self.ball_members(center, r)
             mu = self._mu[(center, r)] = self.set_measure(members)
         return mu
 
@@ -499,22 +473,19 @@ def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfi
     The profile is relative to the ball set: a richer set can only increase
     it. Every ball must be nonempty. Measures come from the space's memo,
     so on a ratio-2 chain the double of one ball, the next ball, is summed once.
-    On a line, at the first ball or double the memo lacks, every one it lacks
-    from there on is measured in one :meth:`~FiniteMetricMeasureSpace.ball_spans` call.
+    On a line, every ball and double the memo lacks is measured first, in one
+    :meth:`~FiniteMetricMeasureSpace.ball_spans` call.
     """
-    c_mu, memo, batch = 1.0, space._mu, space.is_line  # read first, as ball_measure does
+    c_mu, memo, n = 1.0, space._mu, space.n_points  # read first, as ball_measure does
     keys = [ball if isinstance(ball, tuple) else (ball.center, ball.radius) for ball in ball_set]
-    for i, (c, r) in enumerate(keys):
-        m1, m2 = memo.get((c, r)), memo.get((c, 2.0 * r))
-        if batch and (m1 is None or m2 is None):
-            batch = False  # a key that cannot be measured is left to ball_measure, to raise in turn
-            rest = np.array(keys[i:], dtype=float).reshape(-1, 2)
-            rest = np.concatenate([rest, rest * (1.0, 2.0)])  # each ball and its double
-            ok = (0.0 <= rest[:, 0]) & (rest[:, 0] < space.n_points) & (rest[:, 1] >= 0.0)
-            space.ball_spans(*rest[ok].T)
-            m1, m2 = memo.get((c, r)), memo.get((c, 2.0 * r))
-        m1 = m1 or space.ball_measure(c, r)
+    if space.is_line:  # a key that cannot be measured is left to ball_measure, to raise in turn
+        lack = [(c, s * r) for c, r in keys if 0 <= c < n and r >= 0.0
+                for s in (1.0, 2.0) if (c, s * r) not in memo]
+        if lack:
+            space.ball_spans(*zip(*lack))
+    for c, r in keys:
+        m1 = memo.get((c, r)) or space.ball_measure(c, r)
         if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0
             raise EmptyBallError(f"ball (center={c}, radius={r}) is empty")
-        c_mu = max(c_mu, (m2 or space.ball_measure(c, 2.0 * r)) / m1)
+        c_mu = max(c_mu, (memo.get((c, 2.0 * r)) or space.ball_measure(c, 2.0 * r)) / m1)
     return DoublingProfile.from_c_mu(c_mu)

@@ -127,7 +127,9 @@ class _BallSums:
     (functional, parameter, factor) to a dict from ``(center, radius)`` to the
     ball's (ratio, skipped), so a ball that several ball lists share is
     evaluated once, and a functional run again over balls it has seen
-    evaluates none. These hold floats only, never member arrays.
+    evaluates none. ``ids`` holds the read-only ids of each ball B, never a
+    dilate, that the last :func:`_ball_map` pass off a line walked, up to
+    :data:`PASS_IDS`, for the next pass: lists that alternate query again.
     ``families`` maps a :class:`BallFamily`, weakly, to the weight's CZ
     averages table over it (``czdecomp._averages``), so a family's table
     goes with the family; ``prefix`` is :meth:`Weight._span_sums`'s table, or ``()``.
@@ -136,12 +138,17 @@ class _BallSums:
     def __init__(self):
         self.balls: dict[tuple[int, float], float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
+        self.ids: dict[tuple[int, float], np.ndarray] = {}
         self.families: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.prefix = None
 
 
 #: Upper bound on the member ids one block of a ball pass holds, B's and S's together.
 BLOCK_MEMBERS = 1 << 14
+
+#: Upper bound on the ids a weight keeps from its last pass; each kept ball is charged its ids
+#: and ``_ENTRY_IDS`` more, 512 bytes, which cover its array headers, key and table slot.
+PASS_IDS, _ENTRY_IDS = 1 << 17, 64
 
 
 def _ball_map(
@@ -160,24 +167,31 @@ def _ball_map(
     of a ball-by-ball pass: each term is the same IEEE operation on the
     same operands, numpy's float division is Python's, and ``fsum`` is
     correctly rounded, so neither term order nor +0.0 terms change a sum.
-    B and S are id arrays from ``ball_members``, but on a line with a prefix
-    table (:meth:`Weight._span_sums`) spans from one ``ball_spans`` call, and
-    a block's ids one expression over its B's, with no array per ball.
+    B and S are id arrays from ``ball_members``, or B's from the last pass
+    (``_BallSums.ids``), but on a line with a prefix table (:meth:`Weight._span_sums`)
+    spans from one ``ball_spans`` call, and a block's ids one expression over
+    its B's, with no array per ball.
     """
     sums, memo, out = w._sums(space), space._mu, []
-    table = w._span_sums(space) if space.is_line and balls else None
+    if not balls:
+        return out
+    table = w._span_sums(space) if space.is_line else None
     if table is not None:
         need = [k for k in dict.fromkeys((c, factor * r) for c, r in balls) if k not in sums.balls]
         lo, hi = (e.tolist() for e in space.ball_spans(*zip(*need, *balls)))
         sums.balls.update((k, span_sum(*table, a, b)) for k, a, b in zip(need, lo, hi))
         spans = map(range, lo[len(need):], hi[len(need):])
+    else:
+        last, sums.ids, room = sums.ids, {}, PASS_IDS
     block, pending, held = [], {}, 0
     for c, r in balls:
         key_s, s_ids = (c, factor * r), None
         if table is not None:
             members = next(spans)
         else:
-            members = space.ball_members(c, r)
+            members = last[(c, r)] if (c, r) in last else space.ball_members(c, r)
+            if (room := room - len(members) - _ENTRY_IDS) >= 0:
+                sums.ids[(c, r)] = members
             if key_s not in pending and key_s not in sums.balls:
                 s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
         size = len(members) + (0 if s_ids is None else len(s_ids))

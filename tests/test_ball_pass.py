@@ -11,8 +11,11 @@ import gc
 import importlib
 import inspect
 import math
+import tracemalloc
 import weakref
+from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -411,8 +414,10 @@ def test_array_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, b
     ``neg_oscillation_avg`` and every side of the four implication checkers
     equals the oracle's bit for bit, with a zero-weight stretch and with
     blocks small enough that one ball list spans several."""
-    assert not case[0].is_line  # two axes or a table: each ball's ids are queried
-    _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u)
+    space, vals, balls, sigma = case
+    assert not space.is_line  # two axes or a table: each ball's ids are queried
+    _assert_array_pass_matches_the_oracles(
+        space, _zeroed(vals, zeros), balls, sigma, block, alpha, beta, p, const, u)
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,50 +435,59 @@ def test_line_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, be
     """The same on a line, where every pass gathers B and S as id spans and reads
     w(S) from the weight's prefix table: no ball's ids are queried, and each
     block's balls are spans."""
-    space = case[0]
+    space, vals, balls, sigma = case
     assert space.is_line
     queried = []
-    original = FiniteMetricMeasureSpace._ball_ids
+    original = FiniteMetricMeasureSpace.ball_members
 
     def query(self, center, r):
         queried.append((center, r))
         return original(self, center, r)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FiniteMetricMeasureSpace, "_ball_ids", query)
-        blocks = _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u)
+        patch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+        blocks = _assert_array_pass_matches_the_oracles(
+            space, _zeroed(vals, zeros), balls, sigma, block, alpha, beta, p, const, u)
     assert blocks and all(isinstance(m, range) for each in blocks for m, *_ in each)
     assert queried == []
 
 
-def _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, const, u):
-    """The body of the two tests above; returns the blocks of every pass."""
-    space, vals, balls, sigma = case
+def _zeroed(vals, zeros):
+    """A copy of ``vals`` with the stretch ``zeros = (start, length)`` set to 0: some
+    dilates weigh nothing."""
     start, length = zeros
     vals = vals.copy()
-    vals[start:start + length] = 0.0  # a zero stretch: some dilates weigh nothing
+    vals[start:start + length] = 0.0
+    return vals
+
+
+def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha, beta, p,
+                                           const, u):
+    """The body of the tests above and below, for a Weight or a bare array ``w``;
+    returns the blocks of every pass."""
+    vals = weights.as_values(w)
     lam = const + (1.0 - const) * u
     ratios = {
-        "wgr": (lambda: wgr_epsilon(space, vals, balls, sigma=sigma), _o_wgr),
-        "wgr_minus": (lambda: wgr_minus_epsilon(space, vals, balls, sigma=sigma), _o_wgr_minus),
-        "gr": (lambda: gr_epsilon(space, vals, balls), _o_gr),
-        "weak_ainfty": (lambda: weak_ainfty_beta(space, vals, balls, alpha, sigma=sigma),
+        "wgr": (lambda: wgr_epsilon(space, w, balls, sigma=sigma), _o_wgr),
+        "wgr_minus": (lambda: wgr_minus_epsilon(space, w, balls, sigma=sigma), _o_wgr_minus),
+        "gr": (lambda: gr_epsilon(space, w, balls), _o_gr),
+        "weak_ainfty": (lambda: weak_ainfty_beta(space, w, balls, alpha, sigma=sigma),
                         _o_weak_ainfty(alpha)),
-        "sublevel": (lambda: sublevel_alpha(space, vals, balls, beta, sigma=sigma),
+        "sublevel": (lambda: sublevel_alpha(space, w, balls, beta, sigma=sigma),
                      _o_sublevel(beta)),
-        "rhi": (lambda: rhi_constant(space, vals, balls, p, sigma=sigma),
+        "rhi": (lambda: rhi_constant(space, w, balls, p, sigma=sigma),
                 _o_rhi_numpy_power(vals, p, sigma)),
     }
     checkers = {
         "superlevel_bound": (lambda: theorems.check_superlevel_bound(
-            space, vals, balls, lam, eps=const, sigma=sigma), _o_superlevel_sides(lam, const)),
+            space, w, balls, lam, eps=const, sigma=sigma), _o_superlevel_sides(lam, const)),
         "osc_from_superlevel": (lambda: theorems.check_osc_from_superlevel(
-            space, vals, balls, alpha, beta=const, sigma=sigma),
+            space, w, balls, alpha, beta=const, sigma=sigma),
             _o_osc_from_superlevel_sides(alpha, const)),
         "sublevel_bound": (lambda: theorems.check_sublevel_bound(
-            space, vals, balls, lam, eps=const, sigma=sigma), _o_sublevel_sides(lam, const)),
+            space, w, balls, lam, eps=const, sigma=sigma), _o_sublevel_sides(lam, const)),
         "neg_osc_from_sublevel": (lambda: theorems.check_neg_osc_from_sublevel(
-            space, vals, balls, beta, alpha_m=const, sigma=sigma), _o_neg_osc_sides(beta, const)),
+            space, w, balls, beta, alpha_m=const, sigma=sigma), _o_neg_osc_sides(beta, const)),
     }
     blocks = []
     original_block = weights._block
@@ -495,9 +509,9 @@ def _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, c
             assert rep.per_ball == [(b, r) for b, (r, _) in zip(balls, rows)], name
             assert rep.skipped == [b for b, (_, skip) in zip(balls, rows) if skip], name
         for ball in balls:
-            assert pos_oscillation(space, vals, ball, sigma) == oracles.pos_osc(
+            assert pos_oscillation(space, w, ball, sigma) == oracles.pos_osc(
                 space, vals, ball.center, ball.radius, sigma)
-            assert neg_oscillation_avg(space, vals, ball, sigma) == oracles.neg_osc_avg(
+            assert neg_oscillation_avg(space, w, ball, sigma) == oracles.neg_osc_avg(
                 space, vals, ball.center, ball.radius, sigma)
         for name, (call, oracle_sides) in checkers.items():
             with _recorded_sides() as sides:
@@ -508,6 +522,80 @@ def _assert_array_pass_matches_the_oracles(case, zeros, block, alpha, beta, p, c
     if block == 1:
         assert all(len(each) == 1 for each in blocks)
     return blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=_instance(),
+    data=st.data(),
+    block=st.sampled_from([1, 3, weights.BLOCK_MEMBERS]),
+    room=st.sampled_from([0, 1, 3]),
+    alpha=st.sampled_from([0.25, 0.75]),
+    beta=st.sampled_from([0.25, 0.75]),
+    p=st.sampled_from([1.5, 3.0]),
+    const=st.floats(min_value=0.01, max_value=0.9),
+    u=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_the_last_pass_ids_serve_the_next_pass_within_their_bound(
+        case, data, block, room, alpha, beta, p, const, u):
+    """Off a line a weight keeps the ids of the balls its last pass walked, up to
+    ``PASS_IDS``, here room for ``room`` balls. Over one ball list, another, then
+    the first again, one Weight's ratios and sides equal the oracles' bit for bit;
+    each pass queries exactly the balls the pass before it did not keep, and the
+    dilates whose w(S) the weight lacks; the table holds the oracle's ids, read-only,
+    for the longest run of the pass's balls that fits the bound, and the bytes it
+    holds, measured by tracemalloc, stay within the bound."""
+    space, vals, first, sigma = case
+    assert not space.is_line
+    n = space.n_points
+    second = data.draw(st.lists(
+        st.builds(Ball, st.integers(min_value=0, max_value=n - 1),
+                  st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])), min_size=1, max_size=6))
+    bound = room * (weights._ENTRY_IDS + n)
+    w = Weight(vals)
+    sums = w._sums(space)
+    original_map, original_query = weights._ball_map, FiniteMetricMeasureSpace.ball_members
+    queries = []
+
+    def query(self, center, r):
+        queries.append((center, r))
+        return original_query(self, center, r)
+
+    def recording(space_, w_, balls, factor, kernel):
+        assert (space_, w_) == (space, w)
+        table, summed = sums.ids, set(sums.balls)
+        kept = set(table)
+        queries.clear()
+        out = original_map(space_, w_, balls, factor, kernel)
+        expected = Counter((c, r) for c, r in balls if (c, r) not in kept)
+        expected.update({(c, factor * r) for c, r in balls if factor != 1.0} - summed)
+        assert Counter(queries) == expected
+        if balls:
+            charged = accumulate(len(oracles.ball(space, c, r)) + weights._ENTRY_IDS
+                                 for c, r in balls)
+            assert set(sums.ids) == {b for b, total in zip(balls, charged) if total <= bound}
+        else:  # an empty pass leaves the table as it was
+            assert sums.ids is table and set(table) == kept
+        for (c, r), ids in sums.ids.items():
+            assert ids.tolist() == oracles.ball(space, c, r) and not ids.flags.writeable
+        return out
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weights, "PASS_IDS", bound)
+            patch.setattr(weights, "_ball_map", recording)
+            patch.setattr(theorems, "_ball_map", recording)
+            patch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
+            for balls in (first, second, first):
+                _assert_array_pass_matches_the_oracles(
+                    space, w, balls, sigma, block, alpha, beta, p, const, u)
+        held = tracemalloc.get_traced_memory()[0]
+        sums.ids = {}  # what dropping the table frees, over an empty one
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= bound * np.dtype(np.intp).itemsize
 
 
 def test_line_dilate_sums_keep_the_sign_of_fsum():

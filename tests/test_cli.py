@@ -473,6 +473,35 @@ def test_sums_past_the_largest_double_fail_their_checks_alone(tmp_path, capsys):
         False, {"error": "OverflowError"}, "intermediate overflow in fsum")
 
 
+def test_a_csv_only_run_names_the_failing_check_and_why(tmp_path, capsys):
+    """With JSON reports off no file holds a failing check's reason, so the
+    failure line names the check and gives its error, or its margin; with
+    them on, it names the first failing report."""
+    cases = [
+        ([{"name": "wgr", "params": {}},
+          {"name": "sublevel_bound", "params": {"eps": 0.95, "lambda": 0.9}}],
+         "sublevel_bound: InvalidParameterError: need eps < lambda < 1, got eps=0.95, lambda=0.9"),
+        ([{"name": "sublevel_bound", "params": {"eps": 0.001, "lambda": 0.002}}],
+         "sublevel_bound: margin -0.97"),
+    ]
+    for i, (checks, why) in enumerate(cases):
+        for formats in (["csv"], ["json", "csv"]):
+            out = tmp_path / f"run{i}_{len(formats)}"
+            cfg = smoke_config(tmp_path, checks=checks,
+                               output={"directory": str(out), "formats": formats})
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            written = sorted(p.name for p in out.iterdir())
+            if formats == ["csv"]:
+                assert err == f"FAILED checks; first failing check: {why}\n"
+                assert not [name for name in written if name.endswith(".json")
+                            and name != "manifest.json"]
+            else:
+                report = out / f"check_{checks[-1]['name']}.json"
+                assert err == f"FAILED checks; first failing report: {report}\n"
+                assert report.name in written
+
+
 def test_check_subcommand(tmp_path):
     cfg = smoke_config(tmp_path)
     out = tmp_path / "single"

@@ -1,7 +1,5 @@
 """Space construction, balls, measures, doubling."""
 import math
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,89 +425,11 @@ def test_ball_queries_interleaved_match_oracle(case):
     space, queries = case
     for center, r in queries:
         expected = oracles.ball(space, center, r)
-        assert space.ball_members(center, r).tolist() == expected
+        ids = space.ball_members(center, r)
+        assert ids.tolist() == expected and not ids.flags.writeable
         mask = space.ball_mask(center, r)
         assert np.flatnonzero(mask).tolist() == expected
         assert space.ball_measure(center, r) == oracles.measure(space, expected)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_space_and_queries(), st.integers(min_value=0, max_value=4))
-def test_member_memo_answers_stay_correct_past_its_bound(case, room):
-    """Every answer is read-only and equals the strict comparison of the
-    center's row; the memo never holds more than its bound, and each entry
-    is charged its arrays and key, and the dict's table its inserts grew."""
-    space, queries = case
-    bound = room * 600
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(space_module, "MEMBER_MEMO_BYTES", bound)
-        for center, r in queries + queries[::-1]:
-            ids = space.ball_members(center, r)
-            assert not ids.flags.writeable
-            assert ids.tolist() == np.flatnonzero(space.dist_row(center) < r).tolist()
-            assert space._members_bytes <= bound
-    assert space._members_bytes == sum(
-        ids.__sizeof__() + ids.base.__sizeof__() + space_module._KEY_BYTES
-        for ids in space._members.values()
-    ) + sys.getsizeof(space._members) - sys.getsizeof({})
-
-
-def test_member_memo_stops_growing_at_its_bound(monkeypatch):
-    space = grid_1d(0.0, 16.0, 16)
-    three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
-    held = space._members_bytes
-    assert held == 2 * space_module._KEY_BYTES + sum(
-        ids.__sizeof__() + ids.base.__sizeof__() for ids in (three, one)
-    ) + sys.getsizeof(space._members) - sys.getsizeof({})
-    space = grid_1d(0.0, 16.0, 16)
-    # room for the 3-point ball and the 1-point ball, not for the 5-point one
-    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", held)
-    three, one = space.ball_members(8, 1.5), space.ball_members(2, 0.5)
-    five = space.ball_members(8, 2.5)
-    assert (three.tolist(), one.tolist(), five.tolist()) == ([7, 8, 9], [2], [6, 7, 8, 9, 10])
-    assert set(space._members) == {(8, 1.5), (2, 0.5)}
-    assert space._members_bytes == held
-    # a held ball is the memo's array; one past the bound is computed afresh
-    assert space.ball_members(8, 1.5) is three
-    again = space.ball_members(8, 2.5)
-    assert again is not five and again.tolist() == five.tolist() and not again.flags.writeable
-    # measuring a ball leaves the memo as it is
-    assert space.ball_measure(4, 3.5) == 7.0
-    assert set(space._members) == {(8, 1.5), (2, 0.5)}
-
-
-def test_member_memo_undoes_an_insert_whose_table_growth_passes_its_bound(monkeypatch):
-    """An entry whose arrays and key fit, but not with the table its insert grew,
-    is undone and the table shrunk back, and the growth is remembered."""
-    space = grid_1d(0.0, 16.0, 16)
-    ids = space.ball_members(8, 1.5)
-    cost = ids.__sizeof__() + ids.base.__sizeof__() + space_module._KEY_BYTES
-    space = grid_1d(0.0, 16.0, 16)
-    monkeypatch.setattr(space_module, "MEMBER_MEMO_BYTES", cost)
-    assert space.ball_members(8, 1.5).tolist() == [7, 8, 9]
-    assert space._members == {} and space._members_bytes == 0
-    assert sys.getsizeof(space._members) == sys.getsizeof({}) < space._members_grow
-    assert space.ball_members(2, 0.5).tolist() == [2]
-    assert space._members == {} and space._members_bytes == 0
-
-
-@pytest.mark.parametrize("n", [16, 512])
-def test_member_memo_charges_bound_the_real_bytes_of_its_entries(n):
-    """What the memo charges covers what its entries allocate, measured by
-    tracemalloc after each entry: the ids and the array they view, the key
-    and its radius, and the dict's table, first table included."""
-    space = grid_1d(0.0, float(n), n)
-    center = n // 2
-    space.ball_mask(center, 1.0)  # the row slot is filled before tracing
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        for k in range(n // 2):
-            space.ball_members(center, k + 0.5)
-            assert tracemalloc.get_traced_memory()[0] - start <= space._members_bytes
-    finally:
-        tracemalloc.stop()
-    assert len(space._members) == n // 2
 
 
 @st.composite
@@ -887,3 +807,24 @@ def test_doubling_profile_on_a_line_raises_overflow_where_set_measure_does(masse
     with pytest.raises(OverflowError):
         doubling_profile(space, [(0, 1.0)])  # one point, and two in its double
     assert (0, 1.0) in space._mu and (0, 2.0) not in space._mu
+
+
+def test_doubling_profile_on_a_line_batches_only_what_the_memo_lacks(monkeypatch):
+    """Every ball and double the memo lacks is measured in one batch before the
+    loop; a held one is not measured again, and a key that cannot be measured
+    is left to the loop, so errors come in list order."""
+    space = grid_1d(0.0, 8.0, 8)
+    space.ball_measure(2, 1.0)
+    spans = []
+    original = FiniteMetricMeasureSpace.ball_spans
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans",
+                        lambda sp, c, r: spans.append(list(zip(c, r))) or original(sp, c, r))
+    assert doubling_profile(space, [(2, 1.0), (5, 1.0)]).c_mu == 3.0
+    assert spans == [[(2, 2.0), (5, 1.0), (5, 2.0)]]
+    for keys, error, match in (
+        ([(2, 1.0), (9, 1.0), (3, 0.0)], IndexError, None),
+        ([(2, 1.0), (3, 0.0), (9, 1.0)], EmptyBallError, "empty"),
+        ([(4, -1.0), (3, 0.0)], WgrError, "radius must be >= 0"),
+    ):
+        with pytest.raises(error, match=match):
+            doubling_profile(space, keys)

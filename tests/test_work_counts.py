@@ -76,8 +76,8 @@ def test_functional_pass_computes_each_row_once(functional, row_calls):
 
 
 def test_a_second_functional_over_a_family_computes_no_row(row_calls):
-    """The first pass fills the member memo; later passes over the same
-    family read B and S from it, or w(S) from the weight's table."""
+    """The first pass keeps B's ids in the weight's table; later passes over
+    the same family read B from it, and w(S) from the weight's sums."""
     space = grid_nd(2, 12, 1.0, "chebyshev")
     family = build_family(space, Ball(78, 3.0), eta=1.0, sigma=1.5)
     w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.4}, 3)
@@ -89,9 +89,7 @@ def test_a_second_functional_over_a_family_computes_no_row(row_calls):
     gr_epsilon(space, w, family)
     sublevel_alpha(space, w, family, 0.5)
     rhi_constant(space, w, family, 2.0)
-    # a fresh weight sums w(S) again, from the memo's ids
-    weak_ainfty_beta(space, random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.4}, 4),
-                     family, 0.5)
+    weak_ainfty_beta(space, w, family, 0.5)
     assert row_calls == []
 
 
@@ -258,12 +256,12 @@ def test_run_builds_the_base_family_once(monkeypatch, tmp_path):
 
 
 def test_doubling_profile_measures_each_ball_once(monkeypatch):
-    """Off a line each ball and double is summed once, from an uncached
-    query; on a line all of them are measured in one batch of spans."""
+    """Off a line each ball and double is summed once, from one query;
+    on a line all of them are measured in one batch of spans."""
     queries: list[tuple] = []
     spans: list[tuple] = []
-    # a measure the mu(B) memo lacks is summed from an uncached query
-    _counting(monkeypatch, FiniteMetricMeasureSpace, "_ball_ids", queries)
+    # a measure the mu(B) memo lacks is summed from one query
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_spans", spans)
     for space in (grid_nd(2, 8, 1.0, "euclidean"), grid_1d(0.0, 64.0, 64)):
         family = build_family(space, Ball(space.n_points // 2, 3.0), eta=1.0, sigma=1.5)
@@ -370,9 +368,10 @@ def test_family_checks_share_one_table_of_ball_sums(evaluated, monkeypatch, tmp_
     queries: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
     assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
-    # one B query per family ball and pass, plus one S query per ball
+    # one B and one S query per family ball, in the first pass: each later pass
+    # reads B's ids from the weight's table, which the pass before it kept
     assert 3 * len(queries) <= _UNSHARED_QUERIES_PER_BALL * n_family
-    assert len(queries) <= 11 * n_family + 2
+    assert len(queries) <= 2 * n_family + 2
     # each functional evaluates every family ball once; the four checkers
     # measure their constants from those ratios and evaluate none again
     assert [len(balls) for balls in evaluated] == [n_family] * 6 + [0] * 4
@@ -389,13 +388,12 @@ def _span_keys(centers, radii) -> list[tuple[int, float]]:
 
 
 @contextmanager
-def _queries_inside(monkeypatch, owner, name, query_name="ball_members"):
+def _queries_inside(monkeypatch, owner, name):
     """The (center, radius) of every ball query made inside ``owner.name``, and of
-    each entry of its ``ball_spans`` calls, ball by ball; ``query_name="_ball_ids"``
-    lists every query computed, not read from the member memo."""
+    each entry of its ``ball_spans`` calls, ball by ball."""
     inside, queries = [], []
     original_pass = getattr(owner, name)
-    original_query = getattr(FiniteMetricMeasureSpace, query_name)
+    original_query = FiniteMetricMeasureSpace.ball_members
     original_spans = FiniteMetricMeasureSpace.ball_spans
 
     def flagged(*args, **kwargs):
@@ -416,7 +414,7 @@ def _queries_inside(monkeypatch, owner, name, query_name="ball_members"):
         return original_spans(self, centers, radii)
 
     monkeypatch.setattr(owner, name, flagged)
-    monkeypatch.setattr(FiniteMetricMeasureSpace, query_name, query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", spans)
     yield queries
 
@@ -499,8 +497,9 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
     # the superlevel constant's pass evaluates the family once, for the
     # checker; the observation reads its ratios, then runs one rhi pass per p
     assert [len(balls) for balls in evaluated] == [n_family, 0, n_family, n_family]
-    # each rhi pass queries B only: w(S), mu(S) and mu(B) come from the table
-    assert len(queries) == 2 * n_family
+    # each rhi pass queries no ball: B's ids come from the pass before it,
+    # w(S) from the weight's sums, mu(S) and mu(B) from the space's memo
+    assert queries == []
     report = json.loads((tmp_path / "out" / "check_rhi_equivalence_observed.json").read_text())
     beta = json.loads((tmp_path / "out" / "check_osc_from_superlevel.json").read_text())
     assert report["params"]["measured_beta"] == beta["params"]["beta"]
@@ -511,12 +510,12 @@ def _ball_sums(monkeypatch):
     """A Counter of the mass sums over each ball's ids, by (center, radius).
 
     A sum is attributed to a ball when ``set_measure`` receives the very id
-    array that a ball query computed, through ``ball_members`` or past its
-    memo; every computed array is kept alive, so no id is reused. A
+    array that a ``ball_members`` query computed; every computed array is
+    kept alive, so no id is reused. A
     ``ball_spans`` call sums each entry the mu(B) memo lacked, ball by ball.
     """
     queried, held, sums = {}, [], Counter()
-    original_query = FiniteMetricMeasureSpace._ball_ids
+    original_query = FiniteMetricMeasureSpace.ball_members
     original_sum = FiniteMetricMeasureSpace.set_measure
     original_spans = FiniteMetricMeasureSpace.ball_spans
 
@@ -537,7 +536,7 @@ def _ball_sums(monkeypatch):
         sums.update(key for key in fresh if key in self._mu)
         return out
 
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "_ball_ids", query)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", measure)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", spans)
     yield sums
@@ -555,7 +554,7 @@ def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
     cfg = cli.load_config(str(SMOKE))
     names = [entry["name"] for entry in cfg["checks"]]
     assert names.index("jn_decay") < names.index("rhi_equivalence_observed")
-    with _queries_inside(monkeypatch, theorems, "doubling_profile", "_ball_ids") as queries, \
+    with _queries_inside(monkeypatch, theorems, "doubling_profile") as queries, \
             _ball_sums(monkeypatch) as sums:
         ctx = cli.RunContext(cfg)
         for entry in cfg["checks"][:names.index("rhi_equivalence_observed")]:
