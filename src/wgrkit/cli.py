@@ -22,6 +22,7 @@ error occurred, 2 usage or schema violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.resources
 import json
 import math
@@ -396,7 +397,11 @@ class _OutputLock:
                 f"output directory is locked by another run ({owner}): {self.path}; "
                 "if that run is gone, delete the lock file"
             )
-        os.write(self.fd, f"pid {os.getpid()} on {platform.node()}\n".encode())
+        try:
+            os.write(self.fd, f"pid {os.getpid()} on {platform.node()}\n".encode())
+        except BaseException:  # ``with`` calls no __exit__ when __enter__ raises
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc):
@@ -741,5 +746,14 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
 
 
+def entry() -> None:
+    """Process entry of ``python -m wgrkit.cli`` and the ``wgrkit`` script.
+    Every output is closed when ``main`` returns, so the heap is frozen out of
+    the interpreter's exit-time collections; atexit and stdio flushes still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,8 @@
 """CLI: exit codes, artifacts, schema validation, determinism."""
 import ast
 import csv
+import gc
+import importlib
 import json
 import os
 import platform
@@ -638,6 +640,101 @@ def test_lock_file_names_its_owner(tmp_path):
         owner = (tmp_path / ".wgrkit.lock").read_text()
     assert owner == f"pid {os.getpid()} on {platform.node()}\n"
     assert not (tmp_path / ".wgrkit.lock").exists()
+
+
+def test_a_failed_owner_line_closes_and_removes_the_lock(tmp_path, monkeypatch):
+    """``with`` calls no ``__exit__`` when ``__enter__`` raises, so the lock
+    must undo itself, or the next run into the directory is refused."""
+    cfg = smoke_config(tmp_path)
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+    monkeypatch.setattr(os, "open", lambda *a: opened.append(real_open(*a)) or opened[-1])
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
+
+    def no_node():
+        raise OSError("no host name")
+
+    monkeypatch.setattr(platform, "node", no_node)
+    with pytest.raises(OSError, match="no host name"):
+        main(["run", "--config", str(cfg)])
+    monkeypatch.undo()
+    assert opened and closed == opened
+    assert not (tmp_path / "out" / cli.LOCK_NAME).exists()
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_the_console_script_is_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["wgrkit"]
+    module, _, name = target.partition(":")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = [node.value for node in block.body if isinstance(node, ast.Expr)]
+    assert getattr(importlib.import_module(module), name) is getattr(cli, call.func.id)
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["run", "--config", str(smoke_config(tmp_path))]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_exits_with_mains_code_after_freezing_and_runs_atexit():
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['wgrkit', 'run']\n"
+        "runpy.run_module('wgrkit.cli', run_name='__main__')\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "run needs --config\n"
+    assert proc.stdout == "frozen at exit: True\n"
+
+
+def _exit_path_case(tmp_path: Path, case: str) -> tuple[list[str], int]:
+    out = str(tmp_path / "out")
+    if case == "passing run":
+        return ["run", "--config", str(smoke_config(tmp_path)), "--out", out], 0
+    if case == "failing run":
+        checks = [{"name": "sublevel_bound", "params": {"eps": 0.95, "lambda": 0.9}}]
+        return ["run", "--config", str(smoke_config(tmp_path, checks=checks)), "--out", out], 1
+    if case == "cz nested":
+        return ["cz", "nested", "--config", str(_cz_spike_config(tmp_path)), "--out", out], 0
+    if case == "usage error":
+        cfg = smoke_config(tmp_path, geometry={"sigma": 0.5, "eta": 1.0})
+        return ["run", "--config", str(cfg), "--out", out], EXIT_USAGE
+    return ["examples", "list"], 0
+
+
+@pytest.mark.parametrize(
+    "case", ["passing run", "failing run", "cz nested", "usage error", "examples list"]
+)
+def test_every_output_is_closed_before_the_process_exits(tmp_path, case):
+    """The process entry leaves cyclic garbage unfinalized at exit, so no
+    output may depend on a finalizer: with ResourceWarning an error, no
+    file is left to one, the lock is gone, and every byte is on disk."""
+    argv, code = _exit_path_case(tmp_path, case)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "wgrkit.cli", *argv],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "ResourceWarning" not in proc.stderr and "Exception ignored" not in proc.stderr
+    out = tmp_path / "out"
+    if case.endswith("run"):
+        assert not (out / cli.LOCK_NAME).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]
+        for name, digest in manifest["outputs"].items():
+            assert sha256_file(out / name) == digest
+    elif case == "cz nested":
+        assert {"low", "high", "containment_map"} <= json.loads(out.read_text()).keys()
+    elif case == "usage error":
+        assert not out.exists()
+    else:
+        assert "sawyer_strip" in json.loads(proc.stdout)
 
 
 def test_examples_list_json():
