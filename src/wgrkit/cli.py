@@ -532,8 +532,8 @@ _CZ_PROPERTIES = {"i": "pass", "ii": "pass", "iii": "pass", "iv": "pass"}
 def cmd_cz(ctx: RunContext, out: Path, nested: bool) -> int:
     space, w, family = ctx.space, ctx.w, ctx.family
     # the maximal function builds the weight's averages table, which every level
-    # reads; its sweep also measures the closure balls, so it comes first and
-    # the closure profile reads the memo only
+    # reads; the closure profile then finds the family balls in the space's memo
+    # and measures only their dilates
     mf_max = float(czdecomp.maximal_function(space, w, family).max())
     profile = czdecomp.closure_profile(space, family)
     cz_cfg = ctx.cfg.get("cz", {})
@@ -737,7 +737,9 @@ def main(argv=None) -> int:
             "decay-table": lambda: cmd_decay_table(ctx, out),
             "sweep": lambda: cmd_sweep(ctx, args.kind, out),
         }
-        return commands[args.command]()
+        # an overflowing product raises where its ball is summed; numpy's warning says nothing more
+        with np.errstate(over="ignore", invalid="ignore"):
+            return commands[args.command]()
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -40,7 +40,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .util import span_sum
+from .util import ball_sum, span_sum
 from .weights import _avg, _ball_average, _weight, as_values
 
 
@@ -105,10 +105,14 @@ def level_set(mf: np.ndarray, lam: float, region: np.ndarray) -> np.ndarray:
     return region[mf[region] > lam]
 
 
-def _chain_radii(family: BallFamily) -> list[float]:
-    """Ascending radii of the closure chains: each family radius and its
-    power-of-two dilates up to twice the hat radius. They do not depend on
-    the center."""
+def closure_keys(family: BallFamily) -> list[tuple[int, float]]:
+    """Family balls plus their power-of-two dilates up to twice the hat radius,
+    as ``(center, radius)`` keys, center then radius ascending.
+
+    Doubling ratios measured over this set dominate the halving chains that
+    compare any family ball against the hat ball, which is what makes the
+    admissibility constant ``alpha`` effective on discrete data.
+    """
     top = 2.0 * (1.0 + family.eta) * family.base_ball.radius
     radii: set[float] = set()
     for r in family.radius_grid:
@@ -118,19 +122,8 @@ def _chain_radii(family: BallFamily) -> list[float]:
             if rho >= top:
                 break
             rho *= 2.0
-    return sorted(radii)
-
-
-def closure_keys(family: BallFamily) -> list[tuple[int, float]]:
-    """Family balls plus their power-of-two dilates up to twice the hat radius,
-    as ``(center, radius)`` keys, center then radius ascending.
-
-    Doubling ratios measured over this set dominate the halving chains that
-    compare any family ball against the hat ball, which is what makes the
-    admissibility constant ``alpha`` effective on discrete data.
-    """
-    radii = _chain_radii(family)
-    return [(c, rho) for c in sorted({b.center for b in family.members}) for rho in radii]
+    chain = sorted(radii)
+    return [(c, rho) for c in sorted({b.center for b in family.members}) for rho in chain]
 
 
 def closure_profile(space: FiniteMetricMeasureSpace, family: BallFamily) -> DoublingProfile:
@@ -176,15 +169,14 @@ class _FamilyAverages:
     and ``maximal``, the maximal function of |f| over the family (see
     :func:`maximal_function`).
 
-    On a line with a prefix table of the products, one :meth:`~FiniteMetricMeasureSpace.ball_spans`
-    batch finds and measures every family ball, closure ball and double:
-    ``members`` is a ball's slice, w(B) a span of the weight's table, the one
-    the ball pass reads. Elsewhere one :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
-    sweep per center, which measures its closure balls too, gives each ball
-    as a prefix view of one distance order, and w(B) is an ``fsum`` over it.
-    Either w(B) has ``fsum``'s bits, and :func:`closure_profile` reads only
-    the memo. The table holds no reference to its space or family, which
-    key it weakly on the weight.
+    One loop per center walks its balls from the outermost radius in. On a
+    line with a prefix table of the products, ``members`` is a ball's slice
+    from one :meth:`~FiniteMetricMeasureSpace.ball_spans` batch and w(B) a
+    span of the weight's table, the one the ball pass reads; elsewhere
+    ``members`` is the ball's :meth:`~FiniteMetricMeasureSpace.ball_members`
+    and w(B) an ``fsum`` over it. Either w(B) has ``fsum``'s bits, and mu(B)
+    comes from the space's memo. The table holds no reference to its space
+    or family, which key it weakly on the weight.
     """
 
     def __init__(self, space, f, family: BallFamily):
@@ -194,44 +186,33 @@ class _FamilyAverages:
         for ball in family.members:
             by_center.setdefault(ball.center, []).append(ball.radius)
         self.centers = sorted(by_center)
-        chain = _chain_radii(family)
-        closure = {*chain, *(2.0 * rho for rho in chain)}
-        # w(B) sums the same once-rounded products as weights._induced
-        products = self.values * space.mass
         self.avg: dict[tuple[int, float], float] = {}
         self.members: dict[tuple[int, float], slice | np.ndarray] = {}
         self.maximal = np.zeros(space.n_points)
         table, memo = f._span_sums(space) if space.is_line else None, space._mu
         if table is not None:
-            keys = [(c, r) for c, radii in by_center.items() for r in closure.union(radii)]
-            spans = dict(zip(keys, zip(*(e.tolist() for e in space.ball_spans(*zip(*keys))))))
+            spans = dict(zip(family.members, zip(*(
+                e.tolist() for e in space.ball_spans(*zip(*family.members))))))
+        else:
+            # w(B) sums the same once-rounded products as weights._induced
+            products = self.values * space.mass
         for c, radii in by_center.items():
-            ascending = sorted(radii)
-            if table is not None:
-                ends = [spans[(c, r)] for r in ascending]
-                sums = [span_sum(*table, a, b) for a, b in ends]
-                self.members.update({(c, r): slice(*ab) for r, ab in zip(ascending, ends)})
-                outer = slice(*ends[-1])
-            else:
-                swept = sorted(closure.union(radii))
-                order, counts = space.ball_prefixes(c, swept)
-                count = dict(zip(swept, counts.tolist()))
-                ends = [(0, count[r]) for r in ascending]
-                # a copy, so the center's full order is not kept alive by the views
-                outer = order[: ends[-1][1]].copy()
-                p = memoryview(products[outer])
-                sums = [math.fsum(p[:b]) for _, b in ends]
-                self.members.update({(c, r): outer[:b] for r, (_, b) in zip(ascending, ends)})
+            t = 0.0
             # a point takes the largest average over the balls that hold it: paint
             # the balls from the outermost in, each with the running maximum
-            first, t = ends[-1][0], 0.0
-            reach = np.empty(ends[-1][1] - first)
-            for r, (a, b), w in zip(ascending[::-1], ends[::-1], sums[::-1]):
-                if b > a:
-                    avg = self.avg[(c, r)] = _avg(w, memo.get((c, r)) or space.ball_measure(c, r))
+            for r in sorted(radii, reverse=True):
+                if table is not None:
+                    a, b = spans[(c, r)]
+                    members, w, ids = slice(a, b), span_sum(*table, a, b), range(a, b)
+                else:
+                    members = ids = space.ball_members(c, r)
+                    w = ball_sum(products[members].tolist())
+                self.members[(c, r)] = members
+                mu = memo.get((c, r)) or space.ball_measure(c, r, ids)
+                if mu > 0.0:  # masses are positive, so only an empty ball has measure 0
+                    avg = self.avg[(c, r)] = _avg(w, mu)
                     t = max(t, avg)
-                reach[a - first:b - first] = t
-            self.maximal[outer] = np.maximum(self.maximal[outer], reach)
+                    self.maximal[members] = np.maximum(self.maximal[members], t)
         self.maximal.setflags(write=False)
 
 

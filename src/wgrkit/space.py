@@ -25,25 +25,24 @@ of the most recently queried center, so a layer that walks its balls
 center by center (every family, measuring set and closure set is listed
 center-ascending) computes each row once per pass. The slot costs O(n)
 memory per space; :meth:`FiniteMetricMeasureSpace.dist_row` itself stays
-uncached. There are three ball queries:
+uncached. There are two ball queries:
 :meth:`~FiniteMetricMeasureSpace.ball_members` computes one ball's ids in
-ascending order, read-only, at every call; :meth:`~FiniteMetricMeasureSpace.ball_prefixes`
-sorts the center's row once and returns that order with a count per
-radius, so the nested balls at one center are prefixes of one array; on a
-*line*, 1-d coordinates in id order, :meth:`~FiniteMetricMeasureSpace.ball_spans`
-gives a batch of balls as id spans with no distance row; there the ball
-pass (``weights._ball_map``), the CZ table and :func:`doubling_profile` read
-it. The space keeps no ids: off a line, each weight's table keeps the ids
-of the balls its last pass walked, for the next pass (``weights._BallSums``).
-A memo maps ``(center, r)`` to the float mu(B), which every layer reads;
-``ball_measure`` sums one ball on first use, from one query,
-``ball_prefixes`` all the radii it sweeps, and ``ball_spans`` its batch. A
-space freezes private copies of its arrays, so it cannot go stale. On a
-space whose points share one mass m (every generated grid), k points
-measure ``k * m`` with no sum: that product and ``fsum`` of k copies of m
-are both the correctly rounded k*m, equal bit for bit. A product that
-overflows falls back to ``fsum``, which raises as before. On a line,
-unequal masses are read from one exact prefix table, with ``fsum``'s bits.
+ascending order, read-only, at every call, and every layer reads it off a
+line; on a *line*, 1-d coordinates in id order,
+:meth:`~FiniteMetricMeasureSpace.ball_spans` gives a batch of balls as id
+spans with no distance row, which the ball pass (``weights._ball_map``),
+the CZ table and :func:`doubling_profile` read there. The space keeps no
+ids: off a line, each weight's table keeps the ids of the balls its last
+pass walked, for the next pass (``weights._BallSums``). A memo maps
+``(center, r)`` to the float mu(B), which every layer reads;
+``ball_measure`` sums one ball on first use, from one query, and
+``ball_spans`` measures its batch. A space freezes private copies of its
+arrays, so it cannot go stale. On a space whose points share one mass m
+(every generated grid), k points measure ``k * m`` with no sum: that
+product and ``fsum`` of k copies of m are both the correctly rounded k*m,
+equal bit for bit. A product that overflows falls back to ``fsum``, which
+raises as before. On a line, unequal masses are read from one exact prefix
+table, with ``fsum``'s bits.
 
 The doubling behaviour of a space is summarized by :func:`doubling_profile`,
 the maximum of ``mu(2B)/mu(B)`` over a finite ball set. Because the maximum
@@ -235,29 +234,6 @@ class FiniteMetricMeasureSpace:
         ids = self.ball_mask(center, r).nonzero()[0]
         ids.setflags(False)  # write=False, passed positionally: the keyword costs a parse per call
         return ids
-
-    def ball_prefixes(self, center: int, radii) -> tuple[np.ndarray, np.ndarray]:
-        """Every point id in ascending distance from ``center`` (ties by id),
-        and per radius the count of those strictly inside ``B(center, r)``.
-
-        ``B(center, r)`` is ``order[:count]``, the set :meth:`ball_members`
-        returns, in distance order. The memo gains each ball it lacks as
-        :meth:`set_measure` sums it: ``count * m`` on a uniform mass m, else
-        one ``fsum`` over a prefix of the masses in that order."""
-        radii = np.asarray(radii, dtype=float)
-        if not (radii >= 0.0).all():
-            raise WgrError("ball radius must be >= 0")
-        row = self._cached_row(center)
-        order = np.argsort(row, kind="stable")
-        counts = np.searchsorted(row[order], radii, side="left")
-        memo, m = self._mu, self._common_mass
-        masses = memoryview(self._mass[order]) if m is None else None
-        for r, k in zip(radii.tolist(), counts.tolist()):
-            if (center, r) not in memo:
-                mu = math.fsum(masses[:k]) if m is None else k * m
-                # where k * m overflows, set_measure's fsum raises OverflowError
-                memo[(center, r)] = mu if mu != math.inf else self.set_measure(order[:k])
-        return order, counts
 
     def ball_spans(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """On a line, the ends ``lo, hi`` of each ``B(center, r)``, whose ids are
@@ -477,7 +453,7 @@ def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfi
     :meth:`~FiniteMetricMeasureSpace.ball_spans` call.
     """
     c_mu, memo, n = 1.0, space._mu, space.n_points  # read first, as ball_measure does
-    keys = [ball if isinstance(ball, tuple) else (ball.center, ball.radius) for ball in ball_set]
+    keys = list(ball_set)
     if space.is_line:  # a key that cannot be measured is left to ball_measure, to raise in turn
         lack = [(c, s * r) for c, r in keys if 0 <= c < n and r >= 0.0
                 for s in (1.0, 2.0) if (c, s * r) not in memo]

@@ -27,9 +27,20 @@ def fsum(values) -> float:
     return math.fsum(values)
 
 
+def ball_sum(terms) -> float:
+    """``math.fsum`` of a ball's terms, which are finite unless an elementwise
+    product or power overflowed. Given an inf term ``fsum`` returns inf, so
+    that sum raises the OverflowError ``fsum`` raises when finite partial sums
+    pass the largest double."""
+    total = math.fsum(terms)
+    if not math.isfinite(total):
+        raise OverflowError("intermediate overflow in fsum")
+    return total
+
+
 def weighted_sum(values: np.ndarray, mass: np.ndarray) -> float:
     """Compensated sum of values*mass, elementwise products rounded once."""
-    return math.fsum((np.asarray(values, dtype=float) * mass).tolist())
+    return ball_sum((np.asarray(values, dtype=float) * mass).tolist())
 
 
 def exact_prefix_sums(values) -> tuple[list[int], int]:

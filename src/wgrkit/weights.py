@@ -43,7 +43,7 @@ from .errors import (
     WgrError,
 )
 from .space import FiniteMetricMeasureSpace
-from .util import Frozen, exact_prefix_sums, span_sum, weighted_sum
+from .util import Frozen, ball_sum, exact_prefix_sums, span_sum, weighted_sum
 
 
 class Weight(Frozen):
@@ -213,7 +213,7 @@ def _ball_map(
 def _fsums(terms: np.ndarray, sizes) -> list[float]:
     """The ``fsum`` of each consecutive run of ``sizes`` entries of ``terms``."""
     view, bounds = memoryview(terms), [0, *accumulate(sizes)]
-    return [math.fsum(view[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [ball_sum(view[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _block(space, values, sums: _BallSums, block: list, pending: dict, kernel) -> list:

@@ -502,7 +502,7 @@ def test_closure_profile_is_the_profile_of_the_closure_balls(mass, table_first):
     assert closure_profile(space, family).c_mu.hex() == expected.c_mu.hex()
 
 
-# -- the family sweep against the per-ball path -------------------------------
+# -- the family table against the per-ball path -------------------------------
 
 
 @st.composite
@@ -547,13 +547,13 @@ def _small_spaces(draw):
     radius=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
     eta=st.sampled_from([0.5, 1.0, 2.0]),
 )
-def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
+def test_family_table_matches_the_per_ball_path(instance, center, radius, eta):
     mass, geometry, f = instance
-    swept, per_ball = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(2))
-    family = build_family(swept, Ball(center % swept.n_points, radius), eta=eta, sigma=1.0)
-    table = czdecomp._averages(swept, f, family)
-    # a line takes the span path, its members slices; every other space the sweep
-    assert all(isinstance(v, slice) == swept.is_line for v in table.members.values())
+    space, per_ball, fresh = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(3))
+    family = build_family(space, Ball(center % space.n_points, radius), eta=eta, sigma=1.0)
+    table = czdecomp._averages(space, f, family)
+    # a line takes the span path, its members slices; every other space ball_members ids
+    assert all(isinstance(v, slice) == space.is_line for v in table.members.values())
 
     values = np.asarray(f)
     members, avg = {}, {}
@@ -567,17 +567,18 @@ def test_family_sweep_matches_the_per_ball_path(instance, center, radius, eta):
     for key, a in avg.items():
         np.maximum.at(mf, list(members[key]), float.fromhex(a))
 
-    ids = np.arange(swept.n_points)
+    ids = np.arange(space.n_points)
     assert {k: set(ids[v].tolist()) for k, v in table.members.items()} == members
     assert {k: v.hex() for k, v in table.avg.items()} == avg
     assert table.maximal.tobytes() == mf.tobytes()
     assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
-    # every measure the sweep stored is the per-ball measure, closure balls included
-    closure = closure_keys(family)
-    assert {(c, r) for c, rho in closure for r in (rho, 2.0 * rho)} <= swept._mu.keys()
-    assert {k: mu.hex() for k, mu in swept._mu.items()} == {
-        k: per_ball.ball_measure(*k).hex() for k in swept._mu
+    # every measure the table stored is the per-ball measure
+    assert {k: mu.hex() for k, mu in space._mu.items()} == {
+        k: per_ball.ball_measure(*k).hex() for k in space._mu
     }
+    # the closure profile, measured after the table, is the one a fresh space gives
+    assert closure_profile(space, family).c_mu.hex() == (
+        doubling_profile(fresh, closure_keys(family)).c_mu.hex())
 
 
 @st.composite
@@ -601,10 +602,11 @@ def _line_and_shuffle(draw):
     radius=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
     eta=st.sampled_from([0.5, 1.0, 2.0]),
 )
-def test_line_spans_and_the_sweep_of_its_shuffle_agree_bit_for_bit(case, kind, center, radius, eta):
+def test_line_spans_and_the_per_ball_path_of_its_shuffle_agree_bit_for_bit(
+        case, kind, center, radius, eta):
     """Point ``i`` of the shuffled space is point ``perm[i]`` of the line: the
     line's tables, taken through the spans, and the shuffle's, through the
-    sweep, are the same up to that relabelling."""
+    per-ball path, are the same up to that relabelling."""
     xs, mass, f, perm = case
     inv = np.argsort(perm)
     line = FiniteMetricMeasureSpace(mass, coords=xs[:, None], metric_kind=kind)
@@ -613,20 +615,20 @@ def test_line_spans_and_the_sweep_of_its_shuffle_agree_bit_for_bit(case, kind, c
     c = center % line.n_points
     spans = czdecomp._averages(line, f, build_family(line, Ball(c, radius), eta=eta, sigma=1.0))
     shuffled_family = build_family(shuffled, Ball(int(inv[c]), radius), eta=eta, sigma=1.0)
-    sweep = czdecomp._averages(shuffled, f[perm], shuffled_family)
+    per_ball = czdecomp._averages(shuffled, f[perm], shuffled_family)
     assert all(isinstance(v, slice) for v in spans.members.values())
-    assert not any(isinstance(v, slice) for v in sweep.members.values())
+    assert not any(isinstance(v, slice) for v in per_ball.members.values())
 
     def relabel(table):
         return {(int(inv[c]), r): v for (c, r), v in table.items()}
 
     assert {k: v.hex() for k, v in relabel(spans.avg).items()} == {
-        k: v.hex() for k, v in sweep.avg.items()
+        k: v.hex() for k, v in per_ball.avg.items()
     }
     assert {k: sorted(inv[v].tolist()) for k, v in relabel(spans.members).items()} == {
-        k: sorted(v.tolist()) for k, v in sweep.members.items()
+        k: sorted(v.tolist()) for k, v in per_ball.members.items()
     }
-    assert spans.maximal[perm].tobytes() == sweep.maximal.tobytes()
+    assert spans.maximal[perm].tobytes() == per_ball.maximal.tobytes()
     assert {k: v.hex() for k, v in relabel(line._mu).items()} == {
         k: v.hex() for k, v in shuffled._mu.items()
     }

@@ -1,0 +1,116 @@
+"""Whole runs on a line against the generic path.
+
+A *line* (1-d coordinates in id order) takes every ball as an id span and
+w(B) from the weight's exact prefix table. Each input here runs through
+``cli.main`` twice: once as is, and once with ``is_line`` switched off after
+the space is built, so every layer takes the generic path of ``ball_members``
+ids and ``fsum``. Exit code, stdout, stderr and every output byte, manifest
+included, must agree.
+"""
+import shutil
+
+import pytest
+
+from conftest import philox
+from wgrkit import cli, grid_1d
+from wgrkit.space import FiniteMetricMeasureSpace
+from wgrkit.util import dumps_canonical
+
+DECAY = [{"name": "jn_decay", "params": {"count": 8, "factor": 4.0}},
+         *({"name": name, "params": {"p": 1.5}}
+           for name in ("osc_power_bound", "weak_rhi", "cover_rhi"))]
+FUNCTIONALS = [{"name": name, "params": {}}
+               for name in ("wgr", "wgr_minus", "gr", "weak_ainfty", "sublevel", "rhi")]
+IMPLICATIONS = [
+    {"name": "superlevel_bound", "params": {"lambda": 0.9}},
+    {"name": "osc_from_superlevel", "params": {"alpha": 0.5}},
+    {"name": "sublevel_bound", "params": {"lambda": 0.9}},
+    {"name": "neg_osc_from_sublevel", "params": {"beta": 0.5}},
+]
+CZ = [["cz", "nested"], ["cz", "decompose"]]
+
+
+def _custom(points, mass, weight):
+    space = {"points": [[x] for x in points], "distance_matrix": None, "mass": list(mass),
+             "metric_kind": "euclidean"}
+    return {"kind": "custom", "params": {"space": space, "weight": list(weight)}}
+
+
+def _lognormal():
+    return {"instance": {"kind": "lognormal", "interval": [0.0, 48.0, 48],
+                         "params": {"mu": 0.0, "sigma": 0.3}, "seed": 7},
+            "geometry": {"sigma": 1.5, "eta": 1.0,
+                         "base_ball": {"center": "central", "radius": "auto"}},
+            "checks": DECAY + FUNCTIONALS + IMPLICATIONS,
+            "rng": {"algorithm": "philox4x64-10", "seed": 7}}, [["run"]]
+
+
+def _spike():
+    space = grid_1d(0.0, 256.0, 256)
+    f = 0.001 * (1.0 + philox(3).random(256))
+    f[128] = 60.0
+    return {"instance": _custom(space.coords[:, 0].tolist(), space.mass, f),
+            "geometry": {"sigma": 1.0, "eta": 4.0, "base_ball": {"center": 128, "radius": 25.5}},
+            "checks": [], "cz": {"level_fraction": 0.1, "level_fraction_hi": 0.6}}, CZ
+
+
+def _ties():
+    gen = philox(11)
+    points = sorted(gen.integers(0, 40, size=60).tolist())
+    mass = gen.choice([0.1, 0.25, 1.0 / 3.0, 1.0, 3.0], size=60)
+    return {"instance": _custom(points, mass, gen.lognormal(0.0, 0.5, size=60)),
+            "geometry": {"sigma": 1.5, "eta": 2.0, "base_ball": {"center": 30, "radius": 10.0}},
+            "checks": DECAY + FUNCTIONALS + IMPLICATIONS}, [["run"]]
+
+
+def _overflow():
+    return {"instance": _custom([k + 0.5 for k in range(16)], [2.0] * 16, [1e308] * 16),
+            "geometry": {"sigma": 1.5, "eta": 1.0, "base_ball": {"center": 8, "radius": 4.0}},
+            "checks": FUNCTIONALS + DECAY}, [["run"], ["cz", "decompose"]]
+
+
+def _outputs(out):
+    if out.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return {out.name: out.read_bytes()} if out.exists() else {}
+
+
+@pytest.mark.parametrize("instance", [_lognormal, _spike, _ties, _overflow],
+                         ids=lambda make: make.__name__[1:])
+def test_a_line_run_matches_its_generic_twin_byte_for_byte(instance, tmp_path, monkeypatch,
+                                                            capsys):
+    cfg, commands = instance()
+    cfg["output"] = {"directory": str(tmp_path / "unused"), "formats": ["json", "csv"]}
+    cli.validate_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(dumps_canonical(cfg))
+    init, spans = FiniteMetricMeasureSpace.__init__, FiniteMetricMeasureSpace.ball_spans
+    spans_calls: list[int] = []
+
+    def counting_spans(self, *args):
+        spans_calls.append(1)
+        return spans(self, *args)
+
+    def generic(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.is_line = False
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", counting_spans)
+    runs = {}
+    for twin in (False, True):
+        spans_calls.clear()
+        with monkeypatch.context() as patch:
+            if twin:
+                patch.setattr(FiniteMetricMeasureSpace, "__init__", generic)
+            for command in commands:
+                out = tmp_path / ("out" if command == ["run"] else "out.json")
+                code = cli.main([*command, "--config", str(path), "--out", str(out)])
+                std = capsys.readouterr()
+                runs.setdefault(twin, []).append((code, std.out, std.err, _outputs(out)))
+                if out.is_dir():
+                    shutil.rmtree(out)
+                else:
+                    out.unlink(missing_ok=True)
+        assert bool(spans_calls) is not twin
+    assert runs[False] == runs[True]
+    assert any(files for *_, files in runs[False])

@@ -106,45 +106,6 @@ def test_ball_monotone_in_radius(center, r1, r2):
     assert set(sp.ball_members(center, lo).tolist()) <= set(sp.ball_members(center, hi).tolist())
 
 
-@pytest.mark.parametrize(
-    "space",
-    [
-        grid_1d(0.0, 9.0, 9),
-        grid_nd(2, 5, 1.0, "chebyshev"),
-        FiniteMetricMeasureSpace([1.0, 0.5, 2.0, 0.25, 3.0], coords=[[0], [2], [1], [3], [2]],
-                                 metric_kind="euclidean"),
-        # ids out of distance order, with masses whose sums round
-        *(FiniteMetricMeasureSpace(np.resize(m, 45), coords=((np.arange(45) * 7) % 45)[:, None] / 4,
-                                   metric_kind="euclidean") for m in ([0.1], [1.0, 1.01, 1.02])),
-    ],
-)
-def test_ball_prefixes_lists_each_ball_as_a_prefix_of_one_distance_order(space):
-    center = 2
-    radii = [0.0, 0.5, 1.0, 1.5, 2.0, 10.0]
-    order, counts = space.ball_prefixes(center, radii)
-    row = space.dist_row(center)
-    assert order.tolist() == sorted(range(space.n_points), key=lambda j: (row[j], j))
-    for r, k in zip(radii, counts.tolist()):
-        members = space.ball_members(center, r)
-        assert sorted(order[:k].tolist()) == members.tolist()
-        assert space._mu[(center, r)].hex() == space.set_measure(members).hex()
-        assert space._mu[(center, r)].hex() == math.fsum(space.mass[members].tolist()).hex()
-    with pytest.raises(WgrError):
-        space.ball_prefixes(center, [1.0, -0.5])
-
-
-@pytest.mark.parametrize("masses", [[1e308], [1e308, 1.01e308]], ids=["uniform", "unequal"])
-def test_ball_prefixes_raises_overflow_where_set_measure_does(masses):
-    space = FiniteMetricMeasureSpace(np.resize(masses, 4), coords=np.arange(4.0)[:, None],
-                                     metric_kind="euclidean")
-    order, _ = space.ball_prefixes(0, [0.5])  # one point: no overflow
-    assert space._mu[(0, 0.5)] == space.mass[0]
-    with pytest.raises(OverflowError):
-        space.set_measure(order[:2])
-    with pytest.raises(OverflowError):
-        space.ball_prefixes(0, [0.5, 1.5])
-
-
 @pytest.mark.parametrize("kind", ["chebyshev", "table"])
 def test_space_keeps_frozen_private_copies_of_its_arrays(kind):
     base = np.array([1.0, 1.0, 2.0, 4.0])
@@ -311,16 +272,6 @@ def test_doubling_profile_exhaustive_scan():
         for c in range(8)
     )
     assert prof.c_mu == pytest.approx(expected, rel=1e-12)
-
-
-def test_doubling_profile_empty_ball_error():
-    # a Ball always contains its center, so an empty ball only arises from
-    # duck-typed input with radius 0
-    from types import SimpleNamespace
-
-    sp = FiniteMetricMeasureSpace([1.0, 1.0], distance_matrix=[[0.0, 5.0], [5.0, 0.0]])
-    with pytest.raises(EmptyBallError):
-        doubling_profile(sp, [SimpleNamespace(center=0, radius=0.0), Ball(1, 1.0)])
 
 
 def test_doubling_profile_takes_center_radius_pairs_as_balls():

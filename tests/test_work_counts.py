@@ -205,35 +205,37 @@ def test_cz_builds_one_family_table_and_one_maximal_function(nested, monkeypatch
 
 @pytest.mark.parametrize("nested", [True, False])
 def test_cz_sweeps_each_family_center_once(nested, monkeypatch, tmp_path, row_calls):
-    """On a 2-d grid the averages table sweeps each family center once, and
-    the closure profile reads the measures that sweep stored. On a line the
-    table takes every family and closure ball as a span: no sweep, no ball
-    query and no distance row for any of them."""
+    """On a 2-d grid the averages table walks each family center once and
+    queries each of its balls once; the closure profile then queries each
+    closure ball and double the memo lacks, once, and nothing is measured
+    twice. On a line the table takes every family ball, and the closure
+    profile every closure ball, as a span: no ball query and no distance row
+    for any of them."""
     grid = grid_nd(2, 12, 1.0, "chebyshev")
     grid_family = build_family(grid, Ball(78, 2.5), eta=1.0, sigma=1.0)
     cfg = _cz_config(tmp_path)
     ctx = cli.RunContext(cfg)
     family_keys = {(b.center, b.radius) for b in ctx.family.members}
-    sweeps: list[tuple] = []
     queries: list[tuple] = []
-    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_prefixes", sweeps)
+    measured: list[tuple] = []
     _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_members", queries)
+    _counting(monkeypatch, FiniteMetricMeasureSpace, "set_measure", measured)
 
     w = random_weight(grid, "lognormal", {"mu": 0.0, "sigma": 0.4}, 3)
+    row_calls.clear()
     czdecomp.maximal_function(grid, w, grid_family)
+    assert Counter((int(c), float(r)) for _, c, r in queries) == Counter(grid_family.members)
+    assert Counter(row_calls) == Counter({b.center for b in grid_family.members})
     czdecomp.closure_profile(grid, grid_family)
-    swept = Counter(int(c) for _, c, _ in sweeps)
-    assert swept == Counter({b.center: 1 for b in grid_family.members})
     closure = set(czdecomp.closure_keys(grid_family))
     closure |= {(c, 2.0 * r) for c, r in closure}
-    assert not {(int(c), float(r)) for _, c, r in queries} & (set(grid_family.members) | closure)
+    assert Counter((int(c), float(r)) for _, c, r in queries) == Counter(closure)
+    assert len(measured) == len(closure)
 
-    sweeps.clear()
     queries.clear()
     row_calls.clear()
     assert ctx.space.is_line
     assert cli.cmd_cz(ctx, tmp_path / "cz_out.json", nested=nested) == 0
-    assert sweeps == []
     closure = set(czdecomp.closure_keys(ctx.family))
     closure |= {(c, 2.0 * r) for c, r in closure}
     queried = {(int(c), float(r)) for _, c, r in queries}
