@@ -10,6 +10,8 @@ which is what makes stopping-time certificates checkable.
 """
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -48,8 +50,11 @@ def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) ->
 
     Anchored at ``eta * r0`` and descending; the last entry is the first
     value below the smallest positive pairwise distance inside
-    ``(1+eta) B0`` (so singleton balls are representable). A one-point
-    region yields the single anchor radius.
+    ``(1+eta) B0`` (so singleton balls are representable), or the smallest
+    positive double when that distance is itself the smallest positive
+    double: halving it gives 0.0, and only distance 0 lies below it, so its
+    balls are singletons already. A one-point region yields the single
+    anchor radius.
     """
     if not eta > 0:
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
@@ -61,7 +66,7 @@ def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) ->
     if min_dist is None:
         return [top]
     grid = [top]
-    while grid[-1] >= min_dist:
+    while grid[-1] >= min_dist and grid[-1] / 2.0 > 0.0:
         grid.append(grid[-1] / 2.0)
     return sorted(grid)
 
@@ -104,7 +109,8 @@ def build_family(
     if centers.size == 0:
         raise EmptyBallError("base ball is empty")
     grid = radius_grid(space, base_ball, eta)
-    members = tuple(Ball(int(c), r) for c in centers for r in grid)
+    Ball(base_ball.center, grid[0])  # the smallest radius, checked once for every member
+    members = tuple(map(partial(tuple.__new__, Ball), product(centers.tolist(), grid)))
     return BallFamily(base_ball, float(eta), float(sigma), tuple(grid), members)
 
 

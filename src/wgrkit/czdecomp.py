@@ -40,7 +40,7 @@ import numpy as np
 from .balls import Ball, BallFamily
 from .errors import CZConstructionError, CZPreconditionError, NestingError
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .util import ball_sum, span_sum
+from .util import ball_sum, span_max, span_sums
 from .weights import _avg, _ball_average, _weight, as_values
 
 
@@ -94,7 +94,10 @@ def maximal_function(space: FiniteMetricMeasureSpace, f, family: BallFamily) -> 
 
     Points in no member ball get 0; in particular the result vanishes
     outside ``(1+eta) B0``. The array is read-only: it is the averages
-    table's, which the weight keeps (see :func:`_averages`).
+    table's, which the weight keeps (see :func:`_averages`). On a line it
+    is one range maximum over the balls' id spans, O(|family| + n log n);
+    elsewhere each ball is painted with its center's running maximum,
+    O(sum of |B|). Max is exact, so both are the same bits.
     """
     return _averages(space, f, family).maximal
 
@@ -165,55 +168,83 @@ class CZDecomposition:
 
 
 class _FamilyAverages:
-    """Per member ball: its points and, when nonempty, the average of |f|;
-    and ``maximal``, the maximal function of |f| over the family (see
+    """The averages of |f| over a family's balls, as columns indexed by (center
+    index, grid index): rows follow ``centers`` and columns the family's radius
+    ``grid``, both ascending, since a family holds every center with every grid
+    radius. ``avg`` holds each ball's average, NaN where the ball is empty;
+    :meth:`members` gives a ball's points, :meth:`average` its average by key;
+    ``maximal`` is the maximal function of |f| over the family (see
     :func:`maximal_function`).
 
-    One loop per center walks its balls from the outermost radius in. On a
-    line with a prefix table of the products, ``members`` is a ball's slice
-    from one :meth:`~FiniteMetricMeasureSpace.ball_spans` batch and w(B) a
-    span of the weight's table, the one the ball pass reads; elsewhere
-    ``members`` is the ball's :meth:`~FiniteMetricMeasureSpace.ball_members`
-    and w(B) an ``fsum`` over it. Either w(B) has ``fsum``'s bits, and mu(B)
-    comes from the space's memo. The table holds no reference to its space
-    or family, which key it weakly on the weight.
+    On a line with a prefix table of the products, one
+    :meth:`~FiniteMetricMeasureSpace.ball_spans` batch gives every ball's ends
+    ``lo`` and ``hi``, w(B) is a span of the weight's table, the one the ball
+    pass reads, and ``maximal`` is one :func:`~wgrkit.util.span_max` over the
+    spans: O(|family| + n log n). Elsewhere each ball is one
+    :meth:`~FiniteMetricMeasureSpace.ball_members` query, kept in ``ids``, and
+    w(B) an ``fsum`` over it, and ``maximal`` is painted ball by ball, each
+    center's from the outermost radius in, with the running maximum: O(sum of
+    |B|). Either w(B) has ``fsum``'s bits, mu(B) comes from the space's memo,
+    and numpy's division is Python's. The table holds no reference to its
+    space or family, which key it weakly on the weight.
     """
 
     def __init__(self, space, f, family: BallFamily):
         self.values = np.abs(as_values(f))
-        self.grid = list(family.radius_grid)
-        by_center: dict[int, list[float]] = {}
-        for ball in family.members:
-            by_center.setdefault(ball.center, []).append(ball.radius)
-        self.centers = sorted(by_center)
-        self.avg: dict[tuple[int, float], float] = {}
-        self.members: dict[tuple[int, float], slice | np.ndarray] = {}
-        self.maximal = np.zeros(space.n_points)
+        self.grid = family.radius_grid
+        k = len(self.grid)
+        self.centers = [c for c, _ in family.members[::k]]
+        self.row = {c: i for i, c in enumerate(self.centers)}
+        self.col = {r: j for j, r in enumerate(self.grid)}
+        self.avg = np.full((len(self.centers), k), np.nan)
+        self.ids = None
         table, memo = f._span_sums(space) if space.is_line else None, space._mu
         if table is not None:
-            spans = dict(zip(family.members, zip(*(
-                e.tolist() for e in space.ball_spans(*zip(*family.members))))))
+            lo, hi = space.ball_spans(np.repeat(self.centers, k),
+                                      np.tile(self.grid, len(self.centers)))
+            w = span_sums(*table, lo.tolist(), hi.tolist())
+            # the batch memoized every mu(B) but one past the largest double, which is NaN
+            # here until ball_measure raises on it
+            mu = np.array(list(map(memo.get, family.members)), dtype=float)
+            for x in np.flatnonzero(np.isnan(mu)).tolist():
+                mu[x] = space.ball_measure(*family.members[x], range(lo[x], hi[x]))
+            full = mu > 0.0
+            with np.errstate(over="ignore"):  # an average past the largest double is inf
+                np.divide(w, mu, out=self.avg.reshape(-1), where=full)
+            self.lo, self.hi = lo.reshape(self.avg.shape), hi.reshape(self.avg.shape)
+            self.maximal = span_max(lo[full], hi[full], self.avg.reshape(-1)[full], space.n_points)
         else:
             # w(B) sums the same once-rounded products as weights._induced
             products = self.values * space.mass
-        for c, radii in by_center.items():
-            t = 0.0
-            # a point takes the largest average over the balls that hold it: paint
-            # the balls from the outermost in, each with the running maximum
-            for r in sorted(radii, reverse=True):
-                if table is not None:
-                    a, b = spans[(c, r)]
-                    members, w, ids = slice(a, b), span_sum(*table, a, b), range(a, b)
-                else:
-                    members = ids = space.ball_members(c, r)
+            self.ids = [[None] * k for _ in self.centers]
+            self.maximal = np.zeros(space.n_points)
+            for i, c in enumerate(self.centers):
+                t = 0.0
+                # a point takes the largest average over the balls that hold it: paint
+                # the balls from the outermost in, each with the running maximum
+                for j in reversed(range(k)):
+                    r = self.grid[j]
+                    members = self.ids[i][j] = space.ball_members(c, r)
                     w = ball_sum(products[members].tolist())
-                self.members[(c, r)] = members
-                mu = memo.get((c, r)) or space.ball_measure(c, r, ids)
-                if mu > 0.0:  # masses are positive, so only an empty ball has measure 0
-                    avg = self.avg[(c, r)] = _avg(w, mu)
-                    t = max(t, avg)
-                    self.maximal[members] = np.maximum(self.maximal[members], t)
+                    mu = memo.get((c, r)) or space.ball_measure(c, r, members)
+                    if mu > 0.0:  # masses are positive, so only an empty ball has measure 0
+                        avg = self.avg[i, j] = _avg(w, mu)
+                        t = max(t, avg)
+                        self.maximal[members] = np.maximum(self.maximal[members], t)
         self.maximal.setflags(write=False)
+
+    def members(self, ball) -> slice | np.ndarray:
+        """The points of a family ball: a slice on a line, else its ids."""
+        i, j = self.row[ball[0]], self.col[ball[1]]
+        if self.ids is not None:
+            return self.ids[i][j]
+        return slice(int(self.lo[i, j]), int(self.hi[i, j]))
+
+    def average(self, center: int, radius: float) -> float | None:
+        """The average over ``B(center, radius)``; None unless it is a nonempty family ball."""
+        j = self.col.get(radius)
+        a = math.nan if j is None else float(self.avg[self.row[center], j])
+        return None if math.isnan(a) else a
 
 
 def _averages(space: FiniteMetricMeasureSpace, f, family: BallFamily) -> _FamilyAverages:
@@ -229,23 +260,13 @@ def _averages(space: FiniteMetricMeasureSpace, f, family: BallFamily) -> _Family
 
 def _candidates(table: _FamilyAverages, lam: float, cap: float):
     """Per-center maximal exceeding radii, split into usable/oversized."""
-    usable: list[Ball] = []
-    oversized: list[Ball] = []
-    tol = 1.0 + 1e-12
-    for c in table.centers:
-        best = None
-        for r in table.grid:
-            a = table.avg.get((c, r))
-            if a is not None and a > lam:
-                best = r
-        if best is None:
-            continue
-        ball = Ball(c, best)
-        if best <= cap * tol:
-            usable.append(ball)
-        else:
-            oversized.append(ball)
-    return usable, oversized
+    exceeds = table.avg > lam  # NaN, an empty ball, exceeds nothing
+    found = exceeds.any(axis=1)
+    best = np.asarray(table.grid)[exceeds.shape[1] - 1 - exceeds[:, ::-1].argmax(axis=1)]
+    fits = best <= cap * (1.0 + 1e-12)
+    centers = np.asarray(table.centers)
+    return [[Ball(c, r) for c, r in zip(centers[pick].tolist(), best[pick].tolist())]
+            for pick in (found & fits, found & ~fits)]
 
 
 def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Ball]:
@@ -253,7 +274,7 @@ def _greedy_disjoint(table: _FamilyAverages, candidates: list[Ball]) -> list[Bal
     claimed = np.zeros(table.values.size, dtype=bool)
     accepted: list[Ball] = []
     for ball in order:
-        members = table.members[ball]
+        members = table.members(ball)
         if not claimed[members].any():
             accepted.append(ball)
             claimed[members] = True
@@ -267,11 +288,11 @@ def _certify(family, table: _FamilyAverages, accepted: list[Ball]) -> list[BallC
         dil = {}
         tau = 2.0
         while ball.radius * tau <= top * (1.0 + 1e-12):
-            a = table.avg.get((ball.center, ball.radius * tau))
+            a = table.average(ball.center, ball.radius * tau)
             if a is not None:
                 dil[tau] = a
             tau *= 2.0
-        certs.append(BallCertificate(ball, table.avg[ball], dil))
+        certs.append(BallCertificate(ball, table.average(*ball), dil))
     return certs
 
 
@@ -282,7 +303,7 @@ def _verify(space, table: _FamilyAverages, lam: float, cap: float, dec: CZDecomp
     five = np.zeros(space.n_points, dtype=bool)
     for cert in dec.certificates:
         ball = cert.ball
-        members = table.members[ball]
+        members = table.members(ball)
         if claimed[members].any():
             raise CZConstructionError("selected balls overlap", prop="disjoint", witness=ball)
         claimed[members] = True
@@ -341,13 +362,13 @@ def _decompose(space, f, lam: float, family: BallFamily, profile: DoublingProfil
     usable, oversized = _candidates(table, lam, cap)
     dropped = False
     if restrict_to is not None:
-        keep = [ball for ball in usable if any(m[table.members[ball]].all() for m in restrict_to)]
+        keep = [ball for ball in usable if any(m[table.members(ball)].all() for m in restrict_to)]
         dropped = len(keep) < len(usable)
         usable = keep
 
     covered = np.zeros(space.n_points, dtype=bool)
     for ball in usable:
-        covered[table.members[ball]] = True
+        covered[table.members(ball)] = True
     missing = [x for x in e_members.tolist() if not covered[x]]
     if missing:
         if dropped:
@@ -401,7 +422,7 @@ def cz_nested(
     dec_hi = _decompose(space, f, lam_hi, family, profile, five_masks)
     mapping: list[int] = []
     for ball in dec_hi.balls:
-        members = table.members[ball]
+        members = table.members(ball)
         j = next((k for k, m in enumerate(five_masks) if m[members].all()), None)
         if j is None:
             raise NestingError("fine ball escaped every coarse 5-dilate", witness=ball)

@@ -65,6 +65,37 @@ def span_sum(prefix: list[int], scale: int, terms, a: int, b: int) -> float:
         return math.inf if terms is None else math.fsum(terms[a:b].tolist())
 
 
+def span_sums(prefix: list[int], scale: int, terms, lo: list[int], hi: list[int]) -> list[float]:
+    """:func:`span_sum` of each span ``lo[k]..hi[k]-1``, with its bits and its errors."""
+    try:
+        return [(prefix[b] - prefix[a]) / scale for a, b in zip(lo, hi)]
+    except OverflowError:
+        return [span_sum(prefix, scale, terms, a, b) for a, b in zip(lo, hi)]
+
+
+def span_max(lo, hi, values, n: int) -> np.ndarray:
+    """Per point of ``range(n)``, the max of ``values[k]`` over the spans ``lo[k]..hi[k]-1``
+    that hold it, and 0.0 where none does: ``np.maximum.at`` of each span's ids on zeros, bit
+    for bit, since max is exact, in O(len(lo) + n log n) rather than O(total span length).
+    A nonempty span of length L is two overlapping blocks of length 2^k, k = floor(log2 L),
+    at its two ends; level k of a block table keeps, per start, the max of the blocks of that
+    length, and each level from the top passes its maxima down to both halves of its blocks."""
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    keep = hi > lo
+    lo, hi, values = lo[keep], hi[keep], np.asarray(values, dtype=float)[keep]
+    k = (np.frexp(hi - lo)[1] - 1).astype(np.intp)  # exact: every length is far below 2^53
+    blocks = np.zeros((max(1, int(n).bit_length()), n))
+    flat = blocks.reshape(-1)
+    np.maximum.at(flat, k * n + lo, values)
+    np.maximum.at(flat, k * n + hi - np.left_shift(1, k), values)
+    for level in range(blocks.shape[0] - 1, 0, -1):
+        half = 1 << (level - 1)
+        np.maximum(blocks[level - 1], blocks[level], out=blocks[level - 1])
+        np.maximum(blocks[level - 1, half:], blocks[level, :n - half],
+                   out=blocks[level - 1, half:])
+    return blocks[0].copy()  # not a view that keeps every level alive
+
+
 def format_real(x: float) -> str:
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"non-finite real in output: {x!r}")

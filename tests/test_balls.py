@@ -9,7 +9,7 @@ import oracles
 from wgrkit import Ball, Weight, build_family, dilate, five_r_cover, grid_1d, verify_cover
 from wgrkit.czdecomp import closure_profile
 from wgrkit.errors import EmptyBallError, InvalidDilationError, InvalidParameterError
-from wgrkit.space import grid_nd
+from wgrkit.space import FiniteMetricMeasureSpace, grid_nd
 
 
 def test_dilate_identity_and_scaling():
@@ -60,6 +60,24 @@ def test_family_minimum_radius_below_min_distance():
     grid = list(fam.radius_grid)
     for lo, hi in zip(grid, grid[1:]):
         assert hi == pytest.approx(2.0 * lo)
+
+
+def test_family_grid_ends_at_the_smallest_subnormal():
+    """When the hat's smallest positive distance is the smallest subnormal, the
+    grid ends there: halving it once more gives 0.0, which is no radius, and only
+    distance 0 lies below it, so B(c, 5e-324) is already the singleton scale."""
+    sp = FiniteMetricMeasureSpace([1.0] * 3, coords=[[0.0], [5e-324], [1.0]],
+                                  metric_kind="chebyshev")
+    fam = build_family(sp, Ball(0, 2.0), eta=1.0, sigma=1.0)
+    assert fam.radius_grid == tuple(2.0**k for k in range(-1074, 2))  # 1,076 radii
+    assert len(fam.members) == 3 * len(fam.radius_grid)
+    assert [sp.ball_members(c, 5e-324).tolist() for c in range(3)] == [[0], [1], [2]]
+
+
+def test_family_checks_its_smallest_radius_with_balls_error():
+    sp = grid_1d(0.0, 4.0, 4)
+    with pytest.raises(InvalidParameterError, match=r"^ball radius must be > 0, got 0.0$"):
+        build_family(sp, Ball(1, 5e-324), eta=0.5, sigma=1.0)  # eta * r0 rounds to 0.0
 
 
 def test_family_one_point_space():

@@ -618,6 +618,35 @@ def test_cz_subcommands(tmp_path):
     assert len(nested["containment_map"]) == len(nested["high"]["balls"])
 
 
+def _subnormal_line(n: int, eta: float, radius: float) -> dict:
+    """A Chebyshev line whose two first points lie the smallest subnormal apart, a
+    spike on the first point, the base ball centered there."""
+    points = [[0.0], [5e-324], *([float(x)] for x in range(1, n - 1))]
+    space = {"points": points, "distance_matrix": None, "mass": [1.0] * n,
+             "metric_kind": "chebyshev"}
+    weight = [1.0] + [0.001] * (n - 1)
+    return {"instance": {"kind": "custom", "params": {"space": space, "weight": weight}},
+            "geometry": {"sigma": 1.0, "eta": eta, "base_ball": {"center": 0, "radius": radius}}}
+
+
+def test_cz_runs_on_a_hat_whose_smallest_distance_is_the_smallest_subnormal(tmp_path):
+    """The radius grid ends at 5e-324 rather than 0.0: three points reach the CZ
+    layer, which finds no admissible level, and a wide hat decomposes, its fine
+    level at that smallest radius."""
+    out = tmp_path / "d.json"
+    cfg = smoke_config(tmp_path, **_subnormal_line(3, 1.0, 2.0), checks=[])
+    proc = run_cli("cz", "decompose", "--config", str(cfg), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (
+        1, "CZPreconditionError: superlevel region is empty at this level\n")
+    cfg = smoke_config(tmp_path, **_subnormal_line(600, 1000.0, 1.0), checks=[])
+    assert main(["cz", "decompose", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [b["center"] for b in json.loads(out.read_text())["balls"]] == [0]
+    assert main(["cz", "nested", "--config", str(cfg), "--out", str(out)]) == 0
+    nested = json.loads(out.read_text())
+    assert [b["radius"] for b in nested["high"]["balls"]] == [5e-324]
+    assert nested["containment_map"] == [0]
+
+
 def test_cz_precondition_exit_one(tmp_path):
     cfg = smoke_config(tmp_path)  # lognormal noise: no admissible level window
     proc = run_cli("cz", "decompose", "--config", str(cfg), "--out", str(tmp_path / "d.json"))

@@ -505,6 +505,18 @@ def test_closure_profile_is_the_profile_of_the_closure_balls(mass, table_first):
 # -- the family table against the per-ball path -------------------------------
 
 
+def _by_key(table, family):
+    """The table's columns as dicts keyed by ``(center, radius)``: the average of
+    each nonempty family ball, and the points of every family ball."""
+    avg = {}
+    for c, r in family.members:
+        a = table.avg[table.row[c], table.col[r]]
+        if not np.isnan(a):
+            avg[(c, r)] = float(a)
+    assert avg == {k: table.average(*k) for k in family.members if table.average(*k) is not None}
+    return avg, {(c, r): table.members((c, r)) for c, r in family.members}
+
+
 @st.composite
 def _small_spaces(draw):
     """(mass, geometry keywords, f >= 0): a small space with tied distances.
@@ -552,8 +564,9 @@ def test_family_table_matches_the_per_ball_path(instance, center, radius, eta):
     space, per_ball, fresh = (FiniteMetricMeasureSpace(mass, **geometry) for _ in range(3))
     family = build_family(space, Ball(center % space.n_points, radius), eta=eta, sigma=1.0)
     table = czdecomp._averages(space, f, family)
+    table_avg, table_members = _by_key(table, family)
     # a line takes the span path, its members slices; every other space ball_members ids
-    assert all(isinstance(v, slice) == space.is_line for v in table.members.values())
+    assert all(isinstance(v, slice) == space.is_line for v in table_members.values())
 
     values = np.asarray(f)
     members, avg = {}, {}
@@ -568,8 +581,8 @@ def test_family_table_matches_the_per_ball_path(instance, center, radius, eta):
         np.maximum.at(mf, list(members[key]), float.fromhex(a))
 
     ids = np.arange(space.n_points)
-    assert {k: set(ids[v].tolist()) for k, v in table.members.items()} == members
-    assert {k: v.hex() for k, v in table.avg.items()} == avg
+    assert {k: set(ids[v].tolist()) for k, v in table_members.items()} == members
+    assert {k: v.hex() for k, v in table_avg.items()} == avg
     assert table.maximal.tobytes() == mf.tobytes()
     assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
     # every measure the table stored is the per-ball measure
@@ -613,20 +626,23 @@ def test_line_spans_and_the_per_ball_path_of_its_shuffle_agree_bit_for_bit(
     shuffled = FiniteMetricMeasureSpace(mass[perm], coords=xs[perm][:, None], metric_kind=kind)
     assert line.is_line and not shuffled.is_line
     c = center % line.n_points
-    spans = czdecomp._averages(line, f, build_family(line, Ball(c, radius), eta=eta, sigma=1.0))
+    line_family = build_family(line, Ball(c, radius), eta=eta, sigma=1.0)
+    spans = czdecomp._averages(line, f, line_family)
     shuffled_family = build_family(shuffled, Ball(int(inv[c]), radius), eta=eta, sigma=1.0)
     per_ball = czdecomp._averages(shuffled, f[perm], shuffled_family)
-    assert all(isinstance(v, slice) for v in spans.members.values())
-    assert not any(isinstance(v, slice) for v in per_ball.members.values())
+    (spans_avg, spans_members), (per_ball_avg, per_ball_members) = (
+        _by_key(spans, line_family), _by_key(per_ball, shuffled_family))
+    assert all(isinstance(v, slice) for v in spans_members.values())
+    assert not any(isinstance(v, slice) for v in per_ball_members.values())
 
     def relabel(table):
         return {(int(inv[c]), r): v for (c, r), v in table.items()}
 
-    assert {k: v.hex() for k, v in relabel(spans.avg).items()} == {
-        k: v.hex() for k, v in per_ball.avg.items()
+    assert {k: v.hex() for k, v in relabel(spans_avg).items()} == {
+        k: v.hex() for k, v in per_ball_avg.items()
     }
-    assert {k: sorted(inv[v].tolist()) for k, v in relabel(spans.members).items()} == {
-        k: sorted(v.tolist()) for k, v in per_ball.members.items()
+    assert {k: sorted(inv[v].tolist()) for k, v in relabel(spans_members).items()} == {
+        k: sorted(v.tolist()) for k, v in per_ball_members.items()
     }
     assert spans.maximal[perm].tobytes() == per_ball.maximal.tobytes()
     assert {k: v.hex() for k, v in relabel(line._mu).items()} == {

@@ -10,6 +10,7 @@ included, must agree.
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import philox
 from wgrkit import cli, grid_1d
@@ -114,3 +115,62 @@ def test_a_line_run_matches_its_generic_twin_byte_for_byte(instance, tmp_path, m
         assert bool(spans_calls) is not twin
     assert runs[False] == runs[True]
     assert any(files for *_, files in runs[False])
+
+
+@st.composite
+def _cz_lines(draw):
+    """A CZ config on a line: a unit grid with repeated points, unequal masses, a
+    spike or a lognormal weight, and one of several eta and level fractions. The
+    masses stay within 0.1% of each other, which keeps the doubling constant near
+    3, and so the admissible level within the weight's range on a few hundred points."""
+    n = draw(st.integers(256, 320))
+    # ties outside B0: inside it, a tie and its neighbour's double would raise the constant to 4
+    ties = draw(st.lists(st.integers(0, n // 8), min_size=1, max_size=4))
+    points = sorted([*range(n - len(ties)), *ties])
+    masses = st.sampled_from([1.0, 1.0 + 2.0**-20, 1.0 - 2.0**-12, 1.0 + 2.0**-10 / 3.0])
+    mass = draw(st.lists(masses, min_size=n, max_size=n))
+    gen = philox(draw(st.integers(0, 2**16)))
+    center, radius = n // 2, draw(st.sampled_from([0.1, 0.15, 0.2])) * n
+    if draw(st.booleans()):
+        weight = 0.001 * (1.0 + gen.random(n))
+        spikes = st.integers(center - int(radius) + 1, center + int(radius) - 1)
+        weight[draw(st.lists(spikes, min_size=1, max_size=2))] = 60.0
+    else:
+        weight = gen.lognormal(0.0, draw(st.sampled_from([1.0, 2.0, 3.0])), size=n)
+    return {"instance": _custom(points, mass, weight),
+            "geometry": {"sigma": 1.0, "eta": draw(st.sampled_from([4.0, 8.0])),
+                         "base_ball": {"center": center, "radius": radius}},
+            "checks": [],
+            "cz": {"level_fraction": draw(st.sampled_from([0.05, 0.1, 0.3])),
+                   "level_fraction_hi": draw(st.sampled_from([0.5, 0.6, 0.9]))}}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_cz_lines())
+def test_a_generated_cz_line_matches_its_generic_twin_byte_for_byte(cfg, tmp_path, capsys):
+    """``cz nested`` and ``cz decompose`` on a generated line config, as is and with
+    ``is_line`` off: the same exit codes, stdout, stderr and output bytes, a failed
+    precondition's message included, and only the first run takes spans."""
+    cfg["output"] = {"directory": str(tmp_path / "unused"), "formats": ["json"]}
+    path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    path.write_text(dumps_canonical(cfg))
+    init, spans = FiniteMetricMeasureSpace.__init__, FiniteMetricMeasureSpace.ball_spans
+    runs, spans_calls = {}, []
+
+    def generic(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.is_line = False
+
+    for twin in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FiniteMetricMeasureSpace, "ball_spans",
+                          lambda self, *args: spans_calls.append(twin) or spans(self, *args))
+            if twin:
+                patch.setattr(FiniteMetricMeasureSpace, "__init__", generic)
+            for command in CZ:
+                code = cli.main([*command, "--config", str(path), "--out", str(out)])
+                runs.setdefault(twin, []).append((code, *capsys.readouterr(), _outputs(out)))
+                out.unlink(missing_ok=True)
+    assert runs[False] == runs[True]
+    assert spans_calls and not any(spans_calls)

@@ -18,6 +18,9 @@ from wgrkit.util import (
     philox_index,
     philox_uniforms,
     sha256_file,
+    span_max,
+    span_sum,
+    span_sums,
     weighted_sum,
     write_csv,
 )
@@ -157,6 +160,58 @@ def test_exact_prefix_sums_equal_fsum_on_nonnegative_values(values):
 def test_exact_prefix_sums_equal_fsum_on_mixed_signs_short_of_overflow(values):
     # fsum also raises when partial sums of mixed signs overflow; these cannot
     _span_sums_match_fsum(values)
+
+
+@pytest.mark.parametrize("name", ["subnormals", "past-the-largest-double"])
+def test_span_sums_are_span_sum_of_each_span(name):
+    """The batch has each span's bits, or the OverflowError of its first span past the
+    largest double, fsum's own."""
+    values = _PINNED_SUMS[name]
+    terms = np.array(values)
+    prefix, scale = exact_prefix_sums(terms)
+    spans = [(a, b) for a in range(len(values) + 1) for b in range(a, len(values) + 1)]
+    lo, hi = (list(e) for e in zip(*spans))
+    try:
+        expected = [span_sum(prefix, scale, terms, a, b).hex() for a, b in spans]
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{exc}$"):
+            span_sums(prefix, scale, terms, lo, hi)
+    else:
+        assert [x.hex() for x in span_sums(prefix, scale, terms, lo, hi)] == expected
+
+
+@st.composite
+def _spans(draw):
+    """(lo, hi, values, n): spans of ``range(n)``, empty, single, whole and repeated
+    ones among them, with values from 0.0 and a subnormal to 1e308 and inf."""
+    n = draw(st.integers(1, 70))
+    span = st.integers(0, n).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, n)))
+    special = st.sampled_from([(0, 0), (n, n), (0, 1), (n - 1, n), (0, n)])
+    spans = draw(st.lists(st.one_of(span, special), max_size=40))
+    spans += draw(st.lists(st.sampled_from(spans), max_size=5)) if spans else []
+    value = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e308, math.inf]),
+                      st.floats(min_value=0.0, allow_nan=False))
+    values = draw(st.lists(value, min_size=len(spans), max_size=len(spans)))
+    lo, hi = (list(e) for e in zip(*spans)) if spans else ([], [])
+    return lo, hi, values, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spans())
+def test_span_max_is_the_max_at_over_each_spans_ids(case):
+    lo, hi, values, n = case
+    expected = np.zeros(n)
+    for a, b, v in zip(lo, hi, values):
+        np.maximum.at(expected, np.arange(a, b), v)
+    got = span_max(np.array(lo, dtype=int), np.array(hi, dtype=int), values, n)
+    assert got.shape == (n,) and got.tobytes() == expected.tobytes()
+
+
+def test_span_max_pinned_cases():
+    assert span_max([], [], [], 1).tolist() == [0.0]
+    assert span_max([0], [1], [5e-324], 1).tolist() == [5e-324]
+    assert span_max([0, 2, 1, 1], [5, 2, 3, 3], [1.0, 9.0, 2.0, math.inf], 5).tolist() == [
+        1.0, math.inf, math.inf, 1.0, 1.0]
 
 
 def test_philox_stream_reproducible():
