@@ -10,6 +10,7 @@ which is what makes stopping-time certificates checkable.
 """
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import product
 from typing import NamedTuple
@@ -38,6 +39,10 @@ class Ball(NamedTuple("Ball", [("center", int), ("radius", float)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks the radius too
 
 
+#: A Ball from a ``(center, radius)`` pair whose radius is known to be positive, unchecked.
+_ball = partial(tuple.__new__, Ball)
+
+
 def dilate(b: Ball, lam: float) -> Ball:
     """Same center, radius scaled by lam > 0."""
     if not lam > 0:
@@ -48,18 +53,24 @@ def dilate(b: Ball, lam: float) -> Ball:
 def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) -> list[float]:
     """Geometric ratio-2 radius grid for a family over ``base_ball``.
 
-    Anchored at ``eta * r0`` and descending; the last entry is the first
-    value below the smallest positive pairwise distance inside
-    ``(1+eta) B0`` (so singleton balls are representable), or the smallest
-    positive double when that distance is itself the smallest positive
-    double: halving it gives 0.0, and only distance 0 lies below it, so its
-    balls are singletons already. A one-point region yields the single
-    anchor radius.
+    Anchored at ``eta * r0``, which must be finite, and descending; the last
+    entry is the first value below the smallest positive pairwise distance
+    inside ``(1+eta) B0`` (so singleton balls are representable), or the
+    smallest positive double when that distance is itself the smallest
+    positive double: halving it gives 0.0, and only distance 0 lies below
+    it, so its balls are singletons already. A one-point region yields the
+    single anchor radius.
     """
     if not eta > 0:
         raise InvalidParameterError(f"eta must be > 0, got {eta}")
-    top = eta * base_ball.radius
     hat_members = space.ball_members(base_ball.center, (1.0 + eta) * base_ball.radius)
+    return _grid(space, eta * base_ball.radius, hat_members)
+
+
+def _grid(space: FiniteMetricMeasureSpace, top: float, hat_members: np.ndarray) -> list[float]:
+    """:func:`radius_grid` from its anchor ``top`` and the ids of the hat."""
+    if not math.isfinite(top):  # halving inf never ends
+        raise InvalidParameterError(f"the radius grid needs a finite anchor eta * r0, got {top}")
     if hat_members.size == 0:
         raise EmptyBallError("base ball has an empty (1+eta)-dilate")
     min_dist = space.min_positive_distance(hat_members)
@@ -69,6 +80,21 @@ def radius_grid(space: FiniteMetricMeasureSpace, base_ball: Ball, eta: float) ->
     while grid[-1] >= min_dist and grid[-1] / 2.0 > 0.0:
         grid.append(grid[-1] / 2.0)
     return sorted(grid)
+
+
+def _members(centers: list[int], grid: list[float]) -> tuple[Ball, ...]:
+    """Every center with every grid radius, center then radius ascending."""
+    Ball(centers[0], grid[0])  # the smallest radius, checked once for every member
+    return tuple(map(_ball, product(centers, grid)))
+
+
+def ball_index(space: FiniteMetricMeasureSpace, centers, radii) -> list:
+    """The points of each ``B(center, r)`` as an index into point arrays: on a
+    line a slice of one :meth:`~FiniteMetricMeasureSpace.ball_spans` batch,
+    elsewhere the ids of a :meth:`~FiniteMetricMeasureSpace.ball_members` query."""
+    if space.is_line:
+        return list(map(slice, *(e.tolist() for e in space.ball_spans(centers, radii))))
+    return [space.ball_members(c, r) for c, r in zip(centers, radii)]
 
 
 class BallFamily(Frozen):
@@ -109,9 +135,8 @@ def build_family(
     if centers.size == 0:
         raise EmptyBallError("base ball is empty")
     grid = radius_grid(space, base_ball, eta)
-    Ball(base_ball.center, grid[0])  # the smallest radius, checked once for every member
-    members = tuple(map(partial(tuple.__new__, Ball), product(centers.tolist(), grid)))
-    return BallFamily(base_ball, float(eta), float(sigma), tuple(grid), members)
+    return BallFamily(base_ball, float(eta), float(sigma), tuple(grid),
+                      _members(centers.tolist(), grid))
 
 
 def five_r_cover(
@@ -141,11 +166,10 @@ def five_r_cover(
         raise EmptyBallError("base ball is empty")
     claimed = np.zeros(space.n_points, dtype=bool)
     selected: list[Ball] = []
-    for c in centers:
-        mask = space.ball_mask(int(c), fifth)
-        if not np.any(mask & claimed):
-            selected.append(Ball(int(c), radius))
-            claimed |= mask
+    for c, fifth_ball in zip(centers.tolist(), ball_index(space, centers, [fifth] * centers.size)):
+        if not claimed[fifth_ball].any():
+            selected.append(Ball(c, radius))
+            claimed[fifth_ball] = True
     return selected
 
 
@@ -169,14 +193,16 @@ def verify_cover(
     # the points that one, and two or more, fifth-balls hold: a count capped at 2
     once, twice = np.zeros((2, space.n_points), dtype=bool)
     covered = np.zeros(space.n_points, dtype=bool)
-    contained = []
-    for i, ball in enumerate(cover):
-        fifth[i] = space.ball_mask(ball.center, ball.radius / 5.0)
+    # each ball's fifth, itself and its sigma (1+eta)-dilate, ball after ball: off a line
+    # the three share their center's distance row
+    index = ball_index(space, [b.center for b in cover for _ in range(3)], [
+        r for b in cover for r in (b.radius / 5.0, b.radius, sigma * (1.0 + eta) * b.radius)])
+    for i in range(len(cover)):
+        fifth[i, index[3 * i]] = True
         twice |= once & fifth[i]
         once |= fifth[i]
-        covered |= space.ball_mask(ball.center, ball.radius)
-        hat_members = space.ball_members(ball.center, sigma * (1.0 + eta) * ball.radius)
-        contained.append(bool(sigma_base[hat_members].all()))
+        covered[index[3 * i + 1]] = True
+    contained = [bool(sigma_base[hat].all()) for hat in index[2::3]]
     # a fifth-ball misses every other one iff none of its points lies in two of them
     disjoint = ~(fifth & twice).any(axis=1)
     rows = [

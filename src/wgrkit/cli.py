@@ -320,7 +320,7 @@ def _jn_decay(ctx, params):
         raise SchemaError(f"check 'jn_decay': params/factor must be > 0, got {factor!r}")
     if grid is None:
         if eps is None:
-            eps = theorems._system_eps(ctx.system, ctx.w)
+            eps = theorems._system_eps(ctx.space, ctx.w, ctx.system.measuring, ctx.system.sigma)
         if eps == 0.0:
             grid = []
         else:

@@ -184,8 +184,9 @@ class _FamilyAverages:
     :meth:`~FiniteMetricMeasureSpace.ball_members` query, kept in ``ids``, and
     w(B) an ``fsum`` over it, and ``maximal`` is painted ball by ball, each
     center's from the outermost radius in, with the running maximum: O(sum of
-    |B|). Either w(B) has ``fsum``'s bits, mu(B) comes from the space's memo,
-    and numpy's division is Python's. The table holds no reference to its
+    |B|). Either w(B) has ``fsum``'s bits, mu(B) comes from the spans'
+    measures on a line and the space's memo elsewhere, and numpy's division
+    is Python's. The table holds no reference to its
     space or family, which key it weakly on the weight.
     """
 
@@ -203,10 +204,8 @@ class _FamilyAverages:
             lo, hi = space.ball_spans(np.repeat(self.centers, k),
                                       np.tile(self.grid, len(self.centers)))
             w = span_sums(*table, lo.tolist(), hi.tolist())
-            # the batch memoized every mu(B) but one past the largest double, which is NaN
-            # here until ball_measure raises on it
-            mu = np.array(list(map(memo.get, family.members)), dtype=float)
-            for x in np.flatnonzero(np.isnan(mu)).tolist():
+            mu = space.span_measures(lo, hi)
+            for x in np.flatnonzero(np.isinf(mu)).tolist():  # past the largest double: raises
                 mu[x] = space.ball_measure(*family.members[x], range(lo[x], hi[x]))
             full = mu > 0.0
             with np.errstate(over="ignore"):  # an average past the largest double is inf

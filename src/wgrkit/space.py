@@ -31,14 +31,16 @@ ascending order, read-only, at every call, and every layer reads it off a
 line; on a *line*, 1-d coordinates in id order,
 :meth:`~FiniteMetricMeasureSpace.ball_spans` gives a batch of balls as id
 spans with no distance row, which the ball pass (``weights._ball_map``),
-the CZ table and :func:`doubling_profile` read there. The space keeps no
-ids: off a line, each weight's table keeps the ids of the balls its last
-pass walked, for the next pass (``weights._BallSums``). A memo maps
-``(center, r)`` to the float mu(B), which every layer reads;
-``ball_measure`` sums one ball on first use, from one query, and
-``ball_spans`` measures its batch. A space freezes private copies of its
-arrays, so it cannot go stale. On a space whose points share one mass m
-(every generated grid), k points measure ``k * m`` with no sum: that
+the CZ table, the 5r cover and :func:`doubling_profile` read there. The
+space keeps no ids: off a line, each weight's table keeps the ids of the
+balls its last pass walked, for the next pass (``weights._BallSums``).
+Off a line a memo maps ``(center, r)`` to the float mu(B), which every
+layer reads; ``ball_measure`` sums one ball on first use, from one query.
+On a line each layer measures its own batch of spans with
+:meth:`~FiniteMetricMeasureSpace.span_measures`, which sums nothing, and
+the memo serves ``ball_measure`` alone. A space freezes private copies of
+its arrays, so it cannot go stale. On a space whose points share one mass
+m (every generated grid), k points measure ``k * m`` with no sum: that
 product and ``fsum`` of k copies of m are both the correctly rounded k*m,
 equal bit for bit. A product that overflows falls back to ``fsum``, which
 raises as before. On a line, unequal masses are read from one exact prefix
@@ -64,7 +66,7 @@ from .errors import (
     TooLargeError,
     WgrError,
 )
-from .util import exact_prefix_sums, fsum, span_sum
+from .util import exact_prefix_sums, fsum, span_sums
 
 METRIC_KINDS = ("euclidean", "chebyshev", "table")
 
@@ -239,13 +241,11 @@ class FiniteMetricMeasureSpace:
         """On a line, the ends ``lo, hi`` of each ``B(center, r)``, whose ids are
         ``lo..hi-1``. ``searchsorted`` on ``nextafter``-padded bounds places each
         end, which then steps by the computed distance, monotone on each side of
-        the center, until no end moves. The memo gains each mu(B) it lacks: ``k * m``
-        on a uniform mass m, else a span of the masses' exact prefix table; one that
-        overflows stays out, for :meth:`ball_measure` to raise."""
+        the center, until no end moves. :meth:`span_measures` measures the spans."""
         if not self.is_line:
             raise WgrError("ball spans need 1-d coordinates in id order")
         c, r = np.asarray(centers, dtype=np.intp), np.asarray(radii, dtype=float)
-        n, x, m = self.n_points, self._coords[:, 0], self._common_mass
+        n, x = self.n_points, self._coords[:, 0]
         if not (r >= 0.0).all():
             raise WgrError("ball radius must be >= 0")
         if c.size and not 0 <= c.min() <= c.max() < n:
@@ -264,15 +264,21 @@ class FiniteMetricMeasureSpace:
                 if not (lo_step.any() or hi_step.any()):
                     break
                 lo, hi = lo + lo_step, hi + hi_step
-            lo = np.minimum(lo, hi)
-            if m is None and self._mass_sums is None:
-                self._mass_sums = exact_prefix_sums(self._mass)
-            # k * m in float64 is Python's k * m; a measure stored again has the same bits
-            mus = ((hi - lo) * m).tolist() if m is not None else [
-                span_sum(*self._mass_sums, None, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-        self._mu.update({key: mu for key, mu in zip(zip(c.tolist(), r.tolist()), mus)
-                         if mu != math.inf})
-        return lo, hi
+        return np.minimum(lo, hi), hi
+
+    def span_measures(self, lo, hi) -> np.ndarray:
+        """mu of the ids ``lo[k]..hi[k]-1`` of each span, with :meth:`set_measure`'s
+        bits: ``k * m`` on a uniform mass m (numpy's product is Python's), else a
+        span of the masses' exact prefix table, made on first use. A measure past
+        the largest double is inf here, where ``set_measure`` raises OverflowError:
+        a caller that uses one raises through :meth:`ball_measure`."""
+        lo, hi, m = np.asarray(lo), np.asarray(hi), self._common_mass
+        if m is not None:
+            with np.errstate(over="ignore"):
+                return (hi - lo) * m
+        if self._mass_sums is None:
+            self._mass_sums = exact_prefix_sums(self._mass)
+        return np.array(span_sums(*self._mass_sums, None, lo.tolist(), hi.tolist()))
 
     def set_measure(self, members) -> float:
         """Total mass of a point subset; the empty set has measure 0.
@@ -447,18 +453,24 @@ def doubling_profile(space: FiniteMetricMeasureSpace, ball_set) -> DoublingProfi
 
     A ball is a :class:`~wgrkit.balls.Ball` or its ``(center, radius)`` key.
     The profile is relative to the ball set: a richer set can only increase
-    it. Every ball must be nonempty. Measures come from the space's memo,
-    so on a ratio-2 chain the double of one ball, the next ball, is summed once.
-    On a line, every ball and double the memo lacks is measured first, in one
-    :meth:`~FiniteMetricMeasureSpace.ball_spans` call.
+    it. Every ball must be nonempty. On a line every ball and its double are
+    one :meth:`~FiniteMetricMeasureSpace.ball_spans` batch, measured by
+    :meth:`~FiniteMetricMeasureSpace.span_measures`, and the profile is one
+    array maximum. Elsewhere, and on a line whose batch cannot be measured
+    or holds an empty ball, measures come from the space's memo key by key,
+    so on a ratio-2 chain the double of one ball, the next ball, is summed
+    once, and errors come in list order.
     """
-    c_mu, memo, n = 1.0, space._mu, space.n_points  # read first, as ball_measure does
     keys = list(ball_set)
-    if space.is_line:  # a key that cannot be measured is left to ball_measure, to raise in turn
-        lack = [(c, s * r) for c, r in keys if 0 <= c < n and r >= 0.0
-                for s in (1.0, 2.0) if (c, s * r) not in memo]
-        if lack:
-            space.ball_spans(*zip(*lack))
+    if space.is_line and keys:
+        c, r = np.asarray([k[0] for k in keys]), np.asarray([k[1] for k in keys], dtype=float)
+        if c.dtype.kind in "iu" and 0 <= c.min() and c.max() < space.n_points and (r >= 0.0).all():
+            mu = space.span_measures(*space.ball_spans(np.tile(c, 2), np.concatenate((r, 2.0 * r))))
+            m1, m2 = mu[:len(keys)], mu[len(keys):]
+            if np.isfinite(mu).all() and m1.all():  # else the loop raises, in list order
+                with np.errstate(over="ignore"):  # a ratio past the largest double is inf
+                    return DoublingProfile.from_c_mu(max(1.0, float((m2 / m1).max())))
+    c_mu, memo = 1.0, space._mu  # read first, as ball_measure does
     for c, r in keys:
         m1 = memo.get((c, r)) or space.ball_measure(c, r)
         if m1 == 0.0:  # masses are positive, so only an empty ball has measure 0

@@ -24,7 +24,10 @@ import math
 
 import numpy as np
 
-from .balls import Ball, BallFamily, build_family, dilate, five_r_cover, verify_cover
+from .balls import (
+    Ball, BallFamily, _ball, _grid, _members, ball_index, build_family, dilate, five_r_cover,
+    verify_cover,
+)
 from .czdecomp import JNConstants, closure_keys, jn_constants
 from .errors import (
     DegenerateWeightError,
@@ -43,6 +46,7 @@ from .weights import (
     _pos_terms,
     _ratios,
     _resolve_sigma,
+    _sup,
     _weight,
     _WGR,
     as_values,
@@ -104,6 +108,15 @@ def _finite_or_str(obj):
     return obj
 
 
+def _gap(lhs: float, rhs: float) -> tuple[float, float]:
+    """RHS - LHS, and that gap relative to the larger side; -inf for both when a
+    side is not finite: an infinite or NaN side is no evidence, so it never passes."""
+    if math.isfinite(lhs) and math.isfinite(rhs):
+        gap = rhs - lhs
+        return gap, gap / max(abs(rhs), abs(lhs), 1e-300)
+    return -math.inf, -math.inf
+
+
 class _MarginTracker:
     """Accumulates per-instance gaps and produces the report skeleton."""
 
@@ -122,12 +135,7 @@ class _MarginTracker:
         self.n_compared += 1
         if vacuous:
             self.n_vacuous += 1
-        gap = rhs - lhs
-        if math.isfinite(lhs) and math.isfinite(rhs):
-            rel = gap / max(abs(rhs), abs(lhs), 1e-300)
-        else:
-            # an infinite or NaN side is no evidence, so it can never pass
-            gap = rel = -math.inf
+        gap, rel = _gap(lhs, rhs)
         if rel < self.margin_rel:
             self.margin_rel = rel
             self.margin = gap
@@ -313,13 +321,7 @@ def build_ball_system(
     elif (sigma, eta) != (None, None):
         raise TypeError("build_ball_system: a BallFamily carries its own sigma and eta")
     base_ball, sigma, eta = family.base_ball, family.sigma, family.eta
-    measuring = list(family.members)
-    measuring.append(family.hat_ball)
-    lim = (sigma * (1.0 + eta) - 1.0) * base_ball.radius / (5.0 * sigma)
-    measuring.extend(
-        Ball(b.center, 5.0 * b.radius) for b in family.members if b.radius <= lim
-    )
-    measuring = sorted(set(measuring))
+    measuring = _measuring(family.members, base_ball, sigma, eta)
     if profile is None:
         profile = doubling_profile(space, sorted(set(measuring).union(closure_keys(family))))
     return BallSystem(
@@ -335,11 +337,22 @@ def build_ball_system(
     )
 
 
-def _system_eps(system: BallSystem, w: Weight) -> float:
-    """The oscillation constant eps of ``system``: the sup of :func:`wgr_epsilon`
-    over ``measuring``, from the ratios the weight's table holds where an
-    earlier pass already evaluated a ball."""
-    return wgr_epsilon(system.space, w, system.measuring, sigma=system.sigma).value
+def _measuring(members, base_ball: Ball, sigma: float, eta: float) -> list[Ball]:
+    """The measuring set of a system over ``base_ball`` whose family has ``members``:
+    the members, the hat ball and the 5-dilates of the members up to
+    ``(sigma (1+eta) - 1) r0 / (5 sigma)``, sorted, each once."""
+    lim = (sigma * (1.0 + eta) - 1.0) * base_ball.radius / (5.0 * sigma)
+    return sorted({*members, dilate(base_ball, 1.0 + eta),
+                   *(_ball((c, 5.0 * r)) for c, r in members if r <= lim)})
+
+
+def _system_eps(space: FiniteMetricMeasureSpace, w: Weight, measuring: list[Ball],
+                sigma: float) -> float:
+    """The oscillation constant eps of a system: the sup of the :func:`wgr_epsilon`
+    ratios over its ``measuring`` balls, read from the weight's ratio table, which
+    one pass fills with the ratios it lacks."""
+    ratios = _ratios("wgr_epsilon", None, space, w, measuring, float(sigma), _WGR)
+    return _sup([ratios[b] for b in measuring])[0]
 
 
 def _decay_inputs(name: str, system: BallSystem, w: Weight, eps: float | None, **params):
@@ -347,13 +360,11 @@ def _decay_inputs(name: str, system: BallSystem, w: Weight, eps: float | None, *
     check ``name``, with the system's sigma and eta, ``params``, and the
     constants every decay checker records."""
     values = as_values(w)
-    sigma_hat = dilate(system.base_ball, system.sigma * (1.0 + system.eta))
-    c = _ball_average(system.space, values, sigma_hat, system.sigma_hat_members)
-    if c <= 0.0:
-        raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
+    c = _reference_average(system.space, values, system.base_ball, system.sigma_hat_members,
+                           system.sigma, system.eta)
     measured = eps is None
     if measured:
-        eps = _system_eps(system, w)
+        eps = _system_eps(system.space, w, system.measuring, system.sigma)
     params = {"sigma": system.sigma, "eta": system.eta, **params,
               "c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
               "eps": float(eps), "eps_measured": measured, "w_ref": c}
@@ -427,10 +438,19 @@ def _weak_rhi_constant(consts: JNConstants, system: BallSystem, p: float, eps: f
     return (c_power * system.profile.c_mu * dilation) ** (1.0 / p)
 
 
-def _power_mean(system: BallSystem, values, p: float) -> float:
-    """(avg over B0 of w^p)^(1/p)."""
-    space, b0, members = system.space, system.base_ball, system.base_members
-    mu = space.ball_measure(b0.center, b0.radius, members)
+def _reference_average(space: FiniteMetricMeasureSpace, values, ball: Ball, members,
+                       sigma: float, eta: float) -> float:
+    """c, the average of w over the sigma-hat ball ``sigma (1+eta) ball``, whose ids
+    ``members`` holds; the weak bound's right side is a multiple of it."""
+    c = _ball_average(space, values, dilate(ball, sigma * (1.0 + eta)), members)
+    if c <= 0.0:
+        raise DegenerateWeightError("weight vanishes on the sigma-hat reference ball")
+    return c
+
+
+def _power_mean(space: FiniteMetricMeasureSpace, values, ball: Ball, members, p: float) -> float:
+    """(avg over ``ball`` of w^p)^(1/p), from its ids ``members``: the weak bound's left side."""
+    mu = space.ball_measure(ball.center, ball.radius, members)
     return (weighted_sum(values[members] ** p, space.mass[members]) / mu) ** (1.0 / p)
 
 
@@ -488,7 +508,7 @@ def check_weak_rhi(
     """
     base_ball, sigma, eta, w = system.base_ball, system.sigma, system.eta, _weight(w)
     c, eps, _, tracker = _decay_inputs("weak_rhi", system, w, eps, p=p)
-    lhs = _power_mean(system, as_values(w), p)
+    lhs = _power_mean(system.space, w.values, base_ball, system.base_members, p)
     if eps == 0.0:
         tracker.add(lhs, c, base_ball)
         return tracker.report(notes="constant weight: bound reduces to the plain average")
@@ -508,7 +528,7 @@ def check_cover_rhi(
     Covers B0 with N balls of radius (sigma-1)/(sigma(1+eta)) * r0 via the
     greedy 5r construction, applies the weak bound on each piece with one
     shared oscillation constant (the max over the base system and every
-    piece system), and verifies the assembled inequality
+    piece's system), and verifies the assembled inequality
 
         (avg_B0 w^p)^(1/p)
             <= (C eps + 1) c_mu^(2 + 1/p) (sigma/(sigma-1))^D N^(1/p)
@@ -516,9 +536,11 @@ def check_cover_rhi(
 
     The cover postconditions (full coverage, disjoint fifth-dilates,
     containment in sigma*B0, count bound) are re-verified and reported.
-    Every eps is read through the weight's one table of ball sums on the
-    space, so a dilate shared by the base and piece systems is summed once;
-    one pass fills the ratios of every system's balls before each takes its sup.
+    A piece is the ids of its ball, hat and sigma-hat, from one
+    :func:`~wgrkit.balls.ball_index` batch, and its family's measuring set:
+    no family, system or report. One pass fills the ratios of every
+    measuring set before each takes its sup. The weak bound's constants
+    depend on the profile, sigma, eta, eps and p alone: they are evaluated once.
     """
     space, base_ball, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
     if not sigma > 1.0:
@@ -528,15 +550,18 @@ def check_cover_rhi(
     cover = five_r_cover(space, base_ball, sigma, eta)
     cover_report = verify_cover(space, base_ball, cover, sigma, eta, system.profile)
 
-    sub_systems = [
-        build_ball_system(space, build_family(space, b, eta, sigma), profile=system.profile)
-        for b in cover
-    ]
-    measured, systems = eps is None, [system, *sub_systems]
+    # each piece's ball, hat and sigma-hat, piece after piece: off a line they share a row
+    index = ball_index(space, [b.center for b in cover for _ in range(3)], [r for b in cover for r in (
+        b.radius, (1.0 + eta) * b.radius, sigma * (1.0 + eta) * b.radius)])
+    ids, measurings = np.arange(space.n_points), [system.measuring]
+    for b, own, hat in zip(cover, index[::3], index[1::3]):
+        grid = _grid(space, eta * b.radius, ids[hat])
+        measurings.append(_measuring(_members(ids[own].tolist(), grid), b, sigma, eta))
+    measured = eps is None
     if measured:
-        union = sorted({b for each in systems for b in each.measuring})  # filled with no sup
-        _ratios("wgr_epsilon", None, space, w, union, float(sigma), _WGR)
-        eps = max(_system_eps(each, w) for each in systems)
+        union = sorted({b for each in measurings for b in each})
+        ratios = _ratios("wgr_epsilon", None, space, w, union, float(sigma), _WGR)
+        eps = max(_sup([ratios[b] for b in each])[0] for each in measurings)
     params = {
         "sigma": sigma,
         "eta": eta,
@@ -553,7 +578,7 @@ def check_cover_rhi(
         "cover_count_ok": cover_report["count_ok"],
     }
     tracker = _MarginTracker("cover_rhi", params)
-    lhs = _power_mean(system, values, p)
+    lhs = _power_mean(space, values, base_ball, system.base_members, p)
     ref = _ball_average(space, values, dilate(base_ball, sigma))
     if eps == 0.0:
         tracker.add(lhs, ref, base_ball)
@@ -561,19 +586,21 @@ def check_cover_rhi(
 
     consts = jn_constants(system.profile, sigma, eta, eps)
     _require_osc_range(consts, eps, p)
-    # every piece must satisfy the weak bound at the shared eps
-    for sub in sub_systems:
-        piece = check_weak_rhi(sub, w, p, eps)
-        if not piece.passed:
-            tracker.add(-piece.margin, 0.0, sub.base_ball)
+    # every piece must satisfy the weak bound (C eps + 1) c at the shared eps, as
+    # check_weak_rhi judges it; C comes after the first piece's sides, as it did there
+    scale = None
+    for b, own, sigma_hat in zip(cover, index[::3], index[2::3]):
+        c = _reference_average(space, values, b, ids[sigma_hat], sigma, eta)
+        piece = _power_mean(space, values, b, ids[own], p)
+        if scale is None:
+            scale = _weak_rhi_constant(consts, system, p, eps) * eps + 1.0
+        gap, rel = _gap(piece, scale * c)
+        if not rel >= -MARGIN_RTOL:
+            tracker.add(-gap, 0.0, b)
             return tracker.report(notes="a cover piece violates the weak bound")
-    weak_c = _weak_rhi_constant(consts, system, p, eps)
     c_mu, dim = system.profile.c_mu, system.profile.dimension_d
     big_c = (
-        (weak_c * eps + 1.0)
-        * c_mu ** (2.0 + 1.0 / p)
-        * (sigma / (sigma - 1.0)) ** dim
-        * len(cover) ** (1.0 / p)
+        scale * c_mu ** (2.0 + 1.0 / p) * (sigma / (sigma - 1.0)) ** dim * len(cover) ** (1.0 / p)
     )
     tracker.params["C"] = big_c
     tracker.add(lhs, big_c * ref, base_ball)

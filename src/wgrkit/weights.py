@@ -163,31 +163,36 @@ def _ball_map(
     boolean level, or None. ``total`` is the ``fsum`` of a ball's terms,
     ``hit`` whether its level holds at any of its points. w(S) comes from
     the weight's table on ``space``, else is summed once per dilate and
-    stored; mu(S) and mu(B) come from the space's memo. The bits are those
+    stored; mu(S) and mu(B) come from the space's memo, on a line from the
+    span measures of the pass's batch. The bits are those
     of a ball-by-ball pass: each term is the same IEEE operation on the
     same operands, numpy's float division is Python's, and ``fsum`` is
     correctly rounded, so neither term order nor +0.0 terms change a sum.
     B and S are id arrays from ``ball_members``, or B's from the last pass
     (``_BallSums.ids``), but on a line with a prefix table (:meth:`Weight._span_sums`)
-    spans from one ``ball_spans`` call, and a block's ids one expression over
-    its B's, with no array per ball.
+    spans from one ``ball_spans`` call over every S and B, and a block's ids one
+    expression over its B's, with no array per ball.
     """
     sums, memo, out = w._sums(space), space._mu, []
     if not balls:
         return out
     table = w._span_sums(space) if space.is_line else None
     if table is not None:
-        need = [k for k in dict.fromkeys((c, factor * r) for c, r in balls) if k not in sums.balls]
-        lo, hi = (e.tolist() for e in space.ball_spans(*zip(*need, *balls)))
-        sums.balls.update((k, span_sum(*table, a, b)) for k, a, b in zip(need, lo, hi))
-        spans = map(range, lo[len(need):], hi[len(need):])
+        keys_s = [(c, factor * r) for c, r in balls]
+        lo, hi = space.ball_spans(*zip(*keys_s, *balls))
+        mus = space.span_measures(lo, hi).tolist()
+        lo, hi = lo.tolist(), hi.tolist()
+        for key_s, a, b in zip(keys_s, lo, hi):
+            if key_s not in sums.balls:
+                sums.balls[key_s] = span_sum(*table, a, b)
+        spans = zip(map(range, lo[len(balls):], hi[len(balls):]), mus, mus[len(balls):])
     else:
         last, sums.ids, room = sums.ids, {}, PASS_IDS
     block, pending, held = [], {}, 0
     for c, r in balls:
         key_s, s_ids = (c, factor * r), None
         if table is not None:
-            members = next(spans)
+            members, mu_s, mu_b = next(spans)
         else:
             members = last[(c, r)] if (c, r) in last else space.ball_members(c, r)
             if (room := room - len(members) - _ENTRY_IDS) >= 0:
@@ -200,9 +205,11 @@ def _ball_map(
             block, pending, held = [], {}, 0
         if s_ids is not None:
             pending[key_s] = s_ids
-        # read first, as doubling_profile does: no call per hit
-        mu_s = memo.get(key_s) or space.ball_measure(*key_s, members=s_ids)
-        mu_b = memo.get((c, r)) or space.ball_measure(c, r, members=members)
+        if table is None:  # read first, as doubling_profile does: no call per hit
+            mu_s = memo.get(key_s) or space.ball_measure(*key_s, members=s_ids)
+            mu_b = memo.get((c, r)) or space.ball_measure(c, r, members=members)
+        elif math.inf in (mu_s, mu_b):  # past the largest double: ball_measure raises
+            mu_s, mu_b = space.ball_measure(*key_s), space.ball_measure(c, r)
         block.append((members, key_s, mu_s, mu_b))
         held += size
     if block:
@@ -327,21 +334,19 @@ def _resolve_sigma(family, sigma) -> float:
     return float(sigma)
 
 
-def _sup_report(balls: list[Ball], results: list[tuple[float, bool]]) -> ConditionReport:
-    per_ball: list[tuple[Ball, float]] = []
-    skipped: list[Ball] = []
-    value = -np.inf
-    witness = None
-    for ball, (ratio, skip) in zip(balls, results):
-        per_ball.append((ball, ratio))
-        if skip:
-            skipped.append(ball)
+def _sup(results: list[tuple[float, bool]]) -> tuple[float, int | None]:
+    """The sup of the ratios of ``(ratio, skipped)`` results and the index of the
+    first ball attaining it: a ball wins only with a ratio strictly above every
+    earlier one, so a NaN ratio never wins, and with no ratio above -inf there
+    is no witness. Every ball skipped raises NoDataError."""
+    value, at, n_skipped = -math.inf, None, 0
+    for i, (ratio, skip) in enumerate(results):
+        n_skipped += skip
         if ratio > value:
-            value = ratio
-            witness = ball
-    if len(skipped) == len(balls):
+            value, at = ratio, i
+    if n_skipped == len(results):
         raise NoDataError("every ball was skipped; the supremum is undefined")
-    return ConditionReport(value=value, witness_ball=witness, per_ball=per_ball, skipped=skipped)
+    return value, at
 
 
 def _functional(
@@ -354,7 +359,11 @@ def _functional(
     balls = family_balls(family)
     factor = _resolve_sigma(family, sigma) if factor is None else factor
     memo = _ratios(name, param, space, _weight(w), balls, factor, kernel)
-    return _sup_report(balls, [memo[b] for b in balls])
+    results = [memo[b] for b in balls]
+    value, at = _sup(results)
+    return ConditionReport(value=value, witness_ball=None if at is None else balls[at],
+                           per_ball=[(b, ratio) for b, (ratio, _) in zip(balls, results)],
+                           skipped=[b for b, (_, skip) in zip(balls, results) if skip])
 
 
 def _ratios(name: str, param, space, w: Weight, balls, factor: float, kernel) -> dict:

@@ -1,5 +1,6 @@
 """Ball dilation, families, and the greedy 5r cover."""
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import oracles
 from wgrkit import Ball, Weight, build_family, dilate, five_r_cover, grid_1d, verify_cover
+from wgrkit.balls import radius_grid
 from wgrkit.czdecomp import closure_profile
 from wgrkit.errors import EmptyBallError, InvalidDilationError, InvalidParameterError
 from wgrkit.space import FiniteMetricMeasureSpace, grid_nd
@@ -78,6 +80,14 @@ def test_family_checks_its_smallest_radius_with_balls_error():
     sp = grid_1d(0.0, 4.0, 4)
     with pytest.raises(InvalidParameterError, match=r"^ball radius must be > 0, got 0.0$"):
         build_family(sp, Ball(1, 5e-324), eta=0.5, sigma=1.0)  # eta * r0 rounds to 0.0
+
+
+def test_family_rejects_an_infinite_grid_anchor():
+    """Halving an infinite anchor eta * r0 never ends: the grid refuses it."""
+    with pytest.raises(InvalidParameterError, match=r"^the radius grid needs a finite anchor"):
+        build_family(grid_1d(0.0, 8.0, 8), Ball(4, math.inf), 1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match=r"got inf$"):
+        radius_grid(grid_1d(0.0, 8.0, 8), Ball(4, 1e300), 1e300)
 
 
 def test_family_one_point_space():

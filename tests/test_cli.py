@@ -647,6 +647,28 @@ def test_cz_runs_on_a_hat_whose_smallest_distance_is_the_smallest_subnormal(tmp_
     assert nested["containment_map"] == [0]
 
 
+def test_cz_with_an_infinite_grid_anchor_exits_one_without_a_traceback(tmp_path):
+    """eta and the base radius are only bounded below, so a schema-valid config can
+    make eta * r0 overflow; the radius grid refuses that anchor at once. The child
+    runs under a 512 MB address-space limit and a timeout, so a grid that grew
+    without end would fail the test, not exhaust the machine."""
+    space = {"points": [[0.5], [1.5], [2.5]], "distance_matrix": None, "mass": [1.0] * 3,
+             "metric_kind": "euclidean"}
+    cfg = smoke_config(
+        tmp_path, instance={"kind": "custom", "params": {"space": space, "weight": [1.0, 2.0, 3.0]}},
+        geometry={"sigma": 1.0, "eta": 1e300, "base_ball": {"center": 1, "radius": 1e300}},
+        checks=[])
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); "
+            "from wgrkit.cli import entry; sys.argv[1:] = sys.argv[2:]; entry()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "wgrkit", "cz", "decompose", "--config", str(cfg),
+         "--out", str(tmp_path / "d.json")],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "InvalidParameterError: the radius grid needs a finite anchor eta * r0, got inf\n")
+
+
 def test_cz_precondition_exit_one(tmp_path):
     cfg = smoke_config(tmp_path)  # lognormal noise: no admissible level window
     proc = run_cli("cz", "decompose", "--config", str(cfg), "--out", str(tmp_path / "d.json"))

@@ -585,9 +585,12 @@ def test_family_table_matches_the_per_ball_path(instance, center, radius, eta):
     assert {k: v.hex() for k, v in table_avg.items()} == avg
     assert table.maximal.tobytes() == mf.tobytes()
     assert table.maximal.tolist() == oracles.maximal_function(per_ball, f, family.members)
-    # every measure the table stored is the per-ball measure
-    assert {k: mu.hex() for k, mu in space._mu.items()} == {
-        k: per_ball.ball_measure(*k).hex() for k in space._mu
+    # every measure the table read is the per-ball measure: on a line its spans'
+    # measures, elsewhere the memo it filled
+    measured = dict(zip(family.members, space.span_measures(table.lo.ravel(), table.hi.ravel())
+                        .tolist())) if space.is_line else space._mu
+    assert measured and {k: mu.hex() for k, mu in measured.items()} == {
+        k: per_ball.ball_measure(*k).hex() for k in measured
     }
     # the closure profile, measured after the table, is the one a fresh space gives
     assert closure_profile(space, family).c_mu.hex() == (
@@ -645,6 +648,8 @@ def test_line_spans_and_the_per_ball_path_of_its_shuffle_agree_bit_for_bit(
         k: sorted(v.tolist()) for k, v in per_ball_members.items()
     }
     assert spans.maximal[perm].tobytes() == per_ball.maximal.tobytes()
-    assert {k: v.hex() for k, v in relabel(line._mu).items()} == {
+    # mu(B) of every family ball: the line's span measures, the shuffle's memo
+    line_mu = line.span_measures(spans.lo.ravel(), spans.hi.ravel()).tolist()
+    assert {k: v.hex() for k, v in relabel(dict(zip(line_family.members, line_mu))).items()} == {
         k: v.hex() for k, v in shuffled._mu.items()
     }

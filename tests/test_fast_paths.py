@@ -174,3 +174,60 @@ def test_a_generated_cz_line_matches_its_generic_twin_byte_for_byte(cfg, tmp_pat
                 out.unlink(missing_ok=True)
     assert runs[False] == runs[True]
     assert spans_calls and not any(spans_calls)
+
+
+@st.composite
+def _decay_lines(draw):
+    """A ``run`` config on a line with the four decay checks: tied coordinates,
+    unequal masses, a nearly constant weight that may have a bump and vanish on a
+    stretch, and the cover's eps measured or given. About half the draws reach the
+    cover's pieces, some failing at one; the rest fail a precondition."""
+    n = draw(st.integers(40, 72))
+    ties = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    points = sorted([*range(n - len(ties)), *ties])
+    mass = draw(st.lists(st.sampled_from([1.0, 1.0 + 2.0**-20, 1.5]), min_size=n, max_size=n))
+    weight = philox(draw(st.integers(0, 2**16))).lognormal(
+        0.0, draw(st.sampled_from([0.0005, 0.02])), size=n)
+    if draw(st.booleans()):  # a bump, at which a cover piece fails at a tiny given eps
+        weight[draw(st.integers(3 * n // 8, 5 * n // 8))] *= 1.5
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        weight[start:start + draw(st.integers(1, n // 3))] = 0.0
+    cover = {"name": "cover_rhi", "params": {"p": 1.5, **draw(st.sampled_from([{}, {"eps": 1e-12}]))}}
+    return {"instance": _custom(points, mass, weight),
+            "geometry": {"sigma": draw(st.sampled_from([1.25, 1.5])),
+                         "eta": draw(st.sampled_from([1.0, 2.0])),
+                         "base_ball": {"center": n // 2,
+                                       "radius": draw(st.sampled_from([0.2, 0.25])) * n}},
+            "checks": [*DECAY[:3], cover]}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_decay_lines())
+def test_a_generated_decay_run_on_a_line_matches_its_generic_twin_byte_for_byte(
+        cfg, tmp_path, capsys):
+    """``run`` with the four decay checks, ``cover_rhi`` among them, on a generated
+    line config, as is and with ``is_line`` off: the same exit code, stdout, stderr
+    and output bytes, manifest included, and only the first run takes spans."""
+    cfg["output"] = {"directory": str(tmp_path / "unused"), "formats": ["json", "csv"]}
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(dumps_canonical(cfg))
+    init, spans = FiniteMetricMeasureSpace.__init__, FiniteMetricMeasureSpace.ball_spans
+    runs, spans_calls = {}, []
+
+    def generic(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.is_line = False
+
+    for twin in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FiniteMetricMeasureSpace, "ball_spans",
+                          lambda self, *args: spans_calls.append(twin) or spans(self, *args))
+            if twin:
+                patch.setattr(FiniteMetricMeasureSpace, "__init__", generic)
+            code = cli.main(["run", "--config", str(path), "--out", str(out)])
+            runs[twin] = (code, *capsys.readouterr(), _outputs(out))
+            shutil.rmtree(out, ignore_errors=True)
+    assert runs[False] == runs[True]
+    assert runs[False][3] and spans_calls and not any(spans_calls)

@@ -761,17 +761,23 @@ def test_doubling_profile_on_a_line_raises_overflow_where_set_measure_does(masse
 
 
 def test_doubling_profile_on_a_line_batches_only_what_the_memo_lacks(monkeypatch):
-    """Every ball and double the memo lacks is measured in one batch before the
-    loop; a held one is not measured again, and a key that cannot be measured
-    is left to the loop, so errors come in list order."""
+    """Every ball and its double are measured in one batch of spans, and nothing
+    is summed: no ``set_measure`` and no ``ball_members`` query. A key that cannot
+    be measured is left to the loop, so errors come in list order."""
     space = grid_1d(0.0, 8.0, 8)
-    space.ball_measure(2, 1.0)
     spans = []
     original = FiniteMetricMeasureSpace.ball_spans
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans",
-                        lambda sp, c, r: spans.append(list(zip(c, r))) or original(sp, c, r))
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", lambda sp, c, r: spans.append(
+        list(zip(np.asarray(c).tolist(), np.asarray(r).tolist()))) or original(sp, c, r))
+
+    def summed(*args):
+        pytest.fail("a line's doubling profile summed or queried a ball")
+
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", summed)
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", summed)
     assert doubling_profile(space, [(2, 1.0), (5, 1.0)]).c_mu == 3.0
-    assert spans == [[(2, 2.0), (5, 1.0), (5, 2.0)]]
+    assert spans == [[(2, 1.0), (5, 1.0), (2, 2.0), (5, 2.0)]]
+    monkeypatch.undo()
     for keys, error, match in (
         ([(2, 1.0), (9, 1.0), (3, 0.0)], IndexError, None),
         ([(2, 1.0), (3, 0.0), (9, 1.0)], EmptyBallError, "empty"),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -29,6 +29,7 @@ from wgrkit.errors import (
     DomainError,
     InvalidExponentError,
     InvalidParameterError,
+    NoDataError,
     ThresholdError,
     WgrError,
 )
@@ -223,6 +224,109 @@ def test_cover_rhi_constant_weight_degenerate():
     space, base, _, system = sin_system()
     rep = theorems.check_cover_rhi(system, np.full(space.n_points, 3.0), 2.0)
     assert rep.passed
+
+
+def _cover_by_systems(system, values, p, eps):
+    """check_cover_rhi's outcome with every piece a public family, system and
+    weak bound: (eps, n_cover, passed, margin, witness, notes), or the error."""
+    space, b0, sigma, eta = system.space, system.base_ball, system.sigma, system.eta
+    w = Weight(values)
+    cover = theorems.five_r_cover(space, b0, sigma, eta)
+    report = theorems.verify_cover(space, b0, cover, sigma, eta, system.profile)
+    pieces = [theorems.build_ball_system(space, build_family(space, b, eta, sigma),
+                                         profile=system.profile) for b in cover]
+    if eps is None:
+        eps = max(wgr_epsilon(space, w, s.measuring, sigma=sigma).value for s in [system, *pieces])
+    base = theorems.check_weak_rhi(system, w, p, eps)  # the constants' errors, in the cover's order
+    if eps == 0.0:
+        return None
+    for sub in pieces:
+        piece = theorems.check_weak_rhi(sub, w, p, eps)
+        if not piece.passed:  # the cover reports the piece's own gap
+            return eps, len(cover), False, piece.margin, sub.base_ball, \
+                "a cover piece violates the weak bound"
+    c_mu, dim = system.profile.c_mu, system.profile.dimension_d
+    big_c = ((base.params["C"] * eps + 1.0) * c_mu ** (2.0 + 1.0 / p)
+             * (sigma / (sigma - 1.0)) ** dim * len(cover) ** (1.0 / p))
+    lhs = average(space, values ** p, system.base_members) ** (1.0 / p)
+    rhs = big_c * average(space, values, space.ball_members(b0.center, sigma * b0.radius))
+    margin = rhs - lhs if math.isfinite(lhs) and math.isfinite(rhs) else -math.inf
+    ok = (report["coverage"] == 1.0 and report["all_fifth_disjoint"] and report["all_contained"]
+          and report["count_ok"])
+    passed = margin / max(abs(rhs), abs(lhs), 1e-300) >= -theorems.MARGIN_RTOL and ok
+    return eps, len(cover), passed, margin, b0, "" if ok else "cover postcondition failed"
+
+
+@st.composite
+def _cover_lines(draw):
+    """A line with tied coordinates and unequal masses, a nearly constant weight,
+    maybe with a bump and zero on a stretch, and an eps measured or given: at a
+    tiny given eps a piece fails at the bump, and a long zero stretch leaves a
+    piece whose every ball is skipped."""
+    n = draw(st.integers(48, 96))
+    ties = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    points = sorted([*range(n - len(ties)), *ties])
+    mass = draw(st.lists(st.sampled_from([1.0, 1.0 + 2.0**-20, 1.5]), min_size=n, max_size=n))
+    values = philox(draw(st.integers(0, 2**16))).lognormal(
+        0.0, draw(st.sampled_from([0.0005, 0.02])), size=n)
+    if draw(st.booleans()):  # a bump in B0, which a piece fails at a tiny eps
+        values[draw(st.integers(3 * n // 8, 5 * n // 8))] *= 1.5
+    if draw(st.booleans()):
+        start = draw(st.integers(n // 4, n // 2))
+        values[start:start + draw(st.integers(n // 8, n // 2))] = 0.0
+    space = FiniteMetricMeasureSpace(mass, coords=np.array(points, float)[:, None],
+                                     metric_kind="euclidean")
+    sigma, eta = draw(st.sampled_from([1.25, 1.5])), draw(st.sampled_from([1.0, 2.0]))
+    base = Ball(n // 2, draw(st.sampled_from([0.2, 0.25])) * n)
+    system = theorems.build_ball_system(space, build_family(space, base, eta, sigma))
+    eps = draw(st.sampled_from([None, 1e-12, 1e-12, 1e-6]))
+    return system, values, draw(st.sampled_from([1.5, 2.0])), eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cover_lines())
+def test_cover_rhi_equals_its_pieces_built_as_systems_bit_for_bit(case):
+    system, values, p, eps = case
+    assert system.space.is_line
+    try:
+        expected = _cover_by_systems(system, values, p, eps)
+    except (WgrError, OverflowError) as exc:
+        event(type(exc).__name__)
+        with pytest.raises(type(exc)) as got:
+            theorems.check_cover_rhi(system, Weight(values), p, eps)
+        assert str(got.value) == str(exc)
+        return
+    rep = theorems.check_cover_rhi(system, Weight(values), p, eps)
+    event("constant" if expected is None else expected[5] or "assembled")
+    if expected is None:
+        assert rep.notes == "constant weight: bound reduces to the plain average"
+        return
+    got = (rep.params["eps"], rep.params["n_cover"], rep.passed, rep.margin, rep.witness,
+           rep.notes)
+    assert [v.hex() if isinstance(v, float) else v for v in got] == [
+        v.hex() if isinstance(v, float) else v for v in expected]
+
+
+def test_cover_rhi_draws_reach_each_outcome():
+    """Lines like the generated ones pass, fail at a piece, and meet a piece whose
+    every ball is skipped; the first two agree with their pieces built as systems."""
+    def system(n, eta):
+        space = FiniteMetricMeasureSpace([1.0, 1.5] * (n // 2), metric_kind="euclidean",
+                                         coords=np.arange(float(n))[:, None])
+        return theorems.build_ball_system(space, build_family(space, Ball(n // 2, n / 4), eta, 1.25))
+
+    for sys_, values, eps, notes in (
+            (system(64, 1.0), philox(5).lognormal(0.0, 0.0005, size=64), None, ""),
+            (system(48, 2.0), philox(1).lognormal(0.0, 0.02, size=48), 1e-12,
+             "a cover piece violates the weak bound")):
+        rep = theorems.check_cover_rhi(sys_, values, 1.5, eps)
+        assert (rep.passed, rep.notes) == (not notes, notes)
+        assert _cover_by_systems(sys_, values, 1.5, eps)[3] == rep.margin
+    assert rep.witness in theorems.five_r_cover(sys_.space, sys_.base_ball, 1.25, 2.0)
+    values = philox(5).lognormal(0.0, 0.0005, size=64)
+    values[20:44] = 0.0
+    with pytest.raises(NoDataError, match="every ball was skipped"):
+        theorems.check_cover_rhi(system(64, 1.0), values, 1.5)
 
 
 def test_decay_checkers_take_their_geometry_from_the_system():

@@ -29,6 +29,7 @@ from wgrkit.errors import (
     WgrError,
 )
 from wgrkit.space import FiniteMetricMeasureSpace
+from wgrkit.weights import _sup
 
 
 def test_weight_rejects_negative():
@@ -349,3 +350,17 @@ def test_functional_leaves_the_callers_array_writeable(functional):
     assert arr.flags.writeable
     arr[0] = 5.0
     assert arr[0] == 5.0
+
+
+def test_sup_takes_the_first_strict_maximum_and_never_a_nan():
+    """The rules every sup report and system eps share (``weights._sup``)."""
+    nan, inf = math.nan, math.inf
+    assert _sup([(1.0, False), (2.0, False), (2.0, True)]) == (2.0, 1)
+    assert _sup([(nan, False), (1.0, False)]) == (1.0, 1)
+    assert _sup([(1.0, False), (nan, False), (inf, False)]) == (inf, 2)
+    assert _sup([(-inf, False), (nan, True)]) == (-inf, None)  # no ratio above -inf: no witness
+    value, at = _sup([(-0.0, False), (0.0, False)])
+    assert (math.copysign(1.0, value), at) == (-1.0, 0)  # a tie keeps the first
+    for results in ([], [(0.0, True), (0.0, True)]):
+        with pytest.raises(NoDataError, match="every ball was skipped"):
+            _sup(results)

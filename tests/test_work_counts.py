@@ -18,6 +18,7 @@ import pytest
 
 from conftest import philox
 from wgrkit import Ball, build_family, cli, czdecomp, theorems, weights
+from wgrkit import balls as balls_module
 from wgrkit.balls import five_r_cover
 from wgrkit.examples import random_weight
 from wgrkit.space import (
@@ -448,22 +449,29 @@ def test_cover_pieces_query_each_shared_dilate_once(monkeypatch, tmp_path):
 
 
 def test_a_second_pass_on_a_line_spans_no_dilate_the_first_summed(monkeypatch):
-    """On a line, a pass spans each B it evaluates, and each S only if the
-    weight's table lacks w(S): a second functional at the same sigma spans
-    its balls alone, and one at another sigma its new dilates too."""
+    """On a line, a pass sums w(S) from the weight's prefix table only where the
+    table lacks it, each S once: a second functional at the same sigma sums none,
+    and one at another sigma sums its new dilates alone."""
     space = grid_1d(0.0, 64.0, 64)
     family = build_family(space, Ball(32, 16.0), eta=1.0, sigma=1.5)
     balls = [(b.center, b.radius) for b in family.members]
     w = random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.5}, seed=3)
-    spans: list[tuple] = []
-    _counting(monkeypatch, FiniteMetricMeasureSpace, "ball_spans", spans)
+    summed: list[tuple] = []
+    original = weights.span_sum
+    monkeypatch.setattr(weights, "span_sum",
+                        lambda *args: summed.append(args[-2:]) or original(*args))
+
+    def spans_of(keys):
+        return Counter(zip(*(e.tolist() for e in space.ball_spans(*zip(*keys)))))
+
     wgr_epsilon(space, w, family)
     dilates = {(c, 1.5 * r) for c, r in balls}
-    assert len(spans) == 1 and set(_span_keys(*spans[0][1:])) == set(balls) | dilates
+    assert len(summed) == len(dilates) and Counter(summed) == spans_of(dilates)
     weak_ainfty_beta(space, w, family, 0.5)
-    assert len(spans) == 2 and _span_keys(*spans[1][1:]) == balls
+    assert len(summed) == len(dilates)
     sublevel_alpha(space, w, family, 0.5, sigma=2.0)
-    assert set(_span_keys(*spans[2][1:])) == set(balls) | {(c, 2.0 * r) for c, r in balls}
+    doubles = {(c, 2.0 * r) for c, r in balls} - dilates
+    assert doubles and Counter(summed[len(dilates):]) == spans_of(doubles)
 
 
 def test_cover_rhi_evaluates_each_measuring_ball_once(evaluated, tmp_path):
@@ -483,6 +491,43 @@ def test_cover_rhi_evaluates_each_measuring_ball_once(evaluated, tmp_path):
     assert max(counts.values()) == 1
     report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
     assert report["params"]["eps_measured"] is True and report["params"]["n_cover"] == len(pieces)
+
+
+def test_a_decay_run_builds_one_family_and_one_system_and_no_piece_report(
+        monkeypatch, tmp_path):
+    """The cover's pieces are index sets, not families or systems, and the weak
+    bound's constants are the same for every piece: check_cover_rhi evaluates
+    jn_constants once and runs no check_weak_rhi of its own."""
+    cfg = _decay_config(tmp_path, [{"name": "jn_decay", "params": {"count": 20, "factor": 4.0}},
+                                   *({"name": name, "params": {"p": 1.5}} for name in (
+                                       "osc_power_bound", "weak_rhi", "cover_rhi"))])
+    families, systems, inside, called = [], [], [], Counter()
+    _counting(monkeypatch, balls_module.BallFamily, "__init__", families)
+    _counting(monkeypatch, theorems.BallSystem, "__init__", systems)
+    for name in ("check_weak_rhi", "jn_constants"):
+        original = getattr(theorems, name)
+
+        def counting(*args, name=name, original=original):
+            called[name, bool(inside)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(theorems, name, counting)
+    cover = theorems.check_cover_rhi
+
+    def flagged(*args):
+        inside.append(None)
+        try:
+            return cover(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(theorems, "check_cover_rhi", flagged)
+    assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "check_cover_rhi.json").read_text())
+    assert report["passed"] and report["params"]["n_cover"] > 10  # many pieces: the test has teeth
+    assert (len(families), len(systems)) == (1, 1)
+    assert called["check_weak_rhi", True] == 0 and called["jn_constants", True] == 1
+    assert called["check_weak_rhi", False] == 1  # the run's own weak_rhi check
 
 
 def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
@@ -509,17 +554,19 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
 
 @contextmanager
 def _ball_sums(monkeypatch):
-    """A Counter of the mass sums over each ball's ids, by (center, radius).
+    """The sums of the balls a run measures: a Counter of the mass sums over each
+    ball's ids, by (center, radius), the span of each w(S) that a ball pass on a
+    line sums from the weight's prefix table, and the dilates S those passes read.
 
-    A sum is attributed to a ball when ``set_measure`` receives the very id
-    array that a ``ball_members`` query computed; every computed array is
-    kept alive, so no id is reused. A
-    ``ball_spans`` call sums each entry the mu(B) memo lacked, ball by ball.
+    A mass sum is attributed to a ball when ``set_measure`` receives the very id
+    array that a ``ball_members`` query computed; every computed array is kept
+    alive, so no id is reused. On a line a pass measures mu(B) and mu(S) as spans
+    of the masses, no sum, and each w(S) it lacks as one ``span_sum``.
     """
-    queried, held, sums = {}, [], Counter()
+    queried, held, sums, summed, dilates = {}, [], Counter(), [], set()
     original_query = FiniteMetricMeasureSpace.ball_members
     original_sum = FiniteMetricMeasureSpace.set_measure
-    original_spans = FiniteMetricMeasureSpace.ball_spans
+    original_span_sum, original_pass = weights.span_sum, weights._ball_map
 
     def query(self, center, r):
         out = original_query(self, center, r)
@@ -532,24 +579,28 @@ def _ball_sums(monkeypatch):
             sums[queried[id(members)]] += 1
         return original_sum(self, members)
 
-    def spans(self, centers, radii):
-        fresh = {key for key in _span_keys(centers, radii) if key not in self._mu}
-        out = original_spans(self, centers, radii)
-        sums.update(key for key in fresh if key in self._mu)
-        return out
+    def ball_pass(space, w, balls, factor, kernel):
+        dilates.update((c, factor * r) for c, r in balls)
+        return original_pass(space, w, balls, factor, kernel)
 
     monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
     monkeypatch.setattr(FiniteMetricMeasureSpace, "set_measure", measure)
-    monkeypatch.setattr(FiniteMetricMeasureSpace, "ball_spans", spans)
-    yield sums
+    monkeypatch.setattr(weights, "span_sum",
+                        lambda *args: summed.append(args[-2:]) or original_span_sum(*args))
+    for owner in (weights, theorems):
+        monkeypatch.setattr(owner, "_ball_map", ball_pass)
+    yield sums, summed, dilates
 
 
 def test_run_sums_the_measure_of_each_ball_once(monkeypatch, tmp_path):
     cfg = cli.load_config(str(SMOKE))
-    with _ball_sums(monkeypatch) as sums:
-        assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
-    assert len(sums) > 300  # the run measures many balls, so the test has teeth
+    with _ball_sums(monkeypatch) as (sums, summed, dilates):
+        ctx = cli.RunContext(cfg)
+        assert cli.cmd_run(ctx, tmp_path / "out") == 0
+    assert ctx.space.is_line  # so every w(S) is a span of the weight's prefix table
+    assert len(dilates) > 300 and sums  # the run measures many balls, so the test has teeth
     assert {key: n for key, n in sums.items() if n > 1} == {}
+    assert len(summed) == len(dilates)  # each w(S) is summed once
 
 
 def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
@@ -557,16 +608,19 @@ def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
     names = [entry["name"] for entry in cfg["checks"]]
     assert names.index("jn_decay") < names.index("rhi_equivalence_observed")
     with _queries_inside(monkeypatch, theorems, "doubling_profile") as queries, \
-            _ball_sums(monkeypatch) as sums:
+            _ball_sums(monkeypatch) as (sums, summed, _):
         ctx = cli.RunContext(cfg)
         for entry in cfg["checks"][:names.index("rhi_equivalence_observed")]:
             cli.run_check(entry["name"], ctx, entry.get("params", {}))
-        before, queries[:] = dict(sums), []
+        before, n_summed, queries[:] = dict(sums), len(summed), []
         report, _ = cli.run_check("rhi_equivalence_observed", ctx, {"p_grid": [1.5, 2.0]})
-    # the family balls and their doubles were measured by the earlier checks:
-    # the observation's doubling profile queries no ball and nothing is summed again
-    assert before and queries == []
-    assert dict(sums) == before
+    # the observation's doubling profile spans the family balls and their doubles in
+    # one batch, each once, and queries no ball's ids; its passes read every w(S) the
+    # earlier checks summed, so nothing is summed again
+    family = ctx.family.members
+    assert before and n_summed
+    assert sorted(queries) == sorted([*family, *((c, 2.0 * r) for c, r in family)])
+    assert dict(sums) == before and len(summed) == n_summed
     assert report.params["c_mu"] >= 1.0
 
 
