@@ -42,7 +42,7 @@ from .errors import LockError, SchemaError, WgrError
 from .examples import InstanceSpec, build_instance, list_instances
 from .space import FiniteMetricMeasureSpace, row_slices, validate_metric
 from .theorems import CheckReport
-from .util import dumps_canonical, sha256, sha256_file, write_csv, write_json
+from .util import dumps_canonical, sha256, write_csv, write_json
 from .weights import _ball_average, as_values, rhi_constant, wgr_epsilon
 
 EXIT_OK = 0
@@ -192,9 +192,15 @@ def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
     center = sel.get("center", "central")
     ecc = None
     if center == "central":
-        # minimize the eccentricity, ties by index
-        ecc = np.concatenate([space.dist_block(rows).max(axis=1)
-                              for rows in row_slices(space.n_points, space.n_points)])
+        # minimize the eccentricity, ties by index. Under the Chebyshev metric, and on one
+        # axis under either, a distance grows with |fl(y_a - x_a)|, monotone in y_a, and max
+        # is exact: the larger distance to the per-axis lows and highs is the row maximum
+        x = space.coords
+        if x is not None and (space.metric_kind == "chebyshev" or x.shape[1] == 1):
+            ecc = np.maximum(space._distances(x, x.min(axis=0)), space._distances(x, x.max(axis=0)))
+        else:
+            ecc = np.concatenate([space.dist_block(rows).max(axis=1)
+                                  for rows in row_slices(space.n_points, space.n_points)])
         center = int(np.argmin(ecc))
     elif not center < space.n_points:
         raise SchemaError(
@@ -437,18 +443,18 @@ def _out_file(out: Path) -> Path:
     return out
 
 
-def _write_check(out_dir: Path, name: str, report: CheckReport, tables: dict, formats) -> list:
+def _write_check(out_dir: Path, name: str, report: CheckReport, tables: dict, formats) -> dict:
     """Write the check ``name``'s JSON report and CSV tables, those of the
-    ``formats`` named, into ``out_dir``; returns the paths written."""
-    paths = []
+    ``formats`` named, into ``out_dir``; returns each file name's sha256."""
+    digests = {}
     if "json" in formats:
-        paths.append(out_dir / f"check_{name}.json")
-        write_json(paths[-1], report.to_json_obj())
+        digests[f"check_{name}.json"] = write_json(out_dir / f"check_{name}.json",
+                                                   report.to_json_obj())
     if "csv" in formats:
         for table_name, (header, rows) in tables.items():
-            paths.append(out_dir / f"check_{name}_{table_name}.csv")
-            write_csv(paths[-1], header, rows)
-    return paths
+            file_name = f"check_{name}_{table_name}.csv"
+            digests[file_name] = write_csv(out_dir / file_name, header, rows)
+    return digests
 
 
 def cmd_run(ctx: RunContext, out_dir: Path) -> int:
@@ -457,7 +463,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
     formats = ctx.cfg["output"].get("formats", ["json", "csv"])
     with _OutputLock(out_dir):
         failed: list[tuple[str, CheckReport]] = []
-        outputs: list[Path] = []
+        outputs: dict[str, str] = {}  # file name -> sha256 of the bytes last written there
         for entry in ctx.cfg["checks"]:
             name, params = entry["name"], entry.get("params", {})
             try:
@@ -469,7 +475,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
                     notes=str(exc),
                 )
                 extra_tables = {}
-            outputs += _write_check(out_dir, name, report, extra_tables, formats)
+            outputs.update(_write_check(out_dir, name, report, extra_tables, formats))
             if not report.passed:
                 failed.append((name, report))
         manifest = {
@@ -479,7 +485,7 @@ def cmd_run(ctx: RunContext, out_dir: Path) -> int:
             "python_version": ".".join(str(v) for v in sys.version_info[:3]),
             "seed": ctx.cfg["instance"].get("seed", 0),
             "rng": ctx.cfg.get("rng", {}).get("algorithm", "philox4x64-10"),
-            "outputs": {p.name: sha256_file(p) for p in sorted(outputs)},
+            "outputs": outputs,
         }
         write_json(out_dir / "manifest.json", manifest)
     if failed:
@@ -749,9 +755,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Process entry of ``python -m wgrkit.cli`` and the ``wgrkit`` script.
-    Every output is closed when ``main`` returns, so the heap is frozen out of
-    the interpreter's exit-time collections; atexit and stdio flushes still run."""
+    """Process entry of ``python -m wgrkit.cli`` and the ``wgrkit`` script. The heap is
+    frozen before ``main``, out of the run's collections, and again after: every output is
+    closed then, so exit-time collections may skip it; atexit and stdio flushes still run."""
+    gc.freeze()
     code = main()
     gc.freeze()
     sys.exit(code)

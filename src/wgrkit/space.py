@@ -16,9 +16,9 @@ applies to a block of rows and columns, :meth:`~FiniteMetricMeasureSpace.dist_ro
 to one row; a block is bit-identical to its rows. Chebyshev distances take
 the maximum axis by axis, exact in any order. Euclidean distances sum the
 squared differences over the last axis, in the same order for one pair as
-for a block. The central base ball's eccentricities, and the smallest
-positive distance on a table, walk row blocks of at most
-:data:`BLOCK_DISTANCES` distances, never an n x n matrix.
+for a block. The smallest positive distance on a table, and the central
+base ball's eccentricities off the Chebyshev metric and a single axis, walk
+row blocks of at most :data:`BLOCK_DISTANCES` distances, never an n x n matrix.
 
 Ball queries read distance rows through a one-slot cache holding the row
 of the most recently queried center, so a layer that walks its balls
@@ -32,8 +32,9 @@ line; on a *line*, 1-d coordinates in id order,
 :meth:`~FiniteMetricMeasureSpace.ball_spans` gives a batch of balls as id
 spans with no distance row, which the ball pass (``weights._ball_map``),
 the CZ table, the 5r cover and :func:`doubling_profile` read there. The
-space keeps no ids: off a line, each weight's table keeps the ids of the
-balls its last pass walked, for the next pass (``weights._BallSums``).
+space keeps no ids: off a line, each weight's table keeps the gathered values
+and masses of the last ball list a pass queried, for the next pass over that
+list (``weights._BallSums``).
 Off a line a memo maps ``(center, r)`` to the float mu(B), which every
 layer reads; ``ball_measure`` sums one ball on first use, from one query.
 On a line each layer measures its own batch of spans with

@@ -37,7 +37,7 @@ from .errors import (
     ThresholdError,
 )
 from .space import DoublingProfile, FiniteMetricMeasureSpace, doubling_profile
-from .util import fsum, weighted_sum
+from .util import exact_prefix_sums, fsum, span_sums, weighted_sum
 from .weights import (
     _avg,
     _ball_average,
@@ -731,11 +731,15 @@ def cavalieri_check(
     ranked = values[order]
     fresh = np.ones(ranked.size, dtype=bool)
     fresh[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(fresh & (ranked > 0.0)).tolist()  # each distinct positive level
+    # mu({f > t}) for t in [prev, level): the suffix of mass[order] from the level's first
+    # index, from one exact prefix table, with the bits and the OverflowError of its fsum
+    masses = space.mass[order]
+    suffixes = span_sums(*exact_prefix_sums(masses), masses, starts, [order.size] * len(starts))
     pieces, prev = [], 0.0
-    for i in np.flatnonzero(fresh & (ranked > 0.0)).tolist():  # each distinct positive level
+    for i, mu in zip(starts, suffixes):
         level = ranked[i]  # a numpy float, so level**p stays the same operation
-        # mu({f > t}) for t in [prev, level): the suffix from the level's first index
-        pieces.append(space.set_measure(order[i:]) * (level**p - prev**p))
+        pieces.append(mu * (level**p - prev**p))
         prev = level
     layered = fsum(pieces)
     scale = max(abs(direct), abs(layered), 1e-300)

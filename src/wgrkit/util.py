@@ -139,30 +139,45 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
-def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_canonical(obj))
-        fh.write("\n")
+def _write(path, data: bytes) -> str:
+    """Write ``data`` to ``path`` in one binary write; return its sha256 hex digest."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return sha256(data).hexdigest()
 
 
-def _csv_cell(v):
+def write_json(path, obj) -> str:
+    """:func:`dumps_canonical` and a newline, in UTF-8; returns the bytes' sha256."""
+    return _write(path, (dumps_canonical(obj) + "\n").encode())
+
+
+def _csv_cell(v) -> str:
+    """A cell's text: None empty; reals at 17 significant digits, non-finite ones
+    as "inf", "-inf", "nan", the JSON reports' encoding; anything else ``str``."""
+    if v is None:
+        return ""
     if isinstance(v, (float, np.floating)):
-        # non-finite reals as "inf", "-inf", "nan", the JSON reports' encoding
         return format_real(v) if math.isfinite(v) else str(float(v))
-    return v
+    return str(v)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV with a header row; reals at 17 significant digits, a
-    Python int or finite float formatted inline, as ``_csv_cell`` would."""
-    import csv  # a command that writes no CSV loads neither csv nor _csv
+def _csv_line(row) -> str:
+    """One CSV record as ``csv.writer`` writes it with RFC 4180 minimal quoting: a cell
+    holding a comma, a quote, CR or LF is quoted, inner quotes doubled, and a record
+    whose one cell is empty is ``""``. A Python int or finite float is formatted inline."""
+    cells = [str(v) if type(v) is int else format(v, ".17g")
+             if type(v) is float and math.isfinite(v) else _csv_cell(v) for v in row]
+    line = ",".join(cells)
+    if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join('"' + c.replace('"', '""') + '"'
+                        if any(ch in c for ch in ',"\r\n') else c for c in cells)
+    return '""' if line == "" and len(cells) == 1 else line
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows([v if type(v) is int else format(v, ".17g")
-                          if type(v) is float and math.isfinite(v) else _csv_cell(v)
-                          for v in row] for row in rows)
+
+def write_csv(path, header: list[str], rows) -> str:
+    """RFC 4180 CSV with a header row and CRLF line ends, in UTF-8; returns the bytes' sha256."""
+    lines = [_csv_line(header), *map(_csv_line, rows), ""]
+    return _write(path, "\r\n".join(lines).encode())
 
 
 def sha256(data: bytes = b""):

@@ -323,6 +323,20 @@ def test_invocations_leave_unused_modules_unloaded(tmp_path, command, module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_run_that_writes_csv_tables_of_numbers_leaves_the_csv_module_unloaded(tmp_path):
+    cfg = smoke_config(tmp_path, checks=[{"name": "wgr", "params": {}},
+                                         {"name": "jn_decay", "params": {"count": 5}}])
+    out = tmp_path / "run"
+    proc = run_python(
+        "import sys, wgrkit.cli\n"
+        f"code = wgrkit.cli.main({['run', '--config', str(cfg), '--out', str(out)]!r})\n"
+        "assert code == 0, code\n"
+        "assert 'csv' not in sys.modules and '_csv' not in sys.modules\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {"check_wgr_per_ball.csv", "check_jn_decay_decay.csv"} <= {p.name for p in out.iterdir()}
+
+
 def test_seeded_runs_load_neither_numpy_random_nor_statistics(tmp_path):
     # the stream and the inverse normal CDF need no numpy.random, and no
     # statistics with its fractions and decimal imports
@@ -750,6 +764,19 @@ def test_the_process_entry_exits_with_mains_code_after_freezing_and_runs_atexit(
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr == "run needs --config\n"
     assert proc.stdout == "frozen at exit: True\n"
+    # the imported heap is frozen before main runs, so its collections skip it
+    proc = run_python(
+        "import gc, sys, wgrkit.cli as cli\n"
+        "main = cli.main\n"
+        "def recording():\n"
+        "    print('frozen before main:', gc.get_freeze_count() > 0)\n"
+        "    return main()\n"
+        "cli.main = recording\n"
+        "sys.argv = ['wgrkit', 'run']\n"
+        "cli.entry()\n"
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "frozen before main: True\n"
 
 
 def _exit_path_case(tmp_path: Path, case: str) -> tuple[list[str], int]:

@@ -16,7 +16,9 @@ from wgrkit import (
 )
 from wgrkit import space as space_module
 from wgrkit.cli import resolve_base_ball
-from wgrkit.errors import EmptyBallError, InvalidGeneratorError, TooLargeError, WgrError
+from wgrkit.errors import (
+    EmptyBallError, InvalidGeneratorError, InvalidParameterError, TooLargeError, WgrError,
+)
 
 
 def test_grid_1d_cell_centers():
@@ -547,6 +549,68 @@ def test_min_positive_distance_and_eccentricity_match_a_brute_force_scan(case, d
     assert got == (min(positive) if len(ids) >= 2 and positive else None)
     assert base.center == center
     assert base.radius == (ecc[center] / 3.0 if ecc[center] > 0.0 else 1.0)
+
+
+_COORDINATES = st.one_of(
+    st.integers(min_value=-4, max_value=4).map(float),  # ties
+    st.floats(min_value=-1e308, max_value=1e308),  # differences that overflow to inf
+    st.integers(min_value=-3, max_value=3).map(lambda k: k * 5e-324),  # subnormal gaps
+    st.sampled_from([-1.7976931348623157e308, 1.7976931348623157e308, -0.0]),
+)
+
+
+@st.composite
+def _coordinate_space(draw):
+    """A Chebyshev space of 1-3 axes or a 1-d Euclidean one, on scattered points."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=12))
+    coords = draw(st.lists(st.lists(_COORDINATES, min_size=d, max_size=d), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["chebyshev", "euclidean"])) if d == 1 else "chebyshev"
+    return FiniteMetricMeasureSpace(np.ones(n), coords=coords, metric_kind=kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coordinate_space(), st.sampled_from([1.0, 1.5, 4.0]), st.sampled_from([0.5, 1.0, 3.0]))
+def test_central_ball_from_axis_extremes_is_the_row_maximum_bit_for_bit(space, sigma, eta):
+    """Under the Chebyshev metric, and on one axis under either, the central ball reads
+    each eccentricity from the per-axis extremes, with no distance row; its center and
+    its "auto" radius are the row scan's, bit for bit, where distances overflow to inf
+    too, and a radius that underflows to 0 is rejected as the row scan's is."""
+
+    def outcome(ball):
+        try:
+            base = ball()
+        except InvalidParameterError as exc:
+            return str(exc)
+        return base.center, np.float64(base.radius).tobytes()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        ecc = [space.dist_row(i).max() for i in range(space.n_points)]
+        center = int(np.argmin(ecc))
+        reach = float(ecc[center])
+        radius = reach / ((1.0 + eta) * max(sigma, 1.0)) if reach > 0.0 else 1.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FiniteMetricMeasureSpace, "dist_block", None)  # no row is read
+            got = outcome(lambda: resolve_base_ball(space, {"eta": eta, "sigma": sigma}))
+    assert got == outcome(lambda: Ball(center, radius))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "table"])
+def test_central_ball_on_other_spaces_scans_the_rows(kind):
+    grid = grid_nd(2, 5, 1.0, "euclidean")
+    space = grid if kind == "euclidean" else FiniteMetricMeasureSpace(
+        grid.mass, distance_matrix=grid.dist_block(slice(None)))
+    rows = []
+    original = FiniteMetricMeasureSpace.dist_block
+
+    def counting(self, rows_, cols=None):
+        rows.append(rows_)
+        return original(self, rows_, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteMetricMeasureSpace, "dist_block", counting)
+        assert resolve_base_ball(space, {"eta": 1.0, "sigma": 1.5}) == Ball(12, 2 * 2**0.5 / 3.0)
+    assert rows == space_module.row_slices(25, 25)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "chebyshev"])

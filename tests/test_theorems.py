@@ -24,7 +24,7 @@ from wgrkit import (
     wgr_epsilon,
     wgr_minus_epsilon,
 )
-from wgrkit import theorems
+from wgrkit import theorems, util
 from wgrkit.errors import (
     DomainError,
     InvalidExponentError,
@@ -794,3 +794,61 @@ def test_measured_eps_follows_the_weight():
         measured.append(rep.params["eps"])
     assert [list(ctx.w._tables.keys()) for ctx in ctxs] == [[ctx.space] for ctx in ctxs]
     assert ctxs[0].base == ctxs[1].base and measured[0] != measured[1]
+
+
+def _cavalieri_by_level(space, values, p):
+    """``cavalieri_check``'s (direct, layered) with one ``set_measure`` per level."""
+    direct = util.weighted_sum(values**p, space.mass)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    pieces, prev = [], 0.0
+    for i in range(ranked.size):
+        if ranked[i] > 0.0 and (i == 0 or ranked[i] != ranked[i - 1]):
+            pieces.append(space.set_measure(order[i:]) * (ranked[i]**p - prev**p))
+            prev = ranked[i]
+    return direct, util.fsum(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+    masses=st.sampled_from(["uniform", "unequal", "overflowing", "uniform overflowing"]),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_cavalieri_suffix_measures_equal_the_per_level_set_measure(n, data, masses, p):
+    """Each suffix measure comes from one exact prefix table over the sorted masses:
+    the bits of the per-level ``set_measure``, with tied and zero values, unequal masses,
+    and masses whose suffix sums pass the largest double, where both raise fsum's
+    OverflowError. Values below 1 keep the direct integral finite, so the measures are
+    reached."""
+    mass = {
+        "uniform": [2.5] * n,
+        "unequal": data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)),
+        "overflowing": data.draw(st.lists(st.floats(1e306, 1e308), min_size=n, max_size=n)),
+        "uniform overflowing": [1e308] * n,
+    }[masses]
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.125, 0.25, 0.5]) | st.floats(0.0, 0.9), min_size=n, max_size=n)))
+    space = FiniteMetricMeasureSpace(mass, coords=[[float(i)] for i in range(n)],
+                                     metric_kind="euclidean")
+    outcomes = []
+    for run in (lambda: _cavalieri_by_level(space, values, p),
+                lambda: (lambda r: (r.params["direct"], r.params["layered"]))(
+                    theorems.cavalieri_check(space, values, p))):
+        try:
+            outcomes.append([np.float64(x).tobytes() for x in run()])
+        except OverflowError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("mass", [[1e308] * 4, [1e308, 2e307, 9e307, 1.5e308]])
+def test_cavalieri_raises_fsums_overflow_on_a_suffix_past_the_largest_double(mass):
+    space = FiniteMetricMeasureSpace(mass, coords=[[0.0], [1.0], [2.0], [3.0]],
+                                     metric_kind="euclidean")
+    values = np.array([0.125, 0.25, 0.0, 0.125])
+    assert math.isfinite(util.weighted_sum(values**3, space.mass))  # the direct side is not it
+    for run in (_cavalieri_by_level, theorems.cavalieri_check):
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            run(space, values, 3.0)

@@ -1,7 +1,10 @@
 """Serialization and reduction helpers."""
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from wgrkit.util import (
     span_sums,
     weighted_sum,
     write_csv,
+    write_json,
 )
 
 
@@ -75,6 +79,58 @@ def test_write_csv_bytes_match_the_cell_by_cell_writer(tmp_path):
     _write_csv_cell_by_cell(tmp_path / "slow.csv", ["i", "x", "y", "s"], _CSV_ROWS)
     assert (tmp_path / "fast.csv").read_bytes() == _CSV_GOLDEN
     assert (tmp_path / "slow.csv").read_bytes() == _CSV_GOLDEN
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes, reals at 17 significant digits and non-finite
+    ones as "inf", "-inf", "nan", every other cell as given."""
+    import csv
+
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), ".17g") if math.isfinite(v) else str(float(v))
+        return v
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(list(' \t,"\r\n\'ab;')), st.characters()),
+                    max_size=6)
+_CSV_CELLS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none(), _CSV_TEXT,
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CSV_TEXT, max_size=4), st.lists(st.lists(_CSV_CELLS, max_size=5), max_size=8))
+@example(["a"], [[""], [None], [" lead"], ["\ttab"], ["x\r\ny"], ["say \"x\""], [], ["", ""],
+                 [None, None], [",", None], ["\r"], ["\n"]])
+@example([""], [[math.nan, -0.0, np.float32(0.1), np.int64(-3), True, None]])
+def test_write_csv_is_csv_writer_byte_for_byte_and_returns_its_sha256(header, rows):
+    """Minimal quoting as ``csv.writer`` applies it: a cell holding a comma, quote, CR or
+    LF is quoted with inner quotes doubled, a record whose one cell is empty is ``""``,
+    and leading spaces or tabs are left as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        digest = write_csv(path, header, rows)
+        data = path.read_bytes()
+    assert data == _csv_writer_bytes(header, rows)
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_write_json_returns_the_sha256_of_the_bytes_it_wrote(tmp_path):
+    obj = {"b": [1, 2.5, None, True], "a": {"z": 0.1, "y": "s\u00e9"}}
+    digest = write_json(tmp_path / "t.json", obj)
+    data = (tmp_path / "t.json").read_bytes()
+    assert data == (dumps_canonical(obj) + "\n").encode()
+    assert digest == hashlib.sha256(data).hexdigest()
 
 
 def test_dumps_canonical_sorted_and_parseable():
