@@ -446,15 +446,15 @@ def _out_file(out: Path) -> Path:
 def _write_check(out_dir: Path, name: str, report: CheckReport, tables: dict, formats) -> dict:
     """Write the check ``name``'s JSON report and CSV tables, those of the
     ``formats`` named, into ``out_dir``; returns each file name's sha256."""
-    digests = {}
+    written = {}
     if "json" in formats:
-        digests[f"check_{name}.json"] = write_json(out_dir / f"check_{name}.json",
+        written[f"check_{name}.json"] = write_json(out_dir / f"check_{name}.json",
                                                    report.to_json_obj())
     if "csv" in formats:
         for table_name, (header, rows) in tables.items():
             file_name = f"check_{name}_{table_name}.csv"
-            digests[file_name] = write_csv(out_dir / file_name, header, rows)
-    return digests
+            written[file_name] = write_csv(out_dir / file_name, header, rows)
+    return {file_name: sha256(data).hexdigest() for file_name, data in written.items()}
 
 
 def cmd_run(ctx: RunContext, out_dir: Path) -> int:

@@ -32,9 +32,8 @@ line; on a *line*, 1-d coordinates in id order,
 :meth:`~FiniteMetricMeasureSpace.ball_spans` gives a batch of balls as id
 spans with no distance row, which the ball pass (``weights._ball_map``),
 the CZ table, the 5r cover and :func:`doubling_profile` read there. The
-space keeps no ids: off a line, each weight's table keeps the gathered values
-and masses of the last ball list a pass queried, for the next pass over that
-list (``weights._BallSums``).
+space keeps no ids: off a line, each weight's table keeps the ids of the
+balls its last pass walked, for the next pass (``weights._BallSums``).
 Off a line a memo maps ``(center, r)`` to the float mu(B), which every
 layer reads; ``ball_measure`` sums one ball on first use, from one query.
 On a line each layer measures its own batch of spans with

@@ -139,15 +139,15 @@ def dumps_canonical(obj) -> str:
     return "".join(out)
 
 
-def _write(path, data: bytes) -> str:
-    """Write ``data`` to ``path`` in one binary write; return its sha256 hex digest."""
+def _write(path, data: bytes) -> bytes:
+    """Write ``data`` to ``path`` in one binary write, and return it."""
     with open(path, "wb") as fh:
         fh.write(data)
-    return sha256(data).hexdigest()
+    return data
 
 
-def write_json(path, obj) -> str:
-    """:func:`dumps_canonical` and a newline, in UTF-8; returns the bytes' sha256."""
+def write_json(path, obj) -> bytes:
+    """:func:`dumps_canonical` and a newline, in UTF-8; returns the bytes written."""
     return _write(path, (dumps_canonical(obj) + "\n").encode())
 
 
@@ -174,8 +174,8 @@ def _csv_line(row) -> str:
     return '""' if line == "" and len(cells) == 1 else line
 
 
-def write_csv(path, header: list[str], rows) -> str:
-    """RFC 4180 CSV with a header row and CRLF line ends, in UTF-8; returns the bytes' sha256."""
+def write_csv(path, header: list[str], rows) -> bytes:
+    """RFC 4180 CSV with a header row and CRLF line ends, in UTF-8; returns the bytes written."""
     lines = [_csv_line(header), *map(_csv_line, rows), ""]
     return _write(path, "\r\n".join(lines).encode())
 

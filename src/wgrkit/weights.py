@@ -127,9 +127,9 @@ class _BallSums:
     (functional, parameter, factor) to a dict from ``(center, radius)`` to the
     ball's (ratio, skipped), so a ball that several ball lists share is
     evaluated once, and a functional run again over balls it has seen
-    evaluates none. ``gather`` is ``(balls, values, masses, sizes, mu(B))`` of
-    the last list a :func:`_ball_map` pass off a line queried, if it fits
-    :data:`PASS_IDS`: read-only values and masses of its B ids in list order.
+    evaluates none. ``ids`` holds the read-only ids of each ball B, never a
+    dilate, that the last :func:`_ball_map` pass off a line walked, up to
+    :data:`PASS_IDS`, for the next pass: lists that alternate query again.
     ``families`` maps a :class:`BallFamily`, weakly, to the weight's CZ
     averages table over it (``czdecomp._averages``), so a family's table
     goes with the family; ``prefix`` is :meth:`Weight._span_sums`'s table, or ``()``.
@@ -138,7 +138,7 @@ class _BallSums:
     def __init__(self):
         self.balls: dict[tuple[int, float], float] = {}
         self.ratios: dict[tuple, dict[tuple[int, float], tuple[float, bool]]] = {}
-        self.gather: tuple | None = None
+        self.ids: dict[tuple[int, float], np.ndarray] = {}
         self.families: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.prefix = None
 
@@ -146,8 +146,8 @@ class _BallSums:
 #: Upper bound on the member ids one block of a ball pass holds, B's and S's together.
 BLOCK_MEMBERS = 1 << 14
 
-#: Upper bound on a kept gather in ids of 8 bytes: two per member, its value and mass, and
-#: ``_ENTRY_IDS`` per ball, 512 bytes for its key, size and mu(B), and one more for the record.
+#: Upper bound on the ids a weight keeps from its last pass; each kept ball is charged its ids
+#: and ``_ENTRY_IDS`` more, 512 bytes, which cover its array headers, key and table slot.
 PASS_IDS, _ENTRY_IDS = 1 << 17, 64
 
 
@@ -156,132 +156,65 @@ def _ball_map(
 ) -> list:
     """``finish(total, hit, w(S), mu(S), mu(B))`` for each ball B in order, S = factor * B.
 
-    ``kernel`` is ``(terms, finish)``. ``terms(v, m, c)`` is elementwise over the values
-    and masses of a block's points, ball after ball, with c = w(S)/mu(S) of each point's
-    ball; it returns the term array and a boolean level, or None. ``total`` is the ``fsum``
-    of a ball's terms, ``hit`` whether its level holds at any of its points. The bits are
-    those of a ball-by-ball evaluation: each term is the same IEEE operation on the same
-    operands, numpy's float division is Python's, and ``fsum`` is correctly rounded, so
-    neither term order nor +0.0 terms change a sum. A block holds at most
-    :data:`BLOCK_MEMBERS` ids, B's and those of the S's it sums, or one ball, cut as a
-    ball-by-ball walk cuts it, so an error is raised at the same ball. w(S) comes from the
-    weight's table, else is summed once per dilate; mu(S) and mu(B) from the space's memo.
-    On a line with a prefix table (:meth:`Weight._span_sums`) B and S are spans of one
-    ``ball_spans`` call, measured from it. Elsewhere a pass reads the weight's kept gather
-    of ``balls`` (:class:`_BallSums`) when S is B or every w(S) and mu(S) is known, else
-    queries B, and S where w(S) is unknown, with ``ball_members``.
+    ``kernel`` is ``(terms, finish)``. Blocks of balls hold at most
+    :data:`BLOCK_MEMBERS` ids, or one ball. ``terms(v, m, c)`` is elementwise
+    over the values and masses of a block's points, ball after ball, with
+    c = w(S)/mu(S) of each point's ball; it returns the term array and a
+    boolean level, or None. ``total`` is the ``fsum`` of a ball's terms,
+    ``hit`` whether its level holds at any of its points. w(S) comes from
+    the weight's table on ``space``, else is summed once per dilate and
+    stored; mu(S) and mu(B) come from the space's memo, on a line from the
+    span measures of the pass's batch. The bits are those
+    of a ball-by-ball pass: each term is the same IEEE operation on the
+    same operands, numpy's float division is Python's, and ``fsum`` is
+    correctly rounded, so neither term order nor +0.0 terms change a sum.
+    B and S are id arrays from ``ball_members``, or B's from the last pass
+    (``_BallSums.ids``), but on a line with a prefix table (:meth:`Weight._span_sums`)
+    spans from one ``ball_spans`` call over every S and B, and a block's ids one
+    expression over its B's, with no array per ball.
     """
+    sums, memo, out = w._sums(space), space._mu, []
     if not balls:
-        return []
-    sums, table = w._sums(space), w._span_sums(space) if space.is_line else None
-    blocks = (_spanned(space, w.values, sums, table, balls, factor) if table is not None else
-              _kept(space, sums, balls, factor) or _queried(space, w.values, sums, balls, factor))
-    return [each for block in blocks for each in _block(*block, kernel)]
-
-
-def _cuts(sizes: list[int]) -> list[int]:
-    """The first ball of each block of balls of ``sizes`` ids, and the end."""
-    cuts, held = [0], 0
-    for i, size in enumerate(sizes):
-        if held + size > BLOCK_MEMBERS and i > cuts[-1]:
-            cuts.append(i)
-            held = 0
-        held += size
-    return cuts + [len(sizes)]
-
-
-def _spanned(space, values, sums: _BallSums, table, balls, factor):
-    """The blocks of a pass on a line; a block's ids are one expression over its spans."""
-    keys_s, k = [(c, factor * r) for c, r in balls], len(balls)
-    lo, hi = space.ball_spans(*zip(*keys_s, *balls))
-    mus = space.span_measures(lo, hi).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    for key_s, a, b in zip(keys_s, lo, hi):
-        if key_s not in sums.balls:
-            sums.balls[key_s] = span_sum(*table, a, b)
-    sizes, mu_s, mu_b = [b - a for a, b in zip(lo[k:], hi[k:])], mus[:k], mus[k:]
-    cuts, overflow = _cuts(sizes), math.inf in mus
-    for first, last in zip(cuts, cuts[1:]):
-        for i in range(first, last) if overflow else ():
-            if math.inf in (mu_s[i], mu_b[i]):  # past the largest double: ball_measure raises
-                mu_s[i], mu_b[i] = space.ball_measure(*keys_s[i]), space.ball_measure(*balls[i])
-        part = sizes[first:last]
-        ids = np.repeat(np.subtract(lo[k + first:k + last], np.cumsum(part) - part), part)
-        ids += np.arange(len(ids))
-        yield (values[ids], space.mass[ids], part, [sums.balls[key] for key in keys_s[first:last]],
-               mu_s[first:last], mu_b[first:last])
-
-
-def _kept(space, sums: _BallSums, balls, factor):
-    """The blocks of a pass over the weight's kept gather of ``balls``, or None when it has
-    none, or S is not B and a w(S) or mu(S) is unknown. A w(B) the table lacks is summed
-    from the gather in the block that reads it first, as a querying pass sums it."""
-    if sums.gather is None or sums.gather[0] != tuple(balls):
-        return None
-    _, v, m, sizes, mu_b = sums.gather
-    keys_s = [(c, factor * r) for c, r in balls]
-    w_s, mu_s = list(map(sums.balls.get, keys_s)), mu_b
-    if factor != 1.0 and (None in w_s or None in (mu_s := list(map(space._mu.get, keys_s)))):
-        return None
-    # the balls whose w(B) is summed here: the first of each that the table lacks
-    fresh = set(dict(reversed([(k, i) for i, k in enumerate(keys_s) if w_s[i] is None])).values())
-    cuts = _cuts([n * (2 if i in fresh else 1) for i, n in enumerate(sizes)])
-    bounds = [0, *accumulate(sizes)]
-
-    def blocks():
-        for first, last in zip(cuts, cuts[1:]):
-            a, b = bounds[first], bounds[last]
-            if fresh:
-                products = memoryview(v[a:b] * m[a:b])
-                for i in sorted(fresh.intersection(range(first, last))):
-                    sums.balls[keys_s[i]] = ball_sum(products[bounds[i] - a:bounds[i + 1] - a])
-            yield (v[a:b], m[a:b], sizes[first:last],
-                   [sums.balls[key] for key in keys_s[first:last]], mu_s[first:last],
-                   mu_b[first:last])
-
-    return blocks()
-
-
-def _queried(space, values, sums: _BallSums, balls, factor):
-    """The blocks of a pass that queries B, and S where w(S) is unknown, summing each block's
-    pending w(S) first. The gather of ``balls`` replaces the weight's kept one when the pass
-    ends, if it fits :data:`PASS_IDS`."""
-    memo, mass, sums.gather = space._mu, space.mass, None
-    room, gathered, block, pending, held = PASS_IDS - _ENTRY_IDS, [], [], {}, 0
-
-    def flush():
-        if pending:
-            ids = np.concatenate(list(pending.values()))
-            sizes = map(len, pending.values())
-            sums.balls.update(zip(pending, _fsums(values[ids] * mass[ids], sizes)))
-        members, keys_s, mu_s, mu_b = zip(*block)
-        ids = np.concatenate(members)
-        out = (values[ids], mass[ids], list(map(len, members)),
-               [sums.balls[key] for key in keys_s], mu_s, mu_b)
-        if room >= 0:
-            gathered.append(out)
         return out
-
+    table = w._span_sums(space) if space.is_line else None
+    if table is not None:
+        keys_s = [(c, factor * r) for c, r in balls]
+        lo, hi = space.ball_spans(*zip(*keys_s, *balls))
+        mus = space.span_measures(lo, hi).tolist()
+        lo, hi = lo.tolist(), hi.tolist()
+        for key_s, a, b in zip(keys_s, lo, hi):
+            if key_s not in sums.balls:
+                sums.balls[key_s] = span_sum(*table, a, b)
+        spans = zip(map(range, lo[len(balls):], hi[len(balls):]), mus, mus[len(balls):])
+    else:
+        last, sums.ids, room = sums.ids, {}, PASS_IDS
+    block, pending, held = [], {}, 0
     for c, r in balls:
-        members, key_s, s_ids = space.ball_members(c, r), (c, factor * r), None
-        if key_s not in pending and key_s not in sums.balls:
-            s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
+        key_s, s_ids = (c, factor * r), None
+        if table is not None:
+            members, mu_s, mu_b = next(spans)
+        else:
+            members = last[(c, r)] if (c, r) in last else space.ball_members(c, r)
+            if (room := room - len(members) - _ENTRY_IDS) >= 0:
+                sums.ids[(c, r)] = members
+            if key_s not in pending and key_s not in sums.balls:
+                s_ids = members if key_s == (c, r) else space.ball_members(*key_s)
         size = len(members) + (0 if s_ids is None else len(s_ids))
         if block and held + size > BLOCK_MEMBERS:
-            yield flush()
+            out += _block(space, w.values, sums, block, pending, kernel)
             block, pending, held = [], {}, 0
         if s_ids is not None:
             pending[key_s] = s_ids
-        block.append((members, key_s, memo.get(key_s) or space.ball_measure(*key_s, members=s_ids),
-                      memo.get((c, r)) or space.ball_measure(c, r, members=members)))
-        held, room = held + size, room - 2 * len(members) - _ENTRY_IDS
-    yield flush()
-    if room >= 0:
-        v, m = (np.concatenate(arrays) for arrays in list(zip(*gathered))[:2])
-        v.setflags(write=False)
-        m.setflags(write=False)
-        sums.gather = (tuple(balls), v, m, [n for each in gathered for n in each[2]],
-                       [mu for each in gathered for mu in each[5]])
+        if table is None:  # read first, as doubling_profile does: no call per hit
+            mu_s = memo.get(key_s) or space.ball_measure(*key_s, members=s_ids)
+            mu_b = memo.get((c, r)) or space.ball_measure(c, r, members=members)
+        elif math.inf in (mu_s, mu_b):  # past the largest double: ball_measure raises
+            mu_s, mu_b = space.ball_measure(*key_s), space.ball_measure(c, r)
+        block.append((members, key_s, mu_s, mu_b))
+        held += size
+    if block:
+        out += _block(space, w.values, sums, block, pending, kernel)
+    return out
 
 
 def _fsums(terms: np.ndarray, sizes) -> list[float]:
@@ -290,19 +223,28 @@ def _fsums(terms: np.ndarray, sizes) -> list[float]:
     return [ball_sum(view[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _block(v, m, sizes, w_s, mu_s, mu_b, kernel) -> list:
-    """One block of :func:`_ball_map`: the values ``v`` and masses ``m`` of its balls' ids, in
-    order, ``sizes`` ids each; each ball's total and hit, handed to ``finish``."""
+def _block(space, values, sums: _BallSums, block: list, pending: dict, kernel) -> list:
+    """One block of :func:`_ball_map`: the pending w(S) into the table, then
+    each ball's total and hit, handed to ``finish``."""
     terms, finish = kernel
+    s_sizes, sizes = [len(s) for s in pending.values()], [len(b[0]) for b in block]
+    if isinstance(block[0][0], range):  # spans, with no S pending: no id array per ball
+        ids = np.repeat(np.subtract([b[0].start for b in block], np.cumsum(sizes) - sizes),
+                        sizes) + np.arange(sum(sizes))
+    else:
+        ids = np.concatenate([*pending.values(), *(b[0] for b in block)])
+    v, m, cut = values[ids], space.mass[ids], sum(s_sizes)
+    sums.balls.update(zip(pending, _fsums(v[:cut] * m[:cut], s_sizes)))
+    w_s = [sums.balls[key_s] for _, key_s, _, _ in block]
     # mu(S) = 0 only for an empty S, whose B inside it is empty too: no term reads c
-    c = [ws / ms if ms > 0.0 else math.nan for ws, ms in zip(w_s, mu_s)]
-    t, level = terms(v, m, np.repeat(c, sizes))
-    hits = [None] * len(sizes)
+    c = [ws / mu_s if mu_s > 0.0 else math.nan for ws, (_, _, mu_s, _) in zip(w_s, block)]
+    t, level = terms(v[cut:], m[cut:], np.repeat(c, sizes))
+    hits = [None] * len(block)
     if level is not None:  # a ball hits iff the count of level points grows across it
         seen = np.concatenate(([0], np.cumsum(level)))[[0, *accumulate(sizes)]]
         hits = (seen[1:] > seen[:-1]).tolist()
-    return [finish(total, hit, ws, ms, mb)
-            for total, hit, ws, ms, mb in zip(_fsums(t, sizes), hits, w_s, mu_s, mu_b)]
+    return [finish(total, hit, ws, mu_s, mu_b)
+            for total, hit, ws, (_, _, mu_s, mu_b) in zip(_fsums(t, sizes), hits, w_s, block)]
 
 
 def _pos_terms(v, m, c):  # int_B (w - c)_+ dmu

@@ -15,6 +15,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -432,8 +433,8 @@ def test_array_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, b
 )
 def test_line_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, beta, p, const, u):
     """The same on a line, where every pass gathers B and S as id spans and reads
-    w(S) from the weight's prefix table: no ball's ids are queried, and every
-    block is spanned, none read from a kept gather or queried."""
+    w(S) from the weight's prefix table: no ball's ids are queried, and each
+    block's balls are spans."""
     space, vals, balls, sigma = case
     assert space.is_line
     queried = []
@@ -443,16 +444,11 @@ def test_line_pass_matches_the_oracles_bit_for_bit(case, zeros, block, alpha, be
         queried.append((center, r))
         return original(self, center, r)
 
-    def forbidden(*args):
-        raise AssertionError("a pass on a line with a prefix table gathered off its spans")
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
-        patch.setattr(weights, "_kept", forbidden)
-        patch.setattr(weights, "_queried", forbidden)
         blocks = _assert_array_pass_matches_the_oracles(
             space, _zeroed(vals, zeros), balls, sigma, block, alpha, beta, p, const, u)
-    assert blocks
+    assert blocks and all(isinstance(m, range) for each in blocks for m, *_ in each)
     assert queried == []
 
 
@@ -468,7 +464,7 @@ def _zeroed(vals, zeros):
 def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha, beta, p,
                                            const, u):
     """The body of the tests above and below, for a Weight or a bare array ``w``;
-    returns the sizes of the balls of each block of every pass."""
+    returns the blocks of every pass."""
     vals = weights.as_values(w)
     lam = const + (1.0 - const) * u
     ratios = {
@@ -496,10 +492,9 @@ def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha,
     blocks = []
     original_block = weights._block
 
-    def counting(v, m, sizes, *args):
-        assert len(v) == len(m) == sum(sizes)
-        blocks.append(sizes)
-        return original_block(v, m, sizes, *args)
+    def counting(*args):
+        blocks.append(args[3])
+        return original_block(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weights, "BLOCK_MEMBERS", block)
@@ -523,7 +518,7 @@ def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha,
                 call()
             assert sides == [(b, *oracle_sides(space, vals, b, sigma)) for b in balls], name
     # a block holds at most ``block`` ids unless one ball alone holds more
-    assert all(len(each) == 1 or sum(each) <= block for each in blocks)
+    assert all(len(each) == 1 or sum(len(m) for m, *_ in each) <= block for each in blocks)
     if block == 1:
         assert all(len(each) == 1 for each in blocks)
     return blocks
@@ -534,7 +529,7 @@ def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha,
     case=_instance(),
     data=st.data(),
     block=st.sampled_from([1, 3, weights.BLOCK_MEMBERS]),
-    room=st.sampled_from([0, 1, 3, 6]),
+    room=st.sampled_from([0, 1, 3]),
     alpha=st.sampled_from([0.25, 0.75]),
     beta=st.sampled_from([0.25, 0.75]),
     p=st.sampled_from([1.5, 3.0]),
@@ -543,27 +538,24 @@ def _assert_array_pass_matches_the_oracles(space, w, balls, sigma, block, alpha,
 )
 def test_the_last_pass_ids_serve_the_next_pass_within_their_bound(
         case, data, block, room, alpha, beta, p, const, u):
-    """Off a line a weight keeps the gather of the last ball list a pass queried:
-    the values and masses of its B ids, their sizes and mu(B), when the list fits
-    ``PASS_IDS``, here room for lists of ``room`` balls. Over one ball list,
-    another, then the first again, one Weight's ratios and sides equal the
-    oracles' bit for bit. A pass over the kept list, at a factor whose every
-    w(S) the table holds or of 1, queries nothing and keeps the gather; any
-    other pass queries each of its balls and each dilate whose w(S) the weight
-    lacks, once, and keeps the oracle's values, masses, sizes and measures,
-    read-only, exactly when its list fits the bound. The bytes the gather holds,
-    measured by tracemalloc, stay within the bound."""
+    """Off a line a weight keeps the ids of the balls its last pass walked, up to
+    ``PASS_IDS``, here room for ``room`` balls. Over one ball list, another, then
+    the first again, one Weight's ratios and sides equal the oracles' bit for bit;
+    each pass queries exactly the balls the pass before it did not keep, and the
+    dilates whose w(S) the weight lacks; the table holds the oracle's ids, read-only,
+    for the longest run of the pass's balls that fits the bound, and the bytes it
+    holds, measured by tracemalloc, stay within the bound."""
     space, vals, first, sigma = case
     assert not space.is_line
     n = space.n_points
     second = data.draw(st.lists(
         st.builds(Ball, st.integers(min_value=0, max_value=n - 1),
                   st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])), min_size=1, max_size=6))
-    bound = (room + 1) * weights._ENTRY_IDS + room * 2 * n
+    bound = room * (weights._ENTRY_IDS + n)
     w = Weight(vals)
     sums = w._sums(space)
     original_map, original_query = weights._ball_map, FiniteMetricMeasureSpace.ball_members
-    queries, reused = [], []
+    queries = []
 
     def query(self, center, r):
         queries.append((center, r))
@@ -571,29 +563,21 @@ def test_the_last_pass_ids_serve_the_next_pass_within_their_bound(
 
     def recording(space_, w_, balls, factor, kernel):
         assert (space_, w_) == (space, w)
-        before, summed, measured = sums.gather, set(sums.balls), set(space._mu)
+        table, summed = sums.ids, set(sums.balls)
+        kept = set(table)
         queries.clear()
         out = original_map(space_, w_, balls, factor, kernel)
-        keys_s = [(c, factor * r) for c, r in balls]
-        if not balls or (before is not None and before[0] == tuple(balls) and (
-                factor == 1.0 or all(k in summed and k in measured for k in keys_s))):
-            reused.append(bool(balls))
-            assert queries == [] and sums.gather is before
-            return out
-        expected = Counter((c, r) for c, r in balls)
-        expected.update({k for k in keys_s if factor != 1.0} - summed)
+        expected = Counter((c, r) for c, r in balls if (c, r) not in kept)
+        expected.update({(c, factor * r) for c, r in balls if factor != 1.0} - summed)
         assert Counter(queries) == expected
-        ids = [oracles.ball(space, c, r) for c, r in balls]
-        charge = weights._ENTRY_IDS + sum(2 * len(each) + weights._ENTRY_IDS for each in ids)
-        if charge > bound:
-            assert sums.gather is None
-            return out
-        key, v, m, sizes, mu_b = sums.gather
-        flat = [j for each in ids for j in each]
-        assert key == tuple(balls) and sizes == [len(each) for each in ids]
-        assert v.tolist() == vals[flat].tolist() and m.tolist() == space.mass[flat].tolist()
-        assert mu_b == [oracles.measure(space, each) for each in ids]
-        assert not (v.flags.writeable or m.flags.writeable)
+        if balls:
+            charged = accumulate(len(oracles.ball(space, c, r)) + weights._ENTRY_IDS
+                                 for c, r in balls)
+            assert set(sums.ids) == {b for b, total in zip(balls, charged) if total <= bound}
+        else:  # an empty pass leaves the table as it was
+            assert sums.ids is table and set(table) == kept
+        for (c, r), ids in sums.ids.items():
+            assert ids.tolist() == oracles.ball(space, c, r) and not ids.flags.writeable
         return out
 
     tracemalloc.start()
@@ -607,61 +591,11 @@ def test_the_last_pass_ids_serve_the_next_pass_within_their_bound(
                 _assert_array_pass_matches_the_oracles(
                     space, w, balls, sigma, block, alpha, beta, p, const, u)
         held = tracemalloc.get_traced_memory()[0]
-        sums.gather = None  # what dropping the gather frees
+        sums.ids = {}  # what dropping the table frees, over an empty one
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held <= bound * np.dtype(np.intp).itemsize
-    assert any(reused) or room < 6  # with room for every list, a later pass reads the gather
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_instance(), block=st.sampled_from([1, 2, 3, 5, 8]))
-def test_a_pass_over_a_kept_gather_forms_the_blocks_of_a_queried_pass(case, block):
-    """A pass that reads the kept gather cuts its balls into the blocks that a pass
-    querying them cuts, so an error is raised at the same ball: at factor 1, where
-    each w(B) the table lacks is summed in the block that reads it first, and at the
-    gather's own factor. It queries nothing, and its ratios are the queried pass's."""
-    space, vals, balls, sigma = case
-    blocks, queries = [], []
-    original_block, original_query = weights._block, FiniteMetricMeasureSpace.ball_members
-
-    def recording(v, m, sizes, *rest):
-        blocks[-1].append(list(sizes))
-        return original_block(v, m, sizes, *rest)
-
-    def query(self, center, r):
-        queries[-1].append((center, r))
-        return original_query(self, center, r)
-
-    def passes(drop: bool):
-        w = Weight(vals)
-        blocks.append([])
-        queries.append([])
-        try:
-            wgr_epsilon(space, w, balls, sigma=sigma)
-        except NoDataError:
-            pass
-        out = []
-        for call in (lambda: gr_epsilon(space, w, balls),
-                     lambda: rhi_constant(space, w, balls, 2.0, sigma=sigma)):
-            if drop:
-                w._sums(space).gather = None
-            blocks.append([])
-            queries.append([])
-            try:
-                out.append(call().per_ball)
-            except NoDataError:
-                out.append(None)
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(weights, "BLOCK_MEMBERS", block)
-        patch.setattr(weights, "_block", recording)
-        patch.setattr(FiniteMetricMeasureSpace, "ball_members", query)
-        assert passes(drop=False) == passes(drop=True)
-    assert blocks[1:3] == blocks[4:]
-    assert queries[1:3] == [[], []] and all(queries[4:])
 
 
 def test_line_dilate_sums_keep_the_sign_of_fsum():

@@ -98,8 +98,9 @@ def _csv_writer_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-_CSV_TEXT = st.text(st.one_of(st.sampled_from(list(' \t,"\r\n\'ab;')), st.characters()),
-                    max_size=6)
+# text UTF-8 can encode: a lone surrogate raises UnicodeEncodeError in either writer
+_CSV_TEXT = st.text(st.one_of(st.sampled_from(list(' \t,"\r\n\'ab;')),
+                              st.characters(codec="utf-8")), max_size=6)
 _CSV_CELLS = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none(), _CSV_TEXT,
     st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
@@ -113,24 +114,22 @@ _CSV_CELLS = st.one_of(
 @example(["a"], [[""], [None], [" lead"], ["\ttab"], ["x\r\ny"], ["say \"x\""], [], ["", ""],
                  [None, None], [",", None], ["\r"], ["\n"]])
 @example([""], [[math.nan, -0.0, np.float32(0.1), np.int64(-3), True, None]])
-def test_write_csv_is_csv_writer_byte_for_byte_and_returns_its_sha256(header, rows):
-    """Minimal quoting as ``csv.writer`` applies it: a cell holding a comma, quote, CR or
-    LF is quoted with inner quotes doubled, a record whose one cell is empty is ``""``,
-    and leading spaces or tabs are left as they are."""
+def test_write_csv_is_csv_writer_byte_for_byte(header, rows):
+    """Formatted in memory, the file holds what ``csv.writer`` writes cell by cell: a
+    cell holding a comma, quote, CR or LF quoted with inner quotes doubled, a record
+    whose one cell is empty written ``""``, leading spaces or tabs left as they are;
+    it returns the bytes it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        digest = write_csv(path, header, rows)
+        written = write_csv(path, header, rows)
         data = path.read_bytes()
-    assert data == _csv_writer_bytes(header, rows)
-    assert digest == hashlib.sha256(data).hexdigest()
+    assert data == written == _csv_writer_bytes(header, rows)
 
 
-def test_write_json_returns_the_sha256_of_the_bytes_it_wrote(tmp_path):
+def test_write_json_returns_the_bytes_it_wrote(tmp_path):
     obj = {"b": [1, 2.5, None, True], "a": {"z": 0.1, "y": "s\u00e9"}}
-    digest = write_json(tmp_path / "t.json", obj)
-    data = (tmp_path / "t.json").read_bytes()
-    assert data == (dumps_canonical(obj) + "\n").encode()
-    assert digest == hashlib.sha256(data).hexdigest()
+    written = write_json(tmp_path / "t.json", obj)
+    assert (tmp_path / "t.json").read_bytes() == written == (dumps_canonical(obj) + "\n").encode()
 
 
 def test_dumps_canonical_sorted_and_parseable():
