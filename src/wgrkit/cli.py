@@ -21,18 +21,16 @@ error occurred, 2 usage or schema violation.
 """
 from __future__ import annotations
 
-import argparse
 import gc
-import importlib.resources
 import json
 import math
 import numbers
 import os
 import platform
 import sys
-from contextlib import suppress
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,8 +54,9 @@ MAX_DECAY_LEVELS = 10_000
 
 
 def load_schema() -> dict:
-    text = importlib.resources.files("wgrkit").joinpath("config.schema.json").read_text()
-    return json.loads(text)
+    # read by the package's own loader: importlib.resources would import a dozen modules
+    path = os.path.join(os.path.dirname(__file__), "config.schema.json")
+    return json.loads(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 #: JSON type name -> membership test, as in jsonschema's Draft 2020-12
@@ -178,6 +177,12 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
+    first: dict[str, int] = {}
+    for i, entry in enumerate(cfg["checks"]):
+        j = first.setdefault(entry["name"], i)
+        if j != i:  # run writes each check's files under its name alone
+            raise SchemaError(f"config violates schema: check {entry['name']!r} is listed twice, "
+                              f"at checks/{j} and checks/{i}; list each check once")
     seed = cfg["instance"].get("seed", 0)
     if cfg.get("rng", {}).get("seed", seed) != seed:
         raise SchemaError(f"config violates schema: rng/seed {cfg['rng']['seed']} differs from "
@@ -210,10 +215,14 @@ def resolve_base_ball(space: FiniteMetricMeasureSpace, geometry: dict) -> Ball:
     radius = sel.get("radius", "auto")
     if radius == "auto":
         reach = float(space.dist_row(center).max() if ecc is None else ecc[center])
-        if reach <= 0.0:
-            radius = 1.0
-        else:
-            radius = reach / ((1.0 + geometry["eta"]) * max(geometry["sigma"], 1.0))
+        scale = (1.0 + geometry["eta"]) * max(geometry["sigma"], 1.0)
+        radius = 1.0 if reach <= 0.0 else reach / scale
+        if radius == 0.0:
+            raise SchemaError(
+                f"geometry/base_ball/radius \"auto\" is the eccentricity {reach!r} of point "
+                f"{center} over (1+eta)*sigma = {scale!r}, which underflows to 0.0; "
+                "give an explicit radius"
+            )
     return Ball(int(center), float(radius))
 
 
@@ -639,14 +648,21 @@ def cmd_check(ctx: RunContext, name: str, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError; argparse is imported only when a value is bad."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _thread_count(text: str) -> int:
     """``--threads`` takes what the config's ``threads`` key takes: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _type_error(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise _type_error(f"must be >= 1, got {value}")
     return value
 
 
@@ -655,10 +671,10 @@ def _seed(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _type_error(f"invalid int value: {text!r}") from None
     errors = _schema_errors(load_schema()["properties"]["instance"]["properties"]["seed"], value)
     if errors:
-        raise argparse.ArgumentTypeError(errors[0][1])
+        raise _type_error(errors[0][1])
     return value
 
 
@@ -669,40 +685,70 @@ _SUBCOMMANDS = {
     "decay-table": None, "sweep": ("kind", ["eps", "p", "sigma"]), "examples": ("action", ["list"]),
 }
 
+#: The options of every subcommand, in help order: flag -> (dest, type, help).
+_OPTIONS = {
+    "--config": ("config", str, "experiment config JSON"),
+    "--out": ("out", str, "output file or directory"),
+    "--seed": ("seed", _seed, "override the instance seed"),
+    "--threads": ("threads", _thread_count, "accepted for compatibility; no effect"),
+}
+#: The option ``space`` adds, after its positional.
+_SPACE_IN = {"--in": ("infile", str, "space JSON to validate")}
 
-class _QuietParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
 
+def build_parser():
+    """The ``argparse`` parser of every subcommand, which prints help and usage errors."""
+    import argparse
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; with ``only``, of that one alone, and
-    quiet: a usage error raises ``argparse.ArgumentError``, unprinted."""
-    parser = (_QuietParser if only else argparse.ArgumentParser)(prog="wgrkit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="wgrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name, positional in _SUBCOMMANDS.items():
-        if only in (None, name):
-            sub_p = sub.add_parser(name)
-            sub_p.add_argument("--config", help="experiment config JSON")
-            sub_p.add_argument("--out", help="output file or directory")
-            sub_p.add_argument("--seed", type=_seed, help="override the instance seed")
-            sub_p.add_argument("--threads", type=_thread_count, default=None,
-                               help="accepted for compatibility; no effect")
-            if positional:
-                sub_p.add_argument(positional[0], choices=positional[1])
-            if name == "space":
-                sub_p.add_argument("--in", dest="infile", help="space JSON to validate")
+        sub_p = sub.add_parser(name)
+        for flag, (dest, kind, text) in _OPTIONS.items():
+            sub_p.add_argument(flag, dest=dest, type=kind, help=text)
+        if positional:
+            sub_p.add_argument(positional[0], choices=positional[1])
+        for flag, (dest, kind, text) in (_SPACE_IN if name == "space" else {}).items():
+            sub_p.add_argument(flag, dest=dest, type=kind, help=text)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone, as each parser costs
-    gettext lookups to build; the full tree prints root help and every error."""
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What :func:`build_parser` makes of a well-formed ``argv``, read without
+    argparse: a subcommand, its positional if it has one, then options, each
+    spelled in full and followed by a value that does not start with ``-``.
+    None for anything else: help, an abbreviation, ``--opt=value``, ``--``, an
+    unknown or misplaced token, or a value its type rejects."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    command, positional = argv[0], _SUBCOMMANDS[argv[0]]
+    options = {**_OPTIONS, **_SPACE_IN} if command == "space" else _OPTIONS
+    args = {"command": command, **{dest: None for dest, _, _ in options.values()}}
+    rest = argv[1:]
+    if positional:
+        name, choices = positional
+        if not rest or rest[0].startswith("-") or (choices and rest[0] not in choices):
+            return None
+        args[name], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    for flag, value in zip(rest[::2], rest[1::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        dest, kind, _ = options[flag]
+        try:
+            args[dest] = kind(value)
+        except Exception:  # a bad value: the full parser calls the type again and reports it
+            return None
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv):
+    """The namespace of ``argv``: read directly when well formed, else by the
+    full parser, which prints help and every usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        with suppress(argparse.ArgumentError):
-            return build_parser(argv[0]).parse_args(argv)
-    return build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

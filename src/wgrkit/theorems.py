@@ -48,15 +48,15 @@ from .weights import (
     _resolve_sigma,
     _sup,
     _weight,
+    _sublevel,
+    _weak_ainfty,
     _WGR,
+    _WGR_MINUS,
     as_values,
     family_balls,
     rhi_constant,
-    sublevel_alpha,
     weak_ainfty_beta,
     Weight,
-    wgr_epsilon,
-    wgr_minus_epsilon,
 )
 
 #: Relative tolerance for inequality margins, against the RHS scale.
@@ -161,24 +161,25 @@ class _MarginTracker:
 
 
 def _implication(name, space, w, family, sigma, params: dict, key: str,
-                 functional, param, kernel) -> CheckReport:
+                 functional: tuple, kernel) -> CheckReport:
     """The body the four implication checkers share.
 
     ``params[key]`` is the hypothesis constant. When it is None it is
-    measured as the sup of ``functional`` at ``param``: the weights
-    functional itself, which each checker names in its own body so the name
-    resolves at call time. Its pass reads the ratios the weight's table on
-    ``space`` already holds. One :func:`~wgrkit.weights._ball_map` pass over
-    B with the kernel ``kernel(constant)``, whose ``finish`` returns (lhs,
-    rhs, vacuous), then feeds the tracker, reading the S side from that
-    table. A checker with a ``lambda`` needs constant < lambda < 1, and is
-    vacuous at 0.
+    measured as the sup over the balls of the ratio ``functional``, a
+    ``(name, param, kernel)`` of the weights functional that defines it,
+    read from the weight's ratio table on ``space`` as that functional
+    reads it, with the ratios the table lacks evaluated in one pass. One
+    :func:`~wgrkit.weights._ball_map` pass over B with the kernel
+    ``kernel(constant)``, whose ``finish`` returns (lhs, rhs, vacuous), then
+    feeds the tracker, reading the S side from that table. A checker with a
+    ``lambda`` needs constant < lambda < 1, and is vacuous at 0.
     """
     balls, sigma, w = family_balls(family), _resolve_sigma(family, sigma), _weight(w)
     measured = params[key] is None
     if measured:
-        args = () if param is None else (param,)
-        params[key] = functional(space, w, balls, *args, sigma=sigma).value
+        ratio_name, param, ratio_kernel = functional
+        ratios = _ratios(ratio_name, param, space, w, balls, sigma, ratio_kernel)
+        params[key] = _sup([ratios[b] for b in balls])[0]
     const = params[key]
     tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
     lam = params.get("lambda")
@@ -211,7 +212,7 @@ def check_superlevel_bound(
                 lambda total, hit, w_s, mu_s, mu_b: (total, lam * w_s, not hit))
 
     return _implication("superlevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", wgr_epsilon, None, kernel)
+                        {"lambda": lam, "eps": eps}, "eps", ("wgr_epsilon", None, _WGR), kernel)
 
 
 def check_osc_from_superlevel(
@@ -233,7 +234,8 @@ def check_osc_from_superlevel(
         return _pos_terms, lambda total, hit, w_s, mu_s, mu_b: (total, coeff * w_s, total == 0.0)
 
     return _implication("osc_from_superlevel", space, w, family, sigma,
-                        {"alpha": alpha, "beta": beta}, "beta", weak_ainfty_beta, alpha, kernel)
+                        {"alpha": alpha, "beta": beta}, "beta",
+                        ("weak_ainfty_beta", alpha, _weak_ainfty(alpha)), kernel)
 
 
 def check_sublevel_bound(
@@ -254,7 +256,8 @@ def check_sublevel_bound(
                 lambda total, hit, w_s, mu_s, mu_b: (total, lam * mu_b, not hit))
 
     return _implication("sublevel_bound", space, w, family, sigma,
-                        {"lambda": lam, "eps": eps}, "eps", wgr_minus_epsilon, None, kernel)
+                        {"lambda": lam, "eps": eps}, "eps",
+                        ("wgr_minus_epsilon", None, _WGR_MINUS), kernel)
 
 
 def check_neg_osc_from_sublevel(
@@ -277,7 +280,8 @@ def check_neg_osc_from_sublevel(
             lhs := _avg(total, mu_b), coeff * _avg(w_s, mu_s), lhs == 0.0)
 
     return _implication("neg_osc_from_sublevel", space, w, family, sigma,
-                        {"beta": beta, "alpha": alpha_m}, "alpha", sublevel_alpha, beta, kernel)
+                        {"beta": beta, "alpha": alpha_m}, "alpha",
+                        ("sublevel_alpha", beta, _sublevel(beta)), kernel)
 
 
 # ---------------------------------------------------------------------------

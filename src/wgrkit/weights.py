@@ -375,7 +375,25 @@ def _ratios(name: str, param, space, w: Weight, balls, factor: float, kernel) ->
     return memo
 
 
-_WGR = (_pos_terms, _over_w_s)  # the kernel of wgr_epsilon, whose ratios _ratios also fills
+# The kernels of the functionals whose ratios the checkers also read through _ratios.
+_WGR = (_pos_terms, _over_w_s)
+
+
+def _wgr_minus_finish(total, _, w_s, mu_s, mu_b):
+    c = _avg(w_s, mu_s)
+    return (0.0, True) if c <= 0.0 else (_avg(total, mu_b) / c, False)
+
+
+_WGR_MINUS = (_neg_terms, _wgr_minus_finish)
+
+
+def _weak_ainfty(alpha: float):
+    return (lambda v, m, c: (v * m * (alpha * v >= c), None)), _over_w_s
+
+
+def _sublevel(beta: float):
+    return (lambda v, m, c: (m * (v <= beta * c), None)), (
+        lambda total, _, w_s, mu_s, mu_b: (0.0, True) if w_s <= 0.0 else (total / mu_b, False))
 
 
 
@@ -394,14 +412,7 @@ def wgr_minus_epsilon(
     space: FiniteMetricMeasureSpace, w, family, sigma: float | None = None,
 ) -> ConditionReport:
     """sup_B avg_B (w - w_S)_- / w_S, the negative-part condition."""
-
-    def finish(total, _, w_s, mu_s, mu_b):
-        c = _avg(w_s, mu_s)
-        return (0.0, True) if c <= 0.0 else (_avg(total, mu_b) / c, False)
-
-    return _functional(
-        "wgr_minus_epsilon", None, space, w, family, sigma, (_neg_terms, finish)
-    )
+    return _functional("wgr_minus_epsilon", None, space, w, family, sigma, _WGR_MINUS)
 
 
 def gr_epsilon(
@@ -420,10 +431,7 @@ def weak_ainfty_beta(
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
-    return _functional(
-        "weak_ainfty_beta", alpha, space, w, family, sigma,
-        (lambda v, m, c: (v * m * (alpha * v >= c), None), _over_w_s),
-    )
+    return _functional("weak_ainfty_beta", alpha, space, w, family, sigma, _weak_ainfty(alpha))
 
 
 def sublevel_alpha(
@@ -432,12 +440,7 @@ def sublevel_alpha(
     """sup_B mu(B n {w <= beta w_S}) / mu(B) for a fixed beta in (0, 1)."""
     if not 0.0 < beta < 1.0:
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-
-    return _functional(
-        "sublevel_alpha", beta, space, w, family, sigma,
-        (lambda v, m, c: (m * (v <= beta * c), None),
-         lambda total, _, w_s, mu_s, mu_b: (0.0, True) if w_s <= 0.0 else (total / mu_b, False)),
-    )
+    return _functional("sublevel_alpha", beta, space, w, family, sigma, _sublevel(beta))
 
 
 def rhi_constant(

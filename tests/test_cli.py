@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgrkit import cli, grid_1d
 from wgrkit.cli import EXIT_USAGE, main
@@ -238,10 +239,10 @@ def test_perfbench_info_snippet_runs_and_gives_the_recorded_sizes(workload, tmp_
 def test_perfbench_tracer_sees_the_functionals_each_check_measures_and_the_coarse_cz_level(
         tmp_path):
     """The benchmark's tracer rebinds each public function in every module that
-    holds it. A check reaches its functional, a checker the functional that
-    measures its constant, and ``cz_nested`` its coarse level through those
-    names, so each call is a span under its caller and the per-layer metrics
-    count it."""
+    holds it. A check reaches its functional and ``cz_nested`` its coarse level
+    through those names, so each call is a span under its caller and the
+    per-layer metrics count it. A checker reads its measured constant from the
+    weight's ratio table, so no functional span sits under it."""
     run_cfg = smoke_config(tmp_path, checks=[
         {"name": "wgr", "params": {}},
         {"name": "superlevel_bound", "params": {"lambda": 0.9}},
@@ -272,8 +273,9 @@ def test_perfbench_tracer_sees_the_functionals_each_check_measures_and_the_coars
     edges = [(name, spans[parent][0], (spans[parent][4] or {}).get("check"))
              for name, _, _, parent, _ in spans if parent >= 0]
     assert ("weights.wgr_epsilon", "cli.run_check", "wgr") in edges
-    assert ("weights.wgr_epsilon", "theorems.check_superlevel_bound", None) in edges
-    assert ("weights.wgr_minus_epsilon", "theorems.check_sublevel_bound", None) in edges
+    checkers = {"theorems.check_superlevel_bound", "theorems.check_sublevel_bound"}
+    assert {name for name, parent, _ in edges if parent in checkers} & {
+        "weights.wgr_epsilon", "weights.wgr_minus_epsilon"} == set()
     assert [e for e in edges if e[0] == "czdecomp.cz_decompose"] == [
         ("czdecomp.cz_decompose", "czdecomp.cz_nested", None)]
 
@@ -411,6 +413,113 @@ def test_help_and_usage_errors_print_what_the_full_parser_prints(capsys, argv):
     assert code == (EXIT_USAGE if exc.value.code else 0)
     assert (lazy.out, lazy.err) == (full.out, full.err)
     assert full.out or full.err
+
+
+def test_a_check_listed_twice_is_a_schema_violation(tmp_path, capsys):
+    """Each check's files are named after the check alone, so a second entry of one
+    name would overwrite the first's; the config is rejected before any work."""
+    cfg = smoke_config(tmp_path, checks=[
+        {"name": "rhi", "params": {"p": 2.0}},
+        {"name": "wgr", "params": {}},
+        {"name": "rhi", "params": {"p": 3.0, "rhs_ball": "sigma_hat"}},
+    ])
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config violates schema: check 'rhi' is listed twice, at checks/0 and checks/2; "
+        "list each check once\n")
+    assert not out.exists()
+
+
+def test_an_auto_radius_that_underflows_is_a_schema_violation(tmp_path, capsys):
+    """On a Chebyshev line of the points 0, 5e-324 and 1e-323 the central point's
+    eccentricity is 5e-324, and 5e-324 / ((1+eta) sigma) rounds to 0.0."""
+    space = {"points": [[0.0], [5e-324], [1e-323]], "distance_matrix": None,
+             "mass": [1.0] * 3, "metric_kind": "chebyshev"}
+    cfg = smoke_config(
+        tmp_path, instance={"kind": "custom", "params": {"space": space, "weight": [1.0, 2.0, 3.0]}},
+        geometry={"sigma": 1.5, "eta": 1.0, "base_ball": {"center": "central", "radius": "auto"}},
+        checks=[{"name": "wgr", "params": {}}])
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        'geometry/base_ball/radius "auto" is the eccentricity 5e-324 of point 1 over '
+        "(1+eta)*sigma = 3.0, which underflows to 0.0; give an explicit radius\n")
+    assert not out.exists()
+
+
+#: Tokens of the argv differential: subcommands, positionals, options exact and
+#: abbreviated, ``--opt=value``, ``--``, help, and values good and bad.
+_ARGV_OPTIONS = ["--config", "--out", "--seed", "--threads", "--in"]
+_ARGV_VALUES = ["x.json", "", "-1", "0", "1", "abc", str(2**128), str(2**128 - 1), " 7", "+3",
+                "1_0", "-", "run", *["1"] * 8]
+_ARGV_TOKENS = [*cli._SUBCOMMANDS, "nope", "ru", "gen", "nested", "explode", *_ARGV_OPTIONS,
+                "--conf", "--o", "--se", "--thr", "--i", "--config=x.json", "--seed=3", "--",
+                "-h", "--help", *_ARGV_VALUES]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_the_argv_reader_gives_what_the_full_parser_gives(data):
+    """An argv of a subcommand, its positional and options, then up to three tokens
+    replaced, inserted, dropped or the whole reordered: wherever the reader gives a
+    namespace, it is the parser's."""
+    command = data.draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    positional = cli._SUBCOMMANDS[command]
+    argv = [command]
+    if positional:
+        argv.append(data.draw(st.sampled_from(positional[1] or ["jn_decay", ""])))
+    for _ in range(data.draw(st.integers(0, 4))):
+        argv += [data.draw(st.sampled_from(_ARGV_OPTIONS)), data.draw(st.sampled_from(_ARGV_VALUES))]
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = data.draw(st.integers(0, len(argv)))
+        token = data.draw(st.sampled_from(_ARGV_TOKENS))
+        edit = data.draw(st.sampled_from(["replace", "insert", "drop", "reorder"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, token)
+        elif edit == "replace":
+            argv[at] = token
+        elif edit == "drop":
+            del argv[at]
+        else:
+            argv = data.draw(st.permutations(argv))
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--out", "o", "--threads", "1"],
+    ["cz", "nested", "--config", "c.json", "--out", "o.json", "--threads", "1"],
+    ["space", "validate", "--in", "s.json", "--seed", "0", "--in", "t.json"],
+    ["check", "jn_decay", "--seed", str(2**128 - 1), "--config", ""],
+    ["examples", "list"],
+])
+def test_a_well_formed_argv_is_read_without_the_parser(argv):
+    assert vars(cli._read_argv(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_a_well_formed_command_imports_no_argparse(tmp_path):
+    """Under ``python -S``, whose ``site`` imports nothing, a well-formed ``run`` and
+    ``cz nested`` leave none of argparse, gettext, locale or importlib.resources loaded."""
+    record = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    cz_cfg = tmp_path / "cz.json"
+    cz_cfg.write_text(json.dumps(record["cz-nested-1d"]["config"]))
+    code = (
+        "import sys\n"
+        "from wgrkit import cli\n"
+        f"assert cli.main(['run', '--config', {str(smoke_config(tmp_path))!r},"
+        f" '--out', {str(tmp_path / 'run')!r}, '--threads', '1']) == 0\n"
+        f"assert cli.main(['cz', 'nested', '--config', {str(cz_cfg)!r},"
+        f" '--out', {str(tmp_path / 'cz.out')!r}, '--threads', '1']) == 0\n"
+        "loaded = [m for m in ('argparse', 'gettext', 'locale', 'importlib.resources')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(Path(np.__file__).parents[1])])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_subcommand_prints_the_full_usage(capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from wgrkit import (
@@ -17,7 +17,8 @@ from wgrkit import (
 from wgrkit import space as space_module
 from wgrkit.cli import resolve_base_ball
 from wgrkit.errors import (
-    EmptyBallError, InvalidGeneratorError, InvalidParameterError, TooLargeError, WgrError,
+    EmptyBallError, InvalidGeneratorError, InvalidParameterError, SchemaError, TooLargeError,
+    WgrError,
 )
 
 
@@ -571,16 +572,19 @@ def _coordinate_space(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_coordinate_space(), st.sampled_from([1.0, 1.5, 4.0]), st.sampled_from([0.5, 1.0, 3.0]))
+@example(FiniteMetricMeasureSpace(np.ones(3), coords=[[0.0], [5e-324], [1e-323]],
+                                  metric_kind="chebyshev"), 1.5, 1.0)
 def test_central_ball_from_axis_extremes_is_the_row_maximum_bit_for_bit(space, sigma, eta):
     """Under the Chebyshev metric, and on one axis under either, the central ball reads
     each eccentricity from the per-axis extremes, with no distance row; its center and
     its "auto" radius are the row scan's, bit for bit, where distances overflow to inf
-    too, and a radius that underflows to 0 is rejected as the row scan's is."""
+    too, and a radius that underflows to 0 is a SchemaError naming the row scan's
+    eccentricity."""
 
     def outcome(ball):
         try:
             base = ball()
-        except InvalidParameterError as exc:
+        except (InvalidParameterError, SchemaError) as exc:
             return str(exc)
         return base.center, np.float64(base.radius).tobytes()
 
@@ -592,7 +596,11 @@ def test_central_ball_from_axis_extremes_is_the_row_maximum_bit_for_bit(space, s
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(FiniteMetricMeasureSpace, "dist_block", None)  # no row is read
             got = outcome(lambda: resolve_base_ball(space, {"eta": eta, "sigma": sigma}))
-    assert got == outcome(lambda: Ball(center, radius))
+    if radius == 0.0:
+        assert got.startswith(f'geometry/base_ball/radius "auto" is the eccentricity {reach!r} '
+                              f'of point {center} over')
+    else:
+        assert got == outcome(lambda: Ball(center, radius))
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "table"])
@@ -676,6 +684,17 @@ def test_closest_pair_sweep_finds_a_pair_below_its_first_axis_gap():
     got = space.min_positive_distance()
     assert got == space.distance(0, 2) < 2.3e-162
     assert got == _all_pairs_min_positive_distance(space)
+
+
+def test_closest_pair_on_a_euclidean_line_reads_lag_two_when_adjacent_squares_underflow():
+    # the squares of the gaps 1e-162 underflow to 0.0, so both adjacent computed distances
+    # are 0.0; the pair two apart squares to the smallest subnormal, and a sweep that read
+    # lag-1 distances alone would answer 1.0
+    space = FiniteMetricMeasureSpace(np.ones(5), coords=[[0.0], [1e-162], [2e-162], [1.0], [3.0]],
+                                     metric_kind="euclidean")
+    assert [space.distance(i, i + 1) for i in range(4)] == [0.0, 0.0, 1.0, 2.0]
+    assert space.min_positive_distance() == space.distance(0, 2) == 2.2227587494850775e-162
+    assert space.min_positive_distance() == _all_pairs_min_positive_distance(space)
 
 
 # -- line spaces -----------------------------------------------------------------

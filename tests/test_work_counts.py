@@ -37,7 +37,8 @@ from wgrkit.weights import (
     wgr_minus_epsilon,
 )
 
-SMOKE = Path(__file__).parent.parent / "configs" / "smoke.json"
+ROOT = Path(__file__).parent.parent
+SMOKE = ROOT / "configs" / "smoke.json"
 
 
 @pytest.fixture
@@ -624,7 +625,8 @@ def test_rhi_equivalence_reads_the_measures_the_run_already_summed(monkeypatch):
     assert report.params["c_mu"] >= 1.0
 
 
-def test_a_subcommand_builds_the_root_parser_and_its_own_alone(monkeypatch, capsys):
+def test_a_well_formed_command_builds_no_parser_and_a_usage_error_the_full_tree(monkeypatch,
+                                                                                capsys):
     built: list[str] = []
     original = argparse.ArgumentParser.__init__
 
@@ -634,7 +636,28 @@ def test_a_subcommand_builds_the_root_parser_and_its_own_alone(monkeypatch, caps
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert cli.main(["examples", "list"]) == 0
-    assert built == ["wgrkit", "wgrkit examples"]
-    built.clear()
+    assert built == []
     assert cli.main(["examples", "list", "--bogus"]) == 2  # a usage error: the full tree reports it
-    assert len(built) == 2 + 1 + len(cli._SUBCOMMANDS)
+    assert len(built) == 1 + len(cli._SUBCOMMANDS)
+
+
+def test_the_implication_checkers_build_no_functional_report(monkeypatch, tmp_path):
+    """Each implication checker takes its measured constant from the weight's ratio
+    table, so a run builds one ConditionReport per functional its config lists."""
+    record = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    cfg = record["functionals-2d"]["config"]
+    listed = [e["name"] for e in cfg["checks"]
+              if e["name"] in ("wgr", "wgr_minus", "gr", "weak_ainfty", "sublevel", "rhi")]
+    assert len(listed) == 6 and len(cfg["checks"]) > 6
+    reports = []
+    original = weights.ConditionReport.__init__
+
+    def counting(self, *args, **kwargs):
+        reports.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(weights.ConditionReport, "__init__", counting)
+    path = tmp_path / "f2d.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(reports) == len(listed)
