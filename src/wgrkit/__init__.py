@@ -8,6 +8,14 @@ stopping-time decomposition with checkable certificates, and verifies the
 resulting decay and self-improvement inequalities numerically.
 """
 
+import gc
+import sys
+
+if sys.argv[:1] == ["-m"]:
+    # argv[0] is "-m" while ``python -m wgrkit.<module>`` locates its target: the import
+    # collects nothing, and ``cli.entry`` freezes the imported heap before collecting again
+    gc.disable()
+
 __version__ = "0.1.0"
 
 from .balls import Ball, BallFamily, build_family, dilate, five_r_cover, verify_cover

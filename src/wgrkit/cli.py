@@ -21,6 +21,7 @@ error occurred, 2 usage or schema violation.
 """
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import math
@@ -335,7 +336,7 @@ def _jn_decay(ctx, params):
         raise SchemaError(f"check 'jn_decay': params/factor must be > 0, got {factor!r}")
     if grid is None:
         if eps is None:
-            eps = theorems._system_eps(ctx.space, ctx.w, ctx.system.measuring, ctx.system.sigma)
+            eps = theorems._system_eps(ctx.system, ctx.w)
         if eps == 0.0:
             grid = []
         else:
@@ -801,13 +802,33 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Process entry of ``python -m wgrkit.cli`` and the ``wgrkit`` script. The heap is
-    frozen before ``main``, out of the run's collections, and again after: every output is
-    closed then, so exit-time collections may skip it; atexit and stdio flushes still run."""
+    """Process entry of ``python -m wgrkit.cli`` and the ``wgrkit`` script. The imported
+    heap is frozen before collections are enabled (the package disables them while ``-m``
+    imports it), so the run's collections skip it. Every output is closed when ``main``
+    returns, so the process runs the atexit handlers, flushes stdout and stderr and ends
+    with ``os._exit``: no exit-time collection or finalizer runs. A closed stdout exits 1
+    with one ``BrokenPipeError`` line, in ``main``'s error form."""
     gc.freeze()
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    gc.enable()
+    try:
+        code = main()
+    except BrokenPipeError as exc:
+        code = _closed_stdout(exc)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        code = _closed_stdout(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _closed_stdout(exc: BrokenPipeError) -> int:
+    """Report a write to a closed stdout, which then writes to the null device."""
+    with open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), sys.stdout.fileno())
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

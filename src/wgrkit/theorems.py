@@ -46,6 +46,7 @@ from .weights import (
     _pos_terms,
     _ratios,
     _resolve_sigma,
+    _rhi,
     _sup,
     _weight,
     _sublevel,
@@ -54,8 +55,6 @@ from .weights import (
     _WGR_MINUS,
     as_values,
     family_balls,
-    rhi_constant,
-    weak_ainfty_beta,
     Weight,
 )
 
@@ -177,9 +176,7 @@ def _implication(name, space, w, family, sigma, params: dict, key: str,
     balls, sigma, w = family_balls(family), _resolve_sigma(family, sigma), _weight(w)
     measured = params[key] is None
     if measured:
-        ratio_name, param, ratio_kernel = functional
-        ratios = _ratios(ratio_name, param, space, w, balls, sigma, ratio_kernel)
-        params[key] = _sup([ratios[b] for b in balls])[0]
+        params[key] = _measure(functional, space, w, balls, sigma)
     const = params[key]
     tracker = _MarginTracker(name, {"sigma": sigma, **params, f"{key}_measured": measured})
     lam = params.get("lambda")
@@ -226,8 +223,6 @@ def check_osc_from_superlevel(
 
         int_B (w - w_S)_+ dmu <= (1 - alpha (1 - beta)) w(S)
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
 
     def kernel(beta):
         coeff = 1.0 - alpha * (1.0 - beta)
@@ -271,8 +266,6 @@ def check_neg_osc_from_sublevel(
 
         avg_B (w - w_S)_- <= (1 - (1 - alpha_m) beta) w_S
     """
-    if not 0.0 < beta < 1.0:
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
 
     def kernel(alpha_m):
         coeff = 1.0 - (1.0 - alpha_m) * beta
@@ -350,13 +343,20 @@ def _measuring(members, base_ball: Ball, sigma: float, eta: float) -> list[Ball]
                    *(_ball((c, 5.0 * r)) for c, r in members if r <= lim)})
 
 
-def _system_eps(space: FiniteMetricMeasureSpace, w: Weight, measuring: list[Ball],
-                sigma: float) -> float:
+def _measure(functional: tuple, space: FiniteMetricMeasureSpace, w: Weight, balls,
+             factor: float) -> float:
+    """The sup over ``balls`` of the ratios of ``functional``, a ``(name, param, kernel)``
+    of the weights functional that defines it, at S = factor B: read from the weight's
+    ratio table on ``space``, which one pass fills with the ratios it lacks."""
+    name, param, kernel = functional
+    ratios = _ratios(name, param, space, w, balls, float(factor), kernel)
+    return _sup([ratios[b] for b in balls])[0]
+
+
+def _system_eps(system: BallSystem, w: Weight) -> float:
     """The oscillation constant eps of a system: the sup of the :func:`wgr_epsilon`
-    ratios over its ``measuring`` balls, read from the weight's ratio table, which
-    one pass fills with the ratios it lacks."""
-    ratios = _ratios("wgr_epsilon", None, space, w, measuring, float(sigma), _WGR)
-    return _sup([ratios[b] for b in measuring])[0]
+    ratios over its measuring balls."""
+    return _measure(("wgr_epsilon", None, _WGR), system.space, w, system.measuring, system.sigma)
 
 
 def _decay_inputs(name: str, system: BallSystem, w: Weight, eps: float | None, **params):
@@ -368,7 +368,7 @@ def _decay_inputs(name: str, system: BallSystem, w: Weight, eps: float | None, *
                            system.sigma, system.eta)
     measured = eps is None
     if measured:
-        eps = _system_eps(system.space, w, system.measuring, system.sigma)
+        eps = _system_eps(system, w)
     params = {"sigma": system.sigma, "eta": system.eta, **params,
               "c_mu": system.profile.c_mu, "D": system.profile.dimension_d,
               "eps": float(eps), "eps_measured": measured, "w_ref": c}
@@ -644,12 +644,13 @@ def check_rhi_equivalence_observed(
     balls, sigma = family_balls(family), _resolve_sigma(family, sigma)
     profile = doubling_profile(space, balls)  # from the space's memo: no ball is summed twice
     w = _weight(w)
-    measured_beta = weak_ainfty_beta(space, w, balls, alpha, sigma=sigma).value
+    measured_beta = _measure(("weak_ainfty_beta", alpha, _weak_ainfty(alpha)), space, w, balls,
+                             sigma)
     threshold = profile.c_mu ** (-(math.floor(math.log2(5.0 * sigma**2)) + 1.0))
     rhi_values = {}
     for p in p_grid:
         try:
-            rhi_values[float(p)] = rhi_constant(space, w, balls, p, sigma=sigma).value
+            rhi_values[float(p)] = _measure(("rhi_constant", p, _rhi(p)), space, w, balls, sigma)
         except Exception as exc:  # degenerate instances logged, not raised
             rhi_values[float(p)] = f"error: {exc}"
     params = {

@@ -388,10 +388,26 @@ _WGR_MINUS = (_neg_terms, _wgr_minus_finish)
 
 
 def _weak_ainfty(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
     return (lambda v, m, c: (v * m * (alpha * v >= c), None)), _over_w_s
 
 
+def _rhi(p: float):
+    if not p > 1:
+        raise InvalidExponentError(f"reverse Holder exponent must be > 1, got {p}")
+
+    def finish(total, _, w_r, mu_r, mu_b):
+        if w_r <= 0.0:
+            return 0.0, True
+        return (total / mu_b) ** (1.0 / p) / (w_r / mu_r), False
+
+    return (lambda v, m, c: (v**p * m, None)), finish
+
+
 def _sublevel(beta: float):
+    if not 0.0 < beta < 1.0:
+        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
     return (lambda v, m, c: (m * (v <= beta * c), None)), (
         lambda total, _, w_s, mu_s, mu_b: (0.0, True) if w_s <= 0.0 else (total / mu_b, False))
 
@@ -429,8 +445,6 @@ def weak_ainfty_beta(
     space: FiniteMetricMeasureSpace, w, family, alpha: float, sigma: float | None = None,
 ) -> ConditionReport:
     """sup_B w(B n {alpha w >= w_S}) / w(S) for a fixed alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must be in (0,1), got {alpha}")
     return _functional("weak_ainfty_beta", alpha, space, w, family, sigma, _weak_ainfty(alpha))
 
 
@@ -438,8 +452,6 @@ def sublevel_alpha(
     space: FiniteMetricMeasureSpace, w, family, beta: float, sigma: float | None = None,
 ) -> ConditionReport:
     """sup_B mu(B n {w <= beta w_S}) / mu(B) for a fixed beta in (0, 1)."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
     return _functional("sublevel_alpha", beta, space, w, family, sigma, _sublevel(beta))
 
 
@@ -452,8 +464,7 @@ def rhi_constant(
     ``rhs_ball = "sigma_dilate"`` references ``sigma B``; ``"sigma_hat"``
     references ``sigma (1+eta) B`` and needs ``eta``.
     """
-    if not p > 1:
-        raise InvalidExponentError(f"reverse Holder exponent must be > 1, got {p}")
+    kernel = _rhi(p)
     factor = _resolve_sigma(family, sigma)
     if rhs_ball == "sigma_hat":
         if eta is None:
@@ -465,13 +476,4 @@ def rhi_constant(
         factor = factor * (1.0 + eta)
     elif rhs_ball != "sigma_dilate":
         raise InvalidParameterError(f"unknown rhs_ball {rhs_ball!r}")
-
-    def finish(total, _, w_r, mu_r, mu_b):
-        if w_r <= 0.0:
-            return 0.0, True
-        return (total / mu_b) ** (1.0 / p) / (w_r / mu_r), False
-
-    return _functional(
-        "rhi_constant", p, space, w, family, None,
-        (lambda v, m, c: (v**p * m, None), finish), factor=factor,
-    )
+    return _functional("rhi_constant", p, space, w, family, None, kernel, factor=factor)

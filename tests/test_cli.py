@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -499,27 +500,36 @@ def test_a_well_formed_argv_is_read_without_the_parser(argv):
     assert vars(cli._read_argv(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
-def test_a_well_formed_command_imports_no_argparse(tmp_path):
+#: What wgrkit may load beyond what ``import numpy, pathlib`` loads: its own modules,
+#: the JSON, hashing and statistics modules and their C parts, gc, atexit, __future__.
+_ALLOWED_MODULES = re.compile(r"wgrkit(\..*)?|json(\..*)?|_json|_sha2|_sha256|_statistics|gc"
+                              r"|atexit|__future__")
+
+
+def test_a_well_formed_command_loads_only_numpy_pathlib_and_an_allowlist(tmp_path):
     """Under ``python -S``, whose ``site`` imports nothing, a well-formed ``run`` and
-    ``cz nested`` leave none of argparse, gettext, locale or importlib.resources loaded."""
+    ``cz nested`` load nothing beyond ``import numpy, pathlib`` but ``_ALLOWED_MODULES``:
+    no argparse, gettext, locale or importlib.resources, and no numpy submodule
+    that ``import numpy`` does not load itself."""
     record = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
     cz_cfg = tmp_path / "cz.json"
     cz_cfg.write_text(json.dumps(record["cz-nested-1d"]["config"]))
     code = (
-        "import sys\n"
+        "import re, sys\n"
+        "import numpy, pathlib\n"
+        "baseline = set(sys.modules)\n"
         "from wgrkit import cli\n"
         f"assert cli.main(['run', '--config', {str(smoke_config(tmp_path))!r},"
         f" '--out', {str(tmp_path / 'run')!r}, '--threads', '1']) == 0\n"
         f"assert cli.main(['cz', 'nested', '--config', {str(cz_cfg)!r},"
         f" '--out', {str(tmp_path / 'cz.out')!r}, '--threads', '1']) == 0\n"
-        "loaded = [m for m in ('argparse', 'gettext', 'locale', 'importlib.resources')"
-        " if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        f"allowed = re.compile({_ALLOWED_MODULES.pattern!r})\n"
+        "print(sorted(m for m in set(sys.modules) - baseline if not allowed.fullmatch(m)))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(Path(np.__file__).parents[1])])}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_no_subcommand_prints_the_full_usage(capsys):
@@ -903,18 +913,43 @@ def _exit_path_case(tmp_path: Path, case: str) -> tuple[list[str], int]:
     return ["examples", "list"], 0
 
 
+#: ``python -m wgrkit.cli`` with the arguments that follow ``--``: argv[0] is "-m" while
+#: ``runpy._run_module_as_main``, the function ``-m`` calls, locates the module.
+_AS_MINUS_M = "import runpy, sys\nsys.argv = ['-m', *sys.argv[sys.argv.index('--') + 1:]]\n"
+
+
 @pytest.mark.parametrize(
     "case", ["passing run", "failing run", "cz nested", "usage error", "examples list"]
 )
 def test_every_output_is_closed_before_the_process_exits(tmp_path, case):
-    """The process entry leaves cyclic garbage unfinalized at exit, so no
-    output may depend on a finalizer: with ResourceWarning an error, no
-    file is left to one, the lock is gone, and every byte is on disk."""
+    """The process entry ends with ``os._exit``, which runs no finalizer, so no
+    output may wait on one: at that call no fd of the child resolves under
+    ``tmp_path``, no thread but the main one runs, the lock is gone, and every
+    byte is on disk."""
     argv, code = _exit_path_case(tmp_path, case)
+    checked_exit = (
+        "import os, threading\n"
+        "real_exit = os._exit\n"
+        "def checked_exit(code):\n"
+        "    held = []\n"
+        "    for fd in os.listdir('/proc/self/fd'):\n"
+        "        try:\n"
+        "            target = os.readlink(f'/proc/self/fd/{fd}')\n"
+        "        except OSError:\n"
+        "            continue\n"
+        f"        if target.startswith({str(tmp_path.resolve())!r}):\n"
+        "            held.append(target)\n"
+        "    threads = threading.active_count()\n"
+        "    print(f'at os._exit: held {held}, threads {threads}', file=sys.stderr, flush=True)\n"
+        "    real_exit(code if not held and threads == 1 else 99)\n"
+        "os._exit = checked_exit\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "wgrkit.cli", *argv],
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         _AS_MINUS_M + checked_exit + "runpy._run_module_as_main('wgrkit.cli')\n", "--", *argv],
         env=child_env(), capture_output=True, text=True,
     )
+    assert "at os._exit: held [], threads 1\n" in proc.stderr
     assert proc.returncode == code, proc.stderr
     assert "ResourceWarning" not in proc.stderr and "Exception ignored" not in proc.stderr
     out = tmp_path / "out"
@@ -930,6 +965,51 @@ def test_every_output_is_closed_before_the_process_exits(tmp_path, case):
         assert not out.exists()
     else:
         assert "sawyer_strip" in json.loads(proc.stdout)
+
+
+def test_minus_m_imports_with_no_collection_and_main_collects():
+    """Under ``-m`` the package turns the collector off while it imports, and the
+    process entry turns it back on: no collection runs before ``main``, and the
+    collector is enabled inside it."""
+    code = _AS_MINUS_M + (
+        "import atexit, gc\n"
+        "collections, seen = [], {}\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(info))\n"
+        "def profile(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_name == 'main' and code.co_filename.endswith('cli.py'):\n"
+        "        seen.update(before=len(collections), enabled=gc.isenabled())\n"
+        "        sys.setprofile(None)\n"
+        "atexit.register(lambda: print(seen))\n"
+        "sys.setprofile(profile)\n"
+        "runpy._run_module_as_main('wgrkit.cli')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, "--", "run"], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_USAGE and proc.stderr == "run needs --config\n"
+    assert proc.stdout == "{'before': 0, 'enabled': True}\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["examples list", "check wgr"])
+def test_a_closed_stdout_exits_one_with_one_line(tmp_path, command, buffered):
+    """A write to a stdout whose reader is gone, in ``main`` or in the entry's final
+    flush, is ``main``'s error form on stderr and exit 1, whether stdout is buffered
+    or not."""
+    argv = command.split()
+    if command == "check wgr":
+        argv += ["--config", str(ROOT / "configs" / "smoke.json"), "--out", str(tmp_path / "o")]
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wgrkit.cli", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 def test_examples_list_json():

@@ -627,6 +627,31 @@ def test_rhi_equivalence_small_variance_holds():
         assert isinstance(v, float) and v < 2.0
 
 
+def test_rhi_equivalence_logs_what_the_functionals_give_or_raise():
+    """``measured_beta`` is ``weak_ainfty_beta``'s value, and each p's entry is
+    ``rhi_constant``'s value on the same balls, or ``"error: "`` and the text of what
+    it raises, on a weight whose ratio tables are its own."""
+    space = grid_1d(0.0, 64.0, 64)
+    from wgrkit.examples import random_weight
+
+    w, fresh = (random_weight(space, "lognormal", {"mu": 0.0, "sigma": 0.5}, seed=5)
+                for _ in range(2))
+    family = build_family(space, Ball(32, 16.0), eta=1.0, sigma=2.0)
+    p_grid = [1, 0.5, 1.5, 3, 2.0]
+    rep = theorems.check_rhi_equivalence_observed(space, w, family, 0.5, 0.05, p_grid)
+    expected = {}
+    for p in p_grid:
+        try:
+            expected[float(p)] = rhi_constant(space, fresh, family, p).value
+        except InvalidExponentError as exc:
+            expected[float(p)] = f"error: {exc}"
+    assert rep.params["rhi_values"] == expected
+    assert expected[1.0] == "error: reverse Holder exponent must be > 1, got 1"
+    assert rep.params["measured_beta"] == weak_ainfty_beta(space, fresh, family, 0.5).value
+    with pytest.raises(InvalidParameterError, match=r"alpha must be in \(0,1\), got 1.0"):
+        theorems.check_rhi_equivalence_observed(space, w, family, 1.0, 0.05, p_grid)
+
+
 # -- weight validation at the entry of every functional and checker -------------
 
 

@@ -392,15 +392,18 @@ def _span_keys(centers, radii) -> list[tuple[int, float]]:
 
 
 @contextmanager
-def _queries_inside(monkeypatch, owner, name):
-    """The (center, radius) of every ball query made inside ``owner.name``, and of
-    each entry of its ``ball_spans`` calls, ball by ball."""
+def _queries_inside(monkeypatch, owner, name, when=lambda *args: True):
+    """The (center, radius) of every ball query made inside ``owner.name``, on the
+    calls whose arguments ``when`` accepts, and of each entry of its ``ball_spans``
+    calls, ball by ball."""
     inside, queries = [], []
     original_pass = getattr(owner, name)
     original_query = FiniteMetricMeasureSpace.ball_members
     original_spans = FiniteMetricMeasureSpace.ball_spans
 
     def flagged(*args, **kwargs):
+        if not when(*args):
+            return original_pass(*args, **kwargs)
         inside.append(None)
         try:
             return original_pass(*args, **kwargs)
@@ -540,7 +543,8 @@ def test_rhi_equivalence_reuses_the_runs_superlevel_constant_and_sums(
          "params": {"alpha": 0.5, "beta": 0.1, "p_grid": [1.5, 2.0]}},
     ]
     n_family = len(cli.RunContext(cfg).family.members)
-    with _queries_inside(monkeypatch, theorems, "rhi_constant") as queries:
+    with _queries_inside(monkeypatch, theorems, "_measure",
+                         when=lambda functional, *_: functional[0] == "rhi_constant") as queries:
         assert cli.cmd_run(cli.RunContext(cfg), tmp_path / "out") == 0
     # the superlevel constant's pass evaluates the family once, for the
     # checker; the observation reads its ratios, then runs one rhi pass per p
@@ -661,3 +665,30 @@ def test_the_implication_checkers_build_no_functional_report(monkeypatch, tmp_pa
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(reports) == len(listed)
+
+
+def test_the_rhi_observation_builds_no_functional_report(monkeypatch, tmp_path):
+    """``check_rhi_equivalence_observed`` reads ``measured_beta`` and each p's constant
+    from the weight's ratio table, so on the shipped smoke config it builds no
+    ConditionReport."""
+    inside, calls, reports = [], [], []
+    observe, original = theorems.check_rhi_equivalence_observed, weights.ConditionReport.__init__
+
+    def flagged(*args, **kwargs):
+        inside.append(None)
+        calls.append(None)
+        try:
+            return observe(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(self, *args, **kwargs):
+        if inside:
+            reports.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "check_rhi_equivalence_observed", flagged)
+    monkeypatch.setattr(weights.ConditionReport, "__init__", counting)
+    smoke = ROOT / "configs" / "smoke.json"
+    assert cli.main(["run", "--config", str(smoke), "--out", str(tmp_path / "out")]) == 0
+    assert (len(calls), len(reports)) == (1, 0)
